@@ -18,7 +18,6 @@ from .spectral import (
     SpectralClass,
     classify,
     hyperbolic_directions,
-    orthogonality_check,
     parabolic_direction,
     unimodular_subspace,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "load_graph",
     "make_system",
     "orbit_accumulate",
-    "orthogonality_check",
     "parabolic_direction",
     "power_dynamics",
     "roots_by_depth",

@@ -45,7 +45,6 @@ class Weight:
 class IntersectionKind(enum.Enum):
     SPACE_LIKE = "space-like"
     LIGHT_LIKE = "light-like"
-    TIME_LIKE = "time-like"
 
 
 @dataclass(frozen=True)
@@ -126,13 +125,12 @@ def _intersection_basis(sys, v1, v2):
     return basis
 
 
-def codim2_spacelike(sys, roots, tol=PAIRING_TOL, include_all=False):
+def codim2_spacelike(sys, roots, tol=PAIRING_TOL):
     """Codimension-2 intersections over root pairs.
 
     Pairs with pairing < -1 - tol are space-like (products of the two
     reflections are hyperbolic); pairs with pairing = -1 within tol are
-    flagged light-like (parabolic tangency).  Other pairs are omitted unless
-    ``include_all`` asks for diagnostics.
+    flagged light-like (parabolic tangency).  Other pairs are omitted.
     """
     out = []
     for i in range(len(roots)):
@@ -143,8 +141,6 @@ def codim2_spacelike(sys, roots, tol=PAIRING_TOL, include_all=False):
                 kind = IntersectionKind.SPACE_LIKE
             elif abs(pairing + 1.0) <= tol:
                 kind = IntersectionKind.LIGHT_LIKE
-            elif include_all:
-                kind = IntersectionKind.TIME_LIKE
             else:
                 continue
             basis = _intersection_basis(sys, r1.vector, r2.vector)
@@ -173,6 +169,45 @@ def intersection_equals_unimodular(sys, ci, angle_tol=1e-7):
         return False
     angles = subspace_angles(ci.basis, unimodular_subspace(sys, sc))
     return bool(np.max(angles) < angle_tol)
+
+
+def reflection_pair_eigendata(sys, ci):
+    """Closed-form eigendata of w = s_a s_b for a space-like pair (a, b), in
+    mpmath at the ambient precision.
+
+    With a, b scaled to B-norm 1 and c = -B(a, b) > 1, w has the isotropic
+    eigenvectors x_plus = a + (c - r) b and x_minus = a + (c + r) b,
+    r = sqrt(c^2 - 1), for the eigenvalues lam = (c + r)^2 and 1/lam, and
+    fixes {a, b}^perp_B pointwise.  B and the float root vectors are taken
+    over exactly, so w is a B-isometry to the working precision.
+
+    Returns (w, lam, x_minus, u): w as an mpmath matrix, and x_minus and a
+    fixed vector u (the longest B-orthogonal projection of a simple root off
+    span{a, b}) as Euclidean unit column vectors.
+    """
+    import mpmath
+
+    if ci.kind is not IntersectionKind.SPACE_LIKE:
+        raise ValueError("reflection_pair_eigendata requires a space-like pair")
+    B = mpmath.matrix(sys.form.tolist())
+    a, b = (mpmath.matrix(r.vector.tolist()) for r in ci.pair)
+    a /= mpmath.sqrt((a.T * B * a)[0])
+    b /= mpmath.sqrt((b.T * B * b)[0])
+    Ba, Bb = B * a, B * b
+    c = -(Ba.T * b)[0]
+    t = c + mpmath.sqrt(c * c - 1)
+    eye = mpmath.eye(sys.rank)
+    w = (eye - 2 * a * Ba.T) * (eye - 2 * b * Bb.T)
+    x_minus = a + t * b
+
+    def project(s):
+        # B(a, e_s) = (Ba)_s; the coefficients come from the inverse Gram
+        # matrix [[1, c], [c, 1]] / (1 - c^2) of (a, b).
+        p, q = Ba[s], Bb[s]
+        return eye[:, s] - ((p + c * q) * a + (c * p + q) * b) / (1 - c * c)
+
+    u = max((project(s) for s in range(sys.rank)), key=mpmath.norm)
+    return w, t * t, x_minus / mpmath.norm(x_minus), u / mpmath.norm(u)
 
 
 def sign_vector(sys, point, roots, zero_tol=PAIRING_TOL):

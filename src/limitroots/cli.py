@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failed, 2 input error.
+Exit codes: 0 success, 1 verification failed, 2 input error, 3 numerical
+failure (an element or subspace the numerics could not resolve).
 """
 
 import argparse
@@ -10,7 +11,7 @@ import sys as _sys
 from . import __version__
 from .arrangement import codim2_spacelike, roots_by_depth
 from .elements import enumerate_elements
-from .errors import GraphError, NotLorentzianError
+from .errors import GraphError, NotLorentzianError, NumericalError
 from .geometry import make_system, system_type
 from .graphs import load_graph, str_to_word
 from .io import (
@@ -152,7 +153,6 @@ def build_parser():
     p.add_argument("--dedup-eps", type=float, default=1e-6)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--json", help="optional JSON mirror path")
-    p.add_argument("--threads", type=int, default=1, help="reserved; output is identical")
     p.set_defaults(fn=cmd_limit_roots)
 
     p = sub.add_parser("plot", help="render a chart picture to SVG")
@@ -173,7 +173,6 @@ def build_parser():
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--graph", help="override the suite's default graph")
     p.add_argument("--depth", type=int, help="root depth budget (sandwich suite)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.set_defaults(fn=cmd_verify)
 
     return parser
@@ -187,6 +186,9 @@ def main(argv=None):
     except (GraphError, NotLorentzianError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

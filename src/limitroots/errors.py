@@ -9,17 +9,21 @@ class NotLorentzianError(RuntimeError):
     """An operation requiring signature (n-1, 1, 0) was called on another system."""
 
 
-class BorderlineSpectrumError(RuntimeError):
+class NumericalError(RuntimeError):
+    """The numerics could not resolve an element, a subspace or an enumeration."""
+
+
+class BorderlineSpectrumError(NumericalError):
     """Spectral data too close to a type boundary to classify reliably."""
 
 
-class ClassificationError(RuntimeError):
+class ClassificationError(NumericalError):
     """Element could not be resolved into elliptic/parabolic/hyperbolic."""
 
 
-class ExtractionError(RuntimeError):
+class ExtractionError(NumericalError):
     """Eigendirection or subspace extraction failed at tolerance."""
 
 
-class EnumerationError(RuntimeError):
+class EnumerationError(NumericalError):
     """Group enumeration aborted (fingerprint collision or entry overflow)."""

@@ -1,4 +1,4 @@
-"""File formats: point-set CSV/JSON, intersection CSV, and run manifests."""
+"""File formats: point-set CSV/JSON and run manifests."""
 
 import csv
 import hashlib
@@ -135,25 +135,6 @@ def write_pointset_json(ps, path, sys, budgets):
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def write_intersections_csv(intersections, sys, path):
-    """Header root1_word,root2_word,pairing,kind,x1..xn (rank-3 point coords)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["root1_word", "root2_word", "pairing", "kind"]
-            + [f"x{i + 1}" for i in range(sys.rank)]
-        )
-        for ci in intersections:
-            r1, r2 = ci.pair
-            if ci.basis.shape[1] == 1:
-                coords = [repr(float(v)) for v in ci.chart_point(sys).coords]
-            else:
-                coords = [""] * sys.rank
-            writer.writerow(
-                [r1.word_str(), r2.word_str(), repr(ci.pairing), ci.kind.value] + coords
-            )
 
 
 class Timer:

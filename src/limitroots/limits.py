@@ -26,8 +26,6 @@ DEDUP_EPS = 1e-6
 KIND_PARABOLIC = "parabolic-eig"
 KIND_HYPERBOLIC = "hyperbolic-eig"
 KIND_ORBIT = "orbit"
-KIND_INTERSECTION = "intersection"
-KIND_WEIGHT = "weight"
 
 
 @dataclass(frozen=True)
@@ -195,20 +193,22 @@ def orbit_accumulate(sys, base, store, min_length, max_length, dedup_eps=DEDUP_E
 def power_dynamics(sys, elem, base, k_max, dps=None):
     """Trajectory (w^k(base))_{k=1..k_max} in the chart.
 
-    The working vector is renormalized every step, so arbitrarily long
-    trajectories of hyperbolic elements stay in floating-point range.
+    ``elem`` is a group element or a float matrix; the working vector is
+    renormalized every step, so arbitrarily long trajectories of
+    hyperbolic elements stay in floating-point range.
 
     With ``dps`` set, the iteration runs in mpmath arithmetic at that many
-    decimal digits (``base`` may then be a sequence of mpmath numbers).
+    decimal digits, and ``elem`` may also be an mpmath matrix, which is
+    iterated as it is (``base`` may then be a sequence of mpmath numbers).
     Double precision loses an invariant plane at a relative rate of about
     eigenvalue^2 * 1e-16 per step, so trajectories meant to stay off the
     attracting eigendirection of a strongly hyperbolic element need the
     extra digits.
     """
-    M = elem.matrix if hasattr(elem, "matrix") else np.asarray(elem, float)
+    seq = base.coords if isinstance(base, ProjectivePoint) else base
     if dps is None:
-        v = base.coords if isinstance(base, ProjectivePoint) else np.asarray(base, float)
-        v = np.array(v, dtype=float)
+        M = elem.matrix if hasattr(elem, "matrix") else np.asarray(elem, float)
+        v = np.array(seq, dtype=float)
         out = []
         for _ in range(k_max):
             v = M @ v
@@ -218,9 +218,12 @@ def power_dynamics(sys, elem, base, k_max, dps=None):
     import mpmath
 
     with mpmath.workdps(dps):
-        M_mp = mpmath.matrix(M.tolist())
-        seq = base.coords if isinstance(base, ProjectivePoint) else base
-        v = mpmath.matrix([mpmath.mpf(x) if not isinstance(x, mpmath.mpf) else x for x in seq])
+        if isinstance(elem, mpmath.matrix):
+            M_mp = elem
+        else:
+            M = elem.matrix if hasattr(elem, "matrix") else np.asarray(elem, float)
+            M_mp = mpmath.matrix(M.tolist())
+        v = mpmath.matrix(list(seq))
         out = []
         for _ in range(k_max):
             v = M_mp * v

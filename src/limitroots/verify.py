@@ -12,6 +12,7 @@ from .arrangement import (
     codim2_spacelike,
     fundamental_weights,
     intersection_equals_unimodular,
+    reflection_pair_eigendata,
     roots_by_depth,
     IntersectionKind,
 )
@@ -23,7 +24,6 @@ from .limits import (
     sample_limit_roots,
 )
 from .projective import chart_distance, to_chart
-from .spectral import classify
 
 SUITES = {}
 
@@ -102,52 +102,16 @@ def verify_density(sys=None, budgets=((2, 2), (4, 4), (6, 6)), dedup_eps=1e-6, *
     }
 
 
-def _mp_eigenvector(M_mp, lam, v0, steps=6):
-    """Inverse iteration with Rayleigh updates, in the ambient mp precision."""
-    import mpmath
-
-    n = M_mp.rows
-    v = mpmath.matrix([mpmath.mpf(x) for x in v0])
-    v /= mpmath.norm(v)
-    lam = mpmath.mpf(lam)
-    eye = mpmath.eye(n)
-    for _ in range(steps):
-        shift = lam * (1 + mpmath.mpf("1e-30"))
-        try:
-            v = mpmath.lu_solve(M_mp - shift * eye, v)
-        except ZeroDivisionError:
-            break
-        v /= mpmath.norm(v)
-        lam = (v.T * (M_mp * v))[0] / (v.T * v)[0]
-    return lam, v
-
-
-def _mp_case2_base(sys, w, sc, dps):
-    """Case-2 starting vector x_minus + u, accurate to the mp working precision.
-
-    The floating-point matrix w is only a B-isometry to roundoff, so the
-    invariant decomposition must come from eigenvectors of w itself (not
-    from B-orthogonality): any leftover expanding component gets amplified
-    by lambda per step and overruns the accumulation point.
-    """
-    import mpmath
-
-    with mpmath.workdps(dps):
-        lam, _, x_minus = sc.dominant
-        M_mp = mpmath.matrix(np.asarray(w, float).tolist())
-        _, xm = _mp_eigenvector(M_mp, 1.0 / lam, x_minus)
-        # The remaining (unimodular) eigenvalue, estimated from the dense
-        # spectrum, then refined together with its eigenvector.
-        mid = min(np.real(sc.eigenvalues), key=lambda e: abs(abs(e) - 1.0))
-        _, u = _mp_eigenvector(M_mp, float(mid), sc.unimodular_basis[:, 0])
-        base = xm / mpmath.norm(xm) + u / mpmath.norm(u)
-        return list(base)
-
-
 @suite("sandwich")
 def verify_sandwich(sys=None, depth=4, dynamics_k=400, dynamics_tol=1e-5, dps=60, **_):
     """Space-like arrangement intersections equal unimodular subspaces, and
-    Case-2 trajectories accumulate on them."""
+    Case-2 trajectories accumulate on them.
+
+    The Case-2 base x_minus + u and the element w = s_a s_b come from the
+    closed-form eigendata of the pair, so the iterated w is exactly the one
+    the base was built for."""
+    import mpmath
+
     sys = sys or make_system("universal3:1.1")
     roots = roots_by_depth(sys, depth)
     intersections = [
@@ -162,11 +126,9 @@ def verify_sandwich(sys=None, depth=4, dynamics_k=400, dynamics_tol=1e-5, dps=60
         if not intersection_equals_unimodular(sys, ci):
             n_fail_angle += 1
             continue
-        r1, r2 = ci.pair
-        w = sys.reflection_in(r1.vector) @ sys.reflection_in(r2.vector)
-        sc = classify(sys, w)
-        lam = sc.dominant[0]
-        base = _mp_case2_base(sys, w, sc, dps)
+        with mpmath.workdps(dps):
+            w, lam, x_minus, u = reflection_pair_eigendata(sys, ci)
+            base = x_minus + u
         # The contracting component shrinks by 1/lambda per step, so the
         # approach happens within a few times log(1/tol)/log(lambda) steps.
         k = min(dynamics_k, int(24.0 / math.log10(lam)) + 4)

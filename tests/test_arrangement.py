@@ -1,11 +1,14 @@
 """Roots by depth, weights, codimension-2 intersections, and chamber descent."""
 
+import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
 from limitroots import (
+    classify,
     codim2_spacelike,
     descend_to_fundamental,
     element_of,
@@ -16,7 +19,7 @@ from limitroots import (
     sign_vector,
     to_chart,
 )
-from limitroots.arrangement import IntersectionKind
+from limitroots.arrangement import IntersectionKind, reflection_pair_eigendata
 from limitroots.projective import chart_distance
 
 
@@ -99,6 +102,28 @@ def test_intersection_equals_unimodular_subspace(sys_u11):
     assert space_like
     for ci in space_like:
         assert intersection_equals_unimodular(sys_u11, ci)
+
+
+def test_reflection_pair_closed_form_matches_spectral(sys_u11):
+    cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 3))
+    space_like = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
+    assert space_like
+    for ci in space_like:
+        a, b = (r.vector / math.sqrt(r.vector @ sys_u11.form @ r.vector) for r in ci.pair)
+        c = -float(a @ sys_u11.form @ b)
+        r = math.sqrt(c * c - 1)
+        w = sys_u11.reflection_in(a) @ sys_u11.reflection_in(b)
+        lam, x_plus, x_minus = classify(sys_u11, w).dominant
+        assert lam == pytest.approx((c + r) ** 2, rel=1e-9)
+        for x, t in ((x_plus, c - r), (x_minus, c + r)):
+            np.testing.assert_allclose(
+                to_chart(sys_u11, x).coords, to_chart(sys_u11, a + t * b).coords, atol=1e-9
+            )
+        with mpmath.workdps(60):
+            w_mp, lam_mp, xm, u = reflection_pair_eigendata(sys_u11, ci)
+            assert float(lam_mp) == pytest.approx(lam, rel=1e-9)
+            assert mpmath.norm(w_mp * xm - xm / lam_mp) < 1e-40
+            assert mpmath.norm(w_mp * u - u) < 1e-40
 
 
 def test_weights_sit_on_simple_pair_intersections(sys_u11):

@@ -204,3 +204,23 @@ def test_cli_bad_length_range(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_cli_numerical_failure_exit_code(tmp_path, capsys):
+    # A length-8 element of universal4:1 whose spectrum sits on the
+    # hyperbolic/parabolic boundary raises BorderlineSpectrumError.
+    code = main(
+        [
+            "limit-roots",
+            "--graph",
+            "universal4:1",
+            "--core-lengths",
+            "8..8",
+            "--conj-lengths",
+            "0..0",
+            "--out",
+            str(tmp_path / "x.csv"),
+        ]
+    )
+    assert code == 3
+    assert "error:" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -152,6 +153,9 @@ def test_power_dynamics_mp_matches_float(sys_u1):
     a = power_dynamics(sys_u1, w, base, 10)
     b = power_dynamics(sys_u1, w, base, 10, dps=40)
     assert max(chart_distance(p, q) for p, q in zip(a, b)) < 1e-12
+    # An mpmath matrix is iterated as it is.
+    c = power_dynamics(sys_u1, mpmath.matrix(w.matrix.tolist()), base, 10, dps=40)
+    assert [p.coords.tolist() for p in c] == [p.coords.tolist() for p in b]
 
 
 def test_hausdorff_basics(sys_u1, store_u1_6):

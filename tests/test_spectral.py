@@ -11,12 +11,11 @@ from limitroots import (
     element_of,
     hyperbolic_directions,
     make_system,
-    orthogonality_check,
     parabolic_direction,
     unimodular_subspace,
 )
 from limitroots.errors import BorderlineSpectrumError, NotLorentzianError
-from limitroots.spectral import Kind
+from limitroots.spectral import Kind, orthogonality_check
 
 
 def test_generator_is_elliptic_of_order_two(sys_u1):
