@@ -127,7 +127,9 @@ def cmd_verify(args):
     kwargs = {}
     if args.graph:
         kwargs["sys"] = make_system(load_graph(args.graph))
-    if args.depth:
+    if args.depth is not None:
+        if args.depth < 1:
+            raise ValueError(f"--depth must be at least 1, got {args.depth}")
         kwargs["depth"] = args.depth
     report = run_suite(args.suite, **kwargs)
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -10,8 +10,7 @@ import numpy as np
 
 from . import __version__
 from .graphs import word_to_str, str_to_word
-from .limits import PointRecord, PointSet
-from .projective import ProjectivePoint
+from .limits import PointSet
 
 
 def graph_hash(graph):
@@ -61,6 +60,17 @@ class RunManifest:
             fh.write("\n")
 
 
+def _row_labels(ps):
+    """Kind, source-word and conjugator-word strings of every row; each
+    distinct word is formatted once."""
+    words = [word_to_str(w) for w in ps.words]
+    return zip(
+        [ps.kinds[k] for k in ps.kind],
+        [words[i] for i in ps.source],
+        [words[i] for i in ps.conjugator],
+    )
+
+
 def write_pointset_csv(ps, path, rank):
     """Header x1..xn,kind,source_word,conjugator_word,bnorm; floats use repr
     (shortest round-trip form) so emission is deterministic and lossless."""
@@ -70,47 +80,39 @@ def write_pointset_csv(ps, path, rank):
             [f"x{i + 1}" for i in range(rank)]
             + ["kind", "source_word", "conjugator_word", "bnorm"]
         )
-        for rec in ps.records:
-            writer.writerow(
-                [repr(float(v)) for v in rec.point.coords]
-                + [
-                    rec.kind,
-                    word_to_str(rec.source),
-                    word_to_str(rec.conjugator),
-                    repr(rec.point.bnorm),
-                ]
+        writer.writerows(
+            [repr(v) for v in coords] + [kind, source, conjugator, repr(bnorm)]
+            for coords, (kind, source, conjugator), bnorm in zip(
+                ps.coords.tolist(), _row_labels(ps), ps.bnorm.tolist()
             )
+        )
 
 
 def read_pointset_csv(path, sys):
     """Parse a point-set CSV back into a PointSet (no re-deduplication)."""
-    records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         rank = sum(1 for h in header if h.startswith("x") and h[1:].isdigit())
         if rank != sys.rank:
             raise ValueError(f"CSV rank {rank} does not match graph rank {sys.rank}")
-        for row in reader:
-            coords = np.array([float(v) for v in row[:rank]])
-            coords.setflags(write=False)
-            point = ProjectivePoint(
-                coords=coords,
-                at_infinity=abs(np.sum(coords) - 1.0) > 1e-6,
-                bnorm=float(row[rank + 3]),
-            )
-            records.append(
-                PointRecord(
-                    point=point,
-                    kind=row[rank],
-                    source=str_to_word(row[rank + 1], sys.rank),
-                    conjugator=str_to_word(row[rank + 2], sys.rank),
-                )
-            )
-    ps = PointSet.__new__(PointSet)
-    ps.dedup_eps = 0.0
-    ps.records = records
-    return ps
+        rows = list(reader)
+    coords = np.array([[float(v) for v in row[:rank]] for row in rows]).reshape(len(rows), rank)
+    kinds, words = {}, {}
+    kind = [kinds.setdefault(row[rank], len(kinds)) for row in rows]
+    source = [words.setdefault(row[rank + 1], len(words)) for row in rows]
+    conjugator = [words.setdefault(row[rank + 2], len(words)) for row in rows]
+    return PointSet(
+        coords,
+        0.0,
+        kinds=kinds,
+        kind=kind,
+        words=[str_to_word(w, sys.rank) for w in words],
+        source=source,
+        conjugator=conjugator,
+        at_infinity=np.abs(coords.sum(axis=1) - 1.0) > 1e-6,
+        bnorm=[float(row[rank + 3]) for row in rows],
+    )
 
 
 def write_pointset_json(ps, path, sys, budgets):
@@ -123,18 +125,20 @@ def write_pointset_json(ps, path, sys, budgets):
         },
         "points": [
             {
-                "coords": [float(v) for v in rec.point.coords],
-                "kind": rec.kind,
-                "source_word": word_to_str(rec.source),
-                "conjugator_word": word_to_str(rec.conjugator),
-                "bnorm": rec.point.bnorm,
+                "coords": coords,
+                "kind": kind,
+                "source_word": source,
+                "conjugator_word": conjugator,
+                "bnorm": bnorm,
             }
-            for rec in ps.records
+            for coords, (kind, source, conjugator), bnorm in zip(
+                ps.coords.tolist(), _row_labels(ps), ps.bnorm.tolist()
+            )
         ],
     }
+    text = json.dumps(data, indent=1, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 class Timer:

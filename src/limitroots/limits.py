@@ -38,63 +38,125 @@ class PointRecord:
     conjugator: tuple = ()
 
 
-class PointSet:
-    """Deduplicated set of chart points with per-point provenance.
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
-    Points whose chart distance is below ``dedup_eps`` are merged, keeping
-    the first record in insertion order.  At-infinity points are kept but
-    excluded from chart-metric computations.
+
+class PointSet:
+    """Deduplicated chart points with per-point provenance, stored as columns.
+
+    Row i is the chart point ``coords[i]`` (shape (m, n)) with
+    ``bnorm[i]`` = B(x, x) and the flag ``at_infinity[i]``.  Its provenance
+    is the kind ``kinds[kind[i]]``, the source word ``words[source[i]]`` and
+    the conjugator word ``words[conjugator[i]]``; ``kind``, ``source`` and
+    ``conjugator`` default to index 0 for every row.
+
+    The constructor merges rows whose chart distance is below ``dedup_eps``,
+    keeping the first row in insertion order; affine and at-infinity rows
+    are merged separately.  With ``dedup_eps`` = 0 every row is kept (a set
+    read back from a file).  ``bnorm`` defaults to B(x, x) under ``form``,
+    computed for the kept rows only.  Iteration yields ``PointRecord``s.
     """
 
-    def __init__(self, records, dedup_eps=DEDUP_EPS):
+    def __init__(
+        self,
+        coords,
+        dedup_eps=DEDUP_EPS,
+        *,
+        kinds,
+        kind=None,
+        words=((),),
+        source=None,
+        conjugator=None,
+        at_infinity=None,
+        bnorm=None,
+        form=None,
+    ):
+        coords = np.asarray(coords, dtype=float)
+        m = len(coords)
+        at_infinity = np.zeros(m, bool) if at_infinity is None else np.asarray(at_infinity, bool)
+        keep = _dedup(coords, at_infinity, dedup_eps) if dedup_eps > 0 else np.arange(m)
+
+        def column(values):
+            if values is None:
+                return _frozen(np.zeros(len(keep), np.intp))
+            return _frozen(np.asarray(values, np.intp)[keep])
+
         self.dedup_eps = dedup_eps
-        self.records = _dedup(list(records), dedup_eps)
+        self.kinds = tuple(kinds)
+        self.words = tuple(words)
+        self.coords = _frozen(coords[keep])
+        self.at_infinity = _frozen(at_infinity[keep])
+        self.kind = column(kind)
+        self.source = column(source)
+        self.conjugator = column(conjugator)
+        if bnorm is None:
+            bnorm = [float(c @ form @ c) for c in self.coords]
+            self.bnorm = _frozen(np.array(bnorm, dtype=float))
+        else:
+            self.bnorm = _frozen(np.asarray(bnorm, dtype=float)[keep])
 
     def __len__(self):
-        return len(self.records)
+        return len(self.coords)
 
     def __iter__(self):
-        return iter(self.records)
+        for i in range(len(self)):
+            point = ProjectivePoint(
+                coords=self.coords[i],
+                at_infinity=bool(self.at_infinity[i]),
+                bnorm=float(self.bnorm[i]),
+            )
+            yield PointRecord(
+                point=point,
+                kind=self.kinds[self.kind[i]],
+                source=self.words[self.source[i]],
+                conjugator=self.words[self.conjugator[i]],
+            )
 
     @property
-    def affine_records(self):
-        return [r for r in self.records if not r.point.at_infinity]
-
-    def coords(self):
-        """(m, n) array of affine chart coordinates (at-infinity excluded)."""
-        recs = self.affine_records
-        if not recs:
-            return np.empty((0, 0))
-        return np.array([r.point.coords for r in recs])
+    def affine_coords(self):
+        """(m', n) array of the affine chart coordinates (at-infinity rows excluded)."""
+        return self.coords[~self.at_infinity]
 
     def counts_by_kind(self):
-        out = {}
-        for r in self.records:
-            out[r.kind] = out.get(r.kind, 0) + 1
-        return out
+        """Point count of each kind present, in order of first appearance."""
+        ids, first, counts = np.unique(self.kind, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return {self.kinds[ids[i]]: int(counts[i]) for i in order}
 
     def filter(self, kind):
-        return PointSet([r for r in self.records if r.kind == kind], self.dedup_eps)
+        rows = np.isin(self.kind, [i for i, k in enumerate(self.kinds) if k == kind])
+        return PointSet(
+            self.coords[rows],
+            self.dedup_eps,
+            kinds=self.kinds,
+            kind=self.kind[rows],
+            words=self.words,
+            source=self.source[rows],
+            conjugator=self.conjugator[rows],
+            at_infinity=self.at_infinity[rows],
+            bnorm=self.bnorm[rows],
+        )
 
 
-def _dedup(records, eps):
-    if not records:
-        return []
-    affine = [(i, r) for i, r in enumerate(records) if not r.point.at_infinity]
-    infinite = [(i, r) for i, r in enumerate(records) if r.point.at_infinity]
-    keep = {}
-    for group in (affine, infinite):
-        if not group:
+def _dedup(coords, at_infinity, eps):
+    """Ascending indices of the rows kept by the two-pass merge.
+
+    Coarse pass: the first row in each cell of the epsilon grid.  Fine pass:
+    grid representatives within ``eps`` of each other are joined, and each
+    connected group keeps its lowest index.
+    """
+    kept = []
+    for group in (np.flatnonzero(~at_infinity), np.flatnonzero(at_infinity)):
+        if len(group) == 0:
             continue
-        coords = np.array([r.point.coords for _, r in group])
-        # Coarse pass: quantize to the epsilon grid, first record wins.
-        keys = np.round(coords / eps).astype(np.int64)
-        first = {}
-        for pos, key in enumerate(map(lambda k: k.tobytes(), keys)):
-            first.setdefault(key, pos)
-        reps = sorted(first.values())
-        # Fine pass: merge grid cells whose representatives still sit within eps.
-        rep_coords = coords[reps]
+        pts = coords[group]
+        keys = np.round(pts / eps).astype(np.int64)
+        order = np.lexsort(keys.T[::-1])
+        sorted_keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)])
+        reps = np.sort(np.minimum.reduceat(order, starts))
         parent = list(range(len(reps)))
 
         def find(a):
@@ -103,16 +165,18 @@ def _dedup(records, eps):
                 a = parent[a]
             return a
 
-        tree = cKDTree(rep_coords)
+        tree = cKDTree(pts[reps])
         for a, b in sorted(tree.query_pairs(eps)):
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        for pos in range(len(reps)):
-            root = find(pos)
-            orig = group[reps[root]][0]
-            keep[orig] = group[reps[root]][1]
-    return [keep[i] for i in sorted(keep)]
+        # A union only ever re-parents the larger root, so the kept roots are
+        # the lowest index of each group.
+        roots = np.array(parent) == np.arange(len(reps))
+        kept.append(group[reps[roots]])
+    if not kept:
+        return np.empty(0, np.intp)
+    return np.sort(np.concatenate(kept))
 
 
 def infinite_order_directions(sys, elem, sc=None):
@@ -139,7 +203,9 @@ def sample_limit_roots(
     For every infinite-order element of length in ``core_range`` the
     light-like eigendirections are computed once; every conjugator g of
     length in ``conj_range`` then contributes the image point g(x), without
-    re-solving any eigenproblem.
+    re-solving any eigenproblem.  The images of each direction are one
+    product with the stacked conjugator matrices, and all of them enter one
+    ``PointSet``.
     """
     sys.require_lorentzian("limit-root sampling")
     core_lo, core_hi = core_range
@@ -148,43 +214,54 @@ def sample_limit_roots(
         raise ValueError(
             f"store covers length {store.max_length}, need {max(core_hi, conj_hi)}"
         )
+    kinds = tuple(kinds)
     conjugators = store.with_length(conj_lo, conj_hi)
     conj_mats = np.stack([g.matrix for g in conjugators])
-    records = []
-    n_cores = 0
+    # Words table: the conjugators first, then each core that contributes.
+    words = [g.word for g in conjugators]
+    blocks, dir_kind, dir_source = [], [], []
     for elem in store.with_length(core_lo, core_hi):
-        dirs = infinite_order_directions(sys, elem)
-        dirs = [(k, v) for k, v in dirs if k in kinds]
+        dirs = [(k, v) for k, v in infinite_order_directions(sys, elem) if k in kinds]
         if not dirs:
             continue
-        n_cores += 1
         for kind, vec in dirs:
-            images = conj_mats @ vec
-            heights = images.sum(axis=1)
-            for g, img, h in zip(conjugators, images, heights):
-                coords = img / h
-                bnorm = float(coords @ sys.form @ coords)
-                coords.setflags(write=False)
-                point = ProjectivePoint(coords=coords, at_infinity=False, bnorm=bnorm)
-                records.append(
-                    PointRecord(point=point, kind=kind, source=elem.word, conjugator=g.word)
-                )
-    if n_cores == 0:
+            blocks.append(conj_mats @ vec)
+            dir_kind.append(kinds.index(kind))
+            dir_source.append(len(words))
+        words.append(elem.word)
+    if not blocks:
         log.warning(
             "no infinite-order elements with length in %s; emitting an empty set",
             core_range,
         )
-    return PointSet(records, dedup_eps)
+    images = np.concatenate(blocks) if blocks else np.empty((0, sys.rank))
+    n_conj = len(conjugators)
+    return PointSet(
+        images / images.sum(axis=1)[:, None],
+        dedup_eps,
+        kinds=kinds,
+        kind=np.repeat(dir_kind, n_conj),
+        words=words,
+        source=np.repeat(dir_source, n_conj),
+        conjugator=np.tile(np.arange(n_conj), len(blocks)),
+        form=sys.form,
+    )
 
 
 def orbit_accumulate(sys, base, store, min_length, max_length, dedup_eps=DEDUP_EPS):
     """Orbit points w(base) over min_length <= l(w) <= max_length, deduplicated."""
     base_vec = base.coords if isinstance(base, ProjectivePoint) else np.asarray(base, float)
-    records = []
-    for elem in store.with_length(min_length, max_length):
-        point = to_chart(sys, elem.matrix @ base_vec)
-        records.append(PointRecord(point=point, kind=KIND_ORBIT, source=elem.word))
-    ps = PointSet(records, dedup_eps)
+    elems = store.with_length(min_length, max_length)
+    points = [to_chart(sys, elem.matrix @ base_vec) for elem in elems]
+    ps = PointSet(
+        np.array([p.coords for p in points]).reshape(len(points), sys.rank),
+        dedup_eps,
+        kinds=(KIND_ORBIT,),
+        words=[()] + [elem.word for elem in elems],
+        source=np.arange(1, len(elems) + 1),
+        at_infinity=[p.at_infinity for p in points],
+        bnorm=[p.bnorm for p in points],
+    )
     if len(ps) < 2:
         log.warning("orbit degenerated to %d point(s)", len(ps))
     return ps
@@ -336,13 +413,13 @@ def inversion_set(sys, word):
 
 def hausdorff(a, b):
     """Symmetric Hausdorff distance between two point sets in the chart."""
-    ca = a.coords() if isinstance(a, PointSet) else np.asarray(a, float)
-    cb = b.coords() if isinstance(b, PointSet) else np.asarray(b, float)
+    ca = a.affine_coords if isinstance(a, PointSet) else np.asarray(a, float)
+    cb = b.affine_coords if isinstance(b, PointSet) else np.asarray(b, float)
     if ca.size == 0 or cb.size == 0:
         raise ValueError("hausdorff distance of an empty set")
     for ps in (a, b):
         if isinstance(ps, PointSet):
-            skipped = len(ps.records) - len(ps.affine_records)
+            skipped = int(np.count_nonzero(ps.at_infinity))
             if skipped:
                 log.warning("hausdorff: excluding %d at-infinity point(s)", skipped)
     d_ab = cKDTree(cb).query(ca)[0].max()

@@ -64,9 +64,14 @@ def _as_matrix(elem):
 
 def _finite_order(M, k_max, norm_cap=1e9):
     n = M.shape[0]
+    # Roundoff in a power of M grows with max|M|^2 (elliptic conjugates with
+    # entries near 500 miss I by ~1e-8), while the powers of an
+    # infinite-order element stay order one away from I; the cap keeps the
+    # test far below that distance.
+    tol = min(1e-2, 1e-8 * max(1.0, float(np.max(np.abs(M)))) ** 2)
     P = M.copy()
     for k in range(1, k_max + 1):
-        if np.max(np.abs(P - np.eye(n))) < 1e-8:
+        if np.max(np.abs(P - np.eye(n))) < tol:
             return k
         if np.max(np.abs(P)) > norm_cap:
             return None

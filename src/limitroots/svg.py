@@ -149,9 +149,8 @@ def render_svg(
             coords = w.vector / np.sum(w.vector)
             canvas.diamond(canvas.map_point(coords), 4.0, KIND_COLORS["weight"])
     if pointset is not None:
-        for rec in pointset.records:
-            if rec.point.at_infinity:
-                continue
-            color = KIND_COLORS.get(rec.kind, "#333333")
-            canvas.circle(canvas.map_point(rec.point.coords), point_radius, color)
+        affine = ~pointset.at_infinity
+        for coords, kind in zip(pointset.coords[affine], pointset.kind[affine]):
+            color = KIND_COLORS.get(pointset.kinds[kind], "#333333")
+            canvas.circle(canvas.map_point(coords), point_radius, color)
     return canvas.render()

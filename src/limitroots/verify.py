@@ -66,8 +66,8 @@ def verify_isotropy(sys=None, core=(2, 5), conj=(0, 2), dedup_eps=1e-6, **_):
     sys = sys or make_system("universal3:1")
     store = enumerate_elements(sys, max(core[1], conj[1]))
     ps = sample_limit_roots(sys, store, core, conj, dedup_eps)
-    coords = ps.coords()
-    max_b = float(max(abs(r.point.bnorm) for r in ps.records))
+    coords = ps.affine_coords
+    max_b = float(np.max(np.abs(ps.bnorm)))
     min_coord = float(coords.min())
     max_coord = float(coords.max())
     ok = max_b < 1e-7 and min_coord > -1e-9 and max_coord < 1 + 1e-9

@@ -120,7 +120,7 @@ def test_criterion_3_isotropy_and_hull():
         store = enumerate_elements(sys, depth)
         ps = sample_limit_roots(sys, store, core, conj)
         assert len(ps) > 0, name
-        coords = ps.coords()
+        coords = ps.affine_coords
         worst_b = max(worst_b, max(abs(r.point.bnorm) for r in ps))
         worst_low = min(worst_low, float(coords.min()))
         worst_high = max(worst_high, float(coords.max()))

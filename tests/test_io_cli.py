@@ -36,8 +36,25 @@ def test_csv_round_trip(tmp_path, sample):
     write_pointset_csv(ps, str(path), sys.rank)
     back = read_pointset_csv(str(path), sys)
     assert len(back) == len(ps)
-    np.testing.assert_array_equal(back.coords(), ps.coords())
+    np.testing.assert_array_equal(back.coords, ps.coords)
     assert back.counts_by_kind() == ps.counts_by_kind()
+
+
+def test_csv_read_back_keeps_every_column(tmp_path, sample):
+    sys, ps = sample
+    path = tmp_path / "points.csv"
+    write_pointset_csv(ps, str(path), sys.rank)
+    back = read_pointset_csv(str(path), sys)
+    assert back.dedup_eps == 0.0
+    assert back.coords.tobytes() == ps.coords.tobytes()
+    assert back.bnorm.tobytes() == ps.bnorm.tobytes()
+    assert not back.at_infinity.any()
+    assert [(r.kind, r.source, r.conjugator) for r in back] == [
+        (r.kind, r.source, r.conjugator) for r in ps
+    ]
+    again = tmp_path / "again.csv"
+    write_pointset_csv(back, str(again), sys.rank)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_csv_header_names_coordinates(tmp_path, sample):
@@ -187,6 +204,13 @@ def test_cli_verify_suite(capsys):
     assert main(["verify", "--suite", "spectra"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is True
+
+
+def test_cli_verify_rejects_depth_below_one(capsys):
+    assert main(["verify", "--suite", "sandwich", "--depth", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--depth must be at least 1" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_bad_length_range(tmp_path):

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from limitroots import (
     PeriodicWord,
@@ -23,7 +24,6 @@ from limitroots import (
 from limitroots.limits import (
     KIND_HYPERBOLIC,
     KIND_PARABOLIC,
-    PointRecord,
     PointSet,
     certify_reduced,
     infinite_order_directions,
@@ -32,8 +32,16 @@ from limitroots.projective import ProjectivePoint, chart_distance
 from limitroots.spectral import Kind
 
 
-def _point(sys, v, kind="orbit"):
-    return PointRecord(point=to_chart(sys, np.asarray(v, float)), kind=kind)
+def _pointset(sys, vecs, kinds=("orbit",), kind=None):
+    points = [to_chart(sys, np.asarray(v, float)) for v in vecs]
+    return PointSet(
+        np.array([p.coords for p in points]),
+        1e-6,
+        kinds=kinds,
+        kind=kind,
+        at_infinity=[p.at_infinity for p in points],
+        form=sys.form,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -41,36 +49,39 @@ def _point(sys, v, kind="orbit"):
 
 
 def test_pointset_merges_within_eps(sys_u1):
-    records = [
-        _point(sys_u1, [0.5, 0.5, 0.0]),
-        _point(sys_u1, [0.5 + 1e-9, 0.5 - 1e-9, 0.0]),
-        _point(sys_u1, [0.5, 0.0, 0.5]),
-    ]
-    ps = PointSet(records, dedup_eps=1e-6)
+    ps = _pointset(
+        sys_u1, [[0.5, 0.5, 0.0], [0.5 + 1e-9, 0.5 - 1e-9, 0.0], [0.5, 0.0, 0.5]]
+    )
     assert len(ps) == 2
+
+
+def test_pointset_merges_across_grid_cells_keeping_the_first(sys_u1):
+    # The last two points sit 1.4e-7 apart on either side of a cell boundary
+    # of the 1e-6 grid, so only the kd-tree pass can merge them.
+    base = np.array([0.2, 0.3, 0.5])
+    step = np.array([1e-6, -1e-6, 0.0])
+    coords = np.array([[0.5, 0.5, 0.0], base + 0.55 * step, base + 0.45 * step])
+    ps = PointSet(coords, 1e-6, kinds=("orbit",), form=sys_u1.form)
+    assert ps.coords.tobytes() == coords[:2].tobytes()
 
 
 def test_pointset_keeps_distinct_points(sys_u1):
-    records = [_point(sys_u1, [0.5, 0.5, 0.0]), _point(sys_u1, [0.5, 0.0, 0.5])]
-    assert len(PointSet(records, dedup_eps=1e-6)) == 2
+    assert len(_pointset(sys_u1, [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]])) == 2
 
 
 def test_pointset_separates_affine_from_infinity(sys_u1):
-    records = [
-        _point(sys_u1, [1.0, 1.0, 1.0]),
-        _point(sys_u1, [1.0, -1.0, 0.0]),  # at infinity
-    ]
-    ps = PointSet(records, dedup_eps=1e-6)
+    ps = _pointset(sys_u1, [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])  # second at infinity
     assert len(ps) == 2
-    assert ps.coords().shape == (1, 3)
+    assert ps.affine_coords.shape == (1, 3)
 
 
 def test_counts_by_kind_and_filter(sys_u1):
-    records = [
-        _point(sys_u1, [0.5, 0.5, 0.0], KIND_PARABOLIC),
-        _point(sys_u1, [0.5, 0.0, 0.5], KIND_HYPERBOLIC),
-    ]
-    ps = PointSet(records, dedup_eps=1e-6)
+    ps = _pointset(
+        sys_u1,
+        [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
+        kinds=(KIND_PARABOLIC, KIND_HYPERBOLIC),
+        kind=[0, 1],
+    )
     assert ps.counts_by_kind() == {KIND_PARABOLIC: 1, KIND_HYPERBOLIC: 1}
     assert len(ps.filter(KIND_PARABOLIC)) == 1
 
@@ -122,6 +133,55 @@ def test_conjugation_shortcut_matches_direct_eigensolve(sys_u1, store_u1_6):
     assert chart_distance(pushed, to_chart(sys_u1, direct_vec)) < 1e-7
 
 
+def _per_record_sample(sys, store, core_range, conj_range, eps=1e-6):
+    """Reference for sample_limit_roots: one image at a time, the first image
+    in each cell of the eps grid, then a kd-tree merge of the cells where
+    the lowest index wins, and B(x, x) row by row."""
+    conjugators = store.with_length(*conj_range)
+    conj_mats = np.stack([g.matrix for g in conjugators])
+    rows = []
+    for elem in store.with_length(*core_range):
+        for kind, vec in infinite_order_directions(sys, elem):
+            images = conj_mats @ vec
+            heights = images.sum(axis=1)
+            for g, img, h in zip(conjugators, images, heights):
+                rows.append((img / h, kind, elem.word, g.word))
+    first = {}
+    for i, row in enumerate(rows):
+        first.setdefault(tuple(np.round(row[0] / eps).astype(np.int64)), i)
+    reps = sorted(first.values())
+    parent = list(range(len(reps)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    tree = cKDTree(np.array([rows[i][0] for i in reps]))
+    for a, b in sorted(tree.query_pairs(eps)):
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    kept = [rows[reps[p]] for p in range(len(reps)) if find(p) == p]
+    return [(c, float(c @ sys.form @ c), kind, src, conj) for c, kind, src, conj in kept]
+
+
+@pytest.mark.parametrize(
+    "name, core_range, conj_range",
+    [("universal3:1", (2, 4), (0, 2)), ("fig1a", (3, 4), (1, 3))],
+)
+def test_columnar_sample_matches_per_record_reference(name, core_range, conj_range):
+    sys = make_system(name)
+    store = enumerate_elements(sys, 4)
+    want = _per_record_sample(sys, store, core_range, conj_range)
+    ps = sample_limit_roots(sys, store, core_range, conj_range)
+    assert len(ps) == len(want) > 0
+    for rec, (coords, bnorm, kind, source, conjugator) in zip(ps, want):
+        assert rec.point.coords.tobytes() == coords.tobytes()
+        assert rec.point.bnorm == bnorm
+        assert not rec.point.at_infinity
+        assert (rec.kind, rec.source, rec.conjugator) == (kind, source, conjugator)
+
+
 def test_sampling_needs_deep_enough_store(sys_u1, store_u1_6):
     with pytest.raises(ValueError):
         sample_limit_roots(sys_u1, store_u1_6, (2, 8), (0, 0))
@@ -162,7 +222,7 @@ def test_hausdorff_basics(sys_u1, store_u1_6):
     ps = sample_limit_roots(sys_u1, store_u1_6, (2, 4), (0, 0))
     assert hausdorff(ps, ps) == 0.0
     with pytest.raises(ValueError):
-        hausdorff(ps, PointSet([], dedup_eps=1e-6))
+        hausdorff(ps, PointSet(np.empty((0, 3)), 1e-6, kinds=()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from limitroots import (
     unimodular_subspace,
 )
 from limitroots.errors import BorderlineSpectrumError, NotLorentzianError
+from limitroots.graphs import INF, CoxeterGraph
 from limitroots.spectral import Kind, orthogonality_check
 
 
@@ -22,6 +24,37 @@ def test_generator_is_elliptic_of_order_two(sys_u1):
     sc = classify(sys_u1, element_of(sys_u1, (0,)))
     assert sc.kind is Kind.ELLIPTIC
     assert sc.order == 2
+
+
+@pytest.mark.parametrize(
+    "word", [(1, 0, 2, 3, 1, 2, 0, 1), (1, 0, 3, 2, 1, 3, 0, 1), (2, 1, 0, 3, 1, 0, 1, 2)]
+)
+def test_large_entry_elliptic_elements_have_their_finite_order(word):
+    # fig1b with its generators relabeled 0->1, 1->2, 2->3, 3->0.  These
+    # conjugates have entries of 370-500, so the powers that equal I miss it
+    # by ~1e-8 in double precision.
+    labels = {(0, 1): INF, (0, 2): 3, (0, 3): 3, (1, 2): 5, (1, 3): 5, (2, 3): 3}
+    sys = make_system(CoxeterGraph(rank=4, labels=labels, cparams={(0, 1): 1.0}))
+    elem = element_of(sys, word)
+    assert np.max(np.abs(elem.matrix)) > 300
+    sc = classify(sys, elem)
+    assert sc.kind is Kind.ELLIPTIC
+    # Oracle: the same product in 50-digit arithmetic, from the form alone.
+    with mpmath.workdps(50):
+        B = mpmath.eye(4)
+        for (i, j), m in labels.items():
+            B[i, j] = B[j, i] = -1 if m is INF else -mpmath.cos(mpmath.pi / m)
+        M = mpmath.eye(4)
+        for s in word:
+            gen = mpmath.eye(4)
+            for j in range(4):
+                gen[s, j] -= 2 * B[s, j]
+            M = M * gen
+        P = mpmath.eye(4)
+        for j in range(1, sc.order):
+            P = P * M
+            assert mpmath.mnorm(P - mpmath.eye(4), 1) > 0.1
+        assert mpmath.mnorm(P * M - mpmath.eye(4), 1) < 1e-30
 
 
 def test_identity_is_elliptic(sys_u1):
