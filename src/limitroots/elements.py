@@ -12,6 +12,9 @@ from .graphs import word_to_str
 FINGERPRINT_GRID = 1e-7
 MATCH_TOL = 1e-9
 MAX_ENTRY = 1e12
+# Frontier elements expanded by one stacked product; bounds the temporaries
+# (candidates and their keys) whatever the size of a BFS level.
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,7 @@ def element_of(sys, word):
 
 
 def _fingerprint(M, grid):
+    """Quantized bytes of a matrix, or the concatenated keys of a C-order stack."""
     return np.round(M / grid).astype(np.int64).tobytes()
 
 
@@ -133,34 +137,59 @@ class ElementStore:
             return None
         return idx
 
-    def _insert(self, elem):
-        if np.max(np.abs(elem.matrix)) > MAX_ENTRY:
+    def _add(self, C, length, word_of):
+        """Store the elements of the stack C (k, n, n) not stored yet.
+
+        All candidates have the given length.  They are taken in stack order,
+        so the first copy of an element wins, also within C; ``word_of(j)``
+        gives the word of candidate j and is called for new elements only.
+        Returns the new elements in order.
+        """
+        if np.max(np.abs(C)) > MAX_ENTRY:
             raise EnumerationError(
-                f"matrix entries exceed {MAX_ENTRY:g} at length {elem.length}; "
+                f"matrix entries exceed {MAX_ENTRY:g} at length {length}; "
                 "quantized dedup is no longer meaningful at this depth"
             )
-        key = _fingerprint(elem.matrix, self.grid)
-        idx = self._index.get(key)
-        if idx is not None:
-            diff = np.max(np.abs(self.elements[idx].matrix - elem.matrix))
-            if diff > MATCH_TOL:
+        keys = _fingerprint(C, self.grid)
+        size = len(keys) // len(C)
+        index = self._index
+        base = len(self.elements)
+        new, dup, prior = [], [], []
+        for j in range(len(C)):
+            key = keys[j * size : (j + 1) * size]
+            idx = index.get(key)
+            if idx is None:
+                index[key] = base + len(new)
+                new.append(j)
+            else:
+                dup.append(j)
+                prior.append(idx)
+        if dup:
+            stored = np.stack([
+                self.elements[i].matrix if i < base else C[new[i - base]] for i in prior
+            ])
+            diff = np.max(np.abs(stored - C[dup]), axis=(1, 2))
+            bad = np.flatnonzero(diff > MATCH_TOL)
+            if bad.size:
                 raise EnumerationError(
                     f"fingerprint collision at grid {self.grid:g}: matrices differ by "
-                    f"{diff:g}; retry with a smaller dedup epsilon"
+                    f"{diff[bad[0]]:g}; retry with a smaller dedup epsilon"
                 )
-            return False
-        elem.matrix.setflags(write=False)
-        self._index[key] = len(self.elements)
-        self._by_length.setdefault(elem.length, []).append(len(self.elements))
-        self.elements.append(elem)
-        return True
+        added = []
+        for j, M in zip(new, C[new]):
+            M = M.copy()
+            M.setflags(write=False)
+            added.append(GroupElement(word_of(j), M))
+        self.elements.extend(added)
+        self._by_length.setdefault(length, []).extend(range(base, base + len(added)))
+        return added
 
     def restrict(self, max_length):
         """New store containing only elements of length <= max_length."""
         out = ElementStore(self.sys, self.grid)
-        for elem in self.elements:
-            if elem.length <= max_length:
-                out._insert(GroupElement(elem.word, np.array(elem.matrix)))
+        for k in range(min(max_length, self.max_length) + 1):
+            level = self.of_length(k)
+            out._add(np.stack([e.matrix for e in level]), k, lambda j: level[j].word)
         return out
 
 
@@ -169,21 +198,23 @@ def enumerate_elements(sys, max_length, grid=FINGERPRINT_GRID):
 
     Deterministic: the frontier is expanded in ShortLex order and generators
     are tried in index order, so each element's stored word is its
-    ShortLex-minimal reduced word.
+    ShortLex-minimal reduced word.  The frontier is expanded BLOCK elements
+    at a time: one stacked product forms their candidates, element-major and
+    generator-minor, which is the same order.
     """
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
+    n = sys.rank
+    gens = np.stack(sys.gens)
     store = ElementStore(sys, grid)
-    identity = GroupElement(word=(), matrix=np.eye(sys.rank))
-    store._insert(identity)
-    frontier = [identity]
-    for _ in range(max_length):
+    frontier = store._add(np.eye(n)[None], 0, lambda j: ())
+    for length in range(1, max_length + 1):
         next_frontier = []
-        for elem in frontier:
-            for s in range(sys.rank):
-                cand = GroupElement(word=elem.word + (s,), matrix=elem.matrix @ sys.gens[s])
-                if store._insert(cand):
-                    next_frontier.append(cand)
+        for lo in range(0, len(frontier), BLOCK):
+            block = frontier[lo : lo + BLOCK]
+            F = np.stack([e.matrix for e in block])
+            C = np.matmul(F[:, None], gens[None]).reshape(-1, n, n)
+            next_frontier += store._add(C, length, lambda j: block[j // n].word + (j % n,))
         frontier = next_frontier
         if not frontier:
             break

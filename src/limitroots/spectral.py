@@ -11,7 +11,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .elements import GroupElement, matrix_inverse
 from .errors import BorderlineSpectrumError, ClassificationError, ExtractionError
@@ -126,22 +125,29 @@ def _refine_eigenpair(M, lam, v, max_steps=5):
     return lam_new, w
 
 
-def _dominant_vector(M, lam):
-    lam_ref, w = _refine_eigenpair(M, lam, _initial_vector(M, lam))
+def _dominant_vector(M, lam, evals, evecs):
+    """Refined eigenvector of M for lam, seeded from M's dense eigendata."""
+    lam_ref, w = _refine_eigenpair(M, lam, _initial_vector(evals, evecs, lam))
     return lam_ref, _height_oriented(w)
 
 
-def _initial_vector(M, lam):
-    evals, evecs = np.linalg.eig(M)
+def _initial_vector(evals, evecs, lam):
     idx = int(np.argmin(np.abs(evals - lam)))
     v = evecs[:, idx]
     phase = v[int(np.argmax(np.abs(v)))]
     return np.real(v / phase)
 
 
+def _null_space(A):
+    """Orthonormal kernel basis (columns) of A, with scipy's rank rule."""
+    _, s, vt = np.linalg.svd(A)
+    rank = int(np.sum(s > np.finfo(float).eps * max(A.shape) * s[0]))
+    return vt[rank:].T
+
+
 def _unimodular_basis_hyperbolic(sys, x_plus, x_minus):
     rows = np.vstack([sys.form @ x_plus, sys.form @ x_minus])
-    basis = null_space(rows)
+    basis = _null_space(rows)
     if basis.shape[1] != sys.rank - 2:
         raise ClassificationError(
             f"unimodular complement has dimension {basis.shape[1]}, expected {sys.rank - 2}"
@@ -199,7 +205,7 @@ def classify(sys, elem, k_max=K_MAX, hyp_tol=HYP_TOL):
                     return _make_elliptic(evals, order)
         if eps is not None:
             return _make_parabolic(sys, M, evals, evecs, eps)
-        return _make_hyperbolic(sys, M, evals, hyp_tol)
+        return _make_hyperbolic(sys, M, evals, evecs)
 
     # Unimodular spectrum: elliptic unless a Jordan defect shows up.
     order = _finite_order(M, k_max)
@@ -218,7 +224,7 @@ def _make_elliptic(evals, order):
     return SpectralClass(kind=Kind.ELLIPTIC, eigenvalues=evals, order=order)
 
 
-def _make_hyperbolic(sys, M, evals, hyp_tol):
+def _make_hyperbolic(sys, M, evals, evecs):
     # Count expanding eigenvalues against the midpoint between 1 and the
     # spectral radius: for ill-conditioned matrices the dense solver can
     # push a unimodular eigenvalue slightly above 1 + hyp_tol, but never
@@ -232,9 +238,9 @@ def _make_hyperbolic(sys, M, evals, hyp_tol):
     lam0 = evals[np.argmax(np.abs(evals))]
     if abs(np.imag(lam0)) > 1e-6 * abs(lam0):
         raise BorderlineSpectrumError(f"dominant eigenvalue {lam0} is not real")
-    lam, x_plus = _dominant_vector(M, float(np.real(lam0)))
+    lam, x_plus = _dominant_vector(M, float(np.real(lam0)), evals, evecs)
     Minv = matrix_inverse(sys, M)
-    _, x_minus = _dominant_vector(Minv, lam)
+    _, x_minus = _dominant_vector(Minv, lam, *np.linalg.eig(Minv))
     basis = _unimodular_basis_hyperbolic(sys, x_plus, x_minus)
     return SpectralClass(
         kind=Kind.HYPERBOLIC,
@@ -249,7 +255,7 @@ def _make_parabolic(sys, M, evals, evecs, eps):
     basis = _unimodular_basis_parabolic(M, evals, evecs, eps, n)
     # Verify the minimal-polynomial clause: (M - eps I)^2 kills the
     # B-orthogonal companion of the eigenvector span.
-    perp = null_space((sys.form @ basis).T)
+    perp = _null_space((sys.form @ basis).T)
     A = M - eps * np.eye(n)
     defect = np.max(np.abs(A @ A @ perp))
     scale = max(1.0, np.linalg.norm(A) ** 2)

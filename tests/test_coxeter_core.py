@@ -1,6 +1,7 @@
 """Graphs, bilinear forms, generator matrices, and group enumeration."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,15 @@ from limitroots import (
     make_system,
     universal,
 )
-from limitroots.elements import matrix_inverse, reduced_word
-from limitroots.errors import GraphError
+from limitroots.elements import (
+    FINGERPRINT_GRID,
+    MATCH_TOL,
+    MAX_ENTRY,
+    GroupElement,
+    matrix_inverse,
+    reduced_word,
+)
+from limitroots.errors import EnumerationError, GraphError
 from limitroots.geometry import build_form, signature, system_type
 from limitroots.graphs import INF, str_to_word, word_to_str
 
@@ -165,3 +173,76 @@ def test_with_length_slices(store_u1_6):
     words = [e.word for e in store_u1_6.with_length(2, 2)]
     assert len(words) == 6
     assert all(len(w) == 2 for w in words)
+
+
+def _reference_enumeration(sys, max_length):
+    """Per-candidate Cayley-graph BFS: one product, key and probe per candidate.
+
+    Returns the stored elements in insertion order; the oracle for the
+    block-batched ``enumerate_elements``.
+    """
+    def key(M):
+        return np.round(M / FINGERPRINT_GRID).astype(np.int64).tobytes()
+
+    elements = [GroupElement((), np.eye(sys.rank))]
+    index = {key(elements[0].matrix): 0}
+    frontier = list(elements)
+    for _ in range(max_length):
+        next_frontier = []
+        for elem in frontier:
+            for s in range(sys.rank):
+                cand = GroupElement(elem.word + (s,), elem.matrix @ sys.gens[s])
+                assert np.max(np.abs(cand.matrix)) <= MAX_ENTRY
+                k = key(cand.matrix)
+                idx = index.get(k)
+                if idx is not None:
+                    assert np.max(np.abs(elements[idx].matrix - cand.matrix)) <= MATCH_TOL
+                    continue
+                index[k] = len(elements)
+                elements.append(cand)
+                next_frontier.append(cand)
+        frontier = next_frontier
+    return elements
+
+
+@pytest.mark.parametrize(
+    "name, length",
+    [("fig1a", 9), ("fig1b", 9), ("universal3:1", 10), ("universal4:1", 7), ("universal3:1.1", 8)],
+)
+def test_enumeration_matches_per_candidate_reference(name, length):
+    sys = make_system(name)
+    store = enumerate_elements(sys, length)
+    ref = _reference_enumeration(sys, length)
+    assert [e.word for e in store] == [e.word for e in ref]
+    assert all(e.matrix.tobytes() == r.matrix.tobytes() for e, r in zip(store, ref))
+    counts = [0] * (length + 1)
+    for r in ref:
+        counts[r.length] += 1
+    assert store.counts() == counts
+    assert not any(e.matrix.flags.writeable for e in store)
+    for idx in range(0, len(store), 97):
+        assert store.lookup(ref[idx].matrix) == idx
+    small = store.restrict(length // 2)
+    assert small.counts() == counts[: length // 2 + 1]
+    assert [e.word for e in small] == [e.word for e in ref[: len(small)]]
+    assert all(small.lookup(e.matrix) == i for i, e in enumerate(small))
+
+
+def test_enumeration_reports_a_fingerprint_collision(sys_u1):
+    # On a grid of 10 distinct integer matrices of universal3:1 share keys.
+    with pytest.raises(EnumerationError, match="fingerprint collision .* differ by 2"):
+        enumerate_elements(sys_u1, 3, grid=10.0)
+
+
+def test_enumeration_checks_duplicates_first_seen_in_the_same_block():
+    # Both length-1 candidates come from one stacked product; they share a key
+    # on a grid of 1 (and differ from the identity's) but are not equal.
+    A = 5.0 * np.eye(2)
+    gens = (A, A + np.array([[0.25, 0.0], [0.0, 0.0]]))
+    with pytest.raises(EnumerationError, match="differ by 0.25"):
+        enumerate_elements(SimpleNamespace(rank=2, gens=gens), 1, grid=1.0)
+
+
+def test_enumeration_reports_entries_beyond_the_dedup_range():
+    with pytest.raises(EnumerationError, match=r"matrix entries exceed 1e\+12 at length 6"):
+        enumerate_elements(make_system("universal3:50"), 12)

@@ -6,6 +6,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from limitroots import (
     classify,
@@ -17,7 +18,13 @@ from limitroots import (
 )
 from limitroots.errors import BorderlineSpectrumError, NotLorentzianError
 from limitroots.graphs import INF, CoxeterGraph
-from limitroots.spectral import Kind, orthogonality_check
+from limitroots.elements import matrix_inverse
+from limitroots.spectral import (
+    Kind,
+    _height_oriented,
+    _refine_eigenpair,
+    orthogonality_check,
+)
 
 
 def test_generator_is_elliptic_of_order_two(sys_u1):
@@ -157,3 +164,33 @@ def test_classify_requires_lorentzian_signature():
     sys_fin = make_system("a2")
     with pytest.raises(NotLorentzianError):
         classify(sys_fin, element_of(sys_fin, (0, 1)))
+
+
+def _reference_dominant(M, lam):
+    """Refined, height-1 eigenvector from a fresh dense solve of M."""
+    evals, evecs = np.linalg.eig(M)
+    v = evecs[:, int(np.argmin(np.abs(evals - lam)))]
+    v = np.real(v / v[int(np.argmax(np.abs(v)))])
+    lam_ref, w = _refine_eigenpair(M, lam, v)
+    return lam_ref, _height_oriented(w)
+
+
+def test_hyperbolic_eigendata_matches_fresh_solves(sys_u1, store_u1_6):
+    B = sys_u1.form
+    hyperbolic = 0
+    for elem in store_u1_6:
+        sc = classify(sys_u1, elem)
+        if sc.kind is not Kind.HYPERBOLIC:
+            continue
+        hyperbolic += 1
+        lam0 = sc.eigenvalues[np.argmax(np.abs(sc.eigenvalues))]
+        lam, x_plus = _reference_dominant(elem.matrix, float(np.real(lam0)))
+        _, x_minus = _reference_dominant(matrix_inverse(sys_u1, elem.matrix), lam)
+        assert sc.dominant[0] == lam
+        assert sc.dominant[1].tobytes() == x_plus.tobytes()
+        assert sc.dominant[2].tobytes() == x_minus.tobytes()
+        U = sc.unimodular_basis
+        K = null_space(np.vstack([B @ x_plus, B @ x_minus]))
+        np.testing.assert_allclose(U @ U.T, K @ K.T, rtol=0, atol=1e-12)
+        assert np.max(np.abs(np.vstack([x_plus, x_minus]) @ B @ U)) < 1e-12
+    assert hyperbolic > 0
