@@ -198,13 +198,14 @@ def reflection_pair_eigendata(sys, ci):
     t = c + mpmath.sqrt(c * c - 1)
     eye = mpmath.eye(sys.rank)
     w = (eye - 2 * a * Ba.T) * (eye - 2 * b * Bb.T)
-    x_minus = a + t * b
+    # matrix * scalar: mpmath's mpf * matrix detours through repr(matrix).
+    x_minus = a + b * t
 
     def project(s):
         # B(a, e_s) = (Ba)_s; the coefficients come from the inverse Gram
         # matrix [[1, c], [c, 1]] / (1 - c^2) of (a, b).
         p, q = Ba[s], Bb[s]
-        return eye[:, s] - ((p + c * q) * a + (c * p + q) * b) / (1 - c * c)
+        return eye[:, s] - (a * (p + c * q) + b * (c * p + q)) / (1 - c * c)
 
     u = max((project(s) for s in range(sys.rank)), key=mpmath.norm)
     return w, t * t, x_minus / mpmath.norm(x_minus), u / mpmath.norm(u)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -10,6 +11,9 @@ from .graphs import INF, CoxeterGraph
 
 # Relative zero band for eigenvalues when counting the signature.
 SIGNATURE_ZERO_TOL = 1e-9
+# Smallest eigenvalue of B_C above which a connected subgraph C is finite;
+# affine subgraphs give |mu| ~ 1e-16, I2(m) gives about 5 / m^2.
+FINITE_ZERO_TOL = 1e-12
 
 
 def build_form(graph: CoxeterGraph) -> np.ndarray:
@@ -63,6 +67,37 @@ def generator_matrix(B, s):
     return M
 
 
+def parabolic_order(graph, B, T):
+    """Order of the standard parabolic subgroup W_T, or None if it is infinite.
+
+    W_T is the product of the subgroups of the connected components of T
+    (generators joined by a label other than 2).  A component C is finite
+    exactly when B_C is positive definite (an infinite edge, c >= 1, rules
+    that out); its eigenvalues are then
+    1 - cos(pi m_j / h) for the exponents m_j and the Coxeter number h,
+    the smallest one belonging to m_1 = 1, and |W_C| = prod(m_j + 1).
+    """
+    order = 1
+    left = set(T)
+    while left:
+        comp = [left.pop()]
+        for i in comp:
+            joined = [j for j in left if graph.label(i, j) != 2]
+            left.difference_update(joined)
+            comp.extend(joined)
+        mu = np.linalg.eigvalsh(B[np.ix_(comp, comp)])
+        if mu[0] <= FINITE_ZERO_TOL:
+            return None
+        # 1 - cos(theta) = 2 sin^2(theta / 2) keeps small angles accurate.
+        theta = 2.0 * np.arcsin(np.sqrt(mu / 2.0))
+        h = math.pi / theta[0]
+        exps = h * theta / math.pi
+        if abs(h - round(h)) > 1e-6 * h or np.max(np.abs(exps - np.round(exps))) > 1e-6 * h:
+            raise GraphError(f"cannot resolve the exponents of component {comp}: {mu}")
+        order *= math.prod(int(round(m)) + 1 for m in exps)
+    return order
+
+
 def system_type(B):
     """'finite', 'affine', 'lorentzian' or 'other' from the signature of B."""
     n = B.shape[0]
@@ -107,6 +142,28 @@ class GeometricSystem:
     def is_lorentzian(self):
         n = self.rank
         return self.signature == (n - 1, 1, 0)
+
+    @cached_property
+    def finite_order_bound(self):
+        """Largest order of a finite standard parabolic subgroup.
+
+        Every element of finite order of W is conjugate into a finite
+        standard parabolic subgroup, so its order is at most this bound.
+        Finite subsets are closed under taking subsets, so they are grown
+        one generator at a time.
+        """
+        best = 1
+        frontier = [()]
+        while frontier:
+            grown = []
+            for T in frontier:
+                for s in range(T[-1] + 1 if T else 0, self.rank):
+                    order = parabolic_order(self.graph, self.form, T + (s,))
+                    if order is not None:
+                        best = max(best, order)
+                        grown.append(T + (s,))
+            frontier = grown
+        return best
 
     @property
     def simple_roots(self):

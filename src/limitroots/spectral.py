@@ -8,6 +8,7 @@ eigendirections are light-like.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +19,14 @@ from .projective import to_chart
 
 # |lambda| - 1 above this counts as non-unimodular.
 HYP_TOL = 1e-9
-# Below this the non-unimodular pair cannot be separated from the numerical
-# splitting of a defective unimodular eigenvalue, so a Jordan-defect test
-# arbitrates before declaring the element hyperbolic.
+# Floor of the Jordan guard band.  Below the band's radius the
+# non-unimodular pair cannot be separated from the numerical splitting of a
+# defective unimodular eigenvalue, so a Jordan-defect test arbitrates before
+# declaring the element hyperbolic.
 JORDAN_GUARD = 1e-3
 # Relative SVD threshold detecting the defective kernel of (M - eps I).
 DEFECT_TOL = 1e-8
-# Power cap for the finite-order search.
-K_MAX = 1000
+_EPS = np.finfo(float).eps
 
 
 class Kind(enum.Enum):
@@ -61,30 +62,49 @@ def _as_matrix(elem):
     return np.asarray(elem, dtype=float)
 
 
+def _norm(x):
+    """``np.linalg.norm(x)`` of a real array, bit for bit, without its dispatch.
+
+    The copy made by ``ravel`` matters: a dot product over a strided view
+    sums in another order.
+    """
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def _jordan_radius(M):
+    """Radius of the eigenvalue cluster left by a numerically split Jordan
+    triple: a perturbation of size eps * |M|^2 splits it by its cube root."""
+    return max(JORDAN_GUARD, 2.0 * (_EPS * _norm(M) ** 2) ** (1.0 / 3.0))
+
+
 def _finite_order(M, k_max, norm_cap=1e9):
-    n = M.shape[0]
     # Roundoff in a power of M grows with max|M|^2 (elliptic conjugates with
     # entries near 500 miss I by ~1e-8), while the powers of an
     # infinite-order element stay order one away from I; the cap keeps the
     # test far below that distance.
-    tol = min(1e-2, 1e-8 * max(1.0, float(np.max(np.abs(M)))) ** 2)
-    P = M.copy()
+    tol = min(1e-2, 1e-8 * max(1.0, float(np.abs(M).max())) ** 2)
+    eye = np.eye(M.shape[0])
+    P = M
     for k in range(1, k_max + 1):
-        if np.max(np.abs(P - np.eye(n))) < tol:
+        if np.abs(P - eye).max() < tol:
             return k
-        if np.max(np.abs(P)) > norm_cap:
+        if np.abs(P).max() > norm_cap:
             return None
         P = P @ M
     return None
 
 
-def _defective_eps(M, evals, cluster_radius=1e-3):
+def _defective_eps(M, evals, cluster_radius):
     """Jordan sign eps if M has a defective eigenvalue cluster at +1 or -1."""
-    svals = np.linalg.svd(M, compute_uv=False)
-    scale = max(1.0, svals[0])
-    for eps in (1.0, -1.0):
-        if np.sum(np.abs(evals - eps) < cluster_radius) < 3:
-            continue
+    clusters = [
+        eps for eps in (1.0, -1.0)
+        if np.count_nonzero(np.abs(evals - eps) < cluster_radius) >= 3
+    ]
+    if not clusters:
+        return None
+    scale = max(1.0, np.linalg.svd(M, compute_uv=False)[0])
+    for eps in clusters:
         s = np.linalg.svd(M - eps * np.eye(M.shape[0]), compute_uv=False)
         if s[-1] < DEFECT_TOL * scale:
             return int(eps)
@@ -92,8 +112,8 @@ def _defective_eps(M, evals, cluster_radius=1e-3):
 
 
 def _height_oriented(v):
-    h = np.sum(v)
-    if abs(h) < 1e-12 * np.linalg.norm(v):
+    h = v.sum()
+    if abs(h) < 1e-12 * _norm(v):
         raise ExtractionError("eigendirection has zero height; not in the chart")
     return v / h
 
@@ -105,21 +125,19 @@ def _refine_eigenpair(M, lam, v, max_steps=5):
     the shift is jittered off the exact eigenvalue to keep the solve
     nonsingular.
     """
-    n = M.shape[0]
-    scale = max(1.0, np.linalg.norm(M))
-    w = v / np.linalg.norm(v)
+    scale = max(1.0, _norm(M))
+    w = v / _norm(v)
     lam_new = lam
-    for _ in range(max_steps):
-        residual = np.linalg.norm(M @ w - lam_new * w)
-        if residual < 1e-13 * scale:
+    for step in range(max_steps + 1):
+        residual = _norm(M @ w - lam_new * w)
+        if residual < 1e-13 * scale or step == max_steps:
             break
         try:
-            w_next = np.linalg.solve(M - lam_new * (1 + 1e-10) * np.eye(n), w)
+            w_next = np.linalg.solve(M - lam_new * (1 + 1e-10) * np.eye(len(w)), w)
         except np.linalg.LinAlgError:
             break
-        w = w_next / np.linalg.norm(w_next)
+        w = w_next / _norm(w_next)
         lam_new = float(w @ M @ w) / float(w @ w)
-    residual = np.linalg.norm(M @ w - lam_new * w)
     if residual > 1e-6 * scale:
         raise ExtractionError(f"ill-conditioned eigenvector solve: residual {residual:g}")
     return lam_new, w
@@ -132,22 +150,19 @@ def _dominant_vector(M, lam, evals, evecs):
 
 
 def _initial_vector(evals, evecs, lam):
-    idx = int(np.argmin(np.abs(evals - lam)))
-    v = evecs[:, idx]
-    phase = v[int(np.argmax(np.abs(v)))]
-    return np.real(v / phase)
+    v = evecs[:, np.abs(evals - lam).argmin()]
+    return np.real(v / v[np.abs(v).argmax()])
 
 
 def _null_space(A):
     """Orthonormal kernel basis (columns) of A, with scipy's rank rule."""
     _, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > np.finfo(float).eps * max(A.shape) * s[0]))
+    rank = np.count_nonzero(s > _EPS * max(A.shape) * s[0])
     return vt[rank:].T
 
 
 def _unimodular_basis_hyperbolic(sys, x_plus, x_minus):
-    rows = np.vstack([sys.form @ x_plus, sys.form @ x_minus])
-    basis = _null_space(rows)
+    basis = _null_space(np.array((sys.form @ x_plus, sys.form @ x_minus)))
     if basis.shape[1] != sys.rank - 2:
         raise ClassificationError(
             f"unimodular complement has dimension {basis.shape[1]}, expected {sys.rank - 2}"
@@ -155,23 +170,19 @@ def _unimodular_basis_hyperbolic(sys, x_plus, x_minus):
     return basis
 
 
-def _unimodular_basis_parabolic(M, evals, evecs, eps, n, cluster_radius=1e-3):
+def _unimodular_basis_parabolic(evals, evecs, eps, kernel, cluster_radius):
     """Real span of the eigenvectors of a parabolic element.
 
     Eigenvectors for eigenvalues away from eps come straight from the dense
-    solve; the eps-eigenspace is recomputed as the kernel of (M - eps I),
-    because the numerically split Jordan cluster returns three nearly
-    parallel vectors that would inflate the span.
+    solve; the eps-eigenspace is the kernel of (M - eps I), because the
+    numerically split Jordan cluster returns three nearly parallel vectors
+    that would inflate the span.
     """
     far = np.abs(evals - eps) > cluster_radius
-    cols = [np.real(evecs[:, far]), np.imag(evecs[:, far])]
-    u, s, vt = np.linalg.svd(M - eps * np.eye(n))
-    kdim = int(np.sum(s < 1e-7 * max(1.0, s[0])))
-    if kdim >= 1:
-        cols.append(vt[n - kdim :].T)
-    raw = np.hstack(cols)
+    raw = np.hstack([np.real(evecs[:, far]), np.imag(evecs[:, far]), kernel])
     u2, s2, _ = np.linalg.svd(raw, full_matrices=False)
-    dim = int(np.sum(s2 > 1e-8 * s2[0]))
+    dim = np.count_nonzero(s2 > 1e-8 * s2[0])
+    n = len(evals)
     if dim != n - 2:
         raise ClassificationError(
             f"eigenvector span has dimension {dim}, expected {n - 2}"
@@ -179,44 +190,56 @@ def _unimodular_basis_parabolic(M, evals, evecs, eps, n, cluster_radius=1e-3):
     return u2[:, : n - 2]
 
 
-def classify(sys, elem, k_max=K_MAX, hyp_tol=HYP_TOL):
+def _kernel(A):
+    """Numerical kernel (orthonormal columns) of A = M - eps I."""
+    _, s, vt = np.linalg.svd(A)
+    kdim = np.count_nonzero(s < 1e-7 * max(1.0, s[0]))
+    return vt[len(s) - kdim :].T
+
+
+def classify(sys, elem):
     """Spectral class of a group element (or raw B-isometry matrix).
 
-    Decision procedure: spectral radius above 1 + hyp_tol suggests
-    hyperbolic, but radii below a guard band are first checked for a
-    defective unimodular cluster (a parabolic Jordan block perturbs its
-    triple eigenvalue by roughly the cube root of machine epsilon, far
-    beyond hyp_tol).  Unimodular spectra are resolved by powering: finite
-    order means elliptic, a verified Jordan defect means parabolic.
+    Decision procedure: spectral radius above 1 + HYP_TOL suggests
+    hyperbolic, but radii inside the Jordan guard band are first checked
+    for a defective unimodular cluster (a parabolic Jordan block splits its
+    triple eigenvalue by about the cube root of eps * |M|_F^2, far beyond
+    HYP_TOL); the band and the cluster radius are
+    max(JORDAN_GUARD, 2 (eps |M|_F^2)^(1/3)).  Unimodular spectra are
+    resolved by powering: finite order means elliptic, a verified Jordan
+    defect means parabolic.  The powering stops at
+    ``sys.finite_order_bound``, the largest order of a finite standard
+    parabolic subgroup, which bounds the order of every element of finite
+    order of W.  A raw matrix of larger finite order is not an element of
+    W; it raises ClassificationError.
     """
     sys.require_lorentzian("spectral classification")
     M = _as_matrix(elem)
-    n = sys.rank
     evals, evecs = np.linalg.eig(M)
-    rho = float(np.max(np.abs(evals)))
+    moduli = np.abs(evals)
+    rho = float(moduli.max())
+    radius = _jordan_radius(M)
 
-    if rho > 1.0 + hyp_tol:
-        eps = None
-        if rho <= 1.0 + JORDAN_GUARD:
-            eps = _defective_eps(M, evals)
-            if eps is None:
-                order = _finite_order(M, k_max)
-                if order is not None:
-                    return _make_elliptic(evals, order)
-        if eps is not None:
-            return _make_parabolic(sys, M, evals, evecs, eps)
-        return _make_hyperbolic(sys, M, evals, evecs)
+    if rho > 1.0 + HYP_TOL:
+        if rho <= 1.0 + radius:
+            eps = _defective_eps(M, evals, radius)
+            if eps is not None:
+                return _make_parabolic(sys, M, evals, evecs, eps, radius)
+            order = _finite_order(M, sys.finite_order_bound)
+            if order is not None:
+                return _make_elliptic(evals, order)
+        return _make_hyperbolic(sys, M, evals, evecs, moduli, rho)
 
     # Unimodular spectrum: elliptic unless a Jordan defect shows up.
-    order = _finite_order(M, k_max)
+    order = _finite_order(M, sys.finite_order_bound)
     if order is not None:
         return _make_elliptic(evals, order)
-    eps = _defective_eps(M, evals)
+    eps = _defective_eps(M, evals, radius)
     if eps is not None:
-        return _make_parabolic(sys, M, evals, evecs, eps)
+        return _make_parabolic(sys, M, evals, evecs, eps, radius)
     raise ClassificationError(
-        f"unresolved elliptic/parabolic: no identity power below {k_max} "
-        "and no Jordan defect detected"
+        f"unresolved elliptic/parabolic: no identity power up to the finite "
+        f"order bound {sys.finite_order_bound} and no Jordan defect detected"
     )
 
 
@@ -224,21 +247,20 @@ def _make_elliptic(evals, order):
     return SpectralClass(kind=Kind.ELLIPTIC, eigenvalues=evals, order=order)
 
 
-def _make_hyperbolic(sys, M, evals, evecs):
+def _make_hyperbolic(sys, M, evals, evecs, moduli, rho):
     # Count expanding eigenvalues against the midpoint between 1 and the
     # spectral radius: for ill-conditioned matrices the dense solver can
-    # push a unimodular eigenvalue slightly above 1 + hyp_tol, but never
+    # push a unimodular eigenvalue slightly above 1 + HYP_TOL, but never
     # halfway to the dominant one.
-    rho = float(np.max(np.abs(evals)))
-    big = np.abs(evals) > 0.5 * (1.0 + rho)
-    if int(np.sum(big)) != 1:
+    big = np.count_nonzero(moduli > 0.5 * (1.0 + rho))
+    if big != 1:
         raise BorderlineSpectrumError(
-            f"expected exactly one expanding eigenvalue, found {int(np.sum(big))}: {evals}"
+            f"expected exactly one expanding eigenvalue, found {big}: {evals}"
         )
-    lam0 = evals[np.argmax(np.abs(evals))]
-    if abs(np.imag(lam0)) > 1e-6 * abs(lam0):
+    lam0 = evals[moduli.argmax()]
+    if abs(lam0.imag) > 1e-6 * abs(lam0):
         raise BorderlineSpectrumError(f"dominant eigenvalue {lam0} is not real")
-    lam, x_plus = _dominant_vector(M, float(np.real(lam0)), evals, evecs)
+    lam, x_plus = _dominant_vector(M, float(lam0.real), evals, evecs)
     Minv = matrix_inverse(sys, M)
     _, x_minus = _dominant_vector(Minv, lam, *np.linalg.eig(Minv))
     basis = _unimodular_basis_hyperbolic(sys, x_plus, x_minus)
@@ -250,20 +272,20 @@ def _make_hyperbolic(sys, M, evals, evecs):
     )
 
 
-def _make_parabolic(sys, M, evals, evecs, eps):
-    n = sys.rank
-    basis = _unimodular_basis_parabolic(M, evals, evecs, eps, n)
+def _make_parabolic(sys, M, evals, evecs, eps, cluster_radius):
+    A = M - eps * np.eye(sys.rank)
+    kernel = _kernel(A)
+    basis = _unimodular_basis_parabolic(evals, evecs, eps, kernel, cluster_radius)
     # Verify the minimal-polynomial clause: (M - eps I)^2 kills the
     # B-orthogonal companion of the eigenvector span.
     perp = _null_space((sys.form @ basis).T)
-    A = M - eps * np.eye(n)
-    defect = np.max(np.abs(A @ A @ perp))
-    scale = max(1.0, np.linalg.norm(A) ** 2)
+    defect = np.abs(A @ A @ perp).max()
+    scale = max(1.0, _norm(A) ** 2)
     if defect > 1e-7 * scale:
         raise BorderlineSpectrumError(
             f"parabolic verification failed: |(M - {eps} I)^2 on U_perp| = {defect:g}"
         )
-    vec = _parabolic_vector(sys, M, eps)
+    vec = _parabolic_vector(sys, kernel)
     return SpectralClass(
         kind=Kind.PARABOLIC,
         eigenvalues=evals,
@@ -273,30 +295,22 @@ def _make_parabolic(sys, M, evals, evecs, eps):
     )
 
 
-def _parabolic_vector(sys, M, eps):
-    """The unique light-like direction in the eps-eigenspace.
+def _parabolic_vector(sys, K):
+    """The unique light-like direction in the eps-eigenspace K (columns).
 
-    Restrict B to the numerical kernel of (M - eps I); the resulting Gram
-    matrix is positive semi-definite with a 1-dimensional radical, and the
-    radical direction is the light-like eigenvector.
+    Restricted to K, B is positive semi-definite with a 1-dimensional
+    radical, and the radical direction is the light-like eigenvector.
     """
-    n = sys.rank
-    A = M - eps * np.eye(n)
-    u, s, vt = np.linalg.svd(A)
-    kdim = int(np.sum(s < 1e-7 * max(1.0, s[0])))
-    if kdim < 1:
+    if K.shape[1] < 1:
         raise ExtractionError("parabolic extraction failed: empty eigenspace kernel")
-    K = vt[n - kdim :].T
     gram = K.T @ sys.form @ K
     gvals, gvecs = np.linalg.eigh(gram)
-    gscale = max(1.0, float(np.max(np.abs(gvals))))
+    gscale = max(1.0, float(np.abs(gvals).max()))
     radical = np.abs(gvals) < 1e-7 * gscale
-    if int(np.sum(radical)) != 1:
-        raise ExtractionError(
-            f"parabolic extraction failed: radical dimension {int(np.sum(radical))} != 1"
-        )
-    vec = K @ gvecs[:, int(np.argmax(radical))]
-    return _height_oriented(vec)
+    rdim = np.count_nonzero(radical)
+    if rdim != 1:
+        raise ExtractionError(f"parabolic extraction failed: radical dimension {rdim} != 1")
+    return _height_oriented(K @ gvecs[:, radical.argmax()])
 
 
 def hyperbolic_directions(sys, sc, iso_tol=1e-8):

@@ -1,5 +1,6 @@
 """Graphs, bilinear forms, generator matrices, and group enumeration."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -25,7 +26,7 @@ from limitroots.elements import (
     reduced_word,
 )
 from limitroots.errors import EnumerationError, GraphError
-from limitroots.geometry import build_form, signature, system_type
+from limitroots.geometry import build_form, parabolic_order, signature, system_type
 from limitroots.graphs import INF, str_to_word, word_to_str
 
 
@@ -105,6 +106,67 @@ def test_signatures():
 def test_system_type_labels():
     assert system_type(build_form(universal(3, 1.0))) == "lorentzian"
     assert system_type(build_form(dihedral(3))) == "finite"
+
+
+# H3 (5-3 path) and A1 x I2(5), each with a fourth generator joined to all
+# others by infinite edges.
+H3_JSON = """{"rank": 4, "edges": [{"i": 0, "j": 1, "m": 5}, {"i": 1, "j": 2, "m": 3},
+  {"i": 0, "j": 3, "m": "inf", "c": 1}, {"i": 1, "j": 3, "m": "inf", "c": 1},
+  {"i": 2, "j": 3, "m": "inf", "c": 1}]}"""
+A1_I2_5_JSON = """{"rank": 4, "edges": [{"i": 0, "j": 1, "m": 5},
+  {"i": 0, "j": 3, "m": "inf", "c": 1.2}, {"i": 1, "j": 3, "m": "inf", "c": 1.2},
+  {"i": 2, "j": 3, "m": "inf", "c": 1.2}]}"""
+
+
+def _closure_order(sys, T, cap=500):
+    """|<s_t : t in T>| by BFS closure of the generator matrices, or None
+    once it exceeds cap (well above any finite order tested here)."""
+    def key(M):
+        return (np.round(M, 6) + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+
+    gens = [sys.gens[t] for t in T]
+    eye = np.eye(sys.rank)
+    seen = {key(eye)}
+    frontier = [eye]
+    while frontier:
+        grown = []
+        for M in frontier:
+            for g in gens:
+                P = M @ g
+                if key(P) not in seen:
+                    seen.add(key(P))
+                    grown.append(P)
+                    if len(seen) > cap:
+                        return None
+        frontier = grown
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "graph, bound",
+    [
+        ("fig1a", 6),
+        ("fig1b", 10),
+        ("universal3:1", 2),
+        ("universal4:1", 2),
+        ("universal3:1.1", 2),
+        ("a2", 24),
+        ("fig8", 24),
+        ("dihedral:5", 10),
+        pytest.param(H3_JSON, 120, id="h3"),
+        pytest.param(A1_I2_5_JSON, 20, id="a1xi2(5)"),
+    ],
+)
+def test_finite_order_bound_matches_closure_of_each_parabolic(graph, bound):
+    g = CoxeterGraph.from_json(graph) if graph.startswith("{") else builtin(graph)
+    sys = make_system(g)
+    best = 1
+    for size in range(1, sys.rank + 1):
+        for T in itertools.combinations(range(sys.rank), size):
+            order = _closure_order(sys, T)
+            assert parabolic_order(g, sys.form, T) == order, T
+            best = max(best, order or 1)
+    assert sys.finite_order_bound == best == bound
 
 
 def test_generators_are_involutive_isometries(sys_u11):

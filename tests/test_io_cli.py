@@ -231,15 +231,15 @@ def test_cli_bad_length_range(tmp_path):
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
-    # A length-8 element of universal4:1 whose spectrum sits on the
-    # hyperbolic/parabolic boundary raises BorderlineSpectrumError.
+    # With c = 50 the matrix entries pass MAX_ENTRY at length 6, and the
+    # enumeration raises EnumerationError.
     code = main(
         [
             "limit-roots",
             "--graph",
-            "universal4:1",
+            "universal3:50",
             "--core-lengths",
-            "8..8",
+            "6..6",
             "--conj-lengths",
             "0..0",
             "--out",
@@ -247,4 +247,4 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
         ]
     )
     assert code == 3
-    assert "error:" in capsys.readouterr().err
+    assert "error: matrix entries exceed 1e+12" in capsys.readouterr().err

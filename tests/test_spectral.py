@@ -16,15 +16,10 @@ from limitroots import (
     parabolic_direction,
     unimodular_subspace,
 )
-from limitroots.errors import BorderlineSpectrumError, NotLorentzianError
+from limitroots.errors import BorderlineSpectrumError, ClassificationError, NotLorentzianError
 from limitroots.graphs import INF, CoxeterGraph
 from limitroots.elements import matrix_inverse
-from limitroots.spectral import (
-    Kind,
-    _height_oriented,
-    _refine_eigenpair,
-    orthogonality_check,
-)
+from limitroots.spectral import JORDAN_GUARD, Kind, orthogonality_check
 
 
 def test_generator_is_elliptic_of_order_two(sys_u1):
@@ -62,6 +57,58 @@ def test_large_entry_elliptic_elements_have_their_finite_order(word):
             P = P * M
             assert mpmath.mnorm(P - mpmath.eye(4), 1) > 0.1
         assert mpmath.mnorm(P * M - mpmath.eye(4), 1) < 1e-30
+
+
+@pytest.mark.parametrize(
+    "word", [(0, 1, 2, 3, 0, 2, 1, 0), (0, 1, 3, 2, 0, 3, 1, 0), (0, 3, 1, 2, 0, 1, 3, 0)]
+)
+def test_jordan_guard_scales_with_the_matrix_norm(word):
+    # |M|_F = 5002 splits the Jordan triple at 1 by more than the fixed
+    # 1e-3 floor of the guard band; with the band that floor alone, these
+    # elements were sent to the hyperbolic branch and rejected there.
+    sys = make_system("universal4:1")
+    elem = element_of(sys, word)
+    assert np.max(np.abs(np.linalg.eigvals(elem.matrix) - 1.0)) > JORDAN_GUARD
+    sc = classify(sys, elem)
+    assert sc.kind is Kind.PARABOLIC
+    assert sc.parabolic_eps == 1
+    v = sc.parabolic_vec
+    assert abs(v @ sys.form @ v) < 1e-12
+    np.testing.assert_allclose(elem.matrix @ v, v, rtol=0, atol=1e-9 * np.linalg.norm(elem.matrix))
+    # Oracle: the form of universal4:1 is integral, so the matrix is exact
+    # and (M - I) is nilpotent of index 3, as for a single Jordan block.
+    A = elem.matrix.astype(np.int64) - np.eye(4, dtype=np.int64)
+    assert np.array_equal(elem.matrix, A + np.eye(4))
+    assert np.any(A @ A != 0)
+    assert not np.any(A @ A @ A)
+
+
+def test_finite_order_search_stops_at_the_graph_bound():
+    # fig1b's largest finite standard parabolic subgroup is I2(5), of order
+    # 10.  Rotations of a space-like plane by 2 pi / k are B-isometries of
+    # order k; up to 10 they are found, beyond it they are not elements of
+    # W and must be refused rather than classified.
+    sys = make_system("fig1b")
+    assert sys.finite_order_bound == 10
+    d, Q = np.linalg.eigh(sys.form)
+    L = Q * np.sqrt(np.abs(d))  # B = L diag(sign d) L^T
+    i, j = np.flatnonzero(d > 0)[:2]
+
+    def rotation(k):
+        R = np.eye(4)
+        c, s = math.cos(2 * math.pi / k), math.sin(2 * math.pi / k)
+        R[[i, i, j, j], [i, j, i, j]] = [c, -s, s, c]
+        return np.linalg.solve(L.T, R @ L.T)
+
+    for k in (7, 10):
+        M = rotation(k)
+        np.testing.assert_allclose(M.T @ sys.form @ M, sys.form, atol=1e-12)
+        sc = classify(sys, M)
+        assert sc.kind is Kind.ELLIPTIC
+        assert sc.order == k
+    for k in (11, 12):
+        with pytest.raises(ClassificationError, match="finite order bound 10"):
+            classify(sys, rotation(k))
 
 
 def test_identity_is_elliptic(sys_u1):
@@ -167,12 +214,18 @@ def test_classify_requires_lorentzian_signature():
 
 
 def _reference_dominant(M, lam):
-    """Refined, height-1 eigenvector from a fresh dense solve of M."""
+    """Height-1 eigenvector from a fresh dense solve of M.
+
+    On these inputs the dense solve already meets the refinement's residual
+    test, so the refined eigenpair is (lam, v / |v|) and needs no Rayleigh
+    step.
+    """
     evals, evecs = np.linalg.eig(M)
     v = evecs[:, int(np.argmin(np.abs(evals - lam)))]
     v = np.real(v / v[int(np.argmax(np.abs(v)))])
-    lam_ref, w = _refine_eigenpair(M, lam, v)
-    return lam_ref, _height_oriented(w)
+    w = v / np.linalg.norm(v)
+    assert np.linalg.norm(M @ w - lam * w) < 1e-13 * max(1.0, np.linalg.norm(M))
+    return lam, w / np.sum(w)
 
 
 def test_hyperbolic_eigendata_matches_fresh_solves(sys_u1, store_u1_6):
