@@ -10,12 +10,11 @@ and codimension-2 arrangement intersections.
 __version__ = "0.1.0"
 
 from .graphs import CoxeterGraph, builtin, load_graph, universal, dihedral
-from .geometry import GeometricSystem, build_form, generator_matrix, make_system, signature
+from .geometry import GeometricSystem, build_form, make_system, signature
 from .elements import ElementStore, GroupElement, element_of, enumerate_elements
 from .projective import Causal, ProjectivePoint, causal_character, chart_distance, light_conic, to_chart
 from .spectral import (
     Kind,
-    SpectralClass,
     classify,
     hyperbolic_directions,
     parabolic_direction,
@@ -33,10 +32,7 @@ from .limits import (
     word_limit_root,
 )
 from .arrangement import (
-    Codim2Intersection,
     IntersectionKind,
-    Root,
-    Weight,
     codim2_spacelike,
     descend_to_fundamental,
     fundamental_weights,
@@ -54,12 +50,8 @@ __all__ = [
     "PointSet",
     "PointRecord",
     "PeriodicWord",
-    "SpectralClass",
     "Kind",
     "Causal",
-    "Root",
-    "Weight",
-    "Codim2Intersection",
     "IntersectionKind",
     "build_form",
     "builtin",
@@ -72,7 +64,6 @@ __all__ = [
     "element_of",
     "enumerate_elements",
     "fundamental_weights",
-    "generator_matrix",
     "hausdorff",
     "hyperbolic_directions",
     "intersection_equals_unimodular",

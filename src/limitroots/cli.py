@@ -5,6 +5,7 @@ failure (an element or subspace the numerics could not resolve).
 """
 
 import argparse
+import inspect
 import json
 import sys as _sys
 
@@ -124,6 +125,10 @@ def cmd_word_limit(args):
 
 
 def cmd_verify(args):
+    params = inspect.signature(SUITES[args.suite]).parameters
+    for flag, value, param in (("--graph", args.graph, "sys"), ("--depth", args.depth, "depth")):
+        if value is not None and param not in params:
+            raise ValueError(f"suite {args.suite!r} does not take {flag}")
     kwargs = {}
     if args.graph:
         kwargs["sys"] = make_system(load_graph(args.graph))
@@ -173,7 +178,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--graph", help="override the suite's default graph")
+    p.add_argument("--graph", help="override the default graph (isotropy, density, sandwich)")
     p.add_argument("--depth", type=int, help="root depth budget (sandwich suite)")
     p.set_defaults(fn=cmd_verify)
 

@@ -67,17 +67,19 @@ def generator_matrix(B, s):
     return M
 
 
-def parabolic_order(graph, B, T):
-    """Order of the standard parabolic subgroup W_T, or None if it is infinite.
+def parabolic_exponents(graph, B, T):
+    """Exponents m_j of the standard parabolic subgroup W_T (over all its
+    components), or None if W_T is infinite.
 
     W_T is the product of the subgroups of the connected components of T
     (generators joined by a label other than 2).  A component C is finite
     exactly when B_C is positive definite (an infinite edge, c >= 1, rules
     that out); its eigenvalues are then
     1 - cos(pi m_j / h) for the exponents m_j and the Coxeter number h,
-    the smallest one belonging to m_1 = 1, and |W_C| = prod(m_j + 1).
+    the smallest one belonging to m_1 = 1.  |W_T| = prod(m_j + 1), and the
+    lengths of its elements are counted by prod [m_j + 1]_t.
     """
-    order = 1
+    exponents = []
     left = set(T)
     while left:
         comp = [left.pop()]
@@ -94,8 +96,14 @@ def parabolic_order(graph, B, T):
         exps = h * theta / math.pi
         if abs(h - round(h)) > 1e-6 * h or np.max(np.abs(exps - np.round(exps))) > 1e-6 * h:
             raise GraphError(f"cannot resolve the exponents of component {comp}: {mu}")
-        order *= math.prod(int(round(m)) + 1 for m in exps)
-    return order
+        exponents.extend(int(round(m)) for m in exps)
+    return exponents
+
+
+def parabolic_order(graph, B, T):
+    """Order of the standard parabolic subgroup W_T, or None if it is infinite."""
+    exponents = parabolic_exponents(graph, B, T)
+    return None if exponents is None else math.prod(m + 1 for m in exponents)
 
 
 def system_type(B):

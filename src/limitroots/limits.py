@@ -267,46 +267,21 @@ def orbit_accumulate(sys, base, store, min_length, max_length, dedup_eps=DEDUP_E
     return ps
 
 
-def power_dynamics(sys, elem, base, k_max, dps=None):
+def power_dynamics(sys, elem, base, k_max):
     """Trajectory (w^k(base))_{k=1..k_max} in the chart.
 
     ``elem`` is a group element or a float matrix; the working vector is
     renormalized every step, so arbitrarily long trajectories of
     hyperbolic elements stay in floating-point range.
-
-    With ``dps`` set, the iteration runs in mpmath arithmetic at that many
-    decimal digits, and ``elem`` may also be an mpmath matrix, which is
-    iterated as it is (``base`` may then be a sequence of mpmath numbers).
-    Double precision loses an invariant plane at a relative rate of about
-    eigenvalue^2 * 1e-16 per step, so trajectories meant to stay off the
-    attracting eigendirection of a strongly hyperbolic element need the
-    extra digits.
     """
-    seq = base.coords if isinstance(base, ProjectivePoint) else base
-    if dps is None:
-        M = elem.matrix if hasattr(elem, "matrix") else np.asarray(elem, float)
-        v = np.array(seq, dtype=float)
-        out = []
-        for _ in range(k_max):
-            v = M @ v
-            v /= np.linalg.norm(v)
-            out.append(to_chart(sys, v))
-        return out
-    import mpmath
-
-    with mpmath.workdps(dps):
-        if isinstance(elem, mpmath.matrix):
-            M_mp = elem
-        else:
-            M = elem.matrix if hasattr(elem, "matrix") else np.asarray(elem, float)
-            M_mp = mpmath.matrix(M.tolist())
-        v = mpmath.matrix(list(seq))
-        out = []
-        for _ in range(k_max):
-            v = M_mp * v
-            v /= mpmath.norm(v)
-            out.append(to_chart(sys, np.array([float(x) for x in v])))
-        return out
+    M = elem.matrix if hasattr(elem, "matrix") else np.asarray(elem, float)
+    v = np.array(base.coords if isinstance(base, ProjectivePoint) else base, dtype=float)
+    out = []
+    for _ in range(k_max):
+        v = M @ v
+        v /= np.linalg.norm(v)
+        out.append(to_chart(sys, v))
+    return out
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,9 @@ def _finite_order(M, k_max, norm_cap=1e9):
 
 
 def _defective_eps(M, evals, cluster_radius):
-    """Jordan sign eps if M has a defective eigenvalue cluster at +1 or -1."""
+    """(eps, kernel) if M has a defective eigenvalue cluster at eps = +1 or -1,
+    else None; ``kernel`` is the numerical kernel (orthonormal columns) of
+    M - eps I."""
     clusters = [
         eps for eps in (1.0, -1.0)
         if np.count_nonzero(np.abs(evals - eps) < cluster_radius) >= 3
@@ -105,9 +107,10 @@ def _defective_eps(M, evals, cluster_radius):
         return None
     scale = max(1.0, np.linalg.svd(M, compute_uv=False)[0])
     for eps in clusters:
-        s = np.linalg.svd(M - eps * np.eye(M.shape[0]), compute_uv=False)
+        _, s, vt = np.linalg.svd(M - eps * np.eye(M.shape[0]))
         if s[-1] < DEFECT_TOL * scale:
-            return int(eps)
+            kdim = np.count_nonzero(s < 1e-7 * max(1.0, s[0]))
+            return int(eps), vt[len(s) - kdim :].T
     return None
 
 
@@ -190,13 +193,6 @@ def _unimodular_basis_parabolic(evals, evecs, eps, kernel, cluster_radius):
     return u2[:, : n - 2]
 
 
-def _kernel(A):
-    """Numerical kernel (orthonormal columns) of A = M - eps I."""
-    _, s, vt = np.linalg.svd(A)
-    kdim = np.count_nonzero(s < 1e-7 * max(1.0, s[0]))
-    return vt[len(s) - kdim :].T
-
-
 def classify(sys, elem):
     """Spectral class of a group element (or raw B-isometry matrix).
 
@@ -222,9 +218,9 @@ def classify(sys, elem):
 
     if rho > 1.0 + HYP_TOL:
         if rho <= 1.0 + radius:
-            eps = _defective_eps(M, evals, radius)
-            if eps is not None:
-                return _make_parabolic(sys, M, evals, evecs, eps, radius)
+            defect = _defective_eps(M, evals, radius)
+            if defect is not None:
+                return _make_parabolic(sys, M, evals, evecs, *defect, radius)
             order = _finite_order(M, sys.finite_order_bound)
             if order is not None:
                 return _make_elliptic(evals, order)
@@ -234,9 +230,9 @@ def classify(sys, elem):
     order = _finite_order(M, sys.finite_order_bound)
     if order is not None:
         return _make_elliptic(evals, order)
-    eps = _defective_eps(M, evals, radius)
-    if eps is not None:
-        return _make_parabolic(sys, M, evals, evecs, eps, radius)
+    defect = _defective_eps(M, evals, radius)
+    if defect is not None:
+        return _make_parabolic(sys, M, evals, evecs, *defect, radius)
     raise ClassificationError(
         f"unresolved elliptic/parabolic: no identity power up to the finite "
         f"order bound {sys.finite_order_bound} and no Jordan defect detected"
@@ -272,9 +268,8 @@ def _make_hyperbolic(sys, M, evals, evecs, moduli, rho):
     )
 
 
-def _make_parabolic(sys, M, evals, evecs, eps, cluster_radius):
+def _make_parabolic(sys, M, evals, evecs, eps, kernel, cluster_radius):
     A = M - eps * np.eye(sys.rank)
-    kernel = _kernel(A)
     basis = _unimodular_basis_parabolic(evals, evecs, eps, kernel, cluster_radius)
     # Verify the minimal-polynomial clause: (M - eps I)^2 kills the
     # B-orthogonal companion of the eigenvector span.

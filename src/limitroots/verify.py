@@ -18,14 +18,15 @@ from .arrangement import (
 )
 from .elements import element_of, enumerate_elements
 from .geometry import make_system
-from .limits import (
-    hausdorff,
-    power_dynamics,
-    sample_limit_roots,
-)
+from .limits import hausdorff, sample_limit_roots
 from .projective import chart_distance, to_chart
 
 SUITES = {}
+
+# Working precision of the sandwich dynamics, in decimal digits.
+SANDWICH_DPS = 60
+# Largest accepted chart distance of w^k(x_minus + u) to its intersection.
+SANDWICH_TOL = 1e-5
 
 
 def suite(name):
@@ -37,10 +38,10 @@ def suite(name):
 
 
 @suite("spectra")
-def verify_spectra(sys=None, **_):
+def verify_spectra():
     """Eigenvalues of the rank-5 counterexample element: 1 and 7 +/- 4*sqrt(3),
     the irrational pair with multiplicity two each."""
-    sys = sys or make_system("fig8")
+    sys = make_system("fig8")
     elem = element_of(sys, (0, 1, 3, 4))
     evals = np.sort_complex(np.linalg.eigvals(elem.matrix))
     expected = np.sort_complex(
@@ -61,7 +62,7 @@ def verify_spectra(sys=None, **_):
 
 
 @suite("isotropy")
-def verify_isotropy(sys=None, core=(2, 5), conj=(0, 2), dedup_eps=1e-6, **_):
+def verify_isotropy(sys=None, core=(2, 5), conj=(0, 2), dedup_eps=1e-6):
     """Every sampled limit root sits on the isotropic cone inside the simplex."""
     sys = sys or make_system("universal3:1")
     store = enumerate_elements(sys, max(core[1], conj[1]))
@@ -82,7 +83,7 @@ def verify_isotropy(sys=None, core=(2, 5), conj=(0, 2), dedup_eps=1e-6, **_):
 
 
 @suite("density")
-def verify_density(sys=None, budgets=((2, 2), (4, 4), (6, 6)), dedup_eps=1e-6, **_):
+def verify_density(sys=None, budgets=((2, 2), (4, 4), (6, 6)), dedup_eps=1e-6):
     """Hausdorff distances to the largest budget shrink as the budget grows."""
     sys = sys or make_system("universal3:1")
     (b0, b1, b2) = budgets
@@ -103,13 +104,16 @@ def verify_density(sys=None, budgets=((2, 2), (4, 4), (6, 6)), dedup_eps=1e-6, *
 
 
 @suite("sandwich")
-def verify_sandwich(sys=None, depth=4, dynamics_k=400, dynamics_tol=1e-5, dps=60, **_):
+def verify_sandwich(sys=None, depth=4):
     """Space-like arrangement intersections equal unimodular subspaces, and
-    Case-2 trajectories accumulate on them.
+    Case-2 orbits accumulate on them.
 
     The Case-2 base x_minus + u and the element w = s_a s_b come from the
-    closed-form eigendata of the pair, so the iterated w is exactly the one
-    the base was built for."""
+    closed-form eigendata of the pair, so the powered w is exactly the one
+    the base was built for.  w^k (x_minus + u) = lam^-k x_minus + u, and
+    k = ceil(24 / log10 lam) bounds both the contraction lam^-k <= 1e-24
+    and the rounding along x_plus, which grows like lam^k 10^-dps
+    <= lam 10^(24 - dps)."""
     import mpmath
 
     sys = sys or make_system("universal3:1.1")
@@ -126,17 +130,13 @@ def verify_sandwich(sys=None, depth=4, dynamics_k=400, dynamics_tol=1e-5, dps=60
         if not intersection_equals_unimodular(sys, ci):
             n_fail_angle += 1
             continue
-        with mpmath.workdps(dps):
+        with mpmath.workdps(SANDWICH_DPS):
             w, lam, x_minus, u = reflection_pair_eigendata(sys, ci)
-            base = x_minus + u
-        # The contracting component shrinks by 1/lambda per step, so the
-        # approach happens within a few times log(1/tol)/log(lambda) steps.
-        k = min(dynamics_k, int(24.0 / math.log10(lam)) + 4)
-        traj = power_dynamics(sys, w, base, k, dps=dps)
-        target = ci.chart_point(sys)
-        d = min(chart_distance(p, target) for p in traj)
+            k = max(1, math.ceil(24.0 / math.log10(lam)))
+            x = w**k * (x_minus + u)
+        d = chart_distance(to_chart(sys, [float(c) for c in x]), ci.chart_point(sys))
         worst_dyn = max(worst_dyn, d)
-        if d > dynamics_tol:
+        if d > SANDWICH_TOL:
             n_fail_dyn += 1
     ok = n_fail_angle == 0 and n_fail_dyn == 0 and len(intersections) > 0
     return {
@@ -146,12 +146,12 @@ def verify_sandwich(sys=None, depth=4, dynamics_k=400, dynamics_tol=1e-5, dps=60
         "angle_failures": n_fail_angle,
         "dynamics_failures": n_fail_dyn,
         "worst_dynamics_residual": worst_dyn,
-        "dynamics_tolerance": dynamics_tol,
+        "dynamics_tolerance": SANDWICH_TOL,
     }
 
 
 @suite("weights")
-def verify_weights(graphs=("fig1a", "fig1b", "fig8", "universal3:1", "universal3:1.1"), **_):
+def verify_weights(graphs=("fig1a", "fig1b", "fig8", "universal3:1", "universal3:1.1")):
     """Dual-basis identity on all built-in graphs; the universal rank-3 weights
     are space-like and coincide with simple-pair arrangement intersections."""
     worst_identity = 0.0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +27,13 @@ from limitroots.elements import (
     reduced_word,
 )
 from limitroots.errors import EnumerationError, GraphError
-from limitroots.geometry import build_form, parabolic_order, signature, system_type
+from limitroots.geometry import (
+    build_form,
+    parabolic_exponents,
+    parabolic_order,
+    signature,
+    system_type,
+)
 from limitroots.graphs import INF, str_to_word, word_to_str
 
 
@@ -167,6 +174,55 @@ def test_finite_order_bound_matches_closure_of_each_parabolic(graph, bound):
             assert parabolic_order(g, sys.form, T) == order, T
             best = max(best, order or 1)
     assert sys.finite_order_bound == best == bound
+
+
+def _series_inverse(a, n):
+    """First n coefficients of 1/a(t) for a power series a with a[0] != 0."""
+    a = list(a) + [0] * n
+    inv = [Fraction(1) / a[0]]
+    for k in range(1, n):
+        inv.append(-sum(a[j] * inv[k - j] for j in range(1, k + 1)) / a[0])
+    return inv[:n]
+
+
+def _steinberg_growth(sys, n):
+    """First n coefficients of the growth series W(t) from Steinberg's formula
+    1/W(t) = sum over T with W_T finite of (-1)^|T| t^N_T / W_T(t), where
+    W_T(t) = prod [m_j + 1]_t over the exponents of W_T and N_T = deg W_T."""
+    recip = [Fraction(0)] * n
+    for size in range(sys.rank + 1):
+        for T in itertools.combinations(range(sys.rank), size):
+            exponents = parabolic_exponents(sys.graph, sys.form, T)
+            if exponents is None:
+                continue
+            poly = [1]
+            for m in exponents:  # times [m + 1]_t = 1 + t + ... + t^m
+                poly = [
+                    sum(poly[max(0, i - m) : i + 1]) for i in range(len(poly) + m)
+                ]
+            top = len(poly) - 1
+            for i, c in enumerate(_series_inverse(poly, max(0, n - top))):
+                recip[top + i] += (-1) ** size * c
+    return _series_inverse(recip, n)
+
+
+@pytest.mark.parametrize(
+    "graph, length",
+    [
+        ("universal3:1", 10),
+        ("universal3:1.1", 8),
+        ("universal4:1", 7),
+        ("fig1a", 9),
+        ("fig8", 6),
+        ("fig1b", 9),
+        ("a2", 30),
+        ("dihedral:5", 30),
+    ],
+)
+def test_enumeration_counts_match_steinberg_growth_series(graph, length):
+    sys = make_system(graph)
+    counts = enumerate_elements(sys, length).counts()
+    assert _steinberg_growth(sys, len(counts)) == counts
 
 
 def test_generators_are_involutive_isometries(sys_u11):

@@ -213,6 +213,21 @@ def test_cli_verify_rejects_depth_below_one(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [
+        ("spectra", "--depth", "7"),
+        ("weights", "--graph", "fig1a"),
+        ("spectra", "--graph", "universal3:1"),
+    ],
+)
+def test_cli_verify_rejects_flags_the_suite_does_not_take(suite, flag, value, capsys):
+    assert main(["verify", "--suite", suite, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: suite {suite!r} does not take {flag}\n"
+    assert captured.out == ""
+
+
 def test_cli_bad_length_range(tmp_path):
     code = main(
         [

@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -205,17 +204,6 @@ def test_power_dynamics_converges_to_attracting_direction(sys_u1):
     target = to_chart(sys_u1, x_plus)
     traj = power_dynamics(sys_u1, w, np.array([1.0, 1.0, 1.0]), 60)
     assert chart_distance(traj[-1], target) < 1e-10
-
-
-def test_power_dynamics_mp_matches_float(sys_u1):
-    w = element_of(sys_u1, (0, 1, 2))
-    base = np.array([1.0, 1.0, 1.0])
-    a = power_dynamics(sys_u1, w, base, 10)
-    b = power_dynamics(sys_u1, w, base, 10, dps=40)
-    assert max(chart_distance(p, q) for p, q in zip(a, b)) < 1e-12
-    # An mpmath matrix is iterated as it is.
-    c = power_dynamics(sys_u1, mpmath.matrix(w.matrix.tolist()), base, 10, dps=40)
-    assert [p.coords.tolist() for p in c] == [p.coords.tolist() for p in b]
 
 
 def test_hausdorff_basics(sys_u1, store_u1_6):
