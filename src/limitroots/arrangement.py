@@ -8,10 +8,13 @@ reflections).
 """
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
-from scipy.linalg import null_space, subspace_angles
+from scipy.linalg import null_space
 
 from .errors import ExtractionError
 from .graphs import word_to_str
@@ -133,28 +136,31 @@ def codim2_spacelike(sys, roots, tol=PAIRING_TOL):
     flagged light-like (parabolic tangency).  Other pairs are omitted.
     """
     out = []
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            r1, r2 = roots[i], roots[j]
-            pairing = float(r1.vector @ sys.form @ r2.vector)
-            if pairing < -1.0 - tol:
-                kind = IntersectionKind.SPACE_LIKE
-            elif abs(pairing + 1.0) <= tol:
-                kind = IntersectionKind.LIGHT_LIKE
-            else:
-                continue
-            basis = _intersection_basis(sys, r1.vector, r2.vector)
-            if kind is IntersectionKind.SPACE_LIKE:
-                gram = basis.T @ sys.form @ basis
-                if np.min(np.linalg.eigvalsh(gram)) <= 0:
-                    raise ExtractionError(
-                        f"restricted form not positive-definite for pair "
-                        f"({r1.word_str()}, {r2.word_str()})"
-                    )
-            out.append(
-                Codim2Intersection(pair=(r1, r2), basis=basis, kind=kind, pairing=pairing)
-            )
+    for r1, r2 in itertools.combinations(roots, 2):
+        pairing = float(r1.vector @ sys.form @ r2.vector)
+        if pairing < -1.0 - tol:
+            kind = IntersectionKind.SPACE_LIKE
+        elif abs(pairing + 1.0) <= tol:
+            kind = IntersectionKind.LIGHT_LIKE
+        else:
+            continue
+        basis = _intersection_basis(sys, r1.vector, r2.vector)
+        if kind is IntersectionKind.SPACE_LIKE:
+            gram = basis.T @ sys.form @ basis
+            if np.min(np.linalg.eigvalsh(gram)) <= 0:
+                raise ExtractionError(
+                    f"restricted form not positive-definite for pair "
+                    f"({r1.word_str()}, {r2.word_str()})"
+                )
+        out.append(Codim2Intersection(pair=(r1, r2), basis=basis, kind=kind, pairing=pairing))
     return out
+
+
+def principal_sine(q1, q2):
+    """Sine of the largest principal angle between two subspaces of equal
+    dimension, given by Euclidean-orthonormal bases (columns).  The sine
+    increases on [0, pi/2], so it orders angles as the angles do."""
+    return float(np.linalg.norm(q2 - q1 @ (q1.T @ q2), 2))
 
 
 def intersection_equals_unimodular(sys, ci, angle_tol=1e-7):
@@ -167,48 +173,55 @@ def intersection_equals_unimodular(sys, ci, angle_tol=1e-7):
     sc = classify(sys, w)
     if sc.kind is not Kind.HYPERBOLIC:
         return False
-    angles = subspace_angles(ci.basis, unimodular_subspace(sys, sc))
-    return bool(np.max(angles) < angle_tol)
+    return principal_sine(ci.basis, unimodular_subspace(sys, sc)) < math.sin(angle_tol)
 
 
 def reflection_pair_eigendata(sys, ci):
     """Closed-form eigendata of w = s_a s_b for a space-like pair (a, b), in
-    mpmath at the ambient precision.
+    ``decimal`` at the precision of the current context.
 
-    With a, b scaled to B-norm 1 and c = -B(a, b) > 1, w has the isotropic
-    eigenvectors x_plus = a + (c - r) b and x_minus = a + (c + r) b,
-    r = sqrt(c^2 - 1), for the eigenvalues lam = (c + r)^2 and 1/lam, and
-    fixes {a, b}^perp_B pointwise.  B and the float root vectors are taken
-    over exactly, so w is a B-isometry to the working precision.
+    With a, b scaled to B-norm 1 and c = -B(a, b) > 1, w is the rank-2 update
+    I - 2a(Ba)^T - 2b(Bb)^T - 4c a(Bb)^T, with the isotropic eigenvectors
+    x_plus, x_minus = a + (c -/+ r) b, r = sqrt(c^2 - 1), for the eigenvalues
+    lam = (c + r)^2 and 1/lam; it fixes {a, b}^perp_B pointwise.  B and the
+    float root vectors are taken over exactly.
 
-    Returns (w, lam, x_minus, u): w as an mpmath matrix, and x_minus and a
-    fixed vector u (the longest B-orthogonal projection of a simple root off
-    span{a, b}) as Euclidean unit column vectors.
+    Returns (w, lam, x_minus, u) in ``Decimal``: w as a list of rows, and
+    x_minus and a fixed vector u (the longest B-orthogonal projection of a
+    simple root off span{a, b}) as Euclidean unit vectors.
     """
-    import mpmath
+    from decimal import Decimal
 
     if ci.kind is not IntersectionKind.SPACE_LIKE:
         raise ValueError("reflection_pair_eigendata requires a space-like pair")
-    B = mpmath.matrix(sys.form.tolist())
-    a, b = (mpmath.matrix(r.vector.tolist()) for r in ci.pair)
-    a /= mpmath.sqrt((a.T * B * a)[0])
-    b /= mpmath.sqrt((b.T * B * b)[0])
-    Ba, Bb = B * a, B * b
-    c = -(Ba.T * b)[0]
-    t = c + mpmath.sqrt(c * c - 1)
-    eye = mpmath.eye(sys.rank)
-    w = (eye - 2 * a * Ba.T) * (eye - 2 * b * Bb.T)
-    # matrix * scalar: mpmath's mpf * matrix detours through repr(matrix).
-    x_minus = a + b * t
+
+    def dot(v, x):
+        return sum(map(mul, v, x))
+
+    def unit(v, norm2):
+        s = norm2.sqrt()
+        return [x / s for x in v]
+
+    n = sys.rank
+    B = [[Decimal(x) for x in row] for row in sys.form.tolist()]
+    a, b = ([Decimal(x) for x in r.vector.tolist()] for r in ci.pair)
+    a, b = (unit(v, dot(v, [dot(row, v) for row in B])) for v in (a, b))
+    Ba, Bb = ([dot(row, v) for row in B] for v in (a, b))
+    c = -dot(Ba, b)
+    t = c + (c * c - 1).sqrt()
+    g = [p + 2 * c * q for p, q in zip(Ba, Bb)]
+    w = [[(i == j) - 2 * (a[i] * g[j] + b[i] * Bb[j]) for j in range(n)] for i in range(n)]
+    x_minus = [p + t * q for p, q in zip(a, b)]
 
     def project(s):
         # B(a, e_s) = (Ba)_s; the coefficients come from the inverse Gram
         # matrix [[1, c], [c, 1]] / (1 - c^2) of (a, b).
         p, q = Ba[s], Bb[s]
-        return eye[:, s] - (a * (p + c * q) + b * (c * p + q)) / (1 - c * c)
+        f, h, d = p + c * q, c * p + q, 1 - c * c
+        return [(i == s) - (a[i] * f + b[i] * h) / d for i in range(n)]
 
-    u = max((project(s) for s in range(sys.rank)), key=mpmath.norm)
-    return w, t * t, x_minus / mpmath.norm(x_minus), u / mpmath.norm(u)
+    u = max((project(s) for s in range(n)), key=lambda v: dot(v, v))
+    return w, t * t, unit(x_minus, dot(x_minus, x_minus)), unit(u, dot(u, u))
 
 
 def sign_vector(sys, point, roots, zero_tol=PAIRING_TOL):

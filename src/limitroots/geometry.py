@@ -173,10 +173,6 @@ class GeometricSystem:
             frontier = grown
         return best
 
-    @property
-    def simple_roots(self):
-        return np.eye(self.rank)
-
     def bilinear(self, x, y):
         """B(x, y); accepts stacked rows in either argument."""
         return np.asarray(x) @ self.form @ np.asarray(y)

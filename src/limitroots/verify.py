@@ -5,6 +5,7 @@ quantities, so the CLI can emit JSON and exit nonzero on failure.
 """
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -27,6 +28,7 @@ SUITES = {}
 SANDWICH_DPS = 60
 # Largest accepted chart distance of w^k(x_minus + u) to its intersection.
 SANDWICH_TOL = 1e-5
+DENSITY_BUDGETS = ((2, 2), (4, 4), (6, 6))  # (core, conjugator) lengths, small first
 
 
 def suite(name):
@@ -62,11 +64,11 @@ def verify_spectra():
 
 
 @suite("isotropy")
-def verify_isotropy(sys=None, core=(2, 5), conj=(0, 2), dedup_eps=1e-6):
+def verify_isotropy(sys=None):
     """Every sampled limit root sits on the isotropic cone inside the simplex."""
     sys = sys or make_system("universal3:1")
-    store = enumerate_elements(sys, max(core[1], conj[1]))
-    ps = sample_limit_roots(sys, store, core, conj, dedup_eps)
+    store = enumerate_elements(sys, 5)
+    ps = sample_limit_roots(sys, store, (2, 5), (0, 2))
     coords = ps.affine_coords
     max_b = float(np.max(np.abs(ps.bnorm)))
     min_coord = float(coords.min())
@@ -83,21 +85,17 @@ def verify_isotropy(sys=None, core=(2, 5), conj=(0, 2), dedup_eps=1e-6):
 
 
 @suite("density")
-def verify_density(sys=None, budgets=((2, 2), (4, 4), (6, 6)), dedup_eps=1e-6):
+def verify_density(sys=None):
     """Hausdorff distances to the largest budget shrink as the budget grows."""
     sys = sys or make_system("universal3:1")
-    (b0, b1, b2) = budgets
-    store = enumerate_elements(sys, max(max(b) for b in budgets))
-    sets = [
-        sample_limit_roots(sys, store, (2, core), (0, conj), dedup_eps)
-        for core, conj in budgets
-    ]
+    store = enumerate_elements(sys, max(map(max, DENSITY_BUDGETS)))
+    sets = [sample_limit_roots(sys, store, (2, core), (0, conj)) for core, conj in DENSITY_BUDGETS]
     d_small = hausdorff(sets[0], sets[2])
     d_mid = hausdorff(sets[1], sets[2])
     ok = d_mid <= d_small
     return {
         "pass": bool(ok),
-        "budgets": [list(b) for b in budgets],
+        "budgets": [list(b) for b in DENSITY_BUDGETS],
         "hausdorff_small_vs_large": d_small,
         "hausdorff_mid_vs_large": d_mid,
     }
@@ -108,32 +106,28 @@ def verify_sandwich(sys=None, depth=4):
     """Space-like arrangement intersections equal unimodular subspaces, and
     Case-2 orbits accumulate on them.
 
-    The Case-2 base x_minus + u and the element w = s_a s_b come from the
-    closed-form eigendata of the pair, so the powered w is exactly the one
-    the base was built for.  w^k (x_minus + u) = lam^-k x_minus + u, and
+    The Case-2 base x_minus + u and w = s_a s_b come from the closed-form
+    eigendata of the pair.  w^k (x_minus + u) = lam^-k x_minus + u takes k
+    row-by-vector steps in ``decimal`` at SANDWICH_DPS digits, and
     k = ceil(24 / log10 lam) bounds both the contraction lam^-k <= 1e-24
-    and the rounding along x_plus, which grows like lam^k 10^-dps
-    <= lam 10^(24 - dps)."""
-    import mpmath
+    and the rounding along x_plus, about k lam^k 10^-dps <= k lam 10^(24 - dps)."""
+    import decimal
 
     sys = sys or make_system("universal3:1.1")
-    roots = roots_by_depth(sys, depth)
-    intersections = [
-        ci
-        for ci in codim2_spacelike(sys, roots)
-        if ci.kind is IntersectionKind.SPACE_LIKE
-    ]
-    n_fail_angle = 0
-    n_fail_dyn = 0
+    cis = codim2_spacelike(sys, roots_by_depth(sys, depth))
+    intersections = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
+    n_fail_angle = n_fail_dyn = 0
     worst_dyn = 0.0
     for ci in intersections:
         if not intersection_equals_unimodular(sys, ci):
             n_fail_angle += 1
             continue
-        with mpmath.workdps(SANDWICH_DPS):
+        with decimal.localcontext() as ctx:
+            ctx.prec = SANDWICH_DPS
             w, lam, x_minus, u = reflection_pair_eigendata(sys, ci)
-            k = max(1, math.ceil(24.0 / math.log10(lam)))
-            x = w**k * (x_minus + u)
+            x = [p + q for p, q in zip(x_minus, u)]
+            for _ in range(max(1, math.ceil(24.0 / math.log10(lam)))):
+                x = [sum(map(mul, row, x)) for row in w]
         d = chart_distance(to_chart(sys, [float(c) for c in x]), ci.chart_point(sys))
         worst_dyn = max(worst_dyn, d)
         if d > SANDWICH_TOL:
@@ -151,11 +145,11 @@ def verify_sandwich(sys=None, depth=4):
 
 
 @suite("weights")
-def verify_weights(graphs=("fig1a", "fig1b", "fig8", "universal3:1", "universal3:1.1")):
+def verify_weights():
     """Dual-basis identity on all built-in graphs; the universal rank-3 weights
     are space-like and coincide with simple-pair arrangement intersections."""
     worst_identity = 0.0
-    for name in graphs:
+    for name in ("fig1a", "fig1b", "fig8", "universal3:1", "universal3:1.1"):
         sys = make_system(name)
         weights = fundamental_weights(sys)
         W = np.column_stack([w.vector for w in weights])
@@ -165,20 +159,16 @@ def verify_weights(graphs=("fig1a", "fig1b", "fig8", "universal3:1", "universal3
     sys = make_system("universal3:1.1")
     weights = fundamental_weights(sys)
     bnorms = [float(w.vector @ sys.form @ w.vector) for w in weights]
-    roots = roots_by_depth(sys, 1)
-    cis = codim2_spacelike(sys, roots)
-    worst_match = math.inf
-    matches = []
-    for w in weights:
-        wpt = to_chart(sys, w.vector)
-        best = min(chart_distance(wpt, ci.chart_point(sys)) for ci in cis)
-        matches.append(best)
-    worst_match = max(matches)
+    cis = codim2_spacelike(sys, roots_by_depth(sys, 1))
+    matches = [
+        min(chart_distance(to_chart(sys, w.vector), ci.chart_point(sys)) for ci in cis)
+        for w in weights
+    ]
     ok = (
         worst_identity < 1e-10
         and all(abs(b - 0.0396825396825) < 1e-6 for b in bnorms)
         and all(b > 0 for b in bnorms)
-        and worst_match < 1e-7
+        and max(matches) < 1e-7
     )
     return {
         "pass": bool(ok),

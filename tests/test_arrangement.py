@@ -1,11 +1,14 @@
 """Roots by depth, weights, codimension-2 intersections, and chamber descent."""
 
+import dataclasses
+import decimal
 import math
 from collections import Counter
+from operator import mul
 
-import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import null_space, subspace_angles
 
 from limitroots import (
     classify,
@@ -19,8 +22,9 @@ from limitroots import (
     sign_vector,
     to_chart,
 )
-from limitroots.arrangement import IntersectionKind, reflection_pair_eigendata
+from limitroots.arrangement import IntersectionKind, principal_sine, reflection_pair_eigendata
 from limitroots.projective import chart_distance
+from limitroots.spectral import unimodular_subspace
 
 
 def test_root_counts_by_depth(sys_u1, sys_u11):
@@ -119,11 +123,58 @@ def test_reflection_pair_closed_form_matches_spectral(sys_u11):
             np.testing.assert_allclose(
                 to_chart(sys_u11, x).coords, to_chart(sys_u11, a + t * b).coords, atol=1e-9
             )
-        with mpmath.workdps(60):
-            w_mp, lam_mp, xm, u = reflection_pair_eigendata(sys_u11, ci)
-            assert float(lam_mp) == pytest.approx(lam, rel=1e-9)
-            assert mpmath.norm(w_mp * xm - xm / lam_mp) < 1e-40
-            assert mpmath.norm(w_mp * u - u) < 1e-40
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            w_dec, lam_dec, xm, u = reflection_pair_eigendata(sys_u11, ci)
+            assert float(lam_dec) == pytest.approx(lam, rel=1e-9)
+            assert _eigen_residual(w_dec, xm, 1 / lam_dec) < 1e-40
+            assert _eigen_residual(w_dec, u, 1) < 1e-40
+        # The rank-2 update is the product of the two reflections; a wrong
+        # sign of its -4c a(Bb)^T term would miss by 8c |a| |Bb|.  The float
+        # product itself rounds at about 1e-14 of its largest entry.
+        err = np.max(np.abs(np.array(w_dec, dtype=float) - w))
+        assert err < 1e-12 * np.max(np.abs(w))
+
+
+def _eigen_residual(w, x, scale):
+    """Euclidean norm of w x - scale x, for w as a list of rows."""
+    return sum((sum(map(mul, row, x)) - scale * v) ** 2 for row, v in zip(w, x)).sqrt()
+
+
+def test_principal_sine_matches_subspace_angles(sys_u11):
+    """The direct sine against scipy's angles: on the depth-3 space-like
+    pairs, across unrelated intersections (large angles) and on random
+    planes in R^5 (subspaces of dimension above one)."""
+    cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 3))
+    cis = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
+    pairs = []
+    for ci in cis:
+        r1, r2 = ci.pair
+        w = sys_u11.reflection_in(r1.vector) @ sys_u11.reflection_in(r2.vector)
+        pairs.append((ci.basis, unimodular_subspace(sys_u11, classify(sys_u11, w))))
+    pairs += [(p.basis, q.basis) for p, q in zip(cis, cis[1:])]
+    rng = np.random.default_rng(7)
+    pairs += [
+        tuple(np.linalg.qr(rng.standard_normal((5, 2)))[0] for _ in range(2)) for _ in range(20)
+    ]
+    for q1, q2 in pairs:
+        assert principal_sine(q1, q2) == pytest.approx(
+            math.sin(np.max(subspace_angles(q1, q2))), abs=1e-12
+        )
+
+
+def test_intersection_equals_unimodular_rejects_a_tilted_basis(sys_u11):
+    """A direction B-orthogonal to the first root of the pair, at an angle
+    theta from the intersection, passes only for theta below the 1e-7
+    tolerance."""
+    cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 2))
+    ci = next(ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE)
+    plane = null_space((sys_u11.form @ ci.pair[0].vector)[None, :])
+    off = plane @ null_space(ci.basis.T @ plane)
+    for theta, expected in ((1e-9, True), (1e-6, False), (math.pi / 2, False)):
+        basis = math.cos(theta) * ci.basis + math.sin(theta) * off
+        tilted = dataclasses.replace(ci, basis=basis)
+        assert intersection_equals_unimodular(sys_u11, tilted) is expected
 
 
 def test_weights_sit_on_simple_pair_intersections(sys_u11):

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitroots import (
     CoxeterGraph,
@@ -222,6 +224,29 @@ def _steinberg_growth(sys, n):
 def test_enumeration_counts_match_steinberg_growth_series(graph, length):
     sys = make_system(graph)
     counts = enumerate_elements(sys, length).counts()
+    assert _steinberg_growth(sys, len(counts)) == counts
+
+
+@st.composite
+def _graphs(draw):
+    """Rank-3 and rank-4 graphs with labels 2..6 or infinity, c in {1, 1.05,
+    1.5, 2}: finite, affine, Lorentzian and other signatures alike."""
+    rank = draw(st.sampled_from((3, 4)))
+    labels, cparams = {}, {}
+    for edge in itertools.combinations(range(rank), 2):
+        m = draw(st.sampled_from((2, 3, 4, 5, 6, INF)))
+        if m is INF:
+            cparams[edge] = draw(st.sampled_from((1.0, 1.05, 1.5, 2.0)))
+        if m != 2:
+            labels[edge] = m
+    return CoxeterGraph(rank=rank, labels=labels, cparams=cparams)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_graphs())
+def test_enumeration_counts_match_steinberg_growth_series_on_generated_graphs(graph):
+    sys = make_system(graph)
+    counts = enumerate_elements(sys, 6).counts()
     assert _steinberg_growth(sys, len(counts)) == counts
 
 
