@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import ExtractionError
 from .graphs import word_to_str
 from .projective import ProjectivePoint, to_chart
-from .spectral import Kind, classify, unimodular_subspace
+from .spectral import Kind, _null_space, classify, unimodular_subspace
 
 ROOT_DEDUP = 1e-9
 PAIRING_TOL = 1e-9
@@ -120,7 +119,7 @@ def fundamental_weights(sys):
 
 
 def _intersection_basis(sys, v1, v2):
-    basis = null_space(np.vstack([sys.form @ v1, sys.form @ v2]))
+    basis = _null_space(np.vstack([sys.form @ v1, sys.form @ v2]))
     if basis.shape[1] != sys.rank - 2:
         raise ExtractionError(
             f"codimension-2 intersection has dimension {basis.shape[1]}"

@@ -1,4 +1,4 @@
-"""Group elements as matrices, reduced words, and breadth-first enumeration."""
+"""Group elements as matrices, reduced words, and ShortLex enumeration."""
 
 from dataclasses import dataclass
 
@@ -7,14 +7,8 @@ import numpy as np
 from .errors import EnumerationError
 from .graphs import word_to_str
 
-# Dedup fingerprint grid and the entrywise tolerance used to confirm that two
-# matrices with equal fingerprints really are the same element.
-FINGERPRINT_GRID = 1e-7
-MATCH_TOL = 1e-9
-MAX_ENTRY = 1e12
-# Frontier elements expanded by one stacked product; bounds the temporaries
-# (candidates and their keys) whatever the size of a BFS level.
-BLOCK = 256
+# Unit roundoff of float64.
+_U = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,9 @@ def reduced_word(sys, M, max_length=100000):
     # Roundoff inherited from the input persists through the descent at the
     # input's absolute scale, so the sign and identity tests must widen with it.
     tol = min(1e-2, 1e-9 * max(1.0, float(np.max(np.abs(cur)))))
-    while np.max(np.abs(cur - np.eye(n))) > max(1e-6, tol):
+    while not np.max(np.abs(cur - np.eye(n))) <= max(1e-6, tol):
+        if not np.all(np.isfinite((cur, curinv))):
+            raise EnumerationError("reduced word: the descent left the float range")
         for s in range(n):
             if _root_is_negative(curinv[:, s], tol=tol):
                 break
@@ -86,24 +82,14 @@ def element_of(sys, word):
     return GroupElement(word=reduced_word(sys, M), matrix=M)
 
 
-def _fingerprint(M, grid):
-    """Quantized bytes of a matrix, or the concatenated keys of a C-order stack."""
-    return np.round(M / grid).astype(np.int64).tobytes()
-
-
 class ElementStore:
-    """One canonical representative per group element up to a maximum length.
+    """One element per ShortLex normal form up to a maximum length, in ShortLex
+    order; those of length k are ``elements[_starts[k]:_starts[k + 1]]``."""
 
-    Elements are stored in BFS (ShortLex) order; the fingerprint index maps a
-    quantized matrix to its element id.
-    """
-
-    def __init__(self, sys, grid=FINGERPRINT_GRID):
+    def __init__(self, sys):
         self.sys = sys
-        self.grid = grid
         self.elements = []
-        self._index = {}
-        self._by_length = {}
+        self._starts = [0]
 
     def __len__(self):
         return len(self.elements)
@@ -113,109 +99,83 @@ class ElementStore:
 
     @property
     def max_length(self):
-        return max(self._by_length) if self._by_length else -1
+        return len(self._starts) - 2
 
     def counts(self):
         """Number of elements at each length 0..max_length."""
-        return [len(self._by_length.get(k, ())) for k in range(self.max_length + 1)]
+        return [hi - lo for lo, hi in zip(self._starts, self._starts[1:])]
 
     def of_length(self, k):
-        return [self.elements[i] for i in self._by_length.get(k, ())]
+        return self.with_length(k, k)
 
     def with_length(self, lo, hi):
-        out = []
-        for k in range(lo, hi + 1):
-            out.extend(self.of_length(k))
-        return out
+        lo, hi = max(lo, 0), min(hi, self.max_length)
+        return self.elements[self._starts[lo] : self._starts[hi + 1]] if lo <= hi else []
 
-    def lookup(self, M):
-        """Element id for a matrix, or None if not stored."""
-        idx = self._index.get(_fingerprint(M, self.grid))
-        if idx is None:
-            return None
-        if np.max(np.abs(self.elements[idx].matrix - M)) > 10 * MATCH_TOL:
-            return None
-        return idx
-
-    def _add(self, C, length, word_of):
-        """Store the elements of the stack C (k, n, n) not stored yet.
-
-        All candidates have the given length.  They are taken in stack order,
-        so the first copy of an element wins, also within C; ``word_of(j)``
-        gives the word of candidate j and is called for new elements only.
-        Returns the new elements in order.
-        """
-        if np.max(np.abs(C)) > MAX_ENTRY:
-            raise EnumerationError(
-                f"matrix entries exceed {MAX_ENTRY:g} at length {length}; "
-                "quantized dedup is no longer meaningful at this depth"
-            )
-        keys = _fingerprint(C, self.grid)
-        size = len(keys) // len(C)
-        index = self._index
-        base = len(self.elements)
-        new, dup, prior = [], [], []
-        for j in range(len(C)):
-            key = keys[j * size : (j + 1) * size]
-            idx = index.get(key)
-            if idx is None:
-                index[key] = base + len(new)
-                new.append(j)
-            else:
-                dup.append(j)
-                prior.append(idx)
-        if dup:
-            stored = np.stack([
-                self.elements[i].matrix if i < base else C[new[i - base]] for i in prior
-            ])
-            diff = np.max(np.abs(stored - C[dup]), axis=(1, 2))
-            bad = np.flatnonzero(diff > MATCH_TOL)
-            if bad.size:
-                raise EnumerationError(
-                    f"fingerprint collision at grid {self.grid:g}: matrices differ by "
-                    f"{diff[bad[0]]:g}; retry with a smaller dedup epsilon"
-                )
-        added = []
-        for j, M in zip(new, C[new]):
-            M = M.copy()
-            M.setflags(write=False)
-            added.append(GroupElement(word_of(j), M))
-        self.elements.extend(added)
-        self._by_length.setdefault(length, []).extend(range(base, base + len(added)))
-        return added
-
-    def restrict(self, max_length):
-        """New store containing only elements of length <= max_length."""
-        out = ElementStore(self.sys, self.grid)
-        for k in range(min(max_length, self.max_length) + 1):
-            level = self.of_length(k)
-            out._add(np.stack([e.matrix for e in level]), k, lambda j: level[j].word)
-        return out
+    def _add_level(self, words, M):
+        """Append the next length; each matrix is a view of the read-only stack M."""
+        M.setflags(write=False)
+        self.elements.extend(map(GroupElement, words, M))
+        self._starts.append(len(self.elements))
 
 
-def enumerate_elements(sys, max_length, grid=FINGERPRINT_GRID):
-    """All group elements of length <= max_length by Cayley-graph BFS.
+def enumerate_elements(sys, max_length):
+    """All group elements of length <= max_length in ShortLex order, each
+    formed once, from its ShortLex (lex-minimal reduced) word.
 
-    Deterministic: the frontier is expanded in ShortLex order and generators
-    are tried in index order, so each element's stored word is its
-    ShortLex-minimal reduced word.  The frontier is expanded BLOCK elements
-    at a time: one stacked product forms their candidates, element-major and
-    generator-minor, which is the same order.
+    That word is t then the word of v = t u, t the smallest left descent of
+    u.  So level L is built from level L - 1, t-major and v-minor, keeping
+    t v exactly when t is its smallest left descent.  Each element carries
+    r_u = 1^T u^-1 (ones for the identity), and r_{tv} = r_v S_t.  Entry s is
+    the coefficient sum of the root u^-1(alpha_s): >= 1, or <= -1 exactly
+    when s is a left descent of u.  So t v is kept when (r_v)_t > 0 and
+    (r_v S_t)_s > 0 for all s < t.  Only the generator matrices are used, so
+    degenerate forms work too.
+
+    Error bound.  (r S_t)_j = r_j + r_t d_j for d = S_t[t] - e_t, and r_t ->
+    -r_t exactly.  A row within E of the exact one updates to within
+    E_j + |d_j| E_t + 16 u (|r_j| + |r_t d_j|) for j != t, u the unit
+    roundoff: 2 ulps for the product and the sum, 3 for the float
+    d_j = 2 cos(pi/m), and a few for second-order terms and for rounding E,
+    as every entry has E < |r|: each row formed must have |r| > E throughout,
+    so its signs are the exact ones, else EnumerationError.
+
+    Matrices.  M_u = M_p @ S_s, p and s the prefix and last letter of u's
+    word, as a breadth-first search forms it.  The prefix of t v is t times
+    the prefix of v: ``child[t, i]`` indexes t times element i one level
+    down.  Each level's matrices are one read-only (N, n, n) array.
     """
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
     n = sys.rank
     gens = np.stack(sys.gens)
-    store = ElementStore(sys, grid)
-    frontier = store._add(np.eye(n)[None], 0, lambda j: ())
+    steps = gens[np.arange(n), np.arange(n)] - np.eye(n)
+    spread = np.abs(steps) * (1 - np.eye(n))
+    store = ElementStore(sys)
+    words, M = [()], np.eye(n)[None]
+    R, E = np.ones((1, n)), np.zeros((1, n))
+    store._add_level(words, M)
     for length in range(1, max_length + 1):
-        next_frontier = []
-        for lo in range(0, len(frontier), BLOCK):
-            block = frontier[lo : lo + BLOCK]
-            F = np.stack([e.matrix for e in block])
-            C = np.matmul(F[:, None], gens[None]).reshape(-1, n, n)
-            next_frontier += store._add(C, length, lambda j: block[j // n].word + (j % n,))
-        frontier = next_frontier
-        if not frontier:
+        kept = []
+        for t in range(n):
+            V = np.flatnonzero(R[:, t] > 0)
+            rt = R[V, t, None]
+            Rt = R[V] + rt * steps[t]
+            Et = E[V] + E[V, t, None] * spread[t]
+            Et += 16 * _U * (np.abs(R[V]) + np.abs(rt) * spread[t])
+            if not np.all(np.abs(Rt) > Et):
+                raise EnumerationError(f"descent sign undecidable at length {length}")
+            keep = np.all(Rt[:, :t] > 0, axis=1)
+            kept.append((np.full(np.count_nonzero(keep), t), V[keep], Rt[keep], Et[keep]))
+        T, V, R, E = map(np.concatenate, zip(*kept))
+        prefix, last = (child[T, prefix[V]], last[V]) if length > 1 else (np.zeros_like(T), T)
+        child = np.full((n, len(words)), -1, np.intp)
+        child[T, V] = np.arange(len(V))
+        words = [(t,) + words[v] for t, v in zip(T.tolist(), V.tolist())]
+        M_prev, M = M, np.empty((len(V), n, n))
+        for s in range(n):
+            M[last == s] = M_prev[prefix[last == s]] @ gens[s]
+        store._add_level(words, M)
+        if not words:
             break
     return store

@@ -26,4 +26,4 @@ class ExtractionError(NumericalError):
 
 
 class EnumerationError(NumericalError):
-    """Group enumeration aborted (fingerprint collision or entry overflow)."""
+    """Enumeration or reduction aborted: a descent sign the numerics cannot decide."""

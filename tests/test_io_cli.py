@@ -246,15 +246,15 @@ def test_cli_bad_length_range(tmp_path):
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
-    # With c = 50 the matrix entries pass MAX_ENTRY at length 6, and the
-    # enumeration raises EnumerationError.
+    # With c = 50, classify cannot resolve the elements of length 8 and
+    # raises a NumericalError.
     code = main(
         [
             "limit-roots",
             "--graph",
             "universal3:50",
             "--core-lengths",
-            "6..6",
+            "8..8",
             "--conj-lengths",
             "0..0",
             "--out",
@@ -262,4 +262,4 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
         ]
     )
     assert code == 3
-    assert "error: matrix entries exceed 1e+12" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: ")
