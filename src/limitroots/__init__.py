@@ -16,6 +16,7 @@ from .projective import Causal, ProjectivePoint, causal_character, chart_distanc
 from .spectral import (
     Kind,
     classify,
+    classify_many,
     hyperbolic_directions,
     parabolic_direction,
     unimodular_subspace,
@@ -58,6 +59,7 @@ __all__ = [
     "causal_character",
     "chart_distance",
     "classify",
+    "classify_many",
     "codim2_spacelike",
     "descend_to_fundamental",
     "dihedral",

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ExtractionError
 from .graphs import word_to_str
 from .projective import ProjectivePoint, to_chart
-from .spectral import Kind, _null_space, classify, unimodular_subspace
+from .spectral import Kind, _null_space, classify_many
 
 ROOT_DEDUP = 1e-9
 PAIRING_TOL = 1e-9
@@ -157,22 +157,35 @@ def codim2_spacelike(sys, roots, tol=PAIRING_TOL):
 
 def principal_sine(q1, q2):
     """Sine of the largest principal angle between two subspaces of equal
-    dimension, given by Euclidean-orthonormal bases (columns).  The sine
-    increases on [0, pi/2], so it orders angles as the angles do."""
-    return float(np.linalg.norm(q2 - q1 @ (q1.T @ q2), 2))
+    dimension, given by Euclidean-orthonormal bases (columns); q1 and q2 may
+    be (..., n, k) stacks of bases.  The sine increases on [0, pi/2], so it
+    orders angles as the angles do."""
+    d = q2 - q1 @ (np.swapaxes(q1, -1, -2) @ q2)
+    return np.linalg.svd(d, compute_uv=False)[..., 0]
 
 
-def intersection_equals_unimodular(sys, ci, angle_tol=1e-7):
-    """Check that the intersection equals the unimodular subspace of the
-    product of the two reflections (principal angle below tolerance)."""
-    if ci.kind is not IntersectionKind.SPACE_LIKE:
-        raise ValueError("intersection_equals_unimodular requires a space-like pair")
-    r1, r2 = ci.pair
-    w = sys.reflection_in(r1.vector) @ sys.reflection_in(r2.vector)
-    sc = classify(sys, w)
-    if sc.kind is not Kind.HYPERBOLIC:
-        return False
-    return principal_sine(ci.basis, unimodular_subspace(sys, sc)) < math.sin(angle_tol)
+def intersection_equals_unimodular(sys, cis, angle_tol=1e-7):
+    """For each space-like intersection, whether it equals the unimodular
+    subspace of the product of its two reflections (principal angle below
+    tolerance).  The products are classified as one batch."""
+    if any(ci.kind is not IntersectionKind.SPACE_LIKE for ci in cis):
+        raise ValueError("intersection_equals_unimodular requires space-like pairs")
+    n = sys.rank
+    ws = [
+        sys.reflection_in(a.vector) @ sys.reflection_in(b.vector)
+        for a, b in (ci.pair for ci in cis)
+    ]
+    classes = classify_many(sys, np.array(ws, dtype=float).reshape(-1, n, n))
+    hyp = [i for i, sc in enumerate(classes) if sc.kind is Kind.HYPERBOLIC]
+    verdicts = [False] * len(cis)
+    if hyp:
+        sines = principal_sine(
+            np.stack([cis[i].basis for i in hyp]),
+            np.stack([classes[i].unimodular_basis for i in hyp]),
+        )
+        for i, sine in zip(hyp, sines):
+            verdicts[i] = bool(sine < math.sin(angle_tol))
+    return verdicts
 
 
 def reflection_pair_eigendata(sys, ci):

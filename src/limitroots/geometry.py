@@ -37,6 +37,9 @@ def signature(B, zero_tol=SIGNATURE_ZERO_TOL):
 
     The zero band is ``zero_tol`` relative to the largest eigenvalue magnitude.
     Raises if the answer changes when the band is shrunk tenfold (borderline).
+    This limits finite labels: the smallest form eigenvalue of I2(m) is
+    1 - cos(pi / m) ~ pi^2 / (2 m^2), so m = 10^4 (4.9e-8) is decided but
+    m = 10^5 (4.9e-10) falls inside the default band and raises.
     """
     B = np.asarray(B, dtype=float)
     if not np.allclose(B, B.T, atol=1e-12):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -60,12 +61,13 @@ class RunManifest:
             fh.write("\n")
 
 
-def _row_labels(ps):
+def _row_labels(ps, quote=str):
     """Kind, source-word and conjugator-word strings of every row; each
-    distinct word is formatted once."""
-    words = [word_to_str(w) for w in ps.words]
+    distinct word is formatted (and passed through ``quote``) once."""
+    kinds = [quote(k) for k in ps.kinds]
+    words = [quote(word_to_str(w)) for w in ps.words]
     return zip(
-        [ps.kinds[k] for k in ps.kind],
+        [kinds[k] for k in ps.kind],
         [words[i] for i in ps.source],
         [words[i] for i in ps.conjugator],
     )
@@ -115,30 +117,43 @@ def read_pointset_csv(path, sys):
     )
 
 
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values):
+    """Each float as ``json`` spells it: its repr, or NaN and +-Infinity."""
+    return [_JSON_SPECIAL.get(r, r) for r in map(float.__repr__, values)]
+
+
 def write_pointset_json(ps, path, sys, budgets):
-    data = {
-        "metadata": {
-            "graph": json.loads(sys.graph.to_json()),
-            "budgets": budgets,
-            "dedup_eps": ps.dedup_eps,
-            "version": __version__,
-        },
-        "points": [
-            {
-                "coords": coords,
-                "kind": kind,
-                "source_word": source,
-                "conjugator_word": conjugator,
-                "bnorm": bnorm,
-            }
-            for coords, (kind, source, conjugator), bnorm in zip(
-                ps.coords.tolist(), _row_labels(ps), ps.bnorm.tolist()
-            )
-        ],
+    """The text of ``json.dumps(data, indent=1, sort_keys=True)`` plus a
+    newline, for data = {"metadata": ..., "points": [...]}, written directly:
+    the standard library formats indented output in pure Python, one token
+    at a time.  The metadata goes through ``json.dumps``; each point fills a
+    fixed template with json's float spelling and its C string encoder."""
+    metadata = {
+        "graph": json.loads(sys.graph.to_json()),
+        "budgets": budgets,
+        "dedup_eps": ps.dedup_eps,
+        "version": __version__,
     }
-    text = json.dumps(data, indent=1, sort_keys=True) + "\n"
+    n = sys.rank
+    point = (
+        '  {\n   "bnorm": %s,\n   "conjugator_word": %s,\n   "coords": [\n'
+        + ",\n".join(["    %s"] * n)
+        + '\n   ],\n   "kind": %s,\n   "source_word": %s\n  }'
+    )
+    rows = zip(*[iter(_json_floats(ps.coords.ravel().tolist()))] * n)
+    points = ",\n".join(
+        point % (bnorm, conjugator, *coords, kind, source)
+        for coords, (kind, source, conjugator), bnorm in zip(
+            rows, _row_labels(ps, encode_basestring_ascii), _json_floats(ps.bnorm.tolist())
+        )
+    )
+    head = json.dumps(metadata, indent=1, sort_keys=True).replace("\n", "\n ")
+    body = f"[\n{points}\n ]" if points else "[]"
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(f'{{\n "metadata": {head},\n "points": {body}\n}}\n')
 
 
 class Timer:

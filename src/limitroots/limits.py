@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from .elements import element_of
 from .graphs import word_to_str
 from .projective import ProjectivePoint, chart_distance, to_chart
-from .spectral import Kind, classify
+from .spectral import Kind, classify, classify_many
 
 log = logging.getLogger(__name__)
 
@@ -200,12 +200,12 @@ def sample_limit_roots(
 ):
     """Dense limit-root sample from eigendirections and their conjugates.
 
-    For every infinite-order element of length in ``core_range`` the
-    light-like eigendirections are computed once; every conjugator g of
-    length in ``conj_range`` then contributes the image point g(x), without
-    re-solving any eigenproblem.  The images of each direction are one
-    product with the stacked conjugator matrices, and all of them enter one
-    ``PointSet``.
+    The elements of length in ``core_range`` are classified as one batch,
+    and each infinite-order one has its light-like eigendirections computed
+    once; every conjugator g of length in ``conj_range`` then contributes
+    the image point g(x), without re-solving any eigenproblem.  The images
+    of each direction are one product with the stacked conjugator matrices,
+    and all of them enter one ``PointSet``.
     """
     sys.require_lorentzian("limit-root sampling")
     core_lo, core_hi = core_range
@@ -220,8 +220,10 @@ def sample_limit_roots(
     # Words table: the conjugators first, then each core that contributes.
     words = [g.word for g in conjugators]
     blocks, dir_kind, dir_source = [], [], []
-    for elem in store.with_length(core_lo, core_hi):
-        dirs = [(k, v) for k, v in infinite_order_directions(sys, elem) if k in kinds]
+    cores = store.with_length(core_lo, core_hi)
+    core_mats = np.array([c.matrix for c in cores]).reshape(-1, sys.rank, sys.rank)
+    for elem, sc in zip(cores, classify_many(sys, core_mats)):
+        dirs = [(k, v) for k, v in infinite_order_directions(sys, elem, sc) if k in kinds]
         if not dirs:
             continue
         for kind, vec in dirs:

@@ -239,6 +239,118 @@ def classify(sys, elem):
     )
 
 
+def classify_many(sys, mats):
+    """``[classify(sys, M) for M in mats]`` for an (N, n, n) stack, with every
+    field bit-identical, and the same error where ``classify`` raises one.
+
+    One stacked eigensolve splits the rows.  A row beyond the Jordan guard
+    band (with a relative margin of 1e-9 on its radius) with exactly one
+    expanding eigenvalue, and that one real, takes the stacked hyperbolic
+    path: the inverse M^-1 = B^-1 M^T B and its eigensolve, the seed
+    vectors, the residual test of ``_refine_eigenpair``, the heights and the
+    kernel of (B x_plus, B x_minus), each as one call over the rows.  Every
+    other row, and every row that needs a Rayleigh step, has zero height or
+    a complement of the wrong dimension, goes to ``classify``, in stack
+    order.  Stacked ``eig``, ``solve``, ``svd`` and matrix-vector products
+    give the per-matrix bits; the row norms and the seed division are
+    written to do the same (``_row_norms``, ``_seed_vectors``).
+    """
+    sys.require_lorentzian("spectral classification")
+    M = np.ascontiguousarray(mats, dtype=float)
+    n = sys.rank
+    if len(M) == 0 or M.shape[1:] != (n, n) or not np.isfinite(M).all():
+        return [classify(sys, m) for m in M]
+    N = len(M)
+    evals, evecs = np.linalg.eig(M)
+    moduli = np.abs(evals)
+    rho = moduli.max(axis=1)
+    lam0 = evals[np.arange(N), moduli.argmax(axis=1)]
+    radius = np.maximum(JORDAN_GUARD, 2.0 * (_EPS * _frobenius_norms(M) ** 2) ** (1.0 / 3.0))
+    fast = np.flatnonzero(
+        (rho - 1.0 > radius * (1.0 + 1e-9))
+        & (np.count_nonzero(moduli > 0.5 * (1.0 + rho[:, None]), axis=1) == 1)
+        & (lam0.imag == 0.0)
+    )
+    out = [None] * N
+    if fast.size:
+        hyperbolic = _hyperbolic_classes(sys, M[fast], lam0.real[fast], evals[fast], evecs[fast])
+        for i, sc in zip(fast, hyperbolic):
+            out[i] = sc
+    return [sc if sc is not None else classify(sys, M[i]) for i, sc in enumerate(out)]
+
+
+def _hyperbolic_classes(sys, M, lam, evals, evecs):
+    """``_make_hyperbolic`` over a stack whose dominant eigenvalues ``lam`` are
+    real and simple; None for the rows it cannot settle without a Rayleigh
+    step or that it would reject."""
+    with np.errstate(all="ignore"):
+        x_plus, ok = _dominant_vectors(M, lam, evals, evecs)
+        Minv = np.linalg.solve(sys.form, np.swapaxes(M, 1, 2) @ sys.form)
+        x_minus, ok_minus = _dominant_vectors(Minv, lam, *np.linalg.eig(Minv))
+    A = np.stack([sys.form @ x_plus[:, :, None], sys.form @ x_minus[:, :, None]], axis=1)[..., 0]
+    _, s, vt = np.linalg.svd(A)
+    rank = np.count_nonzero(s > _EPS * max(A.shape[1:]) * s[:, :1], axis=1)
+    ok &= ok_minus & (rank == 2)
+    real = _real_rows(evals)
+    return [
+        SpectralClass(
+            kind=Kind.HYPERBOLIC,
+            eigenvalues=evals[j].real.copy() if real[j] else evals[j],
+            dominant=(float(lam[j]), x_plus[j], x_minus[j]),
+            unimodular_basis=vt[j, 2:].T,
+        )
+        if ok[j]
+        else None
+        for j in range(len(M))
+    ]
+
+
+def _row_norms(X):
+    """``_norm`` of each row of X, bit for bit: each (1, m) @ (m, 1) product
+    is the dot product of one contiguous row (``einsum`` and
+    ``sum(axis=1)`` add in another order)."""
+    X = np.ascontiguousarray(X)
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+
+
+def _frobenius_norms(M):
+    """``_norm`` of each matrix of an (N, n, n) stack."""
+    return _row_norms(M.reshape(len(M), M.shape[1] * M.shape[2]))
+
+
+def _real_rows(evals):
+    """Rows whose eigenvalues ``np.linalg.eig`` of that matrix alone returns
+    as a real array (a stacked call is complex if any row is)."""
+    return np.all(evals.imag == 0.0, axis=1)
+
+
+def _seed_vectors(evals, evecs, lam):
+    """``_initial_vector`` of each row.  Rows with a real spectrum divide in
+    float, as ``_initial_vector`` does on real eigendata; complex division
+    multiplies by a reciprocal and changes bits."""
+    rows = np.arange(len(lam))
+    V = evecs[rows, :, np.abs(evals - lam[:, None]).argmin(axis=1)]
+    pivot = V[rows, np.abs(V).argmax(axis=1)][:, None]
+    real = _real_rows(evals)
+    out = np.empty(V.shape)
+    out[real] = V[real].real / pivot[real].real
+    out[~real] = (V[~real] / pivot[~real]).real
+    return out
+
+
+def _dominant_vectors(M, lam, evals, evecs):
+    """``_dominant_vector`` of each row when its seed passes the residual test
+    without a Rayleigh step: (X, ok), with X's rows at height 1 and ok false
+    for rows that need a step or have zero height."""
+    W = _seed_vectors(evals, evecs, lam)
+    W = W / _row_norms(W)[:, None]
+    scale = np.maximum(1.0, _frobenius_norms(M))
+    residual = _row_norms((M @ W[:, :, None])[:, :, 0] - lam[:, None] * W)
+    h = W.sum(axis=1)
+    ok = (residual < 1e-13 * scale) & ~(np.abs(h) < 1e-12 * _row_norms(W))
+    return W / h[:, None], ok
+
+
 def _make_elliptic(evals, order):
     return SpectralClass(kind=Kind.ELLIPTIC, eigenvalues=evals, order=order)
 

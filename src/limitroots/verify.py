@@ -118,8 +118,9 @@ def verify_sandwich(sys=None, depth=4):
     intersections = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
     n_fail_angle = n_fail_dyn = 0
     worst_dyn = 0.0
-    for ci in intersections:
-        if not intersection_equals_unimodular(sys, ci):
+    verdicts = intersection_equals_unimodular(sys, intersections)
+    for ci, equal in zip(intersections, verdicts):
+        if not equal:
             n_fail_angle += 1
             continue
         with decimal.localcontext() as ctx:

@@ -24,7 +24,8 @@ from limitroots import (
 )
 from limitroots.arrangement import IntersectionKind, principal_sine, reflection_pair_eigendata
 from limitroots.projective import chart_distance
-from limitroots.spectral import unimodular_subspace
+from limitroots.spectral import Kind, unimodular_subspace
+from limitroots.verify import run_suite
 
 
 def test_root_counts_by_depth(sys_u1, sys_u11):
@@ -104,8 +105,7 @@ def test_intersection_equals_unimodular_subspace(sys_u11):
     cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 2))
     space_like = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
     assert space_like
-    for ci in space_like:
-        assert intersection_equals_unimodular(sys_u11, ci)
+    assert intersection_equals_unimodular(sys_u11, space_like) == [True] * len(space_like)
 
 
 def test_reflection_pair_closed_form_matches_spectral(sys_u11):
@@ -171,10 +171,44 @@ def test_intersection_equals_unimodular_rejects_a_tilted_basis(sys_u11):
     ci = next(ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE)
     plane = null_space((sys_u11.form @ ci.pair[0].vector)[None, :])
     off = plane @ null_space(ci.basis.T @ plane)
-    for theta, expected in ((1e-9, True), (1e-6, False), (math.pi / 2, False)):
-        basis = math.cos(theta) * ci.basis + math.sin(theta) * off
-        tilted = dataclasses.replace(ci, basis=basis)
-        assert intersection_equals_unimodular(sys_u11, tilted) is expected
+    cases = ((1e-9, True), (1e-6, False), (math.pi / 2, False))
+    tilted = [
+        dataclasses.replace(ci, basis=math.cos(theta) * ci.basis + math.sin(theta) * off)
+        for theta, _ in cases
+    ]
+    assert intersection_equals_unimodular(sys_u11, tilted) == [e for _, e in cases]
+
+
+def test_intersection_equals_unimodular_batch_matches_per_pair_reference(sys_u11):
+    """One batch of true and tilted intersections against one ``classify``
+    and one ``principal_sine`` per pair."""
+    cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 3))
+    cis = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
+    batch = []
+    for k, ci in enumerate(cis):
+        theta = (0.0, 1e-9, 1e-6, math.pi / 2)[k % 4]
+        plane = null_space((sys_u11.form @ ci.pair[0].vector)[None, :])
+        off = plane @ null_space(ci.basis.T @ plane)
+        batch.append(
+            dataclasses.replace(ci, basis=math.cos(theta) * ci.basis + math.sin(theta) * off)
+        )
+    expected = []
+    for ci in batch:
+        r1, r2 = ci.pair
+        sc = classify(sys_u11, sys_u11.reflection_in(r1.vector) @ sys_u11.reflection_in(r2.vector))
+        expected.append(
+            sc.kind is Kind.HYPERBOLIC
+            and principal_sine(ci.basis, sc.unimodular_basis) < math.sin(1e-7)
+        )
+    verdicts = intersection_equals_unimodular(sys_u11, batch)
+    assert verdicts == expected
+    assert verdicts == [k % 4 < 2 for k in range(len(batch))]
+
+
+def test_sandwich_without_space_like_pairs_fails_without_raising(sys_u1):
+    report = run_suite("sandwich", sys=sys_u1, depth=1)
+    assert report["pass"] is False
+    assert report["pairs"] == 0
 
 
 def test_weights_sit_on_simple_pair_intersections(sys_u11):

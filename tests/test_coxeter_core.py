@@ -109,6 +109,16 @@ def test_signatures():
     assert make_system("fig8").signature == (3, 2, 0)
 
 
+def test_large_dihedral_labels_reach_the_signature_zero_band():
+    # The smallest form eigenvalue of I2(m) is 1 - cos(pi / m) ~ pi^2 / (2 m^2):
+    # 4.9e-8 at m = 10^4, but 4.9e-10 at m = 10^5, inside the 1e-9 band.
+    sys = make_system(dihedral(10**4))
+    assert sys.signature == (2, 0, 0)
+    assert sys.finite_order_bound == 20000
+    with pytest.raises(ValueError, match="borderline signature"):
+        make_system(dihedral(10**5))
+
+
 def test_system_type_labels():
     assert system_type(build_form(universal(3, 1.0))) == "lorentzian"
     assert system_type(build_form(dihedral(3))) == "finite"

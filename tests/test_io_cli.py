@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from limitroots import enumerate_elements, make_system, sample_limit_roots
+from limitroots import __version__, enumerate_elements, make_system, sample_limit_roots
 from limitroots.cli import main
+from limitroots.graphs import word_to_str
 from limitroots.io import (
     RunManifest,
     graph_hash,
@@ -15,6 +16,7 @@ from limitroots.io import (
     write_pointset_csv,
     write_pointset_json,
 )
+from limitroots.limits import PointSet
 from limitroots.svg import render_svg
 
 
@@ -75,6 +77,65 @@ def test_json_mirror_carries_metadata(tmp_path, sample):
     assert len(data["points"]) == len(ps)
     assert data["metadata"]["budgets"]["core_lengths"] == [2, 4]
     assert data["metadata"]["graph"]["rank"] == 3
+
+
+def _json_reference(ps, sys, budgets):
+    """The standard library's indented encoding of the point set."""
+    data = {
+        "metadata": {
+            "graph": json.loads(sys.graph.to_json()),
+            "budgets": budgets,
+            "dedup_eps": ps.dedup_eps,
+            "version": __version__,
+        },
+        "points": [
+            {
+                "coords": r.point.coords.tolist(),
+                "kind": r.kind,
+                "source_word": word_to_str(r.source),
+                "conjugator_word": word_to_str(r.conjugator),
+                "bnorm": r.point.bnorm,
+            }
+            for r in ps
+        ],
+    }
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def _fig1a_sample():
+    sys = make_system("fig1a")
+    ps = sample_limit_roots(sys, enumerate_elements(sys, 9), (3, 4), (1, 9))
+    assert len(ps) == 4942
+    return sys, ps, {"core_lengths": [3, 4], "conj_lengths": [1, 9]}
+
+
+def _empty_set():
+    sys = make_system("universal3:1")
+    return sys, PointSet(np.empty((0, 3)), kinds=("hyperbolic-eig",), form=sys.form), {}
+
+
+def _non_finite_rows():
+    sys = make_system("universal3:1")
+    coords = [[np.nan, 0.5, 0.5], [np.inf, -np.inf, 1e-300], [0.1, 0.2, 0.7]]
+    ps = PointSet(
+        coords,
+        0.0,
+        kinds=("orbit", "k\u00efnd \"quoted\""),
+        kind=[0, 1, 1],
+        words=[(), (0, 1, 2), (2, 1)],
+        source=[1, 2, 0],
+        conjugator=[0, 1, 2],
+        bnorm=[np.nan, -np.inf, -0.0],
+    )
+    return sys, ps, {"note": "na\u00efve \"quoted\"\n", "eps": float("inf")}
+
+
+@pytest.mark.parametrize("case", [_fig1a_sample, _empty_set, _non_finite_rows])
+def test_json_writer_matches_the_standard_library(tmp_path, case):
+    sys, ps, budgets = case()
+    path = tmp_path / "points.json"
+    write_pointset_json(ps, str(path), sys, budgets)
+    assert path.read_bytes() == _json_reference(ps, sys, budgets).encode()
 
 
 def test_manifest_digests_outputs(tmp_path, sample):

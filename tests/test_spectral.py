@@ -18,8 +18,16 @@ from limitroots import (
 )
 from limitroots.errors import BorderlineSpectrumError, ClassificationError, NotLorentzianError
 from limitroots.graphs import INF, CoxeterGraph
-from limitroots.elements import matrix_inverse
-from limitroots.spectral import JORDAN_GUARD, Kind, orthogonality_check
+from limitroots.elements import enumerate_elements, matrix_inverse
+from limitroots.spectral import JORDAN_GUARD, Kind, classify_many, orthogonality_check
+
+# fig1b with its generators relabeled 0->1, 1->2, 2->3, 3->0.
+FIG1B_RELABELED = CoxeterGraph(
+    rank=4,
+    labels={(0, 1): INF, (0, 2): 3, (0, 3): 3, (1, 2): 5, (1, 3): 5, (2, 3): 3},
+    cparams={(0, 1): 1.0},
+)
+JORDAN_GUARD_WORDS = [(0, 1, 2, 3, 0, 2, 1, 0), (0, 1, 3, 2, 0, 3, 1, 0), (0, 3, 1, 2, 0, 1, 3, 0)]
 
 
 def test_generator_is_elliptic_of_order_two(sys_u1):
@@ -32,11 +40,10 @@ def test_generator_is_elliptic_of_order_two(sys_u1):
     "word", [(1, 0, 2, 3, 1, 2, 0, 1), (1, 0, 3, 2, 1, 3, 0, 1), (2, 1, 0, 3, 1, 0, 1, 2)]
 )
 def test_large_entry_elliptic_elements_have_their_finite_order(word):
-    # fig1b with its generators relabeled 0->1, 1->2, 2->3, 3->0.  These
-    # conjugates have entries of 370-500, so the powers that equal I miss it
-    # by ~1e-8 in double precision.
-    labels = {(0, 1): INF, (0, 2): 3, (0, 3): 3, (1, 2): 5, (1, 3): 5, (2, 3): 3}
-    sys = make_system(CoxeterGraph(rank=4, labels=labels, cparams={(0, 1): 1.0}))
+    # These conjugates have entries of 370-500, so the powers that equal I
+    # miss it by ~1e-8 in double precision.
+    labels = FIG1B_RELABELED.labels
+    sys = make_system(FIG1B_RELABELED)
     elem = element_of(sys, word)
     assert np.max(np.abs(elem.matrix)) > 300
     sc = classify(sys, elem)
@@ -59,9 +66,7 @@ def test_large_entry_elliptic_elements_have_their_finite_order(word):
         assert mpmath.mnorm(P * M - mpmath.eye(4), 1) < 1e-30
 
 
-@pytest.mark.parametrize(
-    "word", [(0, 1, 2, 3, 0, 2, 1, 0), (0, 1, 3, 2, 0, 3, 1, 0), (0, 3, 1, 2, 0, 1, 3, 0)]
-)
+@pytest.mark.parametrize("word", JORDAN_GUARD_WORDS)
 def test_jordan_guard_scales_with_the_matrix_norm(word):
     # |M|_F = 5002 splits the Jordan triple at 1 by more than the fixed
     # 1e-3 floor of the guard band; with the band that floor alone, these
@@ -90,25 +95,26 @@ def test_finite_order_search_stops_at_the_graph_bound():
     # W and must be refused rather than classified.
     sys = make_system("fig1b")
     assert sys.finite_order_bound == 10
-    d, Q = np.linalg.eigh(sys.form)
-    L = Q * np.sqrt(np.abs(d))  # B = L diag(sign d) L^T
-    i, j = np.flatnonzero(d > 0)[:2]
-
-    def rotation(k):
-        R = np.eye(4)
-        c, s = math.cos(2 * math.pi / k), math.sin(2 * math.pi / k)
-        R[[i, i, j, j], [i, j, i, j]] = [c, -s, s, c]
-        return np.linalg.solve(L.T, R @ L.T)
-
     for k in (7, 10):
-        M = rotation(k)
+        M = _rotation(sys, k)
         np.testing.assert_allclose(M.T @ sys.form @ M, sys.form, atol=1e-12)
         sc = classify(sys, M)
         assert sc.kind is Kind.ELLIPTIC
         assert sc.order == k
     for k in (11, 12):
         with pytest.raises(ClassificationError, match="finite order bound 10"):
-            classify(sys, rotation(k))
+            classify(sys, _rotation(sys, k))
+
+
+def _rotation(sys, k):
+    """Rotation by 2 pi / k of a space-like plane: a B-isometry of order k."""
+    d, Q = np.linalg.eigh(sys.form)
+    L = Q * np.sqrt(np.abs(d))  # B = L diag(sign d) L^T
+    i, j = np.flatnonzero(d > 0)[:2]
+    R = np.eye(sys.rank)
+    c, s = math.cos(2 * math.pi / k), math.sin(2 * math.pi / k)
+    R[[i, i, j, j], [i, j, i, j]] = [c, -s, s, c]
+    return np.linalg.solve(L.T, R @ L.T)
 
 
 def test_identity_is_elliptic(sys_u1):
@@ -247,3 +253,68 @@ def test_hyperbolic_eigendata_matches_fresh_solves(sys_u1, store_u1_6):
         np.testing.assert_allclose(U @ U.T, K @ K.T, rtol=0, atol=1e-12)
         assert np.max(np.abs(np.vstack([x_plus, x_minus]) @ B @ U)) < 1e-12
     assert hyperbolic > 0
+
+
+def _fields(sc):
+    """Every field of a class, arrays as (dtype, shape, bytes)."""
+
+    def raw(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+    dominant = sc.dominant and (type(sc.dominant[0]), sc.dominant[0]) + tuple(
+        raw(x) for x in sc.dominant[1:]
+    )
+    return (
+        sc.kind,
+        raw(sc.eigenvalues),
+        dominant,
+        sc.parabolic_eps,
+        raw(sc.parabolic_vec),
+        raw(sc.unimodular_basis),
+        sc.order,
+    )
+
+
+@pytest.mark.parametrize(
+    "graph, length, words",
+    [
+        ("universal3:1", 8, []),
+        ("fig1a", 8, []),
+        ("universal3:1.1", 7, []),
+        (FIG1B_RELABELED, 7, []),
+        ("universal4:1", 6, JORDAN_GUARD_WORDS),
+    ],
+    ids=["universal3:1", "fig1a", "universal3:1.1", "fig1b-relabeled", "universal4:1"],
+)
+def test_classify_many_matches_classify(graph, length, words):
+    """The batch against one ``classify`` per matrix, every field bit for bit,
+    eigenvalue dtype included; the universal4:1 Jordan-guard words take the
+    parabolic fallback."""
+    sys = make_system(graph)
+    mats = np.stack(
+        [e.matrix for e in enumerate_elements(sys, length)]
+        + [element_of(sys, w).matrix for w in words]
+    )
+    expected = [classify(sys, M) for M in mats]
+    got = classify_many(sys, mats)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert _fields(a) == _fields(b)
+    kinds = Counter(sc.kind for sc in got)
+    assert kinds[Kind.HYPERBOLIC] > 0 and kinds[Kind.ELLIPTIC] > 0
+    if graph is FIG1B_RELABELED:
+        assert {sc.eigenvalues.dtype for sc in got} == {np.dtype(float), np.dtype(complex)}
+    if words:
+        assert all(sc.kind is Kind.PARABOLIC for sc in got[-len(words) :])
+
+
+def test_classify_many_of_nothing_is_empty(sys_u1):
+    assert classify_many(sys_u1, np.empty((0, 3, 3))) == []
+    assert classify_many(sys_u1, []) == []
+
+
+def test_classify_many_raises_where_classify_does():
+    sys = make_system("fig1b")
+    stack = np.stack([element_of(sys, (0, 1, 2)).matrix, _rotation(sys, 7), _rotation(sys, 11)])
+    with pytest.raises(ClassificationError, match="finite order bound 10"):
+        classify_many(sys, stack)
