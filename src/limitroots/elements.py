@@ -1,5 +1,7 @@
 """Group elements as matrices, reduced words, and ShortLex enumeration."""
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,20 +84,67 @@ def element_of(sys, word):
     return GroupElement(word=reduced_word(sys, M), matrix=M)
 
 
+class ElementSequence(Sequence):
+    """Read-only sequence of some rows of an ``ElementStore``, in row order.
+
+    Each access builds a fresh ``GroupElement`` from the level arrays, so
+    elements are equal in word and matrix bytes but not identical objects.
+    ``rows`` is a ``range`` of store rows; slicing narrows it.
+    """
+
+    def __init__(self, store, rows):
+        self._store = store
+        self._rows = rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ElementSequence(self._store, self._rows[i])
+        return self._store._element(self._rows[i])
+
+    def __iter__(self):
+        rows = self._rows
+        if rows.step < 0:
+            yield from reversed(list(self[::-1]))
+            return
+        starts = self._store._starts
+        for k, (W, M) in enumerate(zip(self._store._words, self._store._mats)):
+            part = rows[bisect_left(rows, starts[k]) : bisect_left(rows, starts[k + 1])]
+            if part:
+                local = slice(part.start - starts[k], part.stop - starts[k], part.step)
+                yield from map(GroupElement, map(tuple, W[local].tolist()), M[local])
+
+    def __repr__(self):
+        return f"ElementSequence({len(self)} elements)"
+
+
 class ElementStore:
     """One element per ShortLex normal form up to a maximum length, in ShortLex
-    order; those of length k are ``elements[_starts[k]:_starts[k + 1]]``."""
+    order.  The elements of length k are one level, rows ``_starts[k]`` to
+    ``_starts[k + 1]`` of the store, held as two read-only arrays (``level``):
+    the words (N, k), in the smallest unsigned dtype that holds rank - 1, and
+    the matrices (N, n, n).  ``words`` and ``matrices`` read them for a range
+    of lengths; ``elements`` and ``with_length`` are ``ElementSequence``s,
+    which build ``GroupElement``s on access.
+    """
 
     def __init__(self, sys):
         self.sys = sys
-        self.elements = []
+        self._words = []
+        self._mats = []
         self._starts = [0]
 
     def __len__(self):
-        return len(self.elements)
+        return self._starts[-1]
 
     def __iter__(self):
         return iter(self.elements)
+
+    @property
+    def elements(self):
+        return ElementSequence(self, range(len(self)))
 
     @property
     def max_length(self):
@@ -109,14 +158,38 @@ class ElementStore:
         return self.with_length(k, k)
 
     def with_length(self, lo, hi):
-        lo, hi = max(lo, 0), min(hi, self.max_length)
-        return self.elements[self._starts[lo] : self._starts[hi + 1]] if lo <= hi else []
+        ks = self._lengths(lo, hi)
+        rows = range(self._starts[ks.start], self._starts[ks.stop]) if ks else range(0)
+        return ElementSequence(self, rows)
 
-    def _add_level(self, words, M):
-        """Append the next length; each matrix is a view of the read-only stack M."""
+    def level(self, k):
+        """The read-only word and matrix arrays of the elements of length k."""
+        return self._words[k], self._mats[k]
+
+    def words(self, lo, hi):
+        """Word tuples of the elements of length lo..hi, in store order."""
+        return [w for k in self._lengths(lo, hi) for w in map(tuple, self._words[k].tolist())]
+
+    def matrices(self, lo, hi):
+        """(N, n, n) stack of the matrices of length lo..hi, in store order."""
+        # The empty head keeps the shape when no length is in range.
+        return np.concatenate([self._mats[0][:0]] + [self._mats[k] for k in self._lengths(lo, hi)])
+
+    def _lengths(self, lo, hi):
+        return range(max(lo, 0), min(hi, self.max_length) + 1)
+
+    def _element(self, i):
+        k = bisect_right(self._starts, i) - 1
+        j = i - self._starts[k]
+        return GroupElement(tuple(self._words[k][j].tolist()), self._mats[k][j])
+
+    def _add_level(self, W, M):
+        """Append the next length as its word and matrix arrays, made read-only."""
+        W.setflags(write=False)
         M.setflags(write=False)
-        self.elements.extend(map(GroupElement, words, M))
-        self._starts.append(len(self.elements))
+        self._words.append(W)
+        self._mats.append(M)
+        self._starts.append(self._starts[-1] + len(W))
 
 
 def enumerate_elements(sys, max_length):
@@ -152,9 +225,10 @@ def enumerate_elements(sys, max_length):
     steps = gens[np.arange(n), np.arange(n)] - np.eye(n)
     spread = np.abs(steps) * (1 - np.eye(n))
     store = ElementStore(sys)
-    words, M = [()], np.eye(n)[None]
+    letter = np.min_scalar_type(n - 1)
+    W, M = np.empty((1, 0), letter), np.eye(n)[None]
     R, E = np.ones((1, n)), np.zeros((1, n))
-    store._add_level(words, M)
+    store._add_level(W, M)
     for length in range(1, max_length + 1):
         kept = []
         for t in range(n):
@@ -166,16 +240,16 @@ def enumerate_elements(sys, max_length):
             if not np.all(np.abs(Rt) > Et):
                 raise EnumerationError(f"descent sign undecidable at length {length}")
             keep = np.all(Rt[:, :t] > 0, axis=1)
-            kept.append((np.full(np.count_nonzero(keep), t), V[keep], Rt[keep], Et[keep]))
+            kept.append((np.full(np.count_nonzero(keep), t, letter), V[keep], Rt[keep], Et[keep]))
         T, V, R, E = map(np.concatenate, zip(*kept))
-        prefix, last = (child[T, prefix[V]], last[V]) if length > 1 else (np.zeros_like(T), T)
-        child = np.full((n, len(words)), -1, np.intp)
+        prefix, last = (child[T, prefix[V]], last[V]) if length > 1 else (np.zeros_like(V), T)
+        child = np.full((n, len(W)), -1, np.intp)
         child[T, V] = np.arange(len(V))
-        words = [(t,) + words[v] for t, v in zip(T.tolist(), V.tolist())]
+        W = np.concatenate((T[:, None], W[V]), axis=1)
         M_prev, M = M, np.empty((len(V), n, n))
         for s in range(n):
             M[last == s] = M_prev[prefix[last == s]] @ gens[s]
-        store._add_level(words, M)
-        if not words:
+        store._add_level(W, M)
+        if not len(W):
             break
     return store

@@ -73,19 +73,30 @@ def _row_labels(ps, quote=str):
     )
 
 
+def _csv_field(text):
+    """``text`` as ``csv.writer`` spells it in a row of several fields: quoted,
+    with quotes doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_pointset_csv(ps, path, rank):
     """Header x1..xn,kind,source_word,conjugator_word,bnorm; floats use repr
-    (shortest round-trip form) so emission is deterministic and lossless."""
+    (shortest round-trip form) so emission is deterministic and lossless.
+
+    The bytes are those of ``csv.writer`` (excel dialect), written directly:
+    each row fills a fixed template with float reprs and labels quoted once."""
+    header = [f"x{i + 1}" for i in range(rank)]
+    header += ["kind", "source_word", "conjugator_word", "bnorm"]
+    row = ",".join(["%s"] * len(header)) + "\r\n"
+    coords = zip(*[iter(map(float.__repr__, ps.coords.ravel().tolist()))] * rank)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"x{i + 1}" for i in range(rank)]
-            + ["kind", "source_word", "conjugator_word", "bnorm"]
-        )
-        writer.writerows(
-            [repr(v) for v in coords] + [kind, source, conjugator, repr(bnorm)]
-            for coords, (kind, source, conjugator), bnorm in zip(
-                ps.coords.tolist(), _row_labels(ps), ps.bnorm.tolist()
+        fh.write(row % tuple(header))
+        fh.writelines(
+            row % (*xs, kind, source, conjugator, bnorm)
+            for xs, (kind, source, conjugator), bnorm in zip(
+                coords, _row_labels(ps, _csv_field), map(float.__repr__, ps.bnorm.tolist())
             )
         )
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .elements import element_of
 from .graphs import word_to_str
@@ -165,6 +164,9 @@ def _dedup(coords, at_infinity, eps):
                 a = parent[a]
             return a
 
+        # scipy loads here, on first use: its import outweighs the package's.
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(pts[reps])
         for a, b in sorted(tree.query_pairs(eps)):
             ra, rb = find(a), find(b)
@@ -215,29 +217,29 @@ def sample_limit_roots(
             f"store covers length {store.max_length}, need {max(core_hi, conj_hi)}"
         )
     kinds = tuple(kinds)
-    conjugators = store.with_length(conj_lo, conj_hi)
-    conj_mats = np.stack([g.matrix for g in conjugators])
+    conj_mats = store.matrices(conj_lo, conj_hi)
     # Words table: the conjugators first, then each core that contributes.
-    words = [g.word for g in conjugators]
+    words = store.words(conj_lo, conj_hi)
+    core_mats = store.matrices(core_lo, core_hi)
     blocks, dir_kind, dir_source = [], [], []
-    cores = store.with_length(core_lo, core_hi)
-    core_mats = np.array([c.matrix for c in cores]).reshape(-1, sys.rank, sys.rank)
-    for elem, sc in zip(cores, classify_many(sys, core_mats)):
-        dirs = [(k, v) for k, v in infinite_order_directions(sys, elem, sc) if k in kinds]
+    for word, M, sc in zip(
+        store.words(core_lo, core_hi), core_mats, classify_many(sys, core_mats)
+    ):
+        dirs = [(k, v) for k, v in infinite_order_directions(sys, M, sc) if k in kinds]
         if not dirs:
             continue
         for kind, vec in dirs:
             blocks.append(conj_mats @ vec)
             dir_kind.append(kinds.index(kind))
             dir_source.append(len(words))
-        words.append(elem.word)
+        words.append(word)
     if not blocks:
         log.warning(
             "no infinite-order elements with length in %s; emitting an empty set",
             core_range,
         )
     images = np.concatenate(blocks) if blocks else np.empty((0, sys.rank))
-    n_conj = len(conjugators)
+    n_conj = len(conj_mats)
     return PointSet(
         images / images.sum(axis=1)[:, None],
         dedup_eps,
@@ -253,14 +255,13 @@ def sample_limit_roots(
 def orbit_accumulate(sys, base, store, min_length, max_length, dedup_eps=DEDUP_EPS):
     """Orbit points w(base) over min_length <= l(w) <= max_length, deduplicated."""
     base_vec = base.coords if isinstance(base, ProjectivePoint) else np.asarray(base, float)
-    elems = store.with_length(min_length, max_length)
-    points = [to_chart(sys, elem.matrix @ base_vec) for elem in elems]
+    points = [to_chart(sys, M @ base_vec) for M in store.matrices(min_length, max_length)]
     ps = PointSet(
         np.array([p.coords for p in points]).reshape(len(points), sys.rank),
         dedup_eps,
         kinds=(KIND_ORBIT,),
-        words=[()] + [elem.word for elem in elems],
-        source=np.arange(1, len(elems) + 1),
+        words=[()] + store.words(min_length, max_length),
+        source=np.arange(1, len(points) + 1),
         at_infinity=[p.at_infinity for p in points],
         bnorm=[p.bnorm for p in points],
     )
@@ -399,6 +400,8 @@ def hausdorff(a, b):
             skipped = int(np.count_nonzero(ps.at_infinity))
             if skipped:
                 log.warning("hausdorff: excluding %d at-infinity point(s)", skipped)
+    from scipy.spatial import cKDTree
+
     d_ab = cKDTree(cb).query(ca)[0].max()
     d_ba = cKDTree(ca).query(cb)[0].max()
     return float(max(d_ab, d_ba))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -370,6 +371,76 @@ def test_enumeration_matches_per_candidate_reference(name, length):
         counts[r.length] += 1
     assert store.counts() == counts
     assert not any(e.matrix.flags.writeable for e in store)
+
+
+def _same(a, b):
+    return a.word == b.word and a.matrix.tobytes() == b.matrix.tobytes()
+
+
+def test_element_sequence_indexing():
+    store = enumerate_elements(make_system("fig1a"), 6)
+    elements = store.elements
+    every = list(elements)
+    assert len(elements) == len(store) == len(every) == sum(store.counts())
+    assert _same(elements[-1], every[-1]) and _same(elements[-len(every)], every[0])
+    for i in (0, 5, 100, len(every) - 1):
+        assert _same(elements[i], every[i])
+    for bad in (len(every), -len(every) - 1):
+        with pytest.raises(IndexError):
+            elements[bad]
+    for cut in (slice(None, None, 7), slice(5, 150, 3), slice(None, None, -4), slice(-9, None)):
+        sub = elements[cut]
+        want = every[cut]
+        assert len(sub) == len(want)
+        assert all(_same(a, b) for a, b in zip(sub, want))
+        assert all(_same(sub[i], want[i]) for i in range(-len(want), len(want), 5))
+    assert _same(elements[::7][-1], every[::7][-1])
+    with pytest.raises(IndexError):
+        elements[::7][len(every[::7])]
+
+
+def test_iteration_follows_store_order(store_u1_6):
+    whole = store_u1_6.with_length(0, store_u1_6.max_length)
+    assert [e.word for e in store_u1_6] == [e.word for e in whole]
+    by_length = [e for k in range(store_u1_6.max_length + 1) for e in store_u1_6.of_length(k)]
+    assert all(_same(a, b) for a, b in zip(store_u1_6, by_length))
+    assert len(by_length) == len(store_u1_6)
+
+
+def test_element_matrices_are_views_of_their_level():
+    store = enumerate_elements(make_system("fig1b"), 6)
+    for k, count in enumerate(store.counts()):
+        W, M = store.level(k)
+        assert W.dtype == np.uint8 and W.shape == (count, k)
+        assert M.shape == (count, 4, 4)
+        assert not W.flags.writeable and not M.flags.writeable
+        for e in store.of_length(k):
+            assert np.shares_memory(e.matrix, M)
+            assert not e.matrix.flags.writeable
+
+
+@settings(max_examples=25, deadline=None)
+@given(_graphs())
+def test_level_words_match_the_reference_on_generated_graphs(graph):
+    sys = make_system(graph)
+    store = enumerate_elements(sys, 5)
+    ref = [r.word for r in _reference_enumeration(sys, 5)]
+    assert store.words(0, 5) == ref
+    for k in range(store.max_length + 1):
+        assert store.level(k)[0].tolist() == [list(w) for w in ref if len(w) == k]
+
+
+def test_store_retains_under_200_bytes_per_element():
+    sys = make_system("fig1b")
+    enumerate_elements(sys, 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = enumerate_elements(sys, 10)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(store) < 200
 
 
 def test_enumeration_reports_an_undecidable_descent_sign():

@@ -1,7 +1,11 @@
 """CSV/JSON output, run manifests, SVG rendering, and the command line."""
 
 import csv
+import io
 import json
+import os
+import subprocess
+import sys as _sys
 
 import numpy as np
 import pytest
@@ -136,6 +140,71 @@ def test_json_writer_matches_the_standard_library(tmp_path, case):
     path = tmp_path / "points.json"
     write_pointset_json(ps, str(path), sys, budgets)
     assert path.read_bytes() == _json_reference(ps, sys, budgets).encode()
+
+
+def _csv_reference(ps, rank):
+    """The point-set CSV as ``csv.writer`` writes it."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(
+        [f"x{i + 1}" for i in range(rank)] + ["kind", "source_word", "conjugator_word", "bnorm"]
+    )
+    for r in ps:
+        writer.writerow(
+            [repr(float(v)) for v in r.point.coords]
+            + [r.kind, word_to_str(r.source), word_to_str(r.conjugator), repr(r.point.bnorm)]
+        )
+    return out.getvalue()
+
+
+def _labels_needing_quotes():
+    sys = make_system("universal3:1")
+    kinds = ("a,b", 'say "hi"', "two\nlines", "cr\rhere", "plain", '",\r\n')
+    ps = PointSet(
+        np.full((len(kinds), 3), 1 / 3),
+        0.0,
+        kinds=kinds,
+        kind=range(len(kinds)),
+        words=[(), (0, 1)],
+        source=[1] * len(kinds),
+        form=sys.form,
+    )
+    return sys, ps, {}
+
+
+@pytest.mark.parametrize(
+    "case", [_fig1a_sample, _empty_set, _non_finite_rows, _labels_needing_quotes]
+)
+def test_csv_writer_matches_the_standard_library(tmp_path, case):
+    sys, ps, _ = case()
+    path = tmp_path / "points.csv"
+    write_pointset_csv(ps, str(path), sys.rank)
+    assert path.read_bytes() == _csv_reference(ps, sys.rank).encode()
+
+
+def test_scipy_loads_only_for_dedup_and_hausdorff():
+    # Importing the package, enumerating, classifying and the sandwich check
+    # need no scipy; a fresh interpreter shows which modules they load.
+    code = """
+import sys
+import limitroots, limitroots.cli, limitroots.verify
+from limitroots import classify, enumerate_elements, make_system
+fig1b = make_system("fig1b")
+for elem in enumerate_elements(fig1b, 6):
+    classify(fig1b, elem)
+assert limitroots.cli.main(["verify", "--suite", "sandwich", "--depth", "2"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    import limitroots
+
+    src = os.path.dirname(os.path.dirname(limitroots.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [_sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_manifest_digests_outputs(tmp_path, sample):
