@@ -15,19 +15,19 @@ from operator import mul
 
 import numpy as np
 
-from .errors import ExtractionError
+from .elements import reflect_rows
+from .errors import EnumerationError, ExtractionError
 from .graphs import word_to_str
 from .projective import ProjectivePoint, to_chart
 from .spectral import Kind, _null_space, classify_many
 
-ROOT_DEDUP = 1e-9
 PAIRING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class Root:
-    """A positive root: coefficient vector over the simple roots, its BFS
-    depth, and a minimal word (prefix, base) with vector = prefix(alpha_base)."""
+    """A positive root: coefficient vector over the simple roots, its depth,
+    and a minimal word (prefix, base) with vector = prefix(alpha_base)."""
 
     vector: np.ndarray
     depth: int
@@ -64,44 +64,44 @@ class Codim2Intersection:
 
 
 def roots_by_depth(sys, max_depth):
-    """All positive roots of depth <= max_depth by BFS from the simple roots.
+    """All positive roots of depth <= max_depth, each formed once.
 
-    Depth is the first-discovery BFS level, matching the minimal number of
-    reflections needed to reach the root from a simple root, plus one.
+    dp(s_t beta) = dp(beta) - 1 exactly when B(alpha_t, beta) > 0 (Brink &
+    Howlett, Math. Ann. 296, 1993).  So depth d grows from depth d - 1,
+    t-major: s_t gamma is kept when B(alpha_t, gamma) < 0 and t is the
+    smallest index with a positive pairing after the step.  The pairings
+    p = B beta move by ``reflect_rows`` from an absolute bound of 4 u, as B is
+    rounded (m = 2 gives -6.1e-17).  A nonzero pairing of roots is cos(k pi/m),
+    m dividing a finite label, or at least 1 in size, so at least
+    gap = sin(pi/2M) = sqrt((1 - cos(pi/M)) / 2), M the largest finite label:
+    |p| <= E < gap/2 is an orthogonal pair, with no child.  A sign neither way
+    decided is EnumerationError.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     n = sys.rank
-    roots = []
-    index = {}
-
-    def key(vec):
-        return np.round(vec / ROOT_DEDUP).astype(np.int64).tobytes()
-
-    for s in range(n):
-        vec = np.eye(n)[s]
-        vec.setflags(write=False)
-        index[key(vec)] = len(roots)
-        roots.append(Root(vector=vec, depth=1, word=(), base=s))
-    frontier = list(roots)
+    gap = math.sqrt((1 + np.min(sys.form[sys.form > -1])) / 2)
+    X, P, E = np.eye(n), sys.form, np.full((n, n), 2 * np.finfo(float).eps)
+    W, base = np.empty((n, 0), int), np.arange(n)
+    levels = [(X, W, base)]
     for depth in range(2, max_depth + 1):
-        next_frontier = []
-        for root in frontier:
-            for s in range(n):
-                vec = sys.gens[s] @ root.vector
-                if np.min(vec) < -1e-9:
-                    continue  # left the positive cone; image is a negative root
-                k = key(vec)
-                if k in index:
-                    continue
-                vec.setflags(write=False)
-                new = Root(vector=vec, depth=depth, word=(s,) + root.word, base=root.base)
-                index[k] = len(roots)
-                roots.append(new)
-                next_frontier.append(new)
-        frontier = next_frontier
-        if not frontier:
-            break
+        kept = []
+        for t in range(n):
+            V = np.flatnonzero(P[:, t] < -E[:, t])
+            Pt, Et = reflect_rows(sys.gens, t, P[V], E[V])
+            if not (np.all(np.isfinite(Et)) and np.all((np.abs(Pt) > Et) | (2 * Et < gap))):
+                raise EnumerationError(f"root pairing sign undecidable at depth {depth}")
+            keep = ~np.any(Pt[:, :t] > Et[:, :t], axis=1)
+            kept.append((np.full(np.count_nonzero(keep), t), V[keep], Pt[keep], Et[keep]))
+        T, V, P_next, E = map(np.concatenate, zip(*kept))
+        X = X[V]
+        X[np.arange(len(V)), T] -= 2 * P[V, T]
+        P, W, base = P_next, np.concatenate((T[:, None], W[V]), axis=1), base[V]
+        levels.append((X, W, base))
+    roots = []
+    for depth, (X, W, base) in enumerate(levels, 1):
+        X.setflags(write=False)
+        roots += map(Root, X, itertools.repeat(depth), map(tuple, W.tolist()), base.tolist())
     return roots
 
 

@@ -89,14 +89,14 @@ def cmd_plot(args):
     graph = load_graph(args.graph)
     sys = make_system(graph)
     ps = read_pointset_csv(args.points, sys) if args.points else None
-    intersections = None
+    roots = intersections = None
     if args.arrangement_depth > 0 and sys.rank == 3:
         roots = roots_by_depth(sys, args.arrangement_depth)
         intersections = codim2_spacelike(sys, roots)
     svg = render_svg(
         sys,
         pointset=ps,
-        arrangement_depth=args.arrangement_depth,
+        roots=roots,
         intersections=intersections,
         show_weights=args.weights,
     )

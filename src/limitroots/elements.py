@@ -28,48 +28,49 @@ class GroupElement:
         return f"GroupElement({word_to_str(self.word)!r})"
 
 
-def _root_is_negative(v, tol=1e-9):
-    """A root vector is negative when all coordinates are <= 0 (up to tolerance)."""
-    scale = max(1.0, float(np.max(np.abs(v))))
-    return np.max(v) <= tol * scale and np.min(v) < -tol * scale
-
-
 def matrix_inverse(sys, M):
     """Inverse of a B-isometry via M^-1 = B^-1 M^T B."""
     return np.linalg.solve(sys.form, M.T @ sys.form)
 
 
-def reduced_word(sys, M, max_length=100000):
-    """Lexicographically minimal reduced word of the element with matrix M.
+def reflect_rows(gens, t, X, E):
+    """Rows x S_t of a stack X of rows x, and bounds E >= |x - x_exact|.
 
-    Repeatedly strips the smallest left descent s (detected by M^-1 sending
-    alpha_s to a negative root).  Since all reduced words share the same
-    length, lex-minimal equals ShortLex-minimal.
+    (x S_t)_j = x_j + x_t d_j, d = S_t[t] - e_t: the row 1^T u^-1 under
+    u -> s_t u, 1^T w under w -> w s_t, a root's pairings B beta under
+    beta -> s_t beta.  The float d_j is within 3 ulps of max(|d_j|, 1) (m = 2
+    gives 1.2e-16, not 0), so E_j gains |d_j| E_t + 16 u (|x_j| + |x_t|
+    (|d_j| + 1)): 2 ulps for the product and the sum, 3 for d_j, a few for
+    second-order terms and for rounding E.  Where |x| > E its sign is exact.
     """
-    n = sys.rank
-    cur = np.array(M, dtype=float)
-    curinv = matrix_inverse(sys, cur)
-    word = []
-    # Roundoff inherited from the input persists through the descent at the
-    # input's absolute scale, so the sign and identity tests must widen with it.
-    tol = min(1e-2, 1e-9 * max(1.0, float(np.max(np.abs(cur)))))
-    while not np.max(np.abs(cur - np.eye(n))) <= max(1e-6, tol):
-        if not np.all(np.isfinite((cur, curinv))):
-            raise EnumerationError("reduced word: the descent left the float range")
-        for s in range(n):
-            if _root_is_negative(curinv[:, s], tol=tol):
-                break
-        else:
-            raise EnumerationError(
-                "no descent found; matrix is not in the represented group "
-                "or numerics degraded"
-            )
-        cur = sys.gens[s] @ cur
-        curinv = curinv @ sys.gens[s]
-        word.append(s)
-        if len(word) > max_length:
-            raise EnumerationError(f"reduced word exceeds {max_length} letters")
-    return tuple(word)
+    d = gens[t][t].copy()
+    d[t] -= 1
+    spread = np.abs(d)
+    spread[t] = 0
+    xt = X[:, t, None]
+    charge = np.abs(X) + np.abs(xt) * (spread + 1)
+    return X + xt * d, E + E[:, t, None] * spread + 16 * _U * charge
+
+
+def reduced_word(sys, M):
+    """ShortLex (lex-minimal reduced) word of the element with matrix M.
+
+    Entry s of r = 1^T M^-1 is the coefficient sum of the root M^-1(alpha_s),
+    at most -1 exactly when s is a left descent; peeling the smallest one
+    takes r to r S_s (``reflect_rows``).  r is taken to be within 2^14 u of
+    exact, relatively (products of ``enumerate_elements``: 2.1e3 u at most on
+    fig1a to 13, fig1b to 11, fig8 to 8).  Peeling shrinks r but not E, so it
+    may meet a sign it cannot decide: EnumerationError.
+    """
+    R = np.ones((1, sys.rank)) @ matrix_inverse(sys, M)
+    E, word = 2**14 * _U * np.abs(R), []
+    while np.all(np.abs(R) > E):
+        descents = np.flatnonzero(R[0] < 0)
+        if not descents.size:
+            return tuple(word)
+        word.append(int(descents[0]))
+        R, E = reflect_rows(sys.gens, word[-1], R, E)
+    raise EnumerationError(f"reduced word: descent sign undecidable after {len(word)} letters")
 
 
 def element_of(sys, word):
@@ -205,13 +206,9 @@ def enumerate_elements(sys, max_length):
     (r_v S_t)_s > 0 for all s < t.  Only the generator matrices are used, so
     degenerate forms work too.
 
-    Error bound.  (r S_t)_j = r_j + r_t d_j for d = S_t[t] - e_t, and r_t ->
-    -r_t exactly.  A row within E of the exact one updates to within
-    E_j + |d_j| E_t + 16 u (|r_j| + |r_t d_j|) for j != t, u the unit
-    roundoff: 2 ulps for the product and the sum, 3 for the float
-    d_j = 2 cos(pi/m), and a few for second-order terms and for rounding E,
-    as every entry has E < |r|: each row formed must have |r| > E throughout,
-    so its signs are the exact ones, else EnumerationError.
+    The rows move by ``reflect_rows`` with a bound E from 0 at the identity:
+    each row formed must have |r| > E throughout, so its signs are the exact
+    ones, else EnumerationError.
 
     Matrices.  M_u = M_p @ S_s, p and s the prefix and last letter of u's
     word, as a breadth-first search forms it.  The prefix of t v is t times
@@ -222,8 +219,6 @@ def enumerate_elements(sys, max_length):
         raise ValueError("max_length must be >= 0")
     n = sys.rank
     gens = np.stack(sys.gens)
-    steps = gens[np.arange(n), np.arange(n)] - np.eye(n)
-    spread = np.abs(steps) * (1 - np.eye(n))
     store = ElementStore(sys)
     letter = np.min_scalar_type(n - 1)
     W, M = np.empty((1, 0), letter), np.eye(n)[None]
@@ -233,10 +228,7 @@ def enumerate_elements(sys, max_length):
         kept = []
         for t in range(n):
             V = np.flatnonzero(R[:, t] > 0)
-            rt = R[V, t, None]
-            Rt = R[V] + rt * steps[t]
-            Et = E[V] + E[V, t, None] * spread[t]
-            Et += 16 * _U * (np.abs(R[V]) + np.abs(rt) * spread[t])
+            Rt, Et = reflect_rows(gens, t, R[V], E[V])
             if not np.all(np.abs(Rt) > Et):
                 raise EnumerationError(f"descent sign undecidable at length {length}")
             keep = np.all(Rt[:, :t] > 0, axis=1)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import element_of
+from .elements import element_of, reflect_rows
+from .errors import EnumerationError
 from .graphs import word_to_str
 from .projective import ProjectivePoint, chart_distance, to_chart
 from .spectral import Kind, classify, classify_many
@@ -373,19 +374,27 @@ def inversion_set(sys, word):
     """Positive roots w_{k-1}(alpha_{s_k}) of a reduced word.
 
     A word is reduced exactly when every such root is positive; a negative
-    root (the image of an earlier inversion) raises ValueError.
+    root (the image of an earlier inversion) raises ValueError.  The sign of
+    w(alpha_s) is that of c_s, c = 1^T w, c <- c S_s: row 0 of X.  The rows
+    below bound its error affinely, eps^T G with |eps| <= 1; an entrywise
+    bound would grow like products of |S_t| and pass c on parabolic periods
+    such as (st)^50 on universal3:1.  An undecided sign is EnumerationError.
     """
     n = sys.rank
     roots = []
     M = np.eye(n)
-    for s in word:
-        root = M[:, s].copy()
-        if np.min(root) < -1e-9 * max(1.0, float(np.max(np.abs(root)))):
+    X = np.ones((1, n))
+    for k, s in enumerate(word):
+        if not abs(X[0, s]) > np.sum(np.abs(X[1:, s])):
+            raise EnumerationError(f"inversion sign undecidable at letter {k}")
+        if X[0, s] < 0:
             raise ValueError(
                 f"word {word_to_str(word)!r} is not reduced (negative inversion root)"
             )
-        roots.append(root)
+        roots.append(M[:, s].copy())
         M = M @ sys.gens[s]
+        X, fresh = reflect_rows(sys.gens, s, X, np.zeros_like(X))
+        X = np.vstack((X, np.diag(np.sum(fresh, axis=0))))
     return roots
 
 

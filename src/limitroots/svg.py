@@ -111,7 +111,7 @@ def render_svg(
     sys,
     pointset=None,
     show_conic=True,
-    arrangement_depth=0,
+    roots=None,
     intersections=None,
     show_weights=False,
     conic_resolution=512,
@@ -130,10 +130,8 @@ def render_svg(
                 stroke="black",
                 width=1.2,
             )
-    if arrangement_depth > 0 and n == 3:
-        from .arrangement import roots_by_depth
-
-        _arrangement_lines(sys, roots_by_depth(sys, arrangement_depth), canvas)
+    if roots is not None and n == 3:
+        _arrangement_lines(sys, roots, canvas)
     if show_conic and sys.is_lorentzian and n in (3, 4):
         conic = light_conic(sys, resolution=conic_resolution)
         pts = [canvas.map_point(v) for v in conic.vertices]

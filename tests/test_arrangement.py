@@ -8,7 +8,10 @@ from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.linalg import null_space, subspace_angles
+from scipy.spatial import cKDTree
+from test_coxeter_core import _graphs
 
 from limitroots import (
     classify,
@@ -22,7 +25,12 @@ from limitroots import (
     sign_vector,
     to_chart,
 )
-from limitroots.arrangement import IntersectionKind, principal_sine, reflection_pair_eigendata
+from limitroots.arrangement import (
+    IntersectionKind,
+    Root,
+    principal_sine,
+    reflection_pair_eigendata,
+)
 from limitroots.projective import chart_distance
 from limitroots.spectral import Kind, unimodular_subspace
 from limitroots.verify import run_suite
@@ -55,6 +63,84 @@ def test_root_word_reproduces_vector(sys_u1):
         np.testing.assert_allclose(
             w.matrix @ np.eye(3)[r.base], r.vector, atol=1e-9
         )
+
+
+def _reference_roots(sys, max_depth):
+    """Breadth-first search over reflections with a rounded-vector dedup.
+
+    The oracle, independent of pairing signs and their bounds, for
+    ``roots_by_depth``: each root's images under the generators are probed
+    against vectors rounded to a 1e-9 grid, and a negative image is dropped.
+    Coefficients are kept below 1e6, where that grid still tells roots apart
+    and its integer keys cannot overflow.
+    """
+    n = sys.rank
+
+    def key(vec):
+        assert np.max(np.abs(vec)) <= 1e6
+        return np.round(vec / 1e-9).astype(np.int64).tobytes()
+
+    roots = [Root(vector=np.eye(n)[s], depth=1, word=(), base=s) for s in range(n)]
+    seen = {key(r.vector) for r in roots}
+    frontier = list(roots)
+    for depth in range(2, max_depth + 1):
+        next_frontier = []
+        for root in frontier:
+            for s in range(n):
+                vec = sys.gens[s] @ root.vector
+                if np.min(vec) < -1e-9 or key(vec) in seen:
+                    continue
+                seen.add(key(vec))
+                next_frontier.append(Root(vec, depth, (s,) + root.word, root.base))
+        roots += next_frontier
+        frontier = next_frontier
+    return roots
+
+
+def _assert_roots_match_the_reference(sys, max_depth):
+    roots = roots_by_depth(sys, max_depth)
+    ref = _reference_roots(sys, max_depth)
+    for depth in range(1, max_depth + 1):
+        got = np.array([r.vector for r in roots if r.depth == depth]).reshape(-1, sys.rank)
+        want = np.array([r.vector for r in ref if r.depth == depth]).reshape(-1, sys.rank)
+        assert len(got) == len(want)
+        if len(want):
+            scale = np.max(np.abs(want))
+            dist, match = cKDTree(want / scale).query(got / scale)
+            assert np.max(dist) <= 1e-12 and len(set(match)) == len(want)
+    for r in roots:
+        vec = np.eye(sys.rank)[r.base]
+        for s in reversed(r.word):
+            vec = sys.gens[s] @ vec
+        assert np.max(np.abs(vec - r.vector)) <= 1e-12 * np.max(np.abs(r.vector))
+        assert not r.vector.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "name, depth", [("fig1a", 12), ("fig1b", 9), ("universal3:1.1", 9), ("universal4:1", 7)]
+)
+def test_roots_match_the_reference(name, depth):
+    _assert_roots_match_the_reference(make_system(name), depth)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_graphs())
+def test_roots_match_the_reference_on_generated_graphs(graph):
+    _assert_roots_match_the_reference(make_system(graph), 5)
+
+
+@pytest.mark.parametrize(
+    "name, depth",
+    [("universal3:1", 9), ("universal3:1.1", 9), ("universal3:5", 9), ("universal3:50", 9),
+     ("universal4:10", 10)],
+)
+def test_universal_root_counts_match_the_closed_form(name, depth):
+    # A universal Coxeter system of rank n has n (n - 1)^(d - 1) roots of depth d.
+    sys = make_system(name)
+    counts = Counter(r.depth for r in roots_by_depth(sys, depth))
+    n = sys.rank
+    for d in range(1, depth + 1):
+        assert counts[d] == n * (n - 1) ** (d - 1)
 
 
 def test_fundamental_weights_dual_basis():
