@@ -175,7 +175,7 @@ def intersection_equals_unimodular(sys, cis, angle_tol=1e-7):
         sys.reflection_in(a.vector) @ sys.reflection_in(b.vector)
         for a, b in (ci.pair for ci in cis)
     ]
-    classes = classify_many(sys, np.array(ws, dtype=float).reshape(-1, n, n))
+    classes = classify_many(sys, np.array(ws, dtype=float).reshape(-1, n, n), det=1)
     hyp = [i for i, sc in enumerate(classes) if sc.kind is Kind.HYPERBOLIC]
     verdicts = [False] * len(cis)
     if hyp:

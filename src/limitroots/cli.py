@@ -18,6 +18,7 @@ from .graphs import load_graph, str_to_word
 from .io import (
     RunManifest,
     Timer,
+    format_floats,
     graph_hash,
     read_pointset_csv,
     write_pointset_csv,
@@ -65,9 +66,10 @@ def cmd_limit_roots(args):
     with Timer() as timer:
         store = enumerate_elements(sys, max(core[1], conj[1]))
         ps = sample_limit_roots(sys, store, core, conj, args.dedup_eps)
-        write_pointset_csv(ps, args.out, sys.rank)
+        floats = format_floats(ps)
+        write_pointset_csv(ps, args.out, sys.rank, floats)
         if args.json:
-            write_pointset_json(ps, args.json, sys, budgets)
+            write_pointset_json(ps, args.json, sys, budgets, floats)
     manifest = RunManifest(
         graph_hash=graph_hash(graph),
         budgets=budgets,

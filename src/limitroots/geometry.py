@@ -176,6 +176,13 @@ class GeometricSystem:
             frontier = grown
         return best
 
+    @cached_property
+    def form_inverse(self):
+        """B^-1, read-only; a B-isometry M has M^-1 = B^-1 M^T B."""
+        inv = np.linalg.inv(self.form)
+        inv.setflags(write=False)
+        return inv
+
     def bilinear(self, x, y):
         """B(x, y); accepts stacked rows in either argument."""
         return np.asarray(x) @ self.form @ np.asarray(y)

@@ -81,22 +81,33 @@ def _csv_field(text):
     return text
 
 
-def write_pointset_csv(ps, path, rank):
+def format_floats(ps):
+    """(coords, bnorms): the repr (shortest round-trip form) of every
+    coordinate, as one tuple of strings per row, and of every B-norm.  Both
+    writers take them, so a run that writes CSV and JSON spells each float
+    once."""
+    rank = ps.coords.shape[1]
+    coords = list(zip(*[iter(map(float.__repr__, ps.coords.ravel().tolist()))] * rank))
+    return coords, list(map(float.__repr__, ps.bnorm.tolist()))
+
+
+def write_pointset_csv(ps, path, rank, floats=None):
     """Header x1..xn,kind,source_word,conjugator_word,bnorm; floats use repr
-    (shortest round-trip form) so emission is deterministic and lossless.
+    (``floats``, else ``format_floats(ps)``) so emission is deterministic and
+    lossless.
 
     The bytes are those of ``csv.writer`` (excel dialect), written directly:
     each row fills a fixed template with float reprs and labels quoted once."""
     header = [f"x{i + 1}" for i in range(rank)]
     header += ["kind", "source_word", "conjugator_word", "bnorm"]
     row = ",".join(["%s"] * len(header)) + "\r\n"
-    coords = zip(*[iter(map(float.__repr__, ps.coords.ravel().tolist()))] * rank)
+    coords, bnorms = floats or format_floats(ps)
     with open(path, "w", newline="") as fh:
         fh.write(row % tuple(header))
         fh.writelines(
             row % (*xs, kind, source, conjugator, bnorm)
             for xs, (kind, source, conjugator), bnorm in zip(
-                coords, _row_labels(ps, _csv_field), map(float.__repr__, ps.bnorm.tolist())
+                coords, _row_labels(ps, _csv_field), bnorms
             )
         )
 
@@ -131,17 +142,14 @@ def read_pointset_csv(path, sys):
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_floats(values):
-    """Each float as ``json`` spells it: its repr, or NaN and +-Infinity."""
-    return [_JSON_SPECIAL.get(r, r) for r in map(float.__repr__, values)]
-
-
-def write_pointset_json(ps, path, sys, budgets):
+def write_pointset_json(ps, path, sys, budgets, floats=None):
     """The text of ``json.dumps(data, indent=1, sort_keys=True)`` plus a
     newline, for data = {"metadata": ..., "points": [...]}, written directly:
     the standard library formats indented output in pure Python, one token
     at a time.  The metadata goes through ``json.dumps``; each point fills a
-    fixed template with json's float spelling and its C string encoder."""
+    fixed template with the float reprs (``floats``, else
+    ``format_floats(ps)``), NaN and +-Infinity spelled as json spells them,
+    and json's C string encoder."""
     metadata = {
         "graph": json.loads(sys.graph.to_json()),
         "budgets": budgets,
@@ -154,11 +162,14 @@ def write_pointset_json(ps, path, sys, budgets):
         + ",\n".join(["    %s"] * n)
         + '\n   ],\n   "kind": %s,\n   "source_word": %s\n  }'
     )
-    rows = zip(*[iter(_json_floats(ps.coords.ravel().tolist()))] * n)
+    coords, bnorms = floats or format_floats(ps)
+    if not (np.isfinite(ps.coords).all() and np.isfinite(ps.bnorm).all()):
+        coords = [[_JSON_SPECIAL.get(r, r) for r in xs] for xs in coords]
+        bnorms = [_JSON_SPECIAL.get(r, r) for r in bnorms]
     points = ",\n".join(
-        point % (bnorm, conjugator, *coords, kind, source)
-        for coords, (kind, source, conjugator), bnorm in zip(
-            rows, _row_labels(ps, encode_basestring_ascii), _json_floats(ps.bnorm.tolist())
+        point % (bnorm, conjugator, *xs, kind, source)
+        for xs, (kind, source, conjugator), bnorm in zip(
+            coords, _row_labels(ps, encode_basestring_ascii), bnorms
         )
     )
     head = json.dumps(metadata, indent=1, sort_keys=True).replace("\n", "\n ")

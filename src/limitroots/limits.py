@@ -222,10 +222,10 @@ def sample_limit_roots(
     # Words table: the conjugators first, then each core that contributes.
     words = store.words(conj_lo, conj_hi)
     core_mats = store.matrices(core_lo, core_hi)
+    core_words = store.words(core_lo, core_hi)
+    parity = [(-1) ** len(w) for w in core_words]
     blocks, dir_kind, dir_source = [], [], []
-    for word, M, sc in zip(
-        store.words(core_lo, core_hi), core_mats, classify_many(sys, core_mats)
-    ):
+    for word, M, sc in zip(core_words, core_mats, classify_many(sys, core_mats, det=parity)):
         dirs = [(k, v) for k, v in infinite_order_directions(sys, M, sc) if k in kinds]
         if not dirs:
             continue

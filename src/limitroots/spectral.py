@@ -5,6 +5,12 @@ of finite order), parabolic elements are unimodular but defective with a
 single size-3 Jordan block for an eigenvalue eps = +/-1, and hyperbolic
 elements carry one simple real pair lambda, 1/lambda with lambda > 1 whose
 eigendirections are light-like.
+
+A Lorentz isometry has at most one eigenvalue pair off the unit circle, so
+x = lambda + 1/lambda of that pair follows from the traces and the
+determinant (``_trace_rule``), and the element is hyperbolic exactly when
+x > 2.  Its eigendirections are the column and the row of one rank-one
+product (``_hyperbolic_classes``).
 """
 
 import enum
@@ -13,20 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import GroupElement, matrix_inverse
+from .elements import GroupElement
 from .errors import BorderlineSpectrumError, ClassificationError, ExtractionError
 from .projective import to_chart
 
-# |lambda| - 1 above this counts as non-unimodular.
-HYP_TOL = 1e-9
-# Floor of the Jordan guard band.  Below the band's radius the
-# non-unimodular pair cannot be separated from the numerical splitting of a
-# defective unimodular eigenvalue, so a Jordan-defect test arbitrates before
-# declaring the element hyperbolic.
-JORDAN_GUARD = 1e-3
-# Relative SVD threshold detecting the defective kernel of (M - eps I).
-DEFECT_TOL = 1e-8
 _EPS = np.finfo(float).eps
+# Rounding bound on the traces: |T1 - T1_exact| <= RHO (|M|_F + 1), where
+# T1_exact is the trace of the exact element M stands for.  It covers the
+# rounding of M itself (the exact-trace test measures at most 3.1 u, u the
+# unit roundoff, on its graphs) and of the sum, with a margin of 40.
+RHO = 2.0**7 * _EPS / 2
+# Relative singular-value threshold of the kernels of M -/+ eps I.
+KERNEL_TOL = 1e-7
+# |M^T B M - B| above this, relative to |M|_F^2 + 1, is not a B-isometry.
+ISOMETRY_TOL = 1e-8
 
 
 class Kind(enum.Enum):
@@ -48,7 +54,6 @@ class SpectralClass:
     """
 
     kind: Kind
-    eigenvalues: np.ndarray
     dominant: tuple = None
     parabolic_eps: int = None
     parabolic_vec: np.ndarray = None
@@ -56,26 +61,191 @@ class SpectralClass:
     order: int = None
 
 
-def _as_matrix(elem):
-    if isinstance(elem, GroupElement):
-        return np.asarray(elem.matrix, dtype=float)
-    return np.asarray(elem, dtype=float)
-
-
 def _norm(x):
-    """``np.linalg.norm(x)`` of a real array, bit for bit, without its dispatch.
-
-    The copy made by ``ravel`` matters: a dot product over a strided view
-    sums in another order.
-    """
+    """``np.linalg.norm(x)`` of a real array, without its dispatch."""
     x = x.ravel(order="K")
     return math.sqrt(x.dot(x))
 
 
-def _jordan_radius(M):
-    """Radius of the eigenvalue cluster left by a numerically split Jordan
-    triple: a perturbation of size eps * |M|^2 splits it by its cube root."""
-    return max(JORDAN_GUARD, 2.0 * (_EPS * _norm(M) ** 2) ** (1.0 / 3.0))
+def _determinants(sys, M):
+    """det M = +-1 of each matrix of a raw (N, n, n) stack, from the rounded
+    ``np.linalg.det``; 0 where M^T B M is not B or det M is not within 1e-6
+    of +-1.  (The float det of a product can have the wrong sign: words
+    give theirs by parity.)"""
+    B = sys.form
+    defect = np.abs(np.swapaxes(M, 1, 2) @ B @ M - B).max(axis=(1, 2))
+    d = np.linalg.det(M)
+    det = np.where(d > 0, 1.0, -1.0)
+    ok = (defect <= ISOMETRY_TOL * ((M * M).sum(axis=(1, 2)) + 1)) & (np.abs(d - det) <= 1e-6)
+    return np.where(ok, det, 0.0)
+
+
+def _trace_rule(M, det):
+    """(x, beta, unit, eps, Q, |M|_F) of one B-isometry M of determinant
+    ``det``, with Python floats for the scalars.
+
+    x = lambda + 1/lambda for the eigenvalue pair that may leave the unit
+    circle, and |x - x_exact| <= beta.  Writing T1 = tr M, T2 = tr M^2:
+
+    - rank 3: the eigenvalues are lambda, 1/lambda, det, so x = T1 - det;
+    - rank 4, det +1: lambda, 1/lambda, mu, 1/mu, so x and y = mu + 1/mu
+      are the roots of z^2 - T1 z + (T1^2 - T2 - 4) / 2, x the larger:
+      x = (T1 + sqrt D) / 2 with D = 2 T2 + 8 - T1^2 = (x - y)^2;
+    - rank 4, det -1: lambda, 1/lambda, 1, -1, so x = T1; rank 2: x = T1;
+    - rank >= 5: x and the unimodular eigenvalues come from ``eigvals``.
+
+    T1 is within RHO (|M|_F + 1) and D within dD = 8 RHO (|M|_F^2 + 1) of
+    exact (2 for T2, 4 for T1^2 with |T1| <= 2 |M|_F, 2 for rounding), and
+    |sqrt D - sqrt D_exact| <= min(sqrt dD, dD / sqrt D): that is beta.
+    Near a parabolic (D near 0) the square root amplifies the error of D to
+    about 3e-7 |M|_F.  In rank >= 5, beta = sqrt(RHO (|M|_F^2 + 1)) covers
+    the split of a Jordan triple, which moves x by about the 2/3 power of
+    the error.
+
+    ``unit``: the traces put the whole unimodular spectrum at +-1 (x within
+    beta of +-2, and D within dD of 0 in rank 4 with det +1), where a
+    parabolic Jordan block can be; its sign is ``eps`` = det in rank 3,
+    else sign T1.  Q is the product of M - mu I over the n - 2 unimodular
+    eigenvalues mu: M - det I, M^2 - y M + I, M^2 - I, I in the four cases.
+    """
+    n = len(M)
+    f = _norm(M)
+    T1 = sum(M.diagonal().tolist())
+    eps = det if n == 3 else math.copysign(1.0, T1)
+    if n > 4:
+        return _eigvals_rule(M, f, eps)
+    beta, near = RHO * (f + 1), True
+    if n == 3:
+        x, Q = T1 - det, M.copy()
+    elif n == 2:
+        x, Q = T1, np.zeros((2, 2))
+    elif det < 0:
+        x, Q = T1, M @ M
+    else:
+        Q = M @ M
+        D = 2 * sum(Q.diagonal().tolist()) + 8 - T1 * T1
+        dD = 8 * RHO * (f * f + 1)
+        root = math.sqrt(max(D, 0.0))
+        x = (T1 + root) / 2
+        beta = (beta + (min(math.sqrt(dD), dD / root) if root else math.sqrt(dD))) / 2
+        Q -= (T1 - x) * M
+        near = D <= dD
+    # The diagonal: M - det I in rank 3, M^2 - y M + det I in rank 4 (y = 0
+    # for det -1), I in rank 2.
+    Q.ravel()[:: n + 1] += -det if n == 3 else det if n == 4 else 1.0
+    return x, beta, near and abs(abs(x) - 2) <= beta, eps, Q, f
+
+
+def _eigvals_rule(M, f, eps):
+    """``_trace_rule`` in rank >= 5, from one ``eigvals``."""
+    n = len(M)
+    ev = np.linalg.eigvals(M)
+    ev = ev[np.argsort(np.abs(ev))]
+    x = float((ev[-1] + 1 / ev[-1]).real)
+    beta = math.sqrt(RHO * (f * f + 1))
+    unit = bool(np.all(np.abs(np.abs(ev + 1 / ev) - 2) <= beta))
+    Q = np.eye(n, dtype=complex)
+    for mu in ev[1:-1]:
+        Q = Q @ (M - mu * np.eye(n))
+    return x, beta, unit, eps, Q.real, f
+
+
+def _hyperbolic_classes(sys, M, x, Q, f):
+    """Hyperbolic classes of an (N, n, n) stack whose rows have x > 2
+    beyond their bound (lists of ``_trace_rule``'s x and |M|_F, and its Q
+    stacked), as (classes, seeds): a row's class is None where it needs a
+    Rayleigh step, has zero height or a complement of the wrong dimension.
+    ``classify`` calls it on a stack of one, so the batch and the single
+    element share every bit.
+
+    lambda = (x + sqrt(x^2 - 4)) / 2, and P = (M - I / lambda) Q kills
+    every eigenvector but x_plus, so P = c x_plus (B x_minus)^T, B x_minus
+    spanning the left eigenvectors for lambda (M^T B M = B).  x_plus is P's
+    largest column and x_minus = B^-1 times its largest row (``seeds``).
+    Each passes ``_refine_eigenpair``'s residual test with its Rayleigh
+    quotient, then goes to height 1, and the unimodular subspace is the
+    kernel of (B x_plus, B x_minus).
+    """
+    N, n, _ = M.shape
+    add, rows = np.add.reduce, np.arange(N)
+    lam = [_expanding(v) for v in x]
+    P = M @ Q - Q / np.array(lam)[:, None, None]
+    P2 = P * P
+    V = np.empty((N, 2, n))
+    V[:, 0] = P[rows, :, add(P2, 1).argmax(1)]
+    # B^-1 @ (N, n, 1) is one product per matrix, as for N = 1; (N, n) @ B^-1
+    # is one product over all rows, whose rounding depends on N.
+    V[:, 1] = (sys.form_inverse @ P[rows, add(P2, 2).argmax(1), :, None])[:, :, 0]
+    norm2 = add(V * V, 2)
+    MV = V @ M.transpose(0, 2, 1)
+    mu = add(MV * V, 2) / norm2
+    MV -= mu[:, :, None] * V
+    h = add(V, 2)
+    X = V / h[:, :, None]
+
+    def passes(r2, q2, hj, fj):
+        # The residual test of _refine_eigenpair and the height test of
+        # _height_oriented, squared, for the unnormalised seeds.
+        tol = (1e-13 * max(1.0, fj)) ** 2
+        return all(r < tol * q and a * a >= 1e-24 * q for r, q, a in zip(r2, q2, hj))
+
+    tests = zip(add(MV * MV, 2).tolist(), norm2.tolist(), h.tolist(), f)
+    passed = [j for j, test in enumerate(tests) if passes(*test)]
+    out = [None] * N
+    if passed:
+        _, s, vt = np.linalg.svd((X if len(passed) == N else X[passed]) @ sys.form)
+        for j, sj, vj in zip(passed, s.tolist(), vt):
+            if sj[1] > _EPS * n * sj[0]:
+                out[j] = SpectralClass(
+                    kind=Kind.HYPERBOLIC,
+                    dominant=(lam[j], X[j, 0], X[j, 1]),
+                    unimodular_basis=vj[2:].T,
+                )
+    return out, V
+
+
+def _refine_eigenpair(M, v, max_steps=5):
+    """Eigenpair (Rayleigh quotient, unit vector) of M from a seed v.
+
+    The seed passes when |M w - (w^T M w) w| < 1e-13 max(1, |M|_F); else
+    Rayleigh-quotient iteration steps, cubic in convergence, with the shift
+    jittered off the eigenvalue to keep the solve nonsingular.
+    """
+    scale = max(1.0, _norm(M))
+    for step in range(max_steps + 1):
+        w = v / _norm(v)
+        Mw = M @ w
+        lam = float(w @ Mw)
+        residual = _norm(Mw - lam * w)
+        if residual < 1e-13 * scale or step == max_steps:
+            break
+        try:
+            v = np.linalg.solve(M - lam * (1 + 1e-10) * np.eye(len(w)), w)
+        except np.linalg.LinAlgError:
+            break
+    if residual > 1e-6 * scale:
+        raise ExtractionError(f"ill-conditioned eigenvector solve: residual {residual:g}")
+    return lam, w
+
+
+def _height_oriented(v):
+    h = v.sum()
+    if abs(h) < 1e-12 * _norm(v):
+        raise ExtractionError("eigendirection has zero height; not in the chart")
+    return v / h
+
+
+def _null_space(A):
+    """Orthonormal kernel basis (columns) of A, with scipy's rank rule."""
+    _, s, vt = np.linalg.svd(A)
+    rank = np.count_nonzero(s > _EPS * max(A.shape) * s[0])
+    return vt[rank:].T
+
+
+def _kernel(A):
+    """Orthonormal kernel basis (columns) of A at the relative KERNEL_TOL."""
+    _, s, vt = np.linalg.svd(A)
+    return vt[np.count_nonzero(s >= KERNEL_TOL * max(1.0, s[0])) :].T
 
 
 def _finite_order(M, k_max, norm_cap=1e9):
@@ -95,296 +265,122 @@ def _finite_order(M, k_max, norm_cap=1e9):
     return None
 
 
-def _defective_eps(M, evals, cluster_radius):
-    """(eps, kernel) if M has a defective eigenvalue cluster at eps = +1 or -1,
-    else None; ``kernel`` is the numerical kernel (orthonormal columns) of
-    M - eps I."""
-    clusters = [
-        eps for eps in (1.0, -1.0)
-        if np.count_nonzero(np.abs(evals - eps) < cluster_radius) >= 3
-    ]
-    if not clusters:
-        return None
-    scale = max(1.0, np.linalg.svd(M, compute_uv=False)[0])
-    for eps in clusters:
-        _, s, vt = np.linalg.svd(M - eps * np.eye(M.shape[0]))
-        if s[-1] < DEFECT_TOL * scale:
-            kdim = np.count_nonzero(s < 1e-7 * max(1.0, s[0]))
-            return int(eps), vt[len(s) - kdim :].T
-    return None
+def classify(sys, elem):
+    """Spectral class of a group element (or raw B-isometry matrix).
 
-
-def _height_oriented(v):
-    h = v.sum()
-    if abs(h) < 1e-12 * _norm(v):
-        raise ExtractionError("eigendirection has zero height; not in the chart")
-    return v / h
-
-
-def _refine_eigenpair(M, lam, v, max_steps=5):
-    """Rayleigh-quotient iteration from a dense-solver estimate.
-
-    Convergence is cubic, so a few steps take the eigenpair to roundoff;
-    the shift is jittered off the exact eigenvalue to keep the solve
-    nonsingular.
+    det M = (-1)^length comes from a ``GroupElement``'s word.  A raw matrix
+    must satisfy M^T B M = B (relative ISOMETRY_TOL) and have a float det
+    within 1e-6 of +-1, which is then rounded; otherwise
+    ClassificationError.  ``_trace_rule`` gives x = lambda + 1/lambda and
+    its rounding bound beta; the element is hyperbolic when x - 2 > beta,
+    and ``_hyperbolic_classes`` extracts lambda, x_plus, x_minus and the
+    unimodular subspace from one rank-one product (with Rayleigh steps
+    where the residual test fails).  Otherwise powering decides: an
+    identity power up to ``sys.finite_order_bound`` (the largest order of a
+    finite standard parabolic subgroup, which bounds the order of every
+    element of finite order of W) means elliptic.  Failing that, where the
+    traces put the unimodular spectrum at +-1, a verified Jordan defect at
+    eps means parabolic.  Anything else raises ClassificationError; so does
+    a raw matrix of finite order above the bound, which is not in W.
     """
-    scale = max(1.0, _norm(M))
-    w = v / _norm(v)
-    lam_new = lam
-    for step in range(max_steps + 1):
-        residual = _norm(M @ w - lam_new * w)
-        if residual < 1e-13 * scale or step == max_steps:
-            break
-        try:
-            w_next = np.linalg.solve(M - lam_new * (1 + 1e-10) * np.eye(len(w)), w)
-        except np.linalg.LinAlgError:
-            break
-        w = w_next / _norm(w_next)
-        lam_new = float(w @ M @ w) / float(w @ w)
-    if residual > 1e-6 * scale:
-        raise ExtractionError(f"ill-conditioned eigenvector solve: residual {residual:g}")
-    return lam_new, w
+    sys.require_lorentzian("spectral classification")
+    if isinstance(elem, GroupElement):
+        return _classify(sys, np.asarray(elem.matrix, dtype=float), (-1.0) ** elem.length)
+    M = np.asarray(elem, dtype=float)
+    return _classify(sys, M, float(_determinants(sys, M[None])[0]))
 
 
-def _dominant_vector(M, lam, evals, evecs):
-    """Refined eigenvector of M for lam, seeded from M's dense eigendata."""
-    lam_ref, w = _refine_eigenpair(M, lam, _initial_vector(evals, evecs, lam))
-    return lam_ref, _height_oriented(w)
+def _classify(sys, M, det):
+    if det == 0:
+        raise ClassificationError("not a B-isometry of determinant +-1")
+    x, beta, unit, eps, Q, f = _trace_rule(M, det)
+    if x - 2 > beta:
+        with np.errstate(all="ignore"):
+            (sc,), seeds = _hyperbolic_classes(sys, M[None], [x], Q[None], [f])
+        return sc if sc is not None else _refined_hyperbolic(sys, M, _expanding(x), seeds[0])
+    order = _finite_order(M, sys.finite_order_bound)
+    if order is not None:
+        return SpectralClass(kind=Kind.ELLIPTIC, order=order)
+    if unit:
+        return _make_parabolic(sys, M, int(eps))
+    raise ClassificationError(
+        f"unresolved elliptic/parabolic: no identity power up to the finite "
+        f"order bound {sys.finite_order_bound} and the spectrum is not at +-1"
+    )
 
 
-def _initial_vector(evals, evecs, lam):
-    v = evecs[:, np.abs(evals - lam).argmin()]
-    return np.real(v / v[np.abs(v).argmax()])
+def _expanding(x):
+    """lambda > 1 with lambda + 1/lambda = x > 2."""
+    return (x + math.sqrt((x - 2) * (x + 2))) / 2
 
 
-def _null_space(A):
-    """Orthonormal kernel basis (columns) of A, with scipy's rank rule."""
-    _, s, vt = np.linalg.svd(A)
-    rank = np.count_nonzero(s > _EPS * max(A.shape) * s[0])
-    return vt[rank:].T
-
-
-def _unimodular_basis_hyperbolic(sys, x_plus, x_minus):
+def _refined_hyperbolic(sys, M, lam, seeds):
+    """``_hyperbolic_classes`` of one matrix, with Rayleigh steps."""
+    _, x_plus = _refine_eigenpair(M, seeds[0])
+    _, x_minus = _refine_eigenpair(M, seeds[1])
+    x_plus, x_minus = _height_oriented(x_plus), _height_oriented(x_minus)
     basis = _null_space(np.array((sys.form @ x_plus, sys.form @ x_minus)))
     if basis.shape[1] != sys.rank - 2:
         raise ClassificationError(
             f"unimodular complement has dimension {basis.shape[1]}, expected {sys.rank - 2}"
         )
-    return basis
-
-
-def _unimodular_basis_parabolic(evals, evecs, eps, kernel, cluster_radius):
-    """Real span of the eigenvectors of a parabolic element.
-
-    Eigenvectors for eigenvalues away from eps come straight from the dense
-    solve; the eps-eigenspace is the kernel of (M - eps I), because the
-    numerically split Jordan cluster returns three nearly parallel vectors
-    that would inflate the span.
-    """
-    far = np.abs(evals - eps) > cluster_radius
-    raw = np.hstack([np.real(evecs[:, far]), np.imag(evecs[:, far]), kernel])
-    u2, s2, _ = np.linalg.svd(raw, full_matrices=False)
-    dim = np.count_nonzero(s2 > 1e-8 * s2[0])
-    n = len(evals)
-    if dim != n - 2:
-        raise ClassificationError(
-            f"eigenvector span has dimension {dim}, expected {n - 2}"
-        )
-    return u2[:, : n - 2]
-
-
-def classify(sys, elem):
-    """Spectral class of a group element (or raw B-isometry matrix).
-
-    Decision procedure: spectral radius above 1 + HYP_TOL suggests
-    hyperbolic, but radii inside the Jordan guard band are first checked
-    for a defective unimodular cluster (a parabolic Jordan block splits its
-    triple eigenvalue by about the cube root of eps * |M|_F^2, far beyond
-    HYP_TOL); the band and the cluster radius are
-    max(JORDAN_GUARD, 2 (eps |M|_F^2)^(1/3)).  Unimodular spectra are
-    resolved by powering: finite order means elliptic, a verified Jordan
-    defect means parabolic.  The powering stops at
-    ``sys.finite_order_bound``, the largest order of a finite standard
-    parabolic subgroup, which bounds the order of every element of finite
-    order of W.  A raw matrix of larger finite order is not an element of
-    W; it raises ClassificationError.
-    """
-    sys.require_lorentzian("spectral classification")
-    M = _as_matrix(elem)
-    evals, evecs = np.linalg.eig(M)
-    moduli = np.abs(evals)
-    rho = float(moduli.max())
-    radius = _jordan_radius(M)
-
-    if rho > 1.0 + HYP_TOL:
-        if rho <= 1.0 + radius:
-            defect = _defective_eps(M, evals, radius)
-            if defect is not None:
-                return _make_parabolic(sys, M, evals, evecs, *defect, radius)
-            order = _finite_order(M, sys.finite_order_bound)
-            if order is not None:
-                return _make_elliptic(evals, order)
-        return _make_hyperbolic(sys, M, evals, evecs, moduli, rho)
-
-    # Unimodular spectrum: elliptic unless a Jordan defect shows up.
-    order = _finite_order(M, sys.finite_order_bound)
-    if order is not None:
-        return _make_elliptic(evals, order)
-    defect = _defective_eps(M, evals, radius)
-    if defect is not None:
-        return _make_parabolic(sys, M, evals, evecs, *defect, radius)
-    raise ClassificationError(
-        f"unresolved elliptic/parabolic: no identity power up to the finite "
-        f"order bound {sys.finite_order_bound} and no Jordan defect detected"
+    return SpectralClass(
+        kind=Kind.HYPERBOLIC, dominant=(lam, x_plus, x_minus), unimodular_basis=basis
     )
 
 
-def classify_many(sys, mats):
+def classify_many(sys, mats, det=None):
     """``[classify(sys, M) for M in mats]`` for an (N, n, n) stack, with every
     field bit-identical, and the same error where ``classify`` raises one.
 
-    One stacked eigensolve splits the rows.  A row beyond the Jordan guard
-    band (with a relative margin of 1e-9 on its radius) with exactly one
-    expanding eigenvalue, and that one real, takes the stacked hyperbolic
-    path: the inverse M^-1 = B^-1 M^T B and its eigensolve, the seed
-    vectors, the residual test of ``_refine_eigenpair``, the heights and the
-    kernel of (B x_plus, B x_minus), each as one call over the rows.  Every
-    other row, and every row that needs a Rayleigh step, has zero height or
-    a complement of the wrong dimension, goes to ``classify``, in stack
-    order.  Stacked ``eig``, ``solve``, ``svd`` and matrix-vector products
-    give the per-matrix bits; the row norms and the seed division are
-    written to do the same (``_row_norms``, ``_seed_vectors``).
+    ``det`` (one value or one per matrix) gives det M = +-1: callers that
+    hold words pass their parities, the sandwich oracle +1 for s_a s_b.
+    Without it each matrix is checked and its det rounded as ``classify``
+    does for a raw matrix (``_determinants``).  ``_trace_rule`` runs per
+    row, as in ``classify``, and ``_hyperbolic_classes`` once over the rows
+    the traces call hyperbolic; ``classify`` runs it on a stack of one, and
+    each of its products and reductions is one call per matrix, so the rows
+    agree bit for bit.  Every other row (not hyperbolic by the traces, or
+    needing a Rayleigh step, with zero height or a complement of the wrong
+    dimension) is classified alone, in stack order.
     """
     sys.require_lorentzian("spectral classification")
     M = np.ascontiguousarray(mats, dtype=float)
     n = sys.rank
-    if len(M) == 0 or M.shape[1:] != (n, n) or not np.isfinite(M).all():
+    if not len(M) or M.shape[1:] != (n, n):
         return [classify(sys, m) for m in M]
     N = len(M)
-    evals, evecs = np.linalg.eig(M)
-    moduli = np.abs(evals)
-    rho = moduli.max(axis=1)
-    lam0 = evals[np.arange(N), moduli.argmax(axis=1)]
-    radius = np.maximum(JORDAN_GUARD, 2.0 * (_EPS * _frobenius_norms(M) ** 2) ** (1.0 / 3.0))
-    fast = np.flatnonzero(
-        (rho - 1.0 > radius * (1.0 + 1e-9))
-        & (np.count_nonzero(moduli > 0.5 * (1.0 + rho[:, None]), axis=1) == 1)
-        & (lam0.imag == 0.0)
-    )
+    det = _determinants(sys, M) if det is None else np.broadcast_to(np.asarray(det, float), (N,))
+    det = det.tolist()
+    rules = [_trace_rule(m, d) if d else None for m, d in zip(M, det)]
+    fast = [i for i, r in enumerate(rules) if r and r[0] - 2 > r[1]]
     out = [None] * N
-    if fast.size:
-        hyperbolic = _hyperbolic_classes(sys, M[fast], lam0.real[fast], evals[fast], evecs[fast])
-        for i, sc in zip(fast, hyperbolic):
-            out[i] = sc
-    return [sc if sc is not None else classify(sys, M[i]) for i, sc in enumerate(out)]
+    if fast:
+        with np.errstate(all="ignore"):
+            x, _, _, _, Q, f = zip(*[rules[i] for i in fast])
+            classes, _ = _hyperbolic_classes(sys, M[fast], x, np.stack(Q), f)
+            for i, sc in zip(fast, classes):
+                out[i] = sc
+    return [sc if sc is not None else _classify(sys, M[i], det[i]) for i, sc in enumerate(out)]
 
 
-def _hyperbolic_classes(sys, M, lam, evals, evecs):
-    """``_make_hyperbolic`` over a stack whose dominant eigenvalues ``lam`` are
-    real and simple; None for the rows it cannot settle without a Rayleigh
-    step or that it would reject."""
-    with np.errstate(all="ignore"):
-        x_plus, ok = _dominant_vectors(M, lam, evals, evecs)
-        Minv = np.linalg.solve(sys.form, np.swapaxes(M, 1, 2) @ sys.form)
-        x_minus, ok_minus = _dominant_vectors(Minv, lam, *np.linalg.eig(Minv))
-    A = np.stack([sys.form @ x_plus[:, :, None], sys.form @ x_minus[:, :, None]], axis=1)[..., 0]
-    _, s, vt = np.linalg.svd(A)
-    rank = np.count_nonzero(s > _EPS * max(A.shape[1:]) * s[:, :1], axis=1)
-    ok &= ok_minus & (rank == 2)
-    real = _real_rows(evals)
-    return [
-        SpectralClass(
-            kind=Kind.HYPERBOLIC,
-            eigenvalues=evals[j].real.copy() if real[j] else evals[j],
-            dominant=(float(lam[j]), x_plus[j], x_minus[j]),
-            unimodular_basis=vt[j, 2:].T,
-        )
-        if ok[j]
-        else None
-        for j in range(len(M))
-    ]
+def _make_parabolic(sys, M, eps):
+    """Parabolic class of M with its Jordan block at eps, verified.
 
-
-def _row_norms(X):
-    """``_norm`` of each row of X, bit for bit: each (1, m) @ (m, 1) product
-    is the dot product of one contiguous row (``einsum`` and
-    ``sum(axis=1)`` add in another order)."""
-    X = np.ascontiguousarray(X)
-    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
-
-
-def _frobenius_norms(M):
-    """``_norm`` of each matrix of an (N, n, n) stack."""
-    return _row_norms(M.reshape(len(M), M.shape[1] * M.shape[2]))
-
-
-def _real_rows(evals):
-    """Rows whose eigenvalues ``np.linalg.eig`` of that matrix alone returns
-    as a real array (a stacked call is complex if any row is)."""
-    return np.all(evals.imag == 0.0, axis=1)
-
-
-def _seed_vectors(evals, evecs, lam):
-    """``_initial_vector`` of each row.  Rows with a real spectrum divide in
-    float, as ``_initial_vector`` does on real eigendata; complex division
-    multiplies by a reciprocal and changes bits."""
-    rows = np.arange(len(lam))
-    V = evecs[rows, :, np.abs(evals - lam[:, None]).argmin(axis=1)]
-    pivot = V[rows, np.abs(V).argmax(axis=1)][:, None]
-    real = _real_rows(evals)
-    out = np.empty(V.shape)
-    out[real] = V[real].real / pivot[real].real
-    out[~real] = (V[~real] / pivot[~real]).real
-    return out
-
-
-def _dominant_vectors(M, lam, evals, evecs):
-    """``_dominant_vector`` of each row when its seed passes the residual test
-    without a Rayleigh step: (X, ok), with X's rows at height 1 and ok false
-    for rows that need a step or have zero height."""
-    W = _seed_vectors(evals, evecs, lam)
-    W = W / _row_norms(W)[:, None]
-    scale = np.maximum(1.0, _frobenius_norms(M))
-    residual = _row_norms((M @ W[:, :, None])[:, :, 0] - lam[:, None] * W)
-    h = W.sum(axis=1)
-    ok = (residual < 1e-13 * scale) & ~(np.abs(h) < 1e-12 * _row_norms(W))
-    return W / h[:, None], ok
-
-
-def _make_elliptic(evals, order):
-    return SpectralClass(kind=Kind.ELLIPTIC, eigenvalues=evals, order=order)
-
-
-def _make_hyperbolic(sys, M, evals, evecs, moduli, rho):
-    # Count expanding eigenvalues against the midpoint between 1 and the
-    # spectral radius: for ill-conditioned matrices the dense solver can
-    # push a unimodular eigenvalue slightly above 1 + HYP_TOL, but never
-    # halfway to the dominant one.
-    big = np.count_nonzero(moduli > 0.5 * (1.0 + rho))
-    if big != 1:
-        raise BorderlineSpectrumError(
-            f"expected exactly one expanding eigenvalue, found {big}: {evals}"
-        )
-    lam0 = evals[moduli.argmax()]
-    if abs(lam0.imag) > 1e-6 * abs(lam0):
-        raise BorderlineSpectrumError(f"dominant eigenvalue {lam0} is not real")
-    lam, x_plus = _dominant_vector(M, float(lam0.real), evals, evecs)
-    Minv = matrix_inverse(sys, M)
-    _, x_minus = _dominant_vector(Minv, lam, *np.linalg.eig(Minv))
-    basis = _unimodular_basis_hyperbolic(sys, x_plus, x_minus)
-    return SpectralClass(
-        kind=Kind.HYPERBOLIC,
-        eigenvalues=evals,
-        dominant=(lam, x_plus, x_minus),
-        unimodular_basis=basis,
-    )
-
-
-def _make_parabolic(sys, M, evals, evecs, eps, kernel, cluster_radius):
-    A = M - eps * np.eye(sys.rank)
-    basis = _unimodular_basis_parabolic(evals, evecs, eps, kernel, cluster_radius)
-    # Verify the minimal-polynomial clause: (M - eps I)^2 kills the
-    # B-orthogonal companion of the eigenvector span.
+    The eigenvectors span ker(M - eps I) + ker(M + eps I) (rank <= 4 has
+    no other unimodular eigenvalue beside a Jordan triple); it must have
+    dimension n - 2, and (M - eps I)^2 must kill its B-orthogonal
+    companion (the minimal-polynomial clause).
+    """
+    n = sys.rank
+    A = M - eps * np.eye(n)
+    K = _kernel(A)
+    raw = np.hstack([K, _kernel(M + eps * np.eye(n))])
+    u, s, _ = np.linalg.svd(raw if raw.shape[1] else np.zeros((n, 1)), full_matrices=False)
+    dim = np.count_nonzero(s > 1e-8 * s[0])
+    if dim != n - 2:
+        raise ClassificationError(f"eigenvector span has dimension {dim}, expected {n - 2}")
+    basis = u[:, :dim]
     perp = _null_space((sys.form @ basis).T)
     defect = np.abs(A @ A @ perp).max()
     scale = max(1.0, _norm(A) ** 2)
@@ -392,12 +388,10 @@ def _make_parabolic(sys, M, evals, evecs, eps, kernel, cluster_radius):
         raise BorderlineSpectrumError(
             f"parabolic verification failed: |(M - {eps} I)^2 on U_perp| = {defect:g}"
         )
-    vec = _parabolic_vector(sys, kernel)
     return SpectralClass(
         kind=Kind.PARABOLIC,
-        eigenvalues=evals,
         parabolic_eps=eps,
-        parabolic_vec=vec,
+        parabolic_vec=_parabolic_vector(sys, K),
         unimodular_basis=basis,
     )
 

@@ -15,6 +15,7 @@ from limitroots.cli import main
 from limitroots.graphs import word_to_str
 from limitroots.io import (
     RunManifest,
+    format_floats,
     graph_hash,
     read_pointset_csv,
     write_pointset_csv,
@@ -180,6 +181,23 @@ def test_csv_writer_matches_the_standard_library(tmp_path, case):
     path = tmp_path / "points.csv"
     write_pointset_csv(ps, str(path), sys.rank)
     assert path.read_bytes() == _csv_reference(ps, sys.rank).encode()
+
+
+@pytest.mark.parametrize("case", [_fig1a_sample, _non_finite_rows])
+def test_writers_share_one_formatting_pass(tmp_path, case):
+    """``limit-roots --json`` formats the floats once for both files; the
+    bytes are those each writer makes on its own."""
+    sys, ps, budgets = case()
+    floats = format_floats(ps)
+    assert len(floats[0]) == len(floats[1]) == len(ps)
+    for name, write in [
+        ("csv", lambda path, *f: write_pointset_csv(ps, path, sys.rank, *f)),
+        ("json", lambda path, *f: write_pointset_json(ps, path, sys, budgets, *f)),
+    ]:
+        alone, shared = tmp_path / f"alone.{name}", tmp_path / f"shared.{name}"
+        write(str(alone))
+        write(str(shared), floats)
+        assert shared.read_bytes() == alone.read_bytes()
 
 
 def test_scipy_loads_only_for_dedup_and_hausdorff():
@@ -376,15 +394,15 @@ def test_cli_bad_length_range(tmp_path):
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
-    # With c = 50, classify cannot resolve the elements of length 8 and
-    # raises a NumericalError.
+    # With c = 50, the 24 reflections of length 7 have entries near 1e14, so
+    # no power certifies their order 2: classify raises a NumericalError.
     code = main(
         [
             "limit-roots",
             "--graph",
             "universal3:50",
             "--core-lengths",
-            "8..8",
+            "7..7",
             "--conj-lengths",
             "0..0",
             "--out",

@@ -16,10 +16,10 @@ from limitroots import (
     parabolic_direction,
     unimodular_subspace,
 )
-from limitroots.errors import BorderlineSpectrumError, ClassificationError, NotLorentzianError
+from limitroots.errors import ClassificationError, NotLorentzianError
 from limitroots.graphs import INF, CoxeterGraph
-from limitroots.elements import enumerate_elements, matrix_inverse
-from limitroots.spectral import JORDAN_GUARD, Kind, classify_many, orthogonality_check
+from limitroots.elements import enumerate_elements
+from limitroots.spectral import Kind, classify_many, orthogonality_check
 
 # fig1b with its generators relabeled 0->1, 1->2, 2->3, 3->0.
 FIG1B_RELABELED = CoxeterGraph(
@@ -68,12 +68,12 @@ def test_large_entry_elliptic_elements_have_their_finite_order(word):
 
 @pytest.mark.parametrize("word", JORDAN_GUARD_WORDS)
 def test_jordan_guard_scales_with_the_matrix_norm(word):
-    # |M|_F = 5002 splits the Jordan triple at 1 by more than the fixed
-    # 1e-3 floor of the guard band; with the band that floor alone, these
-    # elements were sent to the hyperbolic branch and rejected there.
+    # |M|_F = 5002: a dense eigensolve splits the Jordan triple at 1 by more
+    # than 1e-3, so no eigenvalue radius separates these elements from
+    # weakly hyperbolic ones; the traces put them at x = 2 exactly.
     sys = make_system("universal4:1")
     elem = element_of(sys, word)
-    assert np.max(np.abs(np.linalg.eigvals(elem.matrix) - 1.0)) > JORDAN_GUARD
+    assert np.max(np.abs(np.linalg.eigvals(elem.matrix) - 1.0)) > 1e-3
     sc = classify(sys, elem)
     assert sc.kind is Kind.PARABOLIC
     assert sc.parabolic_eps == 1
@@ -206,10 +206,12 @@ def test_rank5_counterexample_spectrum():
 
 def test_degenerate_dominant_eigenvalue_is_rejected(sys_u1):
     # Feed the classifier a raw matrix whose top eigenvalue is not simple: a
-    # block with two coupled expanding directions has no attracting ray.
+    # block with two coupled expanding directions has no attracting ray.  It
+    # is no B-isometry (a Lorentz isometry has one expanding eigenvalue at
+    # most), so it is refused before any spectral test.
     lam = 4.0
     M = np.diag([lam, lam, 1.0 / lam ** 2])
-    with pytest.raises(BorderlineSpectrumError):
+    with pytest.raises(ClassificationError, match="not a B-isometry"):
         classify(sys_u1, M)
 
 
@@ -220,21 +222,18 @@ def test_classify_requires_lorentzian_signature():
 
 
 def _reference_dominant(M, lam):
-    """Height-1 eigenvector from a fresh dense solve of M.
-
-    On these inputs the dense solve already meets the refinement's residual
-    test, so the refined eigenpair is (lam, v / |v|) and needs no Rayleigh
-    step.
-    """
+    """Eigenvalue of M nearest lam and its eigenvector at height 1, from a
+    fresh dense solve."""
     evals, evecs = np.linalg.eig(M)
-    v = evecs[:, int(np.argmin(np.abs(evals - lam)))]
-    v = np.real(v / v[int(np.argmax(np.abs(v)))])
-    w = v / np.linalg.norm(v)
-    assert np.linalg.norm(M @ w - lam * w) < 1e-13 * max(1.0, np.linalg.norm(M))
-    return lam, w / np.sum(w)
+    k = int(np.argmin(np.abs(evals - lam)))
+    v = np.real(evecs[:, k])
+    return float(np.real(evals[k])), v / np.sum(v)
 
 
 def test_hyperbolic_eigendata_matches_fresh_solves(sys_u1, store_u1_6):
+    """The trace rule and the projector against ``np.linalg.eig``: lambda to
+    1e-12 relative, x_plus and x_minus (height 1) to 1e-12 per coordinate;
+    the two methods round differently, so bits are not compared."""
     B = sys_u1.form
     hyperbolic = 0
     for elem in store_u1_6:
@@ -242,12 +241,12 @@ def test_hyperbolic_eigendata_matches_fresh_solves(sys_u1, store_u1_6):
         if sc.kind is not Kind.HYPERBOLIC:
             continue
         hyperbolic += 1
-        lam0 = sc.eigenvalues[np.argmax(np.abs(sc.eigenvalues))]
-        lam, x_plus = _reference_dominant(elem.matrix, float(np.real(lam0)))
-        _, x_minus = _reference_dominant(matrix_inverse(sys_u1, elem.matrix), lam)
-        assert sc.dominant[0] == lam
-        assert sc.dominant[1].tobytes() == x_plus.tobytes()
-        assert sc.dominant[2].tobytes() == x_minus.tobytes()
+        lam, x_plus, x_minus = sc.dominant
+        lam_ref, x_plus_ref = _reference_dominant(elem.matrix, lam)
+        _, x_minus_ref = _reference_dominant(elem.matrix, 1.0 / lam)
+        assert abs(lam - lam_ref) <= 1e-12 * lam
+        np.testing.assert_allclose(x_plus, x_plus_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x_minus, x_minus_ref, rtol=0, atol=1e-12)
         U = sc.unimodular_basis
         K = null_space(np.vstack([B @ x_plus, B @ x_minus]))
         np.testing.assert_allclose(U @ U.T, K @ K.T, rtol=0, atol=1e-12)
@@ -266,7 +265,6 @@ def _fields(sc):
     )
     return (
         sc.kind,
-        raw(sc.eigenvalues),
         dominant,
         sc.parabolic_eps,
         raw(sc.parabolic_vec),
@@ -283,13 +281,15 @@ def _fields(sc):
         ("universal3:1.1", 7, []),
         (FIG1B_RELABELED, 7, []),
         ("universal4:1", 6, JORDAN_GUARD_WORDS),
+        ("universal5:1", 4, []),
     ],
-    ids=["universal3:1", "fig1a", "universal3:1.1", "fig1b-relabeled", "universal4:1"],
+    ids=[
+        "universal3:1", "fig1a", "universal3:1.1", "fig1b-relabeled", "universal4:1", "universal5:1"
+    ],
 )
 def test_classify_many_matches_classify(graph, length, words):
-    """The batch against one ``classify`` per matrix, every field bit for bit,
-    eigenvalue dtype included; the universal4:1 Jordan-guard words take the
-    parabolic fallback."""
+    """The batch against one ``classify`` per matrix, every field bit for bit;
+    the universal4:1 Jordan-guard words take the parabolic fallback."""
     sys = make_system(graph)
     mats = np.stack(
         [e.matrix for e in enumerate_elements(sys, length)]
@@ -302,10 +302,43 @@ def test_classify_many_matches_classify(graph, length, words):
         assert _fields(a) == _fields(b)
     kinds = Counter(sc.kind for sc in got)
     assert kinds[Kind.HYPERBOLIC] > 0 and kinds[Kind.ELLIPTIC] > 0
-    if graph is FIG1B_RELABELED:
-        assert {sc.eigenvalues.dtype for sc in got} == {np.dtype(float), np.dtype(complex)}
     if words:
         assert all(sc.kind is Kind.PARABOLIC for sc in got[-len(words) :])
+
+
+def test_classify_many_takes_determinants_from_the_caller():
+    """Word parities in place of the float det, which has the wrong sign on
+    50 of the 96 universal3:50 elements of length 6; and a raw stack whose
+    rows are checked one by one."""
+    sys = make_system("universal3:50")
+    store = enumerate_elements(sys, 6)
+    mats = store.matrices(6, 6)
+    assert np.count_nonzero(np.sign(np.linalg.det(mats)) != 1) == 50
+    got = classify_many(sys, mats, det=1)
+    assert [_fields(sc) for sc in got] == [_fields(classify(sys, e)) for e in store.of_length(6)]
+    assert all(sc.kind is Kind.HYPERBOLIC for sc in got)
+    u1 = make_system("universal3:1")
+    raw = np.stack([element_of(u1, w).matrix for w in [(0, 1, 2), (0, 1, 2, 0), (0,)]])
+    kinds = [sc.kind for sc in classify_many(u1, raw)]
+    assert kinds == [Kind.HYPERBOLIC, Kind.PARABOLIC, Kind.ELLIPTIC]
+    with pytest.raises(ClassificationError, match="not a B-isometry"):
+        classify_many(u1, np.stack([raw[0], 2 * raw[1]]))
+
+
+def test_universal3_50_length_8_is_hyperbolic():
+    """Entries up to 1e16, eigenvalues lambda from about 1e4: every element
+    of length 8 is hyperbolic, and both eigenvectors pass the residual test
+    |M w - (w^T M w) w| < 1e-13 |M|_F for unit w."""
+    sys = make_system("universal3:50")
+    elements = enumerate_elements(sys, 8).of_length(8)
+    assert len(elements) == 384
+    for elem in elements:
+        sc = classify(sys, elem)
+        assert sc.kind is Kind.HYPERBOLIC
+        M = elem.matrix
+        for x in sc.dominant[1:]:
+            w = x / np.linalg.norm(x)
+            assert np.linalg.norm(M @ w - (w @ M @ w) * w) < 1e-13 * np.linalg.norm(M)
 
 
 def test_classify_many_of_nothing_is_empty(sys_u1):
