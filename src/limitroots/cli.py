@@ -24,7 +24,7 @@ from .io import (
     write_pointset_csv,
     write_pointset_json,
 )
-from .limits import PeriodicWord, sample_limit_roots, word_limit_root
+from .limits import DEDUP_EPS, PeriodicWord, sample_limit_roots, word_limit_root
 from .spectral import Kind
 from .svg import render_svg
 from .verify import SUITES, run_suite
@@ -33,9 +33,12 @@ from .verify import SUITES, run_suite
 def _parse_range(text):
     lo, _, hi = text.partition("..")
     try:
-        return (int(lo), int(hi if hi else lo))
+        lo, hi = int(lo), int(hi if hi else lo)
     except ValueError as exc:
         raise GraphError(f"cannot parse length range {text!r}; expected a..b") from exc
+    if not 0 <= lo <= hi:
+        raise GraphError(f"length range {text!r} must have 0 <= a <= b")
+    return lo, hi
 
 
 def cmd_analyze(args):
@@ -67,7 +70,7 @@ def cmd_limit_roots(args):
         store = enumerate_elements(sys, max(core[1], conj[1]))
         ps = sample_limit_roots(sys, store, core, conj, args.dedup_eps)
         floats = format_floats(ps)
-        write_pointset_csv(ps, args.out, sys.rank, floats)
+        write_pointset_csv(ps, args.out, floats)
         if args.json:
             write_pointset_json(ps, args.json, sys, budgets, floats)
     manifest = RunManifest(
@@ -159,7 +162,7 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--core-lengths", required=True, help="a..b lengths of core elements")
     p.add_argument("--conj-lengths", required=True, help="a..b lengths of conjugators")
-    p.add_argument("--dedup-eps", type=float, default=1e-6)
+    p.add_argument("--dedup-eps", type=float, default=DEDUP_EPS)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--json", help="optional JSON mirror path")
     p.set_defaults(fn=cmd_limit_roots)

@@ -183,10 +183,6 @@ class GeometricSystem:
         inv.setflags(write=False)
         return inv
 
-    def bilinear(self, x, y):
-        """B(x, y); accepts stacked rows in either argument."""
-        return np.asarray(x) @ self.form @ np.asarray(y)
-
     def require_lorentzian(self, what="this operation"):
         if not self.is_lorentzian:
             raise NotLorentzianError(

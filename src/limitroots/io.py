@@ -91,14 +91,14 @@ def format_floats(ps):
     return coords, list(map(float.__repr__, ps.bnorm.tolist()))
 
 
-def write_pointset_csv(ps, path, rank, floats=None):
+def write_pointset_csv(ps, path, floats=None):
     """Header x1..xn,kind,source_word,conjugator_word,bnorm; floats use repr
     (``floats``, else ``format_floats(ps)``) so emission is deterministic and
     lossless.
 
     The bytes are those of ``csv.writer`` (excel dialect), written directly:
     each row fills a fixed template with float reprs and labels quoted once."""
-    header = [f"x{i + 1}" for i in range(rank)]
+    header = [f"x{i + 1}" for i in range(ps.coords.shape[1])]
     header += ["kind", "source_word", "conjugator_word", "bnorm"]
     row = ",".join(["%s"] * len(header)) + "\r\n"
     coords, bnorms = floats or format_floats(ps)

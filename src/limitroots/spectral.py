@@ -33,6 +33,8 @@ RHO = 2.0**7 * _EPS / 2
 KERNEL_TOL = 1e-7
 # |M^T B M - B| above this, relative to |M|_F^2 + 1, is not a B-isometry.
 ISOMETRY_TOL = 1e-8
+# Powering stops at the first power with an entry above this.
+POWER_CAP = 1e9
 
 
 class Kind(enum.Enum):
@@ -150,25 +152,27 @@ def _eigvals_rule(M, f, eps):
     return x, beta, unit, eps, Q.real, f
 
 
+@np.errstate(all="ignore")
 def _hyperbolic_classes(sys, M, x, Q, f):
-    """Hyperbolic classes of an (N, n, n) stack whose rows have x > 2
-    beyond their bound (lists of ``_trace_rule``'s x and |M|_F, and its Q
-    stacked), as (classes, seeds): a row's class is None where it needs a
-    Rayleigh step, has zero height or a complement of the wrong dimension.
-    ``classify`` calls it on a stack of one, so the batch and the single
-    element share every bit.
+    """Class of each row of an (N, n, n) stack that the traces call
+    hyperbolic (``_trace_rule``'s x, Q and |M|_F per row), or the row's
+    error.  Each product, reduction and solve is one call per matrix, so a
+    row's result does not depend on the stack.
 
     lambda = (x + sqrt(x^2 - 4)) / 2, and P = (M - I / lambda) Q kills
     every eigenvector but x_plus, so P = c x_plus (B x_minus)^T, B x_minus
     spanning the left eigenvectors for lambda (M^T B M = B).  x_plus is P's
-    largest column and x_minus = B^-1 times its largest row (``seeds``).
-    Each passes ``_refine_eigenpair``'s residual test with its Rayleigh
-    quotient, then goes to height 1, and the unimodular subspace is the
-    kernel of (B x_plus, B x_minus).
+    largest column and x_minus = B^-1 times its largest row.  Only the seeds
+    that fail the residual test |M w - (w^T M w) w| < 1e-13 max(1, |M|_F) |w|
+    take Rayleigh steps; a residual left above 1e-6 max(1, |M|_F), or zero
+    height, is an ExtractionError.  At height 1, the unimodular subspace is
+    the kernel of (B x_plus, B x_minus), of dimension n - 2 or a
+    ClassificationError.
     """
     N, n, _ = M.shape
     add, rows = np.add.reduce, np.arange(N)
-    lam = [_expanding(v) for v in x]
+    scale = [max(1.0, fj) for fj in f]
+    lam = [(v + math.sqrt((v - 2) * (v + 2))) / 2 for v in x]
     P = M @ Q - Q / np.array(lam)[:, None, None]
     P2 = P * P
     V = np.empty((N, 2, n))
@@ -178,61 +182,72 @@ def _hyperbolic_classes(sys, M, x, Q, f):
     V[:, 1] = (sys.form_inverse @ P[rows, add(P2, 2).argmax(1), :, None])[:, :, 0]
     norm2 = add(V * V, 2)
     MV = V @ M.transpose(0, 2, 1)
-    mu = add(MV * V, 2) / norm2
-    MV -= mu[:, :, None] * V
+    MV -= (add(MV * V, 2) / norm2)[:, :, None] * V
+    # The residual test, squared, on the unnormalised seeds.
+    tests = enumerate(zip(add(MV * MV, 2).tolist(), norm2.tolist(), scale))
+    step = [(i, k) for i, (r, q, s) in tests for k in (0, 1) if not r[k] < (1e-13 * s) ** 2 * q[k]]
+    out = [None] * N
+    if step:
+        j, k = np.array(step).T
+        V[j, k], residual = _rayleigh(M[j], V[j, k], np.array(scale)[j])
+        for i, r in zip(j.tolist(), residual.tolist()):
+            if not r <= 1e-6 * scale[i] and out[i] is None:
+                out[i] = ExtractionError(f"ill-conditioned eigenvector solve: residual {r:g}")
+        norm2 = add(V * V, 2)
     h = add(V, 2)
     X = V / h[:, :, None]
-
-    def passes(r2, q2, hj, fj):
-        # The residual test of _refine_eigenpair and the height test of
-        # _height_oriented, squared, for the unnormalised seeds.
-        tol = (1e-13 * max(1.0, fj)) ** 2
-        return all(r < tol * q and a * a >= 1e-24 * q for r, q, a in zip(r2, q2, hj))
-
-    tests = zip(add(MV * MV, 2).tolist(), norm2.tolist(), h.tolist(), f)
-    passed = [j for j, test in enumerate(tests) if passes(*test)]
-    out = [None] * N
-    if passed:
-        _, s, vt = np.linalg.svd((X if len(passed) == N else X[passed]) @ sys.form)
-        for j, sj, vj in zip(passed, s.tolist(), vt):
-            if sj[1] > _EPS * n * sj[0]:
-                out[j] = SpectralClass(
+    for i, (a, q) in enumerate(zip(h.tolist(), norm2.tolist())):
+        if not (a[0] * a[0] >= 1e-24 * q[0] and a[1] * a[1] >= 1e-24 * q[1]) and out[i] is None:
+            out[i] = ExtractionError("eigendirection has zero height; not in the chart")
+    ok = [i for i, sc in enumerate(out) if sc is None]
+    if ok:
+        _, s, vt = np.linalg.svd((X if len(ok) == N else X[ok]) @ sys.form)
+        for i, (s0, s1), vi in zip(ok, s.tolist(), vt):
+            if s1 > _EPS * n * s0:
+                out[i] = SpectralClass(
                     kind=Kind.HYPERBOLIC,
-                    dominant=(lam[j], X[j, 0], X[j, 1]),
-                    unimodular_basis=vj[2:].T,
+                    dominant=(lam[i], X[i, 0], X[i, 1]),
+                    unimodular_basis=vi[2:].T,
                 )
-    return out, V
+            else:
+                out[i] = ClassificationError(
+                    f"unimodular complement has dimension {n - 1}, expected {n - 2}"
+                )
+    return out
 
 
-def _refine_eigenpair(M, v, max_steps=5):
-    """Eigenpair (Rayleigh quotient, unit vector) of M from a seed v.
+def _rayleigh(M, v, scale):
+    """Rayleigh-quotient steps on the seeds v (K, n) of eigenvectors of the
+    matrices M (K, n, n), as (unit vectors, residuals |M w - (w^T M w) w|).
+    A vector steps until its residual is below 1e-13 scale, five times at
+    most, and stops at a singular solve; the shift is jittered off the
+    eigenvalue to keep the solve nonsingular."""
+    add, eye = np.add.reduce, np.eye(v.shape[1])
+    w, residual = v / np.sqrt(add(v * v, 1))[:, None], np.empty(len(v))
+    live = np.arange(len(v))
+    for step in range(6):
+        Mw = (M[live] @ w[live, :, None])[:, :, 0]
+        mu = add(Mw * w[live], 1)
+        Mw -= mu[:, None] * w[live]
+        residual[live] = np.sqrt(add(Mw * Mw, 1))
+        moving = residual[live] >= 1e-13 * scale[live]
+        live, mu = live[moving], mu[moving]
+        if step == 5 or not len(live):
+            return w, residual
+        u = _solve(M[live] - (mu * (1 + 1e-10))[:, None, None] * eye, w[live])
+        solved = np.isfinite(u).all(1)
+        live, u = live[solved], u[solved]
+        w[live] = u / np.sqrt(add(u * u, 1))[:, None]
 
-    The seed passes when |M w - (w^T M w) w| < 1e-13 max(1, |M|_F); else
-    Rayleigh-quotient iteration steps, cubic in convergence, with the shift
-    jittered off the eigenvalue to keep the solve nonsingular.
-    """
-    scale = max(1.0, _norm(M))
-    for step in range(max_steps + 1):
-        w = v / _norm(v)
-        Mw = M @ w
-        lam = float(w @ Mw)
-        residual = _norm(Mw - lam * w)
-        if residual < 1e-13 * scale or step == max_steps:
-            break
-        try:
-            v = np.linalg.solve(M - lam * (1 + 1e-10) * np.eye(len(w)), w)
-        except np.linalg.LinAlgError:
-            break
-    if residual > 1e-6 * scale:
-        raise ExtractionError(f"ill-conditioned eigenvector solve: residual {residual:g}")
-    return lam, w
 
-
-def _height_oriented(v):
-    h = v.sum()
-    if abs(h) < 1e-12 * _norm(v):
-        raise ExtractionError("eigendirection has zero height; not in the chart")
-    return v / h
+def _solve(A, b):
+    """Stacked ``np.linalg.solve`` of A x = b, b (K, n); NaN where A is singular."""
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.full_like(b, np.nan)
+        return np.concatenate([_solve(A[i : i + 1], b[i : i + 1]) for i in range(len(A))])
 
 
 def _null_space(A):
@@ -248,23 +263,6 @@ def _kernel(A):
     return vt[np.count_nonzero(s >= KERNEL_TOL * max(1.0, s[0])) :].T
 
 
-def _finite_order(M, k_max, norm_cap=1e9):
-    # Roundoff in a power of M grows with max|M|^2 (elliptic conjugates with
-    # entries near 500 miss I by ~1e-8), while the powers of an
-    # infinite-order element stay order one away from I; the cap keeps the
-    # test far below that distance.
-    tol = min(1e-2, 1e-8 * max(1.0, float(np.abs(M).max())) ** 2)
-    eye = np.eye(M.shape[0])
-    P = M
-    for k in range(1, k_max + 1):
-        if np.abs(P - eye).max() < tol:
-            return k
-        if np.abs(P).max() > norm_cap:
-            return None
-        P = P @ M
-    return None
-
-
 def classify(sys, elem):
     """Spectral class of a group element (or raw B-isometry matrix).
 
@@ -272,96 +270,92 @@ def classify(sys, elem):
     must satisfy M^T B M = B (relative ISOMETRY_TOL) and have a float det
     within 1e-6 of +-1, which is then rounded; otherwise
     ClassificationError.  ``_trace_rule`` gives x = lambda + 1/lambda and
-    its rounding bound beta; the element is hyperbolic when x - 2 > beta,
-    and ``_hyperbolic_classes`` extracts lambda, x_plus, x_minus and the
-    unimodular subspace from one rank-one product (with Rayleigh steps
-    where the residual test fails).  Otherwise powering decides: an
-    identity power up to ``sys.finite_order_bound`` (the largest order of a
-    finite standard parabolic subgroup, which bounds the order of every
-    element of finite order of W) means elliptic.  Failing that, where the
-    traces put the unimodular spectrum at +-1, a verified Jordan defect at
-    eps means parabolic.  Anything else raises ClassificationError; so does
-    a raw matrix of finite order above the bound, which is not in W.
+    its rounding bound beta.  The element is hyperbolic when x - 2 > beta,
+    and ``_hyperbolic_classes`` extracts its eigendata; otherwise
+    ``_unimodular_class`` decides.
     """
     sys.require_lorentzian("spectral classification")
     if isinstance(elem, GroupElement):
-        return _classify(sys, np.asarray(elem.matrix, dtype=float), (-1.0) ** elem.length)
-    M = np.asarray(elem, dtype=float)
-    return _classify(sys, M, float(_determinants(sys, M[None])[0]))
+        M, det = np.asarray(elem.matrix, dtype=float), (-1.0) ** elem.length
+    else:
+        M = np.asarray(elem, dtype=float)
+        det = float(_determinants(sys, M[None])[0])
+    rule = _trace_rule(M, det) if det else None
+    if rule and rule[0] - 2 > rule[1]:
+        x, _, _, _, Q, f = rule
+        return _checked(_hyperbolic_classes(sys, M[None], [x], Q[None], [f])[0])
+    return _unimodular_class(sys, M, rule)
 
 
-def _classify(sys, M, det):
-    if det == 0:
+def _checked(sc):
+    """A class of ``_hyperbolic_classes``, or the error it holds raised."""
+    if isinstance(sc, Exception):
+        raise sc
+    return sc
+
+
+def _unimodular_class(sys, M, rule):
+    """Class of a B-isometry the traces (``rule``, None where det M is not
+    +-1) do not call hyperbolic: elliptic for an identity power up to
+    ``sys.finite_order_bound`` (the largest order of a finite standard
+    parabolic subgroup, so of a finite-order element of W), else parabolic
+    for a verified Jordan defect where the traces put the unimodular
+    spectrum at +-1.  Anything else, a raw matrix of finite order above the
+    bound too, raises ClassificationError saying where powering stopped."""
+    if rule is None:
         raise ClassificationError("not a B-isometry of determinant +-1")
-    x, beta, unit, eps, Q, f = _trace_rule(M, det)
-    if x - 2 > beta:
-        with np.errstate(all="ignore"):
-            (sc,), seeds = _hyperbolic_classes(sys, M[None], [x], Q[None], [f])
-        return sc if sc is not None else _refined_hyperbolic(sys, M, _expanding(x), seeds[0])
-    order = _finite_order(M, sys.finite_order_bound)
-    if order is not None:
-        return SpectralClass(kind=Kind.ELLIPTIC, order=order)
-    if unit:
-        return _make_parabolic(sys, M, int(eps))
-    raise ClassificationError(
-        f"unresolved elliptic/parabolic: no identity power up to the finite "
-        f"order bound {sys.finite_order_bound} and the spectrum is not at +-1"
-    )
-
-
-def _expanding(x):
-    """lambda > 1 with lambda + 1/lambda = x > 2."""
-    return (x + math.sqrt((x - 2) * (x + 2))) / 2
-
-
-def _refined_hyperbolic(sys, M, lam, seeds):
-    """``_hyperbolic_classes`` of one matrix, with Rayleigh steps."""
-    _, x_plus = _refine_eigenpair(M, seeds[0])
-    _, x_minus = _refine_eigenpair(M, seeds[1])
-    x_plus, x_minus = _height_oriented(x_plus), _height_oriented(x_minus)
-    basis = _null_space(np.array((sys.form @ x_plus, sys.form @ x_minus)))
-    if basis.shape[1] != sys.rank - 2:
+    _, _, unit, eps, _, _ = rule
+    bound = sys.finite_order_bound
+    # Roundoff in M^k grows with max|M|^2 (elliptic conjugates with entries
+    # near 500 miss I by ~1e-8), while the powers of an infinite-order element
+    # stay order one away from I; the cap keeps the test far below that.
+    tol = min(1e-2, 1e-8 * max(1.0, float(np.abs(M).max())) ** 2)
+    eye, P = np.eye(len(M)), M
+    for k in range(1, bound + 1):
+        if np.abs(P - eye).max() < tol:
+            return SpectralClass(kind=Kind.ELLIPTIC, order=k)
+        if np.abs(P).max() > POWER_CAP:
+            break
+        P = P @ M
+    powering = f"no identity power up to the finite order bound {bound}"
+    if k < bound:
+        powering = f"powering stopped at M^{k}, which passes the norm cap {POWER_CAP:g}"
+    if not unit:
         raise ClassificationError(
-            f"unimodular complement has dimension {basis.shape[1]}, expected {sys.rank - 2}"
+            f"unresolved elliptic/parabolic: {powering} and the spectrum is not at +-1"
         )
-    return SpectralClass(
-        kind=Kind.HYPERBOLIC, dominant=(lam, x_plus, x_minus), unimodular_basis=basis
-    )
+    try:
+        return _make_parabolic(sys, M, int(eps))
+    except ClassificationError as exc:
+        raise ClassificationError(f"{exc}; {powering}") from exc
 
 
 def classify_many(sys, mats, det=None):
     """``[classify(sys, M) for M in mats]`` for an (N, n, n) stack, with every
-    field bit-identical, and the same error where ``classify`` raises one.
+    field bit-identical, and the first failing row's error in stack order.
 
     ``det`` (one value or one per matrix) gives det M = +-1: callers that
     hold words pass their parities, the sandwich oracle +1 for s_a s_b.
     Without it each matrix is checked and its det rounded as ``classify``
-    does for a raw matrix (``_determinants``).  ``_trace_rule`` runs per
-    row, as in ``classify``, and ``_hyperbolic_classes`` once over the rows
-    the traces call hyperbolic; ``classify`` runs it on a stack of one, and
-    each of its products and reductions is one call per matrix, so the rows
-    agree bit for bit.  Every other row (not hyperbolic by the traces, or
-    needing a Rayleigh step, with zero height or a complement of the wrong
-    dimension) is classified alone, in stack order.
+    does for a raw matrix (``_determinants``).  The steps are ``classify``'s:
+    ``_trace_rule`` per row, ``_hyperbolic_classes`` once over the rows the
+    traces call hyperbolic, and ``_unimodular_class`` on every other row.
     """
     sys.require_lorentzian("spectral classification")
     M = np.ascontiguousarray(mats, dtype=float)
-    n = sys.rank
-    if not len(M) or M.shape[1:] != (n, n):
-        return [classify(sys, m) for m in M]
-    N = len(M)
-    det = _determinants(sys, M) if det is None else np.broadcast_to(np.asarray(det, float), (N,))
-    det = det.tolist()
-    rules = [_trace_rule(m, d) if d else None for m, d in zip(M, det)]
-    fast = [i for i, r in enumerate(rules) if r and r[0] - 2 > r[1]]
-    out = [None] * N
-    if fast:
-        with np.errstate(all="ignore"):
-            x, _, _, _, Q, f = zip(*[rules[i] for i in fast])
-            classes, _ = _hyperbolic_classes(sys, M[fast], x, np.stack(Q), f)
-            for i, sc in zip(fast, classes):
-                out[i] = sc
-    return [sc if sc is not None else _classify(sys, M[i], det[i]) for i, sc in enumerate(out)]
+    if not len(M):
+        return []
+    det = _determinants(sys, M) if det is None else np.broadcast_to(np.asarray(det, float), len(M))
+    rules = [_trace_rule(m, d) if d else None for m, d in zip(M, det.tolist())]
+    hyp = [i for i, r in enumerate(rules) if r and r[0] - 2 > r[1]]
+    out = {}
+    if hyp:
+        x, _, _, _, Q, f = zip(*[rules[i] for i in hyp])
+        out = dict(zip(hyp, _hyperbolic_classes(sys, M[hyp], x, np.stack(Q), f)))
+    return [
+        _checked(out[i]) if i in out else _unimodular_class(sys, M[i], rules[i])
+        for i in range(len(M))
+    ]
 
 
 def _make_parabolic(sys, M, eps):
@@ -411,7 +405,11 @@ def _parabolic_vector(sys, K):
     rdim = np.count_nonzero(radical)
     if rdim != 1:
         raise ExtractionError(f"parabolic extraction failed: radical dimension {rdim} != 1")
-    return _height_oriented(K @ gvecs[:, radical.argmax()])
+    v = K @ gvecs[:, radical.argmax()]
+    h = v.sum()
+    if abs(h) < 1e-12 * _norm(v):
+        raise ExtractionError("eigendirection has zero height; not in the chart")
+    return v / h
 
 
 def hyperbolic_directions(sys, sc, iso_tol=1e-8):

@@ -40,7 +40,7 @@ def sample(sys_u1_mod=None):
 def test_csv_round_trip(tmp_path, sample):
     sys, ps = sample
     path = tmp_path / "points.csv"
-    write_pointset_csv(ps, str(path), sys.rank)
+    write_pointset_csv(ps, str(path))
     back = read_pointset_csv(str(path), sys)
     assert len(back) == len(ps)
     np.testing.assert_array_equal(back.coords, ps.coords)
@@ -50,7 +50,7 @@ def test_csv_round_trip(tmp_path, sample):
 def test_csv_read_back_keeps_every_column(tmp_path, sample):
     sys, ps = sample
     path = tmp_path / "points.csv"
-    write_pointset_csv(ps, str(path), sys.rank)
+    write_pointset_csv(ps, str(path))
     back = read_pointset_csv(str(path), sys)
     assert back.dedup_eps == 0.0
     assert back.coords.tobytes() == ps.coords.tobytes()
@@ -60,14 +60,14 @@ def test_csv_read_back_keeps_every_column(tmp_path, sample):
         (r.kind, r.source, r.conjugator) for r in ps
     ]
     again = tmp_path / "again.csv"
-    write_pointset_csv(back, str(again), sys.rank)
+    write_pointset_csv(back, str(again))
     assert again.read_bytes() == path.read_bytes()
 
 
 def test_csv_header_names_coordinates(tmp_path, sample):
     sys, ps = sample
     path = tmp_path / "points.csv"
-    write_pointset_csv(ps, str(path), sys.rank)
+    write_pointset_csv(ps, str(path))
     with open(path) as fh:
         header = next(csv.reader(fh))
     assert header[:3] == ["x1", "x2", "x3"]
@@ -179,7 +179,7 @@ def _labels_needing_quotes():
 def test_csv_writer_matches_the_standard_library(tmp_path, case):
     sys, ps, _ = case()
     path = tmp_path / "points.csv"
-    write_pointset_csv(ps, str(path), sys.rank)
+    write_pointset_csv(ps, str(path))
     assert path.read_bytes() == _csv_reference(ps, sys.rank).encode()
 
 
@@ -191,7 +191,7 @@ def test_writers_share_one_formatting_pass(tmp_path, case):
     floats = format_floats(ps)
     assert len(floats[0]) == len(floats[1]) == len(ps)
     for name, write in [
-        ("csv", lambda path, *f: write_pointset_csv(ps, path, sys.rank, *f)),
+        ("csv", lambda path, *f: write_pointset_csv(ps, path, *f)),
         ("json", lambda path, *f: write_pointset_json(ps, path, sys, budgets, *f)),
     ]:
         alone, shared = tmp_path / f"alone.{name}", tmp_path / f"shared.{name}"
@@ -228,7 +228,7 @@ assert not loaded, loaded
 def test_manifest_digests_outputs(tmp_path, sample):
     sys, ps = sample
     out = tmp_path / "points.csv"
-    write_pointset_csv(ps, str(out), sys.rank)
+    write_pointset_csv(ps, str(out))
     manifest = RunManifest(
         graph_hash=graph_hash(sys.graph),
         budgets={"core_lengths": [2, 4]},
@@ -393,9 +393,22 @@ def test_cli_bad_length_range(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("lengths", ["5..3", "-1..2", "-2"])
+def test_cli_rejects_reversed_or_negative_length_range(tmp_path, lengths, capsys):
+    out = tmp_path / "x.csv"
+    code = main(
+        ["limit-roots", "--graph", "fig1a", f"--core-lengths={lengths}", "--conj-lengths", "0..0"]
+        + ["--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: length range {lengths!r} must have 0 <= a <= b\n"
+    assert not out.exists()
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     # With c = 50, the 24 reflections of length 7 have entries near 1e14, so
-    # no power certifies their order 2: classify raises a NumericalError.
+    # powering stops at its norm cap before it certifies their order 2, and
+    # classify raises a NumericalError that says so.
     code = main(
         [
             "limit-roots",
@@ -410,4 +423,6 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
         ]
     )
     assert code == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: eigenvector span has dimension 2, expected 1; ")
+    assert "powering stopped at M^1, which passes the norm cap 1e+09" in err

@@ -16,6 +16,8 @@ from limitroots import (
     parabolic_direction,
     unimodular_subspace,
 )
+from limitroots import spectral
+from limitroots.arrangement import IntersectionKind, codim2_spacelike, roots_by_depth
 from limitroots.errors import ClassificationError, NotLorentzianError
 from limitroots.graphs import INF, CoxeterGraph
 from limitroots.elements import enumerate_elements
@@ -339,6 +341,55 @@ def test_universal3_50_length_8_is_hyperbolic():
         for x in sc.dominant[1:]:
             w = x / np.linalg.norm(x)
             assert np.linalg.norm(M @ w - (w @ M @ w) * w) < 1e-13 * np.linalg.norm(M)
+
+
+def test_rayleigh_steps_on_the_depth_5_sandwich_products(monkeypatch):
+    """The products s_a s_b of the space-like root pairs of universal3:1.1 at
+    depth 5 (the sandwich oracle's batch) hold the only seeds in these tests
+    that fail the residual test: 13 rows take Rayleigh steps.  Each agrees
+    bit for bit with a batch of one, both vectors pass the residual test,
+    and they match a fresh ``np.linalg.eig`` to 1e-12 |M|_F, the scale of
+    that test: |M|_F reaches 5.9e4 here, and a seed that passes it can sit
+    1.8e-9 from the eigenvector."""
+    sys = make_system("universal3:1.1")
+    pairs = [
+        ci.pair
+        for ci in codim2_spacelike(sys, roots_by_depth(sys, 5))
+        if ci.kind is IntersectionKind.SPACE_LIKE
+    ]
+    mats = np.stack([sys.reflection_in(a.vector) @ sys.reflection_in(b.vector) for a, b in pairs])
+    stepped = []
+    rayleigh = spectral._rayleigh
+
+    def spy(M, v, scale):
+        stepped.extend(np.flatnonzero((mats == m).all(axis=(1, 2)))[0] for m in M)
+        return rayleigh(M, v, scale)
+
+    monkeypatch.setattr(spectral, "_rayleigh", spy)
+    got = classify_many(sys, mats, det=1)
+    rows = sorted(set(stepped))
+    assert len(mats) == 3984 and len(rows) == 13
+    for i in rows:
+        assert _fields(classify_many(sys, mats[i : i + 1], det=1)[0]) == _fields(got[i])
+        M = mats[i]
+        scale = max(1.0, np.linalg.norm(M))
+        lam, x_plus, x_minus = got[i].dominant
+        for x, mu in ((x_plus, lam), (x_minus, 1 / lam)):
+            w = x / np.linalg.norm(x)
+            assert np.linalg.norm(M @ w - (w @ M @ w) * w) < 1e-13 * scale
+            x_ref = _reference_dominant(M, mu)[1]
+            np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-12 * scale)
+
+
+def test_stacked_solve_marks_only_the_singular_system():
+    """A singular system in the stacked solve gives a NaN row, and the other
+    rows their own solutions, as for a stack of one."""
+    A = np.stack([np.diag([2.0, 3.0, 4.0]), np.diag([1.0, 0.0, 1.0]), np.eye(3)])
+    b = np.ones((3, 3))
+    x = spectral._solve(A, b)
+    assert np.isnan(x[1]).all()
+    alone = [spectral._solve(A[i : i + 1], b[i : i + 1]) for i in (0, 2)]
+    assert x[[0, 2]].tobytes() == np.concatenate(alone).tobytes()
 
 
 def test_classify_many_of_nothing_is_empty(sys_u1):
