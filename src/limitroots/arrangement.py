@@ -19,7 +19,7 @@ from .elements import reflect_rows
 from .errors import EnumerationError, ExtractionError
 from .graphs import word_to_str
 from .projective import ProjectivePoint, to_chart
-from .spectral import Kind, _null_space, classify_many
+from .spectral import Kind, _plane_complements, classify_many
 
 PAIRING_TOL = 1e-9
 
@@ -118,41 +118,37 @@ def fundamental_weights(sys):
     return out
 
 
-def _intersection_basis(sys, v1, v2):
-    basis = _null_space(np.vstack([sys.form @ v1, sys.form @ v2]))
-    if basis.shape[1] != sys.rank - 2:
-        raise ExtractionError(
-            f"codimension-2 intersection has dimension {basis.shape[1]}"
-        )
-    return basis
-
-
 def codim2_spacelike(sys, roots, tol=PAIRING_TOL):
-    """Codimension-2 intersections over root pairs.
+    """Codimension-2 intersections over root pairs, in
+    ``itertools.combinations`` order.
 
     Pairs with pairing < -1 - tol are space-like (products of the two
     reflections are hyperbolic); pairs with pairing = -1 within tol are
-    flagged light-like (parabolic tangency).  Other pairs are omitted.
+    flagged light-like (parabolic tangency).  Other pairs are omitted.  One
+    R B R^T gives the pairings, one stack the bases and the check that B is
+    positive-definite on the space-like ones; the first pair failing raises.
     """
-    out = []
-    for r1, r2 in itertools.combinations(roots, 2):
-        pairing = float(r1.vector @ sys.form @ r2.vector)
-        if pairing < -1.0 - tol:
-            kind = IntersectionKind.SPACE_LIKE
-        elif abs(pairing + 1.0) <= tol:
-            kind = IntersectionKind.LIGHT_LIKE
-        else:
-            continue
-        basis = _intersection_basis(sys, r1.vector, r2.vector)
-        if kind is IntersectionKind.SPACE_LIKE:
-            gram = basis.T @ sys.form @ basis
-            if np.min(np.linalg.eigvalsh(gram)) <= 0:
-                raise ExtractionError(
-                    f"restricted form not positive-definite for pair "
-                    f"({r1.word_str()}, {r2.word_str()})"
-                )
-        out.append(Codim2Intersection(pair=(r1, r2), basis=basis, kind=kind, pairing=pairing))
-    return out
+    R = np.array([r.vector for r in roots], dtype=float).reshape(-1, sys.rank)
+    i, j = np.triu_indices(len(R), 1)
+    pairing = (R @ sys.form @ R.T)[i, j]
+    space = pairing < -1.0 - tol
+    keep = np.flatnonzero(space | (np.abs(pairing + 1.0) <= tol))
+    if not len(keep):
+        return []
+    i, j, pairing, space = i[keep], j[keep], pairing[keep], space[keep]
+    bases, dim = _plane_complements(sys, R[np.stack([i, j], axis=1)])
+    gram = np.swapaxes(bases, 1, 2) @ sys.form @ bases
+    bad = (dim != sys.rank - 2) | (space & (np.linalg.eigvalsh(gram)[:, 0] <= 0))
+    for k in np.flatnonzero(bad)[:1]:
+        if dim[k] != sys.rank - 2:
+            raise ExtractionError(f"codimension-2 intersection has dimension {dim[k]}")
+        a, b = roots[i[k]].word_str(), roots[j[k]].word_str()
+        raise ExtractionError(f"restricted form not positive-definite for pair ({a}, {b})")
+    kinds = [IntersectionKind.SPACE_LIKE if sp else IntersectionKind.LIGHT_LIKE for sp in space]
+    return [
+        Codim2Intersection(pair=(roots[a], roots[b]), basis=q, kind=kind, pairing=p)
+        for a, b, q, kind, p in zip(i.tolist(), j.tolist(), bases, kinds, pairing.tolist())
+    ]
 
 
 def principal_sine(q1, q2):
@@ -167,22 +163,18 @@ def principal_sine(q1, q2):
 def intersection_equals_unimodular(sys, cis, angle_tol=1e-7):
     """For each space-like intersection, whether it equals the unimodular
     subspace of the product of its two reflections (principal angle below
-    tolerance).  The products are classified as one batch."""
+    tolerance).  The products are classified, and the unimodular subspaces
+    of the hyperbolic ones formed, as one batch each."""
     if any(ci.kind is not IntersectionKind.SPACE_LIKE for ci in cis):
         raise ValueError("intersection_equals_unimodular requires space-like pairs")
-    n = sys.rank
-    ws = [
-        sys.reflection_in(a.vector) @ sys.reflection_in(b.vector)
-        for a, b in (ci.pair for ci in cis)
-    ]
-    classes = classify_many(sys, np.array(ws, dtype=float).reshape(-1, n, n), det=1)
+    pairs = [ci.pair for ci in cis]
+    ws = [sys.reflection_in(a.vector) @ sys.reflection_in(b.vector) for a, b in pairs]
+    classes = classify_many(sys, ws, det=1)
     hyp = [i for i, sc in enumerate(classes) if sc.kind is Kind.HYPERBOLIC]
     verdicts = [False] * len(cis)
     if hyp:
-        sines = principal_sine(
-            np.stack([cis[i].basis for i in hyp]),
-            np.stack([classes[i].unimodular_basis for i in hyp]),
-        )
+        unimodular, _ = _plane_complements(sys, np.stack([classes[i].dominant[1:] for i in hyp]))
+        sines = principal_sine(np.stack([cis[i].basis for i in hyp]), unimodular)
         for i, sine in zip(hyp, sines):
             verdicts[i] = bool(sine < math.sin(angle_tol))
     return verdicts

@@ -16,6 +16,7 @@ product (``_hyperbolic_classes``).
 import enum
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -50,9 +51,9 @@ class SpectralClass:
     ``dominant`` is (lambda, x_plus, x_minus) for hyperbolic elements, with
     both eigenvectors scaled to height 1.  ``parabolic_eps`` / ``parabolic_vec``
     hold the Jordan sign and the light-like eigenvector for parabolic
-    elements.  ``unimodular_basis`` has shape (n, n-2) with Euclidean-
-    orthonormal columns; it is None for elliptic elements.  ``order`` is the
-    verified finite order of elliptic elements.
+    elements.  ``unimodular_basis`` (n, n-2, Euclidean-orthonormal columns)
+    comes from the Jordan test of parabolic elements, else None (see
+    ``unimodular_subspace``); ``order`` is an elliptic element's verified order.
     """
 
     kind: Kind
@@ -71,14 +72,23 @@ def _norm(x):
 
 def _determinants(sys, M):
     """det M = +-1 of each matrix of a raw (N, n, n) stack, from the rounded
-    ``np.linalg.det``; 0 where M^T B M is not B or det M is not within 1e-6
-    of +-1.  (The float det of a product can have the wrong sign: words
-    give theirs by parity.)"""
-    B = sys.form
+    ``np.linalg.det`` d; 0 where M^T B M is not B, where d is farther than
+    beta = c n eps kappa(B) (|M|_F^2 + 1), c = n 2^(n-1), from +-1, or where
+    beta >= 1/2 leaves the sign undecided (words give theirs by parity).
+    Derivation of c: LU with partial pivoting is exact for P M + dM,
+    |dM| <= (n eps / 2) |L| |U| (Higham, Thm 9.3), with |L|_F <= n and
+    |U|_F <= |L^-1|_F |M|_F <= 2^(n-1) |M|_F, as |L_ij| <= 1 and
+    |(L^-1)_ij| <= 2^(i-j-1).  So E = M^-1 P^T dM, with |M^-1|_F =
+    |B^-1 M^T B|_F <= kappa(B) |M|_F, has nuclear norm
+    eta <= n^2 2^(n-2) eps kappa(B) |M|_F^2, and |det(I + E) - 1| <= 2 eta
+    for eta <= 1/4; the + 1 covers the rounding of the n pivots' product."""
+    B, n = sys.form, len(sys.form)
+    f2 = (M * M).sum(axis=(1, 2))
     defect = np.abs(np.swapaxes(M, 1, 2) @ B @ M - B).max(axis=(1, 2))
     d = np.linalg.det(M)
     det = np.where(d > 0, 1.0, -1.0)
-    ok = (defect <= ISOMETRY_TOL * ((M * M).sum(axis=(1, 2)) + 1)) & (np.abs(d - det) <= 1e-6)
+    beta = n * 2.0 ** (n - 1) * n * _EPS * np.linalg.cond(B) * (f2 + 1)
+    ok = (defect <= ISOMETRY_TOL * (f2 + 1)) & (np.abs(d - det) <= beta) & (beta < 0.5)
     return np.where(ok, det, 0.0)
 
 
@@ -165,9 +175,9 @@ def _hyperbolic_classes(sys, M, x, Q, f):
     largest column and x_minus = B^-1 times its largest row.  Only the seeds
     that fail the residual test |M w - (w^T M w) w| < 1e-13 max(1, |M|_F) |w|
     take Rayleigh steps; a residual left above 1e-6 max(1, |M|_F), or zero
-    height, is an ExtractionError.  At height 1, the unimodular subspace is
-    the kernel of (B x_plus, B x_minus), of dimension n - 2 or a
-    ClassificationError.
+    height, is an ExtractionError.  At height 1, B x_plus and B x_minus must
+    be independent (``_independent``), or their kernel, the unimodular
+    subspace, is not of dimension n - 2: ClassificationError.
     """
     N, n, _ = M.shape
     add, rows = np.add.reduce, np.arange(N)
@@ -199,21 +209,24 @@ def _hyperbolic_classes(sys, M, x, Q, f):
     for i, (a, q) in enumerate(zip(h.tolist(), norm2.tolist())):
         if not (a[0] * a[0] >= 1e-24 * q[0] and a[1] * a[1] >= 1e-24 * q[1]) and out[i] is None:
             out[i] = ExtractionError("eigendirection has zero height; not in the chart")
-    ok = [i for i, sc in enumerate(out) if sc is None]
-    if ok:
-        _, s, vt = np.linalg.svd((X if len(ok) == N else X[ok]) @ sys.form)
-        for i, (s0, s1), vi in zip(ok, s.tolist(), vt):
-            if s1 > _EPS * n * s0:
-                out[i] = SpectralClass(
-                    kind=Kind.HYPERBOLIC,
-                    dominant=(lam[i], X[i, 0], X[i, 1]),
-                    unimodular_basis=vi[2:].T,
-                )
-            else:
-                out[i] = ClassificationError(
-                    f"unimodular complement has dimension {n - 1}, expected {n - 2}"
-                )
+    for i, (a, b) in enumerate((X @ sys.form).tolist()):
+        if out[i] is None and _independent(a, b):
+            out[i] = SpectralClass(kind=Kind.HYPERBOLIC, dominant=(lam[i], X[i, 0], X[i, 1]))
+        elif out[i] is None:
+            out[i] = ClassificationError(
+                f"unimodular complement has dimension {n - 1}, expected {n - 2}"
+            )
     return out
+
+
+def _independent(a, b):
+    """Whether the rows a, b (lists; a = B x_plus is not 0) pass scipy's rank
+    rule s_1 > n eps s_0 for rank 2, in closed form: s_0 s_1 = |a| |r| with
+    r = b - (a.b / a.a) a formed as a vector (|b|^2 - (a.b)^2 / |a|^2
+    cancels below eps), s_0^2 the larger eigenvalue of the Gram matrix."""
+    aa, ab, bb = sum(map(mul, a, a)), sum(map(mul, a, b)), sum(map(mul, b, b))
+    rr = sum((y - ab / aa * x) ** 2 for x, y in zip(a, b))
+    return math.sqrt(aa * rr) > _EPS * len(a) * (aa + bb + math.hypot(aa - bb, 2 * ab)) / 2
 
 
 def _rayleigh(M, v, scale):
@@ -250,11 +263,13 @@ def _solve(A, b):
         return np.concatenate([_solve(A[i : i + 1], b[i : i + 1]) for i in range(len(A))])
 
 
-def _null_space(A):
-    """Orthonormal kernel basis (columns) of A, with scipy's rank rule."""
-    _, s, vt = np.linalg.svd(A)
-    rank = np.count_nonzero(s > _EPS * max(A.shape) * s[0])
-    return vt[rank:].T
+def _plane_complements(sys, V):
+    """Orthonormal kernels (N, n, n-2), as columns, of the rows of each V B
+    for a stack V (N, 2, n), from one stacked SVD (a row's bits do not
+    depend on the stack), and the kernel dimensions by scipy's rank rule."""
+    n = V.shape[2]
+    _, s, vt = np.linalg.svd(V @ sys.form)
+    return np.swapaxes(vt[:, 2:], 1, 2), n - np.count_nonzero(s > _EPS * n * s[:, :1], axis=1)
 
 
 def _kernel(A):
@@ -268,11 +283,11 @@ def classify(sys, elem):
 
     det M = (-1)^length comes from a ``GroupElement``'s word.  A raw matrix
     must satisfy M^T B M = B (relative ISOMETRY_TOL) and have a float det
-    within 1e-6 of +-1, which is then rounded; otherwise
-    ClassificationError.  ``_trace_rule`` gives x = lambda + 1/lambda and
-    its rounding bound beta.  The element is hyperbolic when x - 2 > beta,
-    and ``_hyperbolic_classes`` extracts its eigendata; otherwise
-    ``_unimodular_class`` decides.
+    within its rounding bound of +-1 (``_determinants``), which is then
+    rounded; otherwise ClassificationError.  ``_trace_rule`` gives
+    x = lambda + 1/lambda and its rounding bound beta.  The element is
+    hyperbolic when x - 2 > beta, and ``_hyperbolic_classes`` extracts its
+    eigendata; otherwise ``_unimodular_class`` decides.
     """
     sys.require_lorentzian("spectral classification")
     if isinstance(elem, GroupElement):
@@ -375,7 +390,7 @@ def _make_parabolic(sys, M, eps):
     if dim != n - 2:
         raise ClassificationError(f"eigenvector span has dimension {dim}, expected {n - 2}")
     basis = u[:, :dim]
-    perp = _null_space((sys.form @ basis).T)
+    perp = _kernel((sys.form @ basis).T)
     defect = np.abs(A @ A @ perp).max()
     scale = max(1.0, _norm(A) ** 2)
     if defect > 1e-7 * scale:
@@ -433,16 +448,9 @@ def parabolic_direction(sys, sc):
 
 
 def unimodular_subspace(sys, sc):
-    """Orthonormal basis (columns) of the (n-2)-dimensional unimodular subspace."""
+    """Orthonormal basis (columns) of the unimodular subspace; a hyperbolic one is formed anew."""
     if sc.kind is Kind.ELLIPTIC:
         raise ValueError("elliptic elements have no unimodular subspace")
-    return sc.unimodular_basis
-
-
-def orthogonality_check(sys, z1, lam, z2, mu, tol=1e-8):
-    """True when lam * conj(mu) != 1 forces B(z1, z2) = 0 (test oracle)."""
-    if abs(lam * np.conj(mu) - 1.0) <= 1e-9:
-        return True  # hypothesis fails; nothing to check
-    b = np.asarray(z1) @ sys.form @ np.conj(np.asarray(z2))
-    scale = max(1.0, float(np.linalg.norm(z1) * np.linalg.norm(z2)))
-    return bool(abs(b) < tol * scale)
+    if sc.kind is Kind.PARABOLIC:
+        return sc.unimodular_basis
+    return _plane_complements(sys, np.stack(sc.dominant[1:])[None])[0][0]

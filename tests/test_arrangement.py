@@ -2,9 +2,11 @@
 
 import dataclasses
 import decimal
+import itertools
 import math
 from collections import Counter
 from operator import mul
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,11 +28,13 @@ from limitroots import (
     to_chart,
 )
 from limitroots.arrangement import (
+    Codim2Intersection,
     IntersectionKind,
     Root,
     principal_sine,
     reflection_pair_eigendata,
 )
+from limitroots.errors import ExtractionError
 from limitroots.projective import chart_distance
 from limitroots.spectral import Kind, unimodular_subspace
 from limitroots.verify import run_suite
@@ -187,6 +191,66 @@ def test_marginal_pairs_are_light_like(sys_u1):
     assert all(ci.kind is IntersectionKind.LIGHT_LIKE for ci in cis)
 
 
+def _codim2_per_pair(sys, roots, tol=1e-9):
+    """The per-pair loop ``codim2_spacelike`` replaced: one pairing, one
+    null space and one ``eigvalsh`` per pair."""
+    out = []
+    for r1, r2 in itertools.combinations(roots, 2):
+        pairing = float(r1.vector @ sys.form @ r2.vector)
+        if pairing < -1.0 - tol:
+            kind = IntersectionKind.SPACE_LIKE
+        elif abs(pairing + 1.0) <= tol:
+            kind = IntersectionKind.LIGHT_LIKE
+        else:
+            continue
+        basis = null_space(np.vstack([sys.form @ r1.vector, sys.form @ r2.vector]))
+        if basis.shape[1] != sys.rank - 2:
+            raise ExtractionError(f"codimension-2 intersection has dimension {basis.shape[1]}")
+        if kind is IntersectionKind.SPACE_LIKE:
+            if np.min(np.linalg.eigvalsh(basis.T @ sys.form @ basis)) <= 0:
+                raise ExtractionError(
+                    f"restricted form not positive-definite for pair "
+                    f"({r1.word_str()}, {r2.word_str()})"
+                )
+        out.append(Codim2Intersection(pair=(r1, r2), basis=basis, kind=kind, pairing=pairing))
+    return out
+
+
+@pytest.mark.parametrize(
+    "graph, depth", [("fig1a", 5), ("fig1b", 4), ("universal3:1.1", 5), ("universal4:1", 4)]
+)
+def test_codim2_batch_matches_the_per_pair_loop(graph, depth):
+    """The same pairs and kinds in the same order, pairings within 1e-12
+    relative and projectors QQ^T within 1e-14 of the per-pair loop's."""
+    sys = make_system(graph)
+    roots = roots_by_depth(sys, depth)
+    got, expected = codim2_spacelike(sys, roots), _codim2_per_pair(sys, roots)
+    assert len(got) == len(expected) > 0
+    for a, b in zip(got, expected):
+        assert a.pair[0] is b.pair[0] and a.pair[1] is b.pair[1]
+        assert a.kind is b.kind
+        assert abs(a.pairing - b.pairing) <= 1e-12 * abs(b.pairing)
+        np.testing.assert_allclose(
+            a.basis @ a.basis.T, b.basis @ b.basis.T, rtol=0, atol=1e-14
+        )
+
+
+def test_codim2_names_the_first_pair_without_a_definite_form():
+    """On a form of signature (2, 2) some space-like pairs have an
+    indefinite complement: the error names the first such pair in
+    ``itertools.combinations`` order, as the per-pair loop does."""
+    sys = SimpleNamespace(form=np.diag([1.0, 1.0, -1.0, -1.0]), rank=4)
+    vectors = [(0, 0, 1, 0), (0, 0, 2, 1), (1, 0, 2, 0), (0, 1, 2, 0)]
+    roots = [Root(np.array(v, float), 1, (), k) for k, v in enumerate(vectors)]
+    with pytest.raises(ExtractionError) as expected:
+        _codim2_per_pair(sys, roots)
+    with pytest.raises(ExtractionError) as got:
+        codim2_spacelike(sys, roots)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).endswith("pair (s, u)")
+    assert codim2_spacelike(sys, roots[:2])[0].kind is IntersectionKind.SPACE_LIKE
+
+
 def test_intersection_equals_unimodular_subspace(sys_u11):
     cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 2))
     space_like = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
@@ -284,7 +348,7 @@ def test_intersection_equals_unimodular_batch_matches_per_pair_reference(sys_u11
         sc = classify(sys_u11, sys_u11.reflection_in(r1.vector) @ sys_u11.reflection_in(r2.vector))
         expected.append(
             sc.kind is Kind.HYPERBOLIC
-            and principal_sine(ci.basis, sc.unimodular_basis) < math.sin(1e-7)
+            and principal_sine(ci.basis, unimodular_subspace(sys_u11, sc)) < math.sin(1e-7)
         )
     verdicts = intersection_equals_unimodular(sys_u11, batch)
     assert verdicts == expected

@@ -21,7 +21,7 @@ from limitroots.arrangement import IntersectionKind, codim2_spacelike, roots_by_
 from limitroots.errors import ClassificationError, NotLorentzianError
 from limitroots.graphs import INF, CoxeterGraph
 from limitroots.elements import enumerate_elements
-from limitroots.spectral import Kind, classify_many, orthogonality_check
+from limitroots.spectral import Kind, classify_many
 
 # fig1b with its generators relabeled 0->1, 1->2, 2->3, 3->0.
 FIG1B_RELABELED = CoxeterGraph(
@@ -173,6 +173,15 @@ def test_unimodular_subspace_is_space_like_complement(sys_u1):
     assert U[:, 0] @ B @ U[:, 0] > 0
 
 
+def orthogonality_check(sys, z1, lam, z2, mu, tol=1e-8):
+    """True when lam * conj(mu) != 1 forces B(z1, z2) = 0."""
+    if abs(lam * np.conj(mu) - 1.0) <= 1e-9:
+        return True  # hypothesis fails; nothing to check
+    b = np.asarray(z1) @ sys.form @ np.conj(np.asarray(z2))
+    scale = max(1.0, float(np.linalg.norm(z1) * np.linalg.norm(z2)))
+    return bool(abs(b) < tol * scale)
+
+
 def test_eigenvector_pairing_vanishes_off_reciprocal_eigenvalues(sys_u1):
     # B(z1, z2) must vanish unless the eigenvalues multiply to 1; reciprocal
     # pairs are exempt from the constraint (and indeed pair nontrivially).
@@ -249,15 +258,16 @@ def test_hyperbolic_eigendata_matches_fresh_solves(sys_u1, store_u1_6):
         assert abs(lam - lam_ref) <= 1e-12 * lam
         np.testing.assert_allclose(x_plus, x_plus_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(x_minus, x_minus_ref, rtol=0, atol=1e-12)
-        U = sc.unimodular_basis
+        U = unimodular_subspace(sys_u1, sc)
         K = null_space(np.vstack([B @ x_plus, B @ x_minus]))
         np.testing.assert_allclose(U @ U.T, K @ K.T, rtol=0, atol=1e-12)
         assert np.max(np.abs(np.vstack([x_plus, x_minus]) @ B @ U)) < 1e-12
     assert hyperbolic > 0
 
 
-def _fields(sc):
-    """Every field of a class, arrays as (dtype, shape, bytes)."""
+def _fields(sys, sc):
+    """Every field of a class, and ``unimodular_subspace`` of a non-elliptic
+    one, arrays as (dtype, shape, bytes)."""
 
     def raw(a):
         return None if a is None else (a.dtype.str, a.shape, a.tobytes())
@@ -272,6 +282,7 @@ def _fields(sc):
         raw(sc.parabolic_vec),
         raw(sc.unimodular_basis),
         sc.order,
+        None if sc.kind is Kind.ELLIPTIC else raw(unimodular_subspace(sys, sc)),
     )
 
 
@@ -301,7 +312,7 @@ def test_classify_many_matches_classify(graph, length, words):
     got = classify_many(sys, mats)
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
-        assert _fields(a) == _fields(b)
+        assert _fields(sys, a) == _fields(sys, b)
     kinds = Counter(sc.kind for sc in got)
     assert kinds[Kind.HYPERBOLIC] > 0 and kinds[Kind.ELLIPTIC] > 0
     if words:
@@ -317,7 +328,9 @@ def test_classify_many_takes_determinants_from_the_caller():
     mats = store.matrices(6, 6)
     assert np.count_nonzero(np.sign(np.linalg.det(mats)) != 1) == 50
     got = classify_many(sys, mats, det=1)
-    assert [_fields(sc) for sc in got] == [_fields(classify(sys, e)) for e in store.of_length(6)]
+    assert [_fields(sys, sc) for sc in got] == [
+        _fields(sys, classify(sys, e)) for e in store.of_length(6)
+    ]
     assert all(sc.kind is Kind.HYPERBOLIC for sc in got)
     u1 = make_system("universal3:1")
     raw = np.stack([element_of(u1, w).matrix for w in [(0, 1, 2), (0, 1, 2, 0), (0,)]])
@@ -341,6 +354,88 @@ def test_universal3_50_length_8_is_hyperbolic():
         for x in sc.dominant[1:]:
             w = x / np.linalg.norm(x)
             assert np.linalg.norm(M @ w - (w @ M @ w) * w) < 1e-13 * np.linalg.norm(M)
+
+
+def test_nearly_parallel_eigenvectors_stay_hyperbolic():
+    """Two universal3:50 elements whose x_plus and x_minus nearly coincide:
+    B x_plus and B x_minus have singular values 99.5 and 6e-5, so
+    B(x_plus, x_minus) is only 7e-7, yet far above the rank rule's
+    n eps s_0."""
+    sys = make_system("universal3:50")
+    words = [(0, 1, 0, 2, 1, 0, 1, 0), (0, 2, 0, 1, 2, 0, 2, 0)]
+    elements = [e for e in enumerate_elements(sys, 8).of_length(8) if e.word in words]
+    assert len(elements) == 2
+    for elem in elements:
+        sc = classify(sys, elem)
+        assert sc.kind is Kind.HYPERBOLIC
+        _, x_plus, x_minus = sc.dominant
+        assert abs(x_plus @ sys.form @ x_minus) < 1e-6
+        s = np.linalg.svd(np.vstack([x_plus, x_minus]) @ sys.form, compute_uv=False)
+        assert s[1] < 1e-6 * s[0]
+        assert unimodular_subspace(sys, sc).shape == (3, 1)
+
+
+def test_hyperbolic_classify_takes_no_svd(monkeypatch):
+    """The independence of B x_plus and B x_minus is decided in closed form:
+    classifying a hyperbolic fig1b element runs no SVD, and its unimodular
+    subspace takes one."""
+    sys = make_system("fig1b")
+    elem = element_of(sys, (0, 1, 2, 3))
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    sc = classify(sys, elem)
+    assert sc.kind is Kind.HYPERBOLIC
+    assert sc.unimodular_basis is None
+    assert calls == []
+    unimodular_subspace(sys, sc)
+    assert calls == [(1, 2, 4)]
+
+
+def test_parallel_eigenvector_rows_are_refused():
+    """A stack whose projector P = c v (B v)^T gives x_plus and x_minus
+    along the same v (x_minus through B^-1, so parallel only to rounding):
+    the complement of the two rows has dimension n - 1."""
+    sys = make_system("fig1b")
+    v = np.array([1.0, 2.0, 3.0, 5.0])
+    Q = np.outer(v, sys.form @ v)
+    M = 3.0 * np.eye(4)
+    (sc,) = spectral._hyperbolic_classes(sys, M[None], [3 + 1 / 3], Q[None], [6.0])
+    assert isinstance(sc, ClassificationError)
+    assert "unimodular complement has dimension 3, expected 2" in str(sc)
+
+
+def test_raw_matrix_determinant_from_its_rounding_bound():
+    """On the 888 sandwich products of universal3:1.1 at depth 4 (|M|_F up
+    to 1.7e6, float det up to 2e-5 from 1), a raw matrix classifies as the
+    batch with det = 1 does, field for field.  On universal3:50 of length 5
+    and 6 the bound passes 1/2 and the float det has the wrong sign on 4 of
+    48 and 50 of 96 elements: every raw matrix is refused."""
+    sys = make_system("universal3:1.1")
+    pairs = [
+        ci.pair
+        for ci in codim2_spacelike(sys, roots_by_depth(sys, 4))
+        if ci.kind is IntersectionKind.SPACE_LIKE
+    ]
+    mats = np.stack([sys.reflection_in(a.vector) @ sys.reflection_in(b.vector) for a, b in pairs])
+    assert len(mats) == 888
+    assert np.max(np.abs(np.linalg.det(mats) - 1)) > 1e-6
+    batch = classify_many(sys, mats, det=1)
+    for M, sc in zip(mats, batch):
+        assert _fields(sys, classify(sys, M)) == _fields(sys, sc)
+    u50 = make_system("universal3:50")
+    store = enumerate_elements(u50, 6)
+    for length, wrong in ((5, 4), (6, 50)):
+        mats = store.matrices(length, length)
+        assert np.count_nonzero(np.sign(np.linalg.det(mats)) != (-1) ** length) == wrong
+        for M in mats:
+            with pytest.raises(ClassificationError, match="not a B-isometry"):
+                classify(u50, M)
 
 
 def test_rayleigh_steps_on_the_depth_5_sandwich_products(monkeypatch):
@@ -370,7 +465,8 @@ def test_rayleigh_steps_on_the_depth_5_sandwich_products(monkeypatch):
     rows = sorted(set(stepped))
     assert len(mats) == 3984 and len(rows) == 13
     for i in rows:
-        assert _fields(classify_many(sys, mats[i : i + 1], det=1)[0]) == _fields(got[i])
+        alone = classify_many(sys, mats[i : i + 1], det=1)[0]
+        assert _fields(sys, alone) == _fields(sys, got[i])
         M = mats[i]
         scale = max(1.0, np.linalg.norm(M))
         lam, x_plus, x_minus = got[i].dominant
