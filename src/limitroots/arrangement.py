@@ -163,55 +163,69 @@ def principal_sine(q1, q2):
 def intersection_equals_unimodular(sys, cis, angle_tol=1e-7):
     """For each space-like intersection, whether it equals the unimodular
     subspace of the product of its two reflections (principal angle below
-    tolerance).  The products are classified, and the unimodular subspaces
-    of the hyperbolic ones formed, as one batch each."""
+    tolerance), and the sine of that angle (NaN where the product is not
+    hyperbolic).  Each distinct root gives one reflection matrix; the
+    products R_a R_b are one stacked matmul, classified as one batch, and
+    the unimodular subspaces of the hyperbolic ones are formed as one stack."""
     if any(ci.kind is not IntersectionKind.SPACE_LIKE for ci in cis):
         raise ValueError("intersection_equals_unimodular requires space-like pairs")
-    pairs = [ci.pair for ci in cis]
-    ws = [sys.reflection_in(a.vector) @ sys.reflection_in(b.vector) for a, b in pairs]
-    classes = classify_many(sys, ws, det=1)
+    roots = {id(r): r for ci in cis for r in ci.pair}
+    position = {key: k for k, key in enumerate(roots)}
+    n = sys.rank
+    R = np.array([sys.reflection_in(r.vector) for r in roots.values()]).reshape(-1, n, n)
+    first, second = (np.array([position[id(ci.pair[s])] for ci in cis], int) for s in (0, 1))
+    classes = classify_many(sys, R[first] @ R[second], det=1)
     hyp = [i for i, sc in enumerate(classes) if sc.kind is Kind.HYPERBOLIC]
-    verdicts = [False] * len(cis)
+    sines = [math.nan] * len(cis)
     if hyp:
         unimodular, _ = _plane_complements(sys, np.stack([classes[i].dominant[1:] for i in hyp]))
-        sines = principal_sine(np.stack([cis[i].basis for i in hyp]), unimodular)
-        for i, sine in zip(hyp, sines):
-            verdicts[i] = bool(sine < math.sin(angle_tol))
-    return verdicts
+        for i, sine in zip(hyp, principal_sine(np.stack([cis[i].basis for i in hyp]), unimodular)):
+            sines[i] = float(sine)
+    return [s < math.sin(angle_tol) for s in sines], sines
 
 
-def reflection_pair_eigendata(sys, ci):
-    """Closed-form eigendata of w = s_a s_b for a space-like pair (a, b), in
-    ``decimal`` at the precision of the current context.
+def _dot(v, x):
+    return sum(map(mul, v, x))
 
-    With a, b scaled to B-norm 1 and c = -B(a, b) > 1, w is the rank-2 update
+
+def _unit(v, norm2):
+    s = norm2.sqrt()
+    return [x / s for x in v]
+
+
+def decimal_unit_roots(sys, roots):
+    """Each root scaled to B-norm 1, with B times it: a list of (a, Ba) in
+    ``decimal`` at the precision of the current context.  B (converted once)
+    and the float root vectors are taken over exactly."""
+    from decimal import Decimal
+
+    B = [[Decimal(x) for x in row] for row in sys.form.tolist()]
+    out = []
+    for r in roots:
+        v = [Decimal(x) for x in r.vector.tolist()]
+        a = _unit(v, _dot(v, [_dot(row, v) for row in B]))
+        out.append((a, [_dot(row, a) for row in B]))
+    return out
+
+
+def reflection_pair_eigendata(a, Ba, b, Bb):
+    """Closed-form eigendata of w = s_a s_b for a space-like pair (a, b),
+    from the two roots' ``decimal_unit_roots`` data, in ``decimal`` at the
+    precision of the current context.
+
+    With a, b of B-norm 1 and c = -B(a, b) > 1, w is the rank-2 update
     I - 2a(Ba)^T - 2b(Bb)^T - 4c a(Bb)^T, with the isotropic eigenvectors
     x_plus, x_minus = a + (c -/+ r) b, r = sqrt(c^2 - 1), for the eigenvalues
-    lam = (c + r)^2 and 1/lam; it fixes {a, b}^perp_B pointwise.  B and the
-    float root vectors are taken over exactly.
+    lam = (c + r)^2 and 1/lam; it fixes {a, b}^perp_B pointwise.
 
     Returns (w, lam, x_minus, u) in ``Decimal``: w as a list of rows, and
     x_minus and a fixed vector u (the longest B-orthogonal projection of a
     simple root off span{a, b}) as Euclidean unit vectors.
     """
-    from decimal import Decimal
-
-    if ci.kind is not IntersectionKind.SPACE_LIKE:
+    n = len(a)
+    c = -_dot(Ba, b)
+    if not c > 1:
         raise ValueError("reflection_pair_eigendata requires a space-like pair")
-
-    def dot(v, x):
-        return sum(map(mul, v, x))
-
-    def unit(v, norm2):
-        s = norm2.sqrt()
-        return [x / s for x in v]
-
-    n = sys.rank
-    B = [[Decimal(x) for x in row] for row in sys.form.tolist()]
-    a, b = ([Decimal(x) for x in r.vector.tolist()] for r in ci.pair)
-    a, b = (unit(v, dot(v, [dot(row, v) for row in B])) for v in (a, b))
-    Ba, Bb = ([dot(row, v) for row in B] for v in (a, b))
-    c = -dot(Ba, b)
     t = c + (c * c - 1).sqrt()
     g = [p + 2 * c * q for p, q in zip(Ba, Bb)]
     w = [[(i == j) - 2 * (a[i] * g[j] + b[i] * Bb[j]) for j in range(n)] for i in range(n)]
@@ -224,8 +238,8 @@ def reflection_pair_eigendata(sys, ci):
         f, h, d = p + c * q, c * p + q, 1 - c * c
         return [(i == s) - (a[i] * f + b[i] * h) / d for i in range(n)]
 
-    u = max((project(s) for s in range(n)), key=lambda v: dot(v, v))
-    return w, t * t, unit(x_minus, dot(x_minus, x_minus)), unit(u, dot(u, u))
+    u = max((project(s) for s in range(n)), key=lambda v: _dot(v, v))
+    return w, t * t, _unit(x_minus, _dot(x_minus, x_minus)), _unit(u, _dot(u, u))
 
 
 def sign_vector(sys, point, roots, zero_tol=PAIRING_TOL):

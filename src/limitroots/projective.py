@@ -70,6 +70,27 @@ def chart_distance(p, q):
     return float(np.linalg.norm(p.coords - q.coords))
 
 
+def _row_norms(X):
+    # One dot product per row, as np.linalg.norm takes it, bit for bit.
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+
+
+def chart_distances(sys, X, Y):
+    """``chart_distance(to_chart(sys, x), to_chart(sys, y))`` for the rows of
+    two (N, n) stacks, bit for bit: heights, quotients and norms are taken
+    row by row as ``to_chart`` takes them, one stack at a time.  Rows with a
+    point at infinity go through ``to_chart`` itself."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    hx, hy = X.sum(axis=1), Y.sum(axis=1)
+    affine = (np.abs(hx) > HEIGHT_TOL * _row_norms(X)) & (np.abs(hy) > HEIGHT_TOL * _row_norms(Y))
+    d = np.empty(len(X))
+    D = X[affine] / hx[affine, None] - Y[affine] / hy[affine, None]
+    d[affine] = _row_norms(D)
+    for i in np.flatnonzero(~affine):
+        d[i] = chart_distance(to_chart(sys, X[i]), to_chart(sys, Y[i]))
+    return d
+
+
 def causal_character(sys, v, iso_tol=ISO_TOL):
     """Sign of B(v, v) with a zero band relative to the squared vector norm."""
     v = np.asarray(v, dtype=float)

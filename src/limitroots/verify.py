@@ -11,6 +11,7 @@ import numpy as np
 
 from .arrangement import (
     codim2_spacelike,
+    decimal_unit_roots,
     fundamental_weights,
     intersection_equals_unimodular,
     reflection_pair_eigendata,
@@ -20,7 +21,7 @@ from .arrangement import (
 from .elements import element_of, enumerate_elements
 from .geometry import make_system
 from .limits import hausdorff, sample_limit_roots
-from .projective import chart_distance, to_chart
+from .projective import chart_distance, chart_distances, to_chart
 
 SUITES = {}
 
@@ -107,40 +108,58 @@ def verify_sandwich(sys=None, depth=4):
     Case-2 orbits accumulate on them.
 
     The Case-2 base x_minus + u and w = s_a s_b come from the closed-form
-    eigendata of the pair.  w^k (x_minus + u) = lam^-k x_minus + u takes k
-    row-by-vector steps in ``decimal`` at SANDWICH_DPS digits, and
-    k = ceil(24 / log10 lam) bounds both the contraction lam^-k <= 1e-24
-    and the rounding along x_plus, about k lam^k 10^-dps <= k lam 10^(24 - dps)."""
+    eigendata of the pair, built from per-root ``decimal`` data formed once
+    per root.  w^k (x_minus + u) = lam^-k x_minus + u takes k row-by-vector
+    steps in ``decimal`` at SANDWICH_DPS digits, and k = ceil(24 / log10 lam)
+    bounds both the contraction lam^-k <= 1e-24 and the rounding along
+    x_plus, about k lam^k 10^-dps <= k lam 10^(24 - dps).  The end points
+    and the intersections are charted as two stacks.  The dynamics test
+    compares with a single chart point, so it needs rank 3."""
     import decimal
 
     sys = sys or make_system("universal3:1.1")
-    cis = codim2_spacelike(sys, roots_by_depth(sys, depth))
+    if sys.rank != 3:
+        raise ValueError(
+            "the sandwich dynamics test needs rank 3 (1-dimensional intersections), "
+            f"not rank {sys.rank}"
+        )
+    roots = roots_by_depth(sys, depth)
+    cis = codim2_spacelike(sys, roots)
     intersections = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
-    n_fail_angle = n_fail_dyn = 0
-    worst_dyn = 0.0
-    verdicts = intersection_equals_unimodular(sys, intersections)
-    for ci, equal in zip(intersections, verdicts):
-        if not equal:
-            n_fail_angle += 1
-            continue
-        with decimal.localcontext() as ctx:
-            ctx.prec = SANDWICH_DPS
-            w, lam, x_minus, u = reflection_pair_eigendata(sys, ci)
+    verdicts, sines = intersection_equals_unimodular(sys, intersections)
+    passed = [ci for ci, equal in zip(intersections, verdicts) if equal]
+    position = {id(r): k for k, r in enumerate(roots)}
+    ends, steps = [], 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = SANDWICH_DPS
+        unit = decimal_unit_roots(sys, roots)
+        for ci in passed:
+            (a, Ba), (b, Bb) = (unit[position[id(r)]] for r in ci.pair)
+            w, lam, x_minus, u = reflection_pair_eigendata(a, Ba, b, Bb)
             x = [p + q for p, q in zip(x_minus, u)]
-            for _ in range(max(1, math.ceil(24.0 / math.log10(lam)))):
+            k = max(1, math.ceil(24.0 / math.log10(lam)))
+            for _ in range(k):
                 x = [sum(map(mul, row, x)) for row in w]
-        d = chart_distance(to_chart(sys, [float(c) for c in x]), ci.chart_point(sys))
-        worst_dyn = max(worst_dyn, d)
-        if d > SANDWICH_TOL:
-            n_fail_dyn += 1
+            steps += k
+            ends.append([float(c) for c in x])
+    d = chart_distances(
+        sys,
+        np.array(ends, dtype=float).reshape(-1, sys.rank),
+        np.array([ci.basis[:, 0] for ci in passed], dtype=float).reshape(-1, sys.rank),
+    ).tolist()
+    n_fail_angle = len(intersections) - len(passed)
+    n_fail_dyn = sum(e > SANDWICH_TOL for e in d)
     ok = n_fail_angle == 0 and n_fail_dyn == 0 and len(intersections) > 0
     return {
         "pass": bool(ok),
         "depth": depth,
+        "roots": len(roots),
         "pairs": len(intersections),
         "angle_failures": n_fail_angle,
         "dynamics_failures": n_fail_dyn,
-        "worst_dynamics_residual": worst_dyn,
+        "dynamics_steps": steps,
+        "worst_angle_sine": max((s for s in sines if not math.isnan(s)), default=0.0),
+        "worst_dynamics_residual": max(d, default=0.0),
         "dynamics_tolerance": SANDWICH_TOL,
     }
 

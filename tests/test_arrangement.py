@@ -15,6 +15,7 @@ from scipy.linalg import null_space, subspace_angles
 from scipy.spatial import cKDTree
 from test_coxeter_core import _graphs
 
+import limitroots.arrangement
 from limitroots import (
     classify,
     codim2_spacelike,
@@ -31,12 +32,13 @@ from limitroots.arrangement import (
     Codim2Intersection,
     IntersectionKind,
     Root,
+    decimal_unit_roots,
     principal_sine,
     reflection_pair_eigendata,
 )
 from limitroots.errors import ExtractionError
 from limitroots.projective import chart_distance
-from limitroots.spectral import Kind, unimodular_subspace
+from limitroots.spectral import Kind, classify_many, unimodular_subspace
 from limitroots.verify import run_suite
 
 
@@ -255,7 +257,9 @@ def test_intersection_equals_unimodular_subspace(sys_u11):
     cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 2))
     space_like = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
     assert space_like
-    assert intersection_equals_unimodular(sys_u11, space_like) == [True] * len(space_like)
+    verdicts, sines = intersection_equals_unimodular(sys_u11, space_like)
+    assert verdicts == [True] * len(space_like)
+    assert max(sines) < math.sin(1e-7)
 
 
 def test_reflection_pair_closed_form_matches_spectral(sys_u11):
@@ -275,7 +279,8 @@ def test_reflection_pair_closed_form_matches_spectral(sys_u11):
             )
         with decimal.localcontext() as ctx:
             ctx.prec = 60
-            w_dec, lam_dec, xm, u = reflection_pair_eigendata(sys_u11, ci)
+            (ua, Ba), (ub, Bb) = decimal_unit_roots(sys_u11, ci.pair)
+            w_dec, lam_dec, xm, u = reflection_pair_eigendata(ua, Ba, ub, Bb)
             assert float(lam_dec) == pytest.approx(lam, rel=1e-9)
             assert _eigen_residual(w_dec, xm, 1 / lam_dec) < 1e-40
             assert _eigen_residual(w_dec, u, 1) < 1e-40
@@ -284,6 +289,83 @@ def test_reflection_pair_closed_form_matches_spectral(sys_u11):
         # product itself rounds at about 1e-14 of its largest entry.
         err = np.max(np.abs(np.array(w_dec, dtype=float) - w))
         assert err < 1e-12 * np.max(np.abs(w))
+
+
+def _per_pair_eigendata(sys, ci):
+    """The per-pair ``reflection_pair_eigendata`` that per-root data
+    replaced: B and both roots converted and scaled for every pair."""
+    from decimal import Decimal
+
+    def dot(v, x):
+        return sum(map(mul, v, x))
+
+    def unit(v, norm2):
+        s = norm2.sqrt()
+        return [x / s for x in v]
+
+    n = sys.rank
+    B = [[Decimal(x) for x in row] for row in sys.form.tolist()]
+    a, b = ([Decimal(x) for x in r.vector.tolist()] for r in ci.pair)
+    a, b = (unit(v, dot(v, [dot(row, v) for row in B])) for v in (a, b))
+    Ba, Bb = ([dot(row, v) for row in B] for v in (a, b))
+    c = -dot(Ba, b)
+    t = c + (c * c - 1).sqrt()
+    g = [p + 2 * c * q for p, q in zip(Ba, Bb)]
+    w = [[(i == j) - 2 * (a[i] * g[j] + b[i] * Bb[j]) for j in range(n)] for i in range(n)]
+    x_minus = [p + t * q for p, q in zip(a, b)]
+
+    def project(s):
+        p, q = Ba[s], Bb[s]
+        f, h, d = p + c * q, c * p + q, 1 - c * c
+        return [(i == s) - (a[i] * f + b[i] * h) / d for i in range(n)]
+
+    u = max((project(s) for s in range(n)), key=lambda v: dot(v, v))
+    return w, t * t, unit(x_minus, dot(x_minus, x_minus)), unit(u, dot(u, u))
+
+
+def test_per_root_eigendata_matches_the_per_pair_reference(sys_u11):
+    """At depth 3, eigendata from the per-root (a, Ba) equal the per-pair
+    conversion Decimal for Decimal, digits and exponents included."""
+    roots = roots_by_depth(sys_u11, 3)
+    cis = [ci for ci in codim2_spacelike(sys_u11, roots) if ci.kind is IntersectionKind.SPACE_LIKE]
+    assert cis
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        unit = decimal_unit_roots(sys_u11, roots)
+        position = {id(r): k for k, r in enumerate(roots)}
+        for ci in cis:
+            (a, Ba), (b, Bb) = (unit[position[id(r)]] for r in ci.pair)
+            got = reflection_pair_eigendata(a, Ba, b, Bb)
+            assert repr(got) == repr(_per_pair_eigendata(sys_u11, ci))
+
+
+def test_pair_eigendata_refuses_a_light_like_pair(sys_u1):
+    ci = codim2_spacelike(sys_u1, roots_by_depth(sys_u1, 1))[0]
+    assert ci.kind is IntersectionKind.LIGHT_LIKE
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        (a, Ba), (b, Bb) = decimal_unit_roots(sys_u1, ci.pair)
+        with pytest.raises(ValueError, match="space-like pair"):
+            reflection_pair_eigendata(a, Ba, b, Bb)
+
+
+@pytest.mark.parametrize(
+    "graph, depth, count", [("universal3:1", 5, 249), ("fig1b", 4, 100), ("universal4:1", 4, 456)]
+)
+def test_light_like_pairs_give_parabolic_products(graph, depth, count):
+    """The light-like half of the arrangement theorem: for a pair with
+    pairing -1, s_a s_b is parabolic and its fixed isotropic vector lies
+    in the intersection of the two hyperplanes."""
+    sys = make_system(graph)
+    cis = codim2_spacelike(sys, roots_by_depth(sys, depth))
+    cis = [ci for ci in cis if ci.kind is IntersectionKind.LIGHT_LIKE]
+    pairs = [ci.pair for ci in cis]
+    assert len(cis) == count
+    products = [sys.reflection_in(a.vector) @ sys.reflection_in(b.vector) for a, b in pairs]
+    for ci, sc in zip(cis, classify_many(sys, products, det=1)):
+        assert sc.kind is Kind.PARABOLIC
+        v = sc.parabolic_vec / np.linalg.norm(sc.parabolic_vec)
+        assert principal_sine(ci.basis, v[:, None]) < 1e-10
 
 
 def _eigen_residual(w, x, scale):
@@ -326,7 +408,7 @@ def test_intersection_equals_unimodular_rejects_a_tilted_basis(sys_u11):
         dataclasses.replace(ci, basis=math.cos(theta) * ci.basis + math.sin(theta) * off)
         for theta, _ in cases
     ]
-    assert intersection_equals_unimodular(sys_u11, tilted) == [e for _, e in cases]
+    assert intersection_equals_unimodular(sys_u11, tilted)[0] == [e for _, e in cases]
 
 
 def test_intersection_equals_unimodular_batch_matches_per_pair_reference(sys_u11):
@@ -346,19 +428,54 @@ def test_intersection_equals_unimodular_batch_matches_per_pair_reference(sys_u11
     for ci in batch:
         r1, r2 = ci.pair
         sc = classify(sys_u11, sys_u11.reflection_in(r1.vector) @ sys_u11.reflection_in(r2.vector))
-        expected.append(
-            sc.kind is Kind.HYPERBOLIC
-            and principal_sine(ci.basis, unimodular_subspace(sys_u11, sc)) < math.sin(1e-7)
-        )
-    verdicts = intersection_equals_unimodular(sys_u11, batch)
-    assert verdicts == expected
+        assert sc.kind is Kind.HYPERBOLIC
+        expected.append(float(principal_sine(ci.basis, unimodular_subspace(sys_u11, sc))))
+    verdicts, sines = intersection_equals_unimodular(sys_u11, batch)
+    assert verdicts == [s < math.sin(1e-7) for s in expected]
     assert verdicts == [k % 4 < 2 for k in range(len(batch))]
+    assert sines == expected
+
+
+def test_stacked_reflection_products_match_the_per_pair_products(sys_u11, monkeypatch):
+    """The products R_a R_b that ``intersection_equals_unimodular`` forms
+    from one reflection matrix per distinct root, in one stacked matmul,
+    equal one ``reflection_in`` product per pair bit for bit (depth 4)."""
+    cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 4))
+    cis = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
+    seen = []
+
+    def spy(sys, mats, det=None):
+        seen.append(np.array(mats))
+        return classify_many(sys, mats, det=det)
+
+    monkeypatch.setattr(limitroots.arrangement, "classify_many", spy)
+    intersection_equals_unimodular(sys_u11, cis)
+    expected = [
+        sys_u11.reflection_in(ci.pair[0].vector) @ sys_u11.reflection_in(ci.pair[1].vector)
+        for ci in cis
+    ]
+    assert len(seen) == 1 and seen[0].shape == (888, 3, 3)
+    assert np.array_equal(seen[0], np.array(expected))
 
 
 def test_sandwich_without_space_like_pairs_fails_without_raising(sys_u1):
     report = run_suite("sandwich", sys=sys_u1, depth=1)
     assert report["pass"] is False
     assert report["pairs"] == 0
+    assert (report["roots"], report["dynamics_steps"], report["worst_angle_sine"]) == (3, 0, 0.0)
+    assert report["worst_dynamics_residual"] == 0.0
+
+
+def test_sandwich_report_counters_at_depth_4(sys_u11):
+    """The deterministic counters of the sandwich report on universal3:1.1
+    at depth 4; the worst principal sine sits at rounding level, far below
+    the angle tolerance sin(1e-7)."""
+    report = run_suite("sandwich", sys=sys_u11, depth=4)
+    assert report["pass"] is True
+    assert (report["roots"], report["pairs"], report["dynamics_steps"]) == (45, 888, 8874)
+    assert report["angle_failures"] == report["dynamics_failures"] == 0
+    assert report["worst_angle_sine"] == pytest.approx(1.0e-12, rel=0.1)
+    assert report["worst_dynamics_residual"] == pytest.approx(3.0e-12, rel=0.1)
 
 
 def test_weights_sit_on_simple_pair_intersections(sys_u11):

@@ -361,6 +361,22 @@ def test_cli_verify_rejects_depth_below_one(capsys):
     assert captured.out == ""
 
 
+def test_cli_sandwich_refuses_rank_4_before_any_work(capsys, monkeypatch):
+    import limitroots.verify
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("roots formed before the rank check")
+
+    monkeypatch.setattr(limitroots.verify, "roots_by_depth", unreachable)
+    assert main(["verify", "--suite", "sandwich", "--graph", "fig1b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: the sandwich dynamics test needs rank 3 "
+        "(1-dimensional intersections), not rank 4\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "suite, flag, value",
     [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from limitroots import causal_character, chart_distance, light_conic, to_chart
-from limitroots.projective import Causal, timelike_center
+from limitroots.projective import Causal, chart_distances, timelike_center
 
 
 def test_chart_normalizes_height(sys_u1):
@@ -70,3 +70,19 @@ def test_light_conic_rank_limits():
 
     with pytest.raises(ValueError):
         light_conic(make_system("fig8"))
+
+
+def test_stacked_chart_distances_match_chart_distance(sys_u1):
+    """Row by row equal to ``chart_distance`` of two ``to_chart`` points, bit
+    for bit, also where one or both rows lie at infinity."""
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((400, 3)) * rng.uniform(1e-3, 1e3, (400, 1))
+    Y = rng.standard_normal((400, 3))
+    # Heights zero in X, in both, in Y; two pairs of equal directions.
+    X[:5] = [[1, -1, 0], [2, 1, -3], [1, 1, 1], [1, -1, 0], [0.5, 0, -0.5]]
+    Y[:5] = [[1, 1, 1], [-1, 0, 1], [0, 1, -1], [-2, 2, 0], [1, 0, -1]]
+    expected = [chart_distance(to_chart(sys_u1, x), to_chart(sys_u1, y)) for x, y in zip(X, Y)]
+    got = chart_distances(sys_u1, X, Y)
+    assert got.tolist() == expected
+    assert got[0] == got[2] == math.inf and 0 < got[1] < math.inf and got[3] == got[4] == 0.0
+    assert chart_distances(sys_u1, np.empty((0, 3)), np.empty((0, 3))).shape == (0,)
