@@ -35,11 +35,9 @@ from .limits import (
 from .arrangement import (
     IntersectionKind,
     codim2_spacelike,
-    descend_to_fundamental,
     fundamental_weights,
     intersection_equals_unimodular,
     roots_by_depth,
-    sign_vector,
 )
 
 __all__ = [
@@ -61,7 +59,6 @@ __all__ = [
     "classify",
     "classify_many",
     "codim2_spacelike",
-    "descend_to_fundamental",
     "dihedral",
     "element_of",
     "enumerate_elements",
@@ -78,7 +75,6 @@ __all__ = [
     "power_dynamics",
     "roots_by_depth",
     "sample_limit_roots",
-    "sign_vector",
     "signature",
     "to_chart",
     "unimodular_subspace",

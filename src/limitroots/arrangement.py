@@ -18,7 +18,7 @@ import numpy as np
 from .elements import reflect_rows
 from .errors import EnumerationError, ExtractionError
 from .graphs import word_to_str
-from .projective import ProjectivePoint, to_chart
+from .projective import to_chart
 from .spectral import Kind, _plane_complements, classify_many
 
 PAIRING_TOL = 1e-9
@@ -241,50 +241,3 @@ def reflection_pair_eigendata(a, Ba, b, Bb):
     u = max((project(s) for s in range(n)), key=lambda v: _dot(v, v))
     return w, t * t, _unit(x_minus, _dot(x_minus, x_minus)), _unit(u, _dot(u, u))
 
-
-def sign_vector(sys, point, roots, zero_tol=PAIRING_TOL):
-    """Sign of B(x, gamma) for each root, as a string over +, -, 0."""
-    x = point.coords if isinstance(point, ProjectivePoint) else np.asarray(point, float)
-    signs = []
-    for root in roots:
-        b = float(x @ sys.form @ root.vector)
-        if abs(b) <= zero_tol:
-            signs.append("0")
-        else:
-            signs.append("+" if b > 0 else "-")
-    return "".join(signs)
-
-
-@dataclass(frozen=True)
-class DescentResult:
-    word: tuple
-    point: ProjectivePoint
-    in_tits_cone: bool  # False means inconclusive, not a proof of absence
-
-
-def descend_to_fundamental(sys, point, max_steps):
-    """Greedy descent toward the fundamental chamber.
-
-    In root coordinates the chamber whose chart image contains the simplex
-    interior is {x : B(x, alpha_s) <= 0 for all s} (the simplex center pairs
-    negatively with every simple root), so a positive pairing marks a wall
-    separating the point from the chamber.  The corresponding reflection is
-    applied until all pairings are nonpositive (Tits-cone membership
-    certified) or the step budget runs out (inconclusive).
-    """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    x = np.array(
-        point.coords if isinstance(point, ProjectivePoint) else point, dtype=float
-    )
-    word = []
-    for _ in range(max_steps):
-        pairings = sys.form @ x
-        scale = max(1.0, float(np.max(np.abs(x))))
-        separating = np.nonzero(pairings > 1e-9 * scale)[0]
-        if separating.size == 0:
-            return DescentResult(word=tuple(word), point=to_chart(sys, x), in_tits_cone=True)
-        s = int(separating[0])
-        x = sys.gens[s] @ x
-        word.append(s)
-    return DescentResult(word=tuple(word), point=to_chart(sys, x), in_tits_cone=False)

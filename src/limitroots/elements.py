@@ -2,7 +2,8 @@
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -13,12 +14,27 @@ from .graphs import word_to_str
 _U = np.finfo(float).eps / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElement:
-    """A group element: canonical reduced word plus its representation matrix."""
+    """A group element: canonical reduced word plus its representation matrix.
+
+    Two elements are equal when their words and matrix bytes are; the hash
+    is the word's.  ``origin`` is (store, row) for an element read from an
+    ``ElementStore`` (``spectral.classify`` reads its class from the
+    store's blocks), else None; it takes no part in equality.
+    """
 
     word: tuple
     matrix: np.ndarray
+    origin: tuple = field(default=None, repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, GroupElement):
+            return NotImplemented
+        return self.word == other.word and self.matrix.tobytes() == other.matrix.tobytes()
+
+    def __hash__(self):
+        return hash(self.word)
 
     @property
     def length(self):
@@ -88,8 +104,9 @@ def element_of(sys, word):
 class ElementSequence(Sequence):
     """Read-only sequence of some rows of an ``ElementStore``, in row order.
 
-    Each access builds a fresh ``GroupElement`` from the level arrays, so
-    elements are equal in word and matrix bytes but not identical objects.
+    Each access builds a fresh ``GroupElement`` from the level arrays, with
+    its store and row as ``origin``: two accesses give equal elements, not
+    identical objects.
     ``rows`` is a ``range`` of store rows; slicing narrows it.
     """
 
@@ -115,7 +132,8 @@ class ElementSequence(Sequence):
             part = rows[bisect_left(rows, starts[k]) : bisect_left(rows, starts[k + 1])]
             if part:
                 local = slice(part.start - starts[k], part.stop - starts[k], part.step)
-                yield from map(GroupElement, map(tuple, W[local].tolist()), M[local])
+                words = map(tuple, W[local].tolist())
+                yield from map(GroupElement, words, M[local], zip(repeat(self._store), part))
 
     def __repr__(self):
         return f"ElementSequence({len(self)} elements)"
@@ -128,7 +146,9 @@ class ElementStore:
     the words (N, k), in the smallest unsigned dtype that holds rank - 1, and
     the matrices (N, n, n).  ``words`` and ``matrices`` read them for a range
     of lengths; ``elements`` and ``with_length`` are ``ElementSequence``s,
-    which build ``GroupElement``s on access.
+    which build ``GroupElement``s on access.  ``class_blocks`` holds the
+    spectral classes of the rows ``spectral.classify`` has asked for, by
+    block of one level, for the store's lifetime.
     """
 
     def __init__(self, sys):
@@ -136,6 +156,7 @@ class ElementStore:
         self._words = []
         self._mats = []
         self._starts = [0]
+        self.class_blocks = {}
 
     def __len__(self):
         return self._starts[-1]
@@ -179,10 +200,14 @@ class ElementStore:
     def _lengths(self, lo, hi):
         return range(max(lo, 0), min(hi, self.max_length) + 1)
 
-    def _element(self, i):
+    def locate(self, i):
+        """(length k, index in level k) of store row i."""
         k = bisect_right(self._starts, i) - 1
-        j = i - self._starts[k]
-        return GroupElement(tuple(self._words[k][j].tolist()), self._mats[k][j])
+        return k, i - self._starts[k]
+
+    def _element(self, i):
+        k, j = self.locate(i)
+        return GroupElement(tuple(self._words[k][j].tolist()), self._mats[k][j], (self, i))
 
     def _add_level(self, W, M):
         """Append the next length as its word and matrix arrays, made read-only."""

@@ -183,6 +183,11 @@ class GeometricSystem:
         inv.setflags(write=False)
         return inv
 
+    @cached_property
+    def form_condition(self):
+        """kappa(B), the 2-norm condition number of the form."""
+        return float(np.linalg.cond(self.form))
+
     def require_lorentzian(self, what="this operation"):
         if not self.is_lorentzian:
             raise NotLorentzianError(

@@ -16,12 +16,11 @@ product (``_hyperbolic_classes``).
 import enum
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
 from .elements import GroupElement
-from .errors import BorderlineSpectrumError, ClassificationError, ExtractionError
+from .errors import BorderlineSpectrumError, ClassificationError, ExtractionError, NumericalError
 from .projective import to_chart
 
 _EPS = np.finfo(float).eps
@@ -36,6 +35,8 @@ KERNEL_TOL = 1e-7
 ISOMETRY_TOL = 1e-8
 # Powering stops at the first power with an entry above this.
 POWER_CAP = 1e9
+# ``classify`` classifies store rows in blocks of this many rows of a level.
+BLOCK_ROWS = 1024
 
 
 class Kind(enum.Enum):
@@ -54,6 +55,8 @@ class SpectralClass:
     elements.  ``unimodular_basis`` (n, n-2, Euclidean-orthonormal columns)
     comes from the Jordan test of parabolic elements, else None (see
     ``unimodular_subspace``); ``order`` is an elliptic element's verified order.
+    The arrays are read-only: ``classify`` hands the class of a store row to
+    every call on that row.
     """
 
     kind: Kind
@@ -87,14 +90,15 @@ def _determinants(sys, M):
     defect = np.abs(np.swapaxes(M, 1, 2) @ B @ M - B).max(axis=(1, 2))
     d = np.linalg.det(M)
     det = np.where(d > 0, 1.0, -1.0)
-    beta = n * 2.0 ** (n - 1) * n * _EPS * np.linalg.cond(B) * (f2 + 1)
+    beta = n * 2.0 ** (n - 1) * n * _EPS * sys.form_condition * (f2 + 1)
     ok = (defect <= ISOMETRY_TOL * (f2 + 1)) & (np.abs(d - det) <= beta) & (beta < 0.5)
     return np.where(ok, det, 0.0)
 
 
+@np.errstate(all="ignore")
 def _trace_rule(M, det):
-    """(x, beta, unit, eps, Q, |M|_F) of one B-isometry M of determinant
-    ``det``, with Python floats for the scalars.
+    """(x, beta, unit, eps, Q, |M|_F), one entry or matrix per row, of an
+    (N, n, n) stack of B-isometries with determinants ``det`` (N,).
 
     x = lambda + 1/lambda for the eigenvalue pair that may leave the unit
     circle, and |x - x_exact| <= beta.  Writing T1 = tr M, T2 = tr M^2:
@@ -119,37 +123,50 @@ def _trace_rule(M, det):
     parabolic Jordan block can be; its sign is ``eps`` = det in rank 3,
     else sign T1.  Q is the product of M - mu I over the n - 2 unimodular
     eigenvalues mu: M - det I, M^2 - y M + I, M^2 - I, I in the four cases.
+
+    Every row keeps the bits it has alone: |M|_F is a (1, n^2) by (n^2, 1)
+    matmul per row, the traces are added diagonal entry by diagonal entry
+    from 0 (the order of Python's ``sum`` before 3.12), M^2 is a stacked
+    matmul, and the two rank-4 cases are merged with ``np.where``.  In
+    rank >= 5 a row with a non-finite |M|_F, which ``eigvals`` refuses,
+    gets x = NaN and is left to the powering.
     """
-    n = len(M)
-    f = _norm(M)
-    T1 = sum(M.diagonal().tolist())
-    eps = det if n == 3 else math.copysign(1.0, T1)
+    N, n, _ = M.shape
+    F = M.reshape(N, 1, n * n)
+    f = np.sqrt((F @ F.transpose(0, 2, 1))[:, 0, 0])
+    T1 = _row_sum(M.diagonal(0, 1, 2))
+    eps = det if n == 3 else np.copysign(1.0, T1)
     if n > 4:
-        return _eigvals_rule(M, f, eps)
+        rules = [
+            _eigvals_rule(m, g) if math.isfinite(g) else (math.nan, math.nan, False, m)
+            for m, g in zip(M, f.tolist())
+        ]
+        x, beta, unit, Q = map(np.array, zip(*rules))
+        return x, beta, unit, eps, Q, f
     beta, near = RHO * (f + 1), True
     if n == 3:
-        x, Q = T1 - det, M.copy()
+        x, Q, diagonal = T1 - det, M.copy(), -det
     elif n == 2:
-        x, Q = T1, np.zeros((2, 2))
-    elif det < 0:
-        x, Q = T1, M @ M
+        x, Q, diagonal = T1, np.zeros((N, 2, 2)), np.ones(N)
     else:
-        Q = M @ M
-        D = 2 * sum(Q.diagonal().tolist()) + 8 - T1 * T1
+        Q, diagonal, pos = M @ M, det, det > 0
+        D = 2 * _row_sum(Q.diagonal(0, 1, 2)) + 8 - T1 * T1
         dD = 8 * RHO * (f * f + 1)
-        root = math.sqrt(max(D, 0.0))
-        x = (T1 + root) / 2
-        beta = (beta + (min(math.sqrt(dD), dD / root) if root else math.sqrt(dD))) / 2
-        Q -= (T1 - x) * M
-        near = D <= dD
+        root = np.sqrt(np.maximum(D, 0.0))
+        x = np.where(pos, (T1 + root) / 2, T1)
+        split = np.where(root > 0, np.fmin(np.sqrt(dD), dD / root), np.sqrt(dD))
+        beta = np.where(pos, (beta + split) / 2, beta)
+        Q = np.where(pos[:, None, None], Q - (T1 - x)[:, None, None] * M, Q)
+        near = ~pos | (D <= dD)
     # The diagonal: M - det I in rank 3, M^2 - y M + det I in rank 4 (y = 0
     # for det -1), I in rank 2.
-    Q.ravel()[:: n + 1] += -det if n == 3 else det if n == 4 else 1.0
-    return x, beta, near and abs(abs(x) - 2) <= beta, eps, Q, f
+    k = np.arange(n)
+    Q[:, k, k] += diagonal[:, None]
+    return x, beta, near & (np.abs(np.abs(x) - 2) <= beta), eps, Q, f
 
 
-def _eigvals_rule(M, f, eps):
-    """``_trace_rule`` in rank >= 5, from one ``eigvals``."""
+def _eigvals_rule(M, f):
+    """(x, beta, unit, Q) of ``_trace_rule`` in rank >= 5, from one ``eigvals``."""
     n = len(M)
     ev = np.linalg.eigvals(M)
     ev = ev[np.argsort(np.abs(ev))]
@@ -159,7 +176,7 @@ def _eigvals_rule(M, f, eps):
     Q = np.eye(n, dtype=complex)
     for mu in ev[1:-1]:
         Q = Q @ (M - mu * np.eye(n))
-    return x, beta, unit, eps, Q.real, f
+    return x, beta, unit, Q.real
 
 
 @np.errstate(all="ignore")
@@ -176,14 +193,17 @@ def _hyperbolic_classes(sys, M, x, Q, f):
     that fail the residual test |M w - (w^T M w) w| < 1e-13 max(1, |M|_F) |w|
     take Rayleigh steps; a residual left above 1e-6 max(1, |M|_F), or zero
     height, is an ExtractionError.  At height 1, B x_plus and B x_minus must
-    be independent (``_independent``), or their kernel, the unimodular
-    subspace, is not of dimension n - 2: ClassificationError.
+    be independent, or their kernel, the unimodular subspace, is not of
+    dimension n - 2: ClassificationError.  Independence is scipy's rank rule
+    s_1 > n eps s_0 for the rows a, b, in closed form: s_0 s_1 = |a| |r| with
+    r = b - (a.b / a.a) a formed as a vector (|b|^2 - (a.b)^2 / |a|^2
+    cancels below eps), s_0^2 the larger eigenvalue of the Gram matrix.
     """
     N, n, _ = M.shape
     add, rows = np.add.reduce, np.arange(N)
-    scale = [max(1.0, fj) for fj in f]
-    lam = [(v + math.sqrt((v - 2) * (v + 2))) / 2 for v in x]
-    P = M @ Q - Q / np.array(lam)[:, None, None]
+    scale = np.maximum(1.0, f)
+    lam = (x + np.sqrt((x - 2) * (x + 2))) / 2
+    P = M @ Q - Q / lam[:, None, None]
     P2 = P * P
     V = np.empty((N, 2, n))
     V[:, 0] = P[rows, :, add(P2, 1).argmax(1)]
@@ -194,39 +214,42 @@ def _hyperbolic_classes(sys, M, x, Q, f):
     MV = V @ M.transpose(0, 2, 1)
     MV -= (add(MV * V, 2) / norm2)[:, :, None] * V
     # The residual test, squared, on the unnormalised seeds.
-    tests = enumerate(zip(add(MV * MV, 2).tolist(), norm2.tolist(), scale))
-    step = [(i, k) for i, (r, q, s) in tests for k in (0, 1) if not r[k] < (1e-13 * s) ** 2 * q[k]]
+    j, k = np.nonzero(~(add(MV * MV, 2) < ((1e-13 * scale) ** 2)[:, None] * norm2))
     out = [None] * N
-    if step:
-        j, k = np.array(step).T
-        V[j, k], residual = _rayleigh(M[j], V[j, k], np.array(scale)[j])
+    if len(j):
+        V[j, k], residual = _rayleigh(M[j], V[j, k], scale[j])
         for i, r in zip(j.tolist(), residual.tolist()):
             if not r <= 1e-6 * scale[i] and out[i] is None:
                 out[i] = ExtractionError(f"ill-conditioned eigenvector solve: residual {r:g}")
         norm2 = add(V * V, 2)
     h = add(V, 2)
     X = V / h[:, :, None]
-    for i, (a, q) in enumerate(zip(h.tolist(), norm2.tolist())):
-        if not (a[0] * a[0] >= 1e-24 * q[0] and a[1] * a[1] >= 1e-24 * q[1]) and out[i] is None:
-            out[i] = ExtractionError("eigendirection has zero height; not in the chart")
-    for i, (a, b) in enumerate((X @ sys.form).tolist()):
-        if out[i] is None and _independent(a, b):
-            out[i] = SpectralClass(kind=Kind.HYPERBOLIC, dominant=(lam[i], X[i, 0], X[i, 1]))
-        elif out[i] is None:
-            out[i] = ClassificationError(
-                f"unimodular complement has dimension {n - 1}, expected {n - 2}"
+    X.setflags(write=False)
+    for i in np.flatnonzero(~(h * h >= 1e-24 * norm2).all(1)).tolist():
+        out[i] = out[i] or ExtractionError("eigendirection has zero height; not in the chart")
+    G = X @ sys.form
+    a, b = G[:, 0], G[:, 1]
+    aa, ab, bb = _row_sum(a * a), _row_sum(a * b), _row_sum(b * b)
+    rr = _row_sum((b - (ab / aa)[:, None] * a) ** 2)
+    independent = np.sqrt(aa * rr) > _EPS * n * (aa + bb + np.hypot(aa - bb, 2 * ab)) / 2
+    for i, (l, ok) in enumerate(zip(lam.tolist(), independent.tolist())):
+        if out[i] is None:
+            out[i] = (
+                SpectralClass(kind=Kind.HYPERBOLIC, dominant=(l, X[i, 0], X[i, 1]))
+                if ok
+                else ClassificationError(
+                    f"unimodular complement has dimension {n - 1}, expected {n - 2}"
+                )
             )
     return out
 
 
-def _independent(a, b):
-    """Whether the rows a, b (lists; a = B x_plus is not 0) pass scipy's rank
-    rule s_1 > n eps s_0 for rank 2, in closed form: s_0 s_1 = |a| |r| with
-    r = b - (a.b / a.a) a formed as a vector (|b|^2 - (a.b)^2 / |a|^2
-    cancels below eps), s_0^2 the larger eigenvalue of the Gram matrix."""
-    aa, ab, bb = sum(map(mul, a, a)), sum(map(mul, a, b)), sum(map(mul, b, b))
-    rr = sum((y - ab / aa * x) ** 2 for x, y in zip(a, b))
-    return math.sqrt(aa * rr) > _EPS * len(a) * (aa + bb + math.hypot(aa - bb, 2 * ab)) / 2
+def _row_sum(A):
+    """Sum of each row of A (N, n), added from 0 in column order."""
+    t = 0.0
+    for j in range(A.shape[1]):
+        t = t + A[:, j]
+    return t
 
 
 def _rayleigh(M, v, scale):
@@ -284,42 +307,96 @@ def classify(sys, elem):
     det M = (-1)^length comes from a ``GroupElement``'s word.  A raw matrix
     must satisfy M^T B M = B (relative ISOMETRY_TOL) and have a float det
     within its rounding bound of +-1 (``_determinants``), which is then
-    rounded; otherwise ClassificationError.  ``_trace_rule`` gives
-    x = lambda + 1/lambda and its rounding bound beta.  The element is
-    hyperbolic when x - 2 > beta, and ``_hyperbolic_classes`` extracts its
-    eigendata; otherwise ``_unimodular_class`` decides.
+    rounded; otherwise ClassificationError.  ``_classify_rows`` decides.
+
+    An element read from an ``ElementStore`` of ``sys`` (its ``origin``)
+    takes its class from the store's ``class_blocks``: the first call on a
+    row classifies the block of BLOCK_ROWS rows of its level that holds it
+    as one stack, kept for the store's lifetime, and a row's error is
+    raised only when that row is asked for.  Any other element or matrix is a stack of one.
+    A row's class does not depend on its stack, so both give the same bits.
+    """
+    if not isinstance(elem, GroupElement):
+        return classify_many(sys, np.asarray(elem)[None])[0]
+    if elem.origin is None or elem.origin[0].sys is not sys:
+        return classify_many(sys, elem.matrix[None], (-1.0) ** elem.length)[0]
+    sys.require_lorentzian("spectral classification")
+    store, row = elem.origin
+    k, j = store.locate(row)
+    b, i = divmod(j, BLOCK_ROWS)
+    block = store.class_blocks.get((k, b))
+    if block is None:
+        M = store.level(k)[1][b * BLOCK_ROWS : (b + 1) * BLOCK_ROWS]
+        block = store.class_blocks[k, b] = _classify_rows(sys, M, (-1.0) ** k)
+    return _checked(block[i])
+
+
+def classify_many(sys, mats, det=None):
+    """``[classify(sys, M) for M in mats]`` for an (N, n, n) stack, with every
+    field bit-identical, and the first failing row's error in stack order.
+
+    ``det`` (one value or one per matrix) gives det M = +-1: callers that
+    hold words pass their parities, the sandwich oracle +1 for s_a s_b.
+    Without it each matrix is checked and its det rounded as ``classify``
+    does for a raw matrix (``_determinants``).  One ``_classify_rows`` over
+    the stack classifies every row.
     """
     sys.require_lorentzian("spectral classification")
-    if isinstance(elem, GroupElement):
-        M, det = np.asarray(elem.matrix, dtype=float), (-1.0) ** elem.length
-    else:
-        M = np.asarray(elem, dtype=float)
-        det = float(_determinants(sys, M[None])[0])
-    rule = _trace_rule(M, det) if det else None
-    if rule and rule[0] - 2 > rule[1]:
-        x, _, _, _, Q, f = rule
-        return _checked(_hyperbolic_classes(sys, M[None], [x], Q[None], [f])[0])
-    return _unimodular_class(sys, M, rule)
+    M = np.ascontiguousarray(mats, dtype=float)
+    if not len(M):
+        return []
+    det = _determinants(sys, M) if det is None else det
+    return list(map(_checked, _classify_rows(sys, M, det)))
+
+
+def _classify_rows(sys, M, det):
+    """Class of each row of a contiguous (N, n, n) stack, N >= 1, or the
+    error ``classify`` raises for it (a NumericalError or LinAlgError; any
+    other exception propagates).  ``det`` is det M (one value or one per
+    row), 0 where a raw matrix is not a B-isometry of det +-1.
+
+    ``_trace_rule`` gives x = lambda + 1/lambda and its rounding bound beta
+    for the whole stack.  The rows with x - 2 > beta are hyperbolic, and one
+    ``_hyperbolic_classes`` extracts their eigendata; ``_unimodular_class``
+    decides each other row.
+    """
+    det = np.broadcast_to(np.asarray(det, float), len(M))
+    x, beta, unit, eps, Q, f = _trace_rule(M, det)
+    hyp = (det != 0) & (x - 2 > beta)
+    out = [None] * len(M)
+    rows = np.flatnonzero(hyp)
+    if len(rows):
+        classes = _hyperbolic_classes(sys, M[rows], x[rows], Q[rows], f[rows])
+        for i, sc in zip(rows.tolist(), classes):
+            out[i] = sc
+    for i in np.flatnonzero(~hyp).tolist():
+        try:
+            out[i] = _unimodular_class(sys, M[i], det[i], unit[i], eps[i])
+        except (NumericalError, np.linalg.LinAlgError) as exc:
+            out[i] = exc
+    return out
 
 
 def _checked(sc):
-    """A class of ``_hyperbolic_classes``, or the error it holds raised."""
+    """A class of ``_classify_rows``, or the error it holds raised.  The
+    error's traceback starts afresh, so raising a stored error again does
+    not lengthen it."""
     if isinstance(sc, Exception):
-        raise sc
+        raise sc.with_traceback(None)
     return sc
 
 
-def _unimodular_class(sys, M, rule):
-    """Class of a B-isometry the traces (``rule``, None where det M is not
-    +-1) do not call hyperbolic: elliptic for an identity power up to
-    ``sys.finite_order_bound`` (the largest order of a finite standard
+def _unimodular_class(sys, M, det, unit, eps):
+    """Class of a B-isometry of determinant ``det`` (0 where it is not +-1)
+    that the traces do not call hyperbolic: elliptic for an identity power
+    up to ``sys.finite_order_bound`` (the largest order of a finite standard
     parabolic subgroup, so of a finite-order element of W), else parabolic
     for a verified Jordan defect where the traces put the unimodular
-    spectrum at +-1.  Anything else, a raw matrix of finite order above the
-    bound too, raises ClassificationError saying where powering stopped."""
-    if rule is None:
+    spectrum at +-1 (``unit``, with Jordan sign ``eps``).  Anything else, a
+    raw matrix of finite order above the bound too, raises
+    ClassificationError saying where powering stopped."""
+    if not det:
         raise ClassificationError("not a B-isometry of determinant +-1")
-    _, _, unit, eps, _, _ = rule
     bound = sys.finite_order_bound
     # Roundoff in M^k grows with max|M|^2 (elliptic conjugates with entries
     # near 500 miss I by ~1e-8), while the powers of an infinite-order element
@@ -343,34 +420,6 @@ def _unimodular_class(sys, M, rule):
         return _make_parabolic(sys, M, int(eps))
     except ClassificationError as exc:
         raise ClassificationError(f"{exc}; {powering}") from exc
-
-
-def classify_many(sys, mats, det=None):
-    """``[classify(sys, M) for M in mats]`` for an (N, n, n) stack, with every
-    field bit-identical, and the first failing row's error in stack order.
-
-    ``det`` (one value or one per matrix) gives det M = +-1: callers that
-    hold words pass their parities, the sandwich oracle +1 for s_a s_b.
-    Without it each matrix is checked and its det rounded as ``classify``
-    does for a raw matrix (``_determinants``).  The steps are ``classify``'s:
-    ``_trace_rule`` per row, ``_hyperbolic_classes`` once over the rows the
-    traces call hyperbolic, and ``_unimodular_class`` on every other row.
-    """
-    sys.require_lorentzian("spectral classification")
-    M = np.ascontiguousarray(mats, dtype=float)
-    if not len(M):
-        return []
-    det = _determinants(sys, M) if det is None else np.broadcast_to(np.asarray(det, float), len(M))
-    rules = [_trace_rule(m, d) if d else None for m, d in zip(M, det.tolist())]
-    hyp = [i for i, r in enumerate(rules) if r and r[0] - 2 > r[1]]
-    out = {}
-    if hyp:
-        x, _, _, _, Q, f = zip(*[rules[i] for i in hyp])
-        out = dict(zip(hyp, _hyperbolic_classes(sys, M[hyp], x, np.stack(Q), f)))
-    return [
-        _checked(out[i]) if i in out else _unimodular_class(sys, M[i], rules[i])
-        for i in range(len(M))
-    ]
 
 
 def _make_parabolic(sys, M, eps):
@@ -397,11 +446,11 @@ def _make_parabolic(sys, M, eps):
         raise BorderlineSpectrumError(
             f"parabolic verification failed: |(M - {eps} I)^2 on U_perp| = {defect:g}"
         )
+    vec = _parabolic_vector(sys, K)
+    vec.setflags(write=False)
+    basis.setflags(write=False)
     return SpectralClass(
-        kind=Kind.PARABOLIC,
-        parabolic_eps=eps,
-        parabolic_vec=_parabolic_vector(sys, K),
-        unimodular_basis=basis,
+        kind=Kind.PARABOLIC, parabolic_eps=eps, parabolic_vec=vec, unimodular_basis=basis
     )
 
 

@@ -19,13 +19,11 @@ import limitroots.arrangement
 from limitroots import (
     classify,
     codim2_spacelike,
-    descend_to_fundamental,
     element_of,
     fundamental_weights,
     intersection_equals_unimodular,
     make_system,
     roots_by_depth,
-    sign_vector,
     to_chart,
 )
 from limitroots.arrangement import (
@@ -484,30 +482,3 @@ def test_weights_sit_on_simple_pair_intersections(sys_u11):
         wpt = to_chart(sys_u11, w.vector)
         best = min(chart_distance(wpt, ci.chart_point(sys_u11)) for ci in cis)
         assert best < 1e-9
-
-
-def test_sign_vector_symbols(sys_u11):
-    roots = roots_by_depth(sys_u11, 1)
-    center = to_chart(sys_u11, np.array([1.0, 1.0, 1.0]))
-    assert sign_vector(sys_u11, center, roots) == "---"
-    on_wall = to_chart(sys_u11, fundamental_weights(sys_u11)[0].vector)
-    assert sign_vector(sys_u11, on_wall, roots)[1:] == "00"
-
-
-def test_descent_recovers_the_acting_word(sys_u11):
-    x0 = np.array([0.2, 0.3, 0.5])
-    for word in [(0,), (0, 1, 0), (0, 1, 2, 0, 1)]:
-        moved = to_chart(sys_u11, element_of(sys_u11, word).matrix @ x0)
-        res = descend_to_fundamental(sys_u11, moved, 50)
-        assert res.in_tits_cone
-        assert tuple(reversed(res.word)) == tuple(
-            element_of(sys_u11, tuple(reversed(word))).word
-        )
-        np.testing.assert_allclose(res.point.coords, x0, atol=1e-9)
-
-
-def test_descent_gives_up_outside_budget(sys_u11):
-    deep = element_of(sys_u11, (0, 1, 2) * 4)
-    moved = to_chart(sys_u11, deep.matrix @ np.array([0.2, 0.3, 0.5]))
-    res = descend_to_fundamental(sys_u11, moved, 3)
-    assert not res.in_tits_cone

@@ -373,18 +373,14 @@ def test_enumeration_matches_per_candidate_reference(name, length):
     assert not any(e.matrix.flags.writeable for e in store)
 
 
-def _same(a, b):
-    return a.word == b.word and a.matrix.tobytes() == b.matrix.tobytes()
-
-
 def test_element_sequence_indexing():
     store = enumerate_elements(make_system("fig1a"), 6)
     elements = store.elements
     every = list(elements)
     assert len(elements) == len(store) == len(every) == sum(store.counts())
-    assert _same(elements[-1], every[-1]) and _same(elements[-len(every)], every[0])
+    assert elements[-1] == every[-1] and elements[-len(every)] == every[0]
     for i in (0, 5, 100, len(every) - 1):
-        assert _same(elements[i], every[i])
+        assert elements[i] == every[i]
     for bad in (len(every), -len(every) - 1):
         with pytest.raises(IndexError):
             elements[bad]
@@ -392,18 +388,33 @@ def test_element_sequence_indexing():
         sub = elements[cut]
         want = every[cut]
         assert len(sub) == len(want)
-        assert all(_same(a, b) for a, b in zip(sub, want))
-        assert all(_same(sub[i], want[i]) for i in range(-len(want), len(want), 5))
-    assert _same(elements[::7][-1], every[::7][-1])
+        assert all(a == b for a, b in zip(sub, want))
+        assert all(sub[i] == want[i] for i in range(-len(want), len(want), 5))
+    assert elements[::7][-1] == every[::7][-1]
     with pytest.raises(IndexError):
         elements[::7][len(every[::7])]
+
+
+def test_group_elements_compare_by_word_and_matrix_bytes():
+    """Two accesses of one store row are equal and hash alike (the hash is
+    the word's); the store and row they carry take no part in either."""
+    sys = make_system("fig1b")
+    store = enumerate_elements(sys, 4)
+    a, b = store.elements[40], list(store)[40]
+    assert a is not b and a == b and hash(a) == hash(b) == hash(a.word)
+    assert a.origin == b.origin == (store, 40)
+    assert a == GroupElement(a.word, a.matrix.copy()) == element_of(sys, a.word)
+    assert a != store.elements[41] and a != GroupElement(a.word, -a.matrix)
+    assert a != a.word
+    assert len(set(store) | {element_of(sys, w) for w in store.words(0, 4)}) == len(store)
+    assert repr(a) == f"GroupElement({word_to_str(a.word)!r})"
 
 
 def test_iteration_follows_store_order(store_u1_6):
     whole = store_u1_6.with_length(0, store_u1_6.max_length)
     assert [e.word for e in store_u1_6] == [e.word for e in whole]
     by_length = [e for k in range(store_u1_6.max_length + 1) for e in store_u1_6.of_length(k)]
-    assert all(_same(a, b) for a, b in zip(store_u1_6, by_length))
+    assert all(a == b for a, b in zip(store_u1_6, by_length))
     assert len(by_length) == len(store_u1_6)
 
 

@@ -11,6 +11,7 @@ the exact split.
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from limitroots import Kind, classify, enumerate_elements, make_system
@@ -164,9 +165,11 @@ def test_trace_rule_is_within_its_bound_of_the_exact_traces(graph, length):
     hyperbolic = 0
     with localcontext() as ctx:
         ctx.prec = 50
-        for (k, T1, T2), M in zip(exact_traces(sys, store), store.matrices(0, length)):
+        M = store.matrices(0, length)
+        parity = np.array([(-1.0) ** k for k in range(length + 1)]).repeat(store.counts())
+        xs, betas, *_ = _trace_rule(M, parity)
+        for (k, T1, T2), x, beta in zip(exact_traces(sys, store), xs.tolist(), betas.tolist()):
             det = (-1) ** k
-            x, beta, *_ = _trace_rule(M, det)
             x_exact, exact_split = exact_x(sys.rank, det, T1, T2)
             assert abs(Decimal(x) - x_exact) <= Decimal(beta)
             assert (x - 2 > beta) == exact_split

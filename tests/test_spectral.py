@@ -20,7 +20,7 @@ from limitroots import spectral
 from limitroots.arrangement import IntersectionKind, codim2_spacelike, roots_by_depth
 from limitroots.errors import ClassificationError, NotLorentzianError
 from limitroots.graphs import INF, CoxeterGraph
-from limitroots.elements import enumerate_elements
+from limitroots.elements import GroupElement, enumerate_elements
 from limitroots.spectral import Kind, classify_many
 
 # fig1b with its generators relabeled 0->1, 1->2, 2->3, 3->0.
@@ -405,7 +405,8 @@ def test_parallel_eigenvector_rows_are_refused():
     v = np.array([1.0, 2.0, 3.0, 5.0])
     Q = np.outer(v, sys.form @ v)
     M = 3.0 * np.eye(4)
-    (sc,) = spectral._hyperbolic_classes(sys, M[None], [3 + 1 / 3], Q[None], [6.0])
+    x, f = np.array([3 + 1 / 3]), np.array([6.0])
+    (sc,) = spectral._hyperbolic_classes(sys, M[None], x, Q[None], f)
     assert isinstance(sc, ClassificationError)
     assert "unimodular complement has dimension 3, expected 2" in str(sc)
 
@@ -498,3 +499,136 @@ def test_classify_many_raises_where_classify_does():
     stack = np.stack([element_of(sys, (0, 1, 2)).matrix, _rotation(sys, 7), _rotation(sys, 11)])
     with pytest.raises(ClassificationError, match="finite order bound 10"):
         classify_many(sys, stack)
+
+
+def _outcome(sys, elem):
+    """``_fields`` of ``classify(sys, elem)``, or the type and message it raises."""
+    try:
+        return _fields(sys, classify(sys, elem))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_store_blocks_match_one_element_and_one_matrix():
+    """Rows 0, 1023, 1024 and the last of fig1b's level 9 (13,044 rows, 13
+    blocks): the store element, the element of its word and its raw matrix
+    classify bit for bit alike, and only the blocks asked for are formed."""
+    sys = make_system("fig1b")
+    store = enumerate_elements(sys, 9)
+    level = store.of_length(9)
+    assert len(level) == 13044
+    for j in (0, 1023, 1024, len(level) - 1):
+        elem = level[j]
+        got = _outcome(sys, elem)
+        assert isinstance(got[0], Kind)
+        assert got == _outcome(sys, element_of(sys, elem.word)) == _outcome(sys, elem.matrix)
+    assert sorted(store.class_blocks) == [(9, 0), (9, 1), (9, 12)]
+    assert len(store.class_blocks[9, 12]) == 13044 - 12 * spectral.BLOCK_ROWS
+    # Every call on a row hands out the one class, so its arrays are read-only.
+    for j in (0, 1024):
+        sc = classify(sys, level[j])
+        assert classify(sys, level[j]) is sc
+        arrays = sc.dominant[1:] if sc.dominant else (sc.parabolic_vec, sc.unimodular_basis)
+        assert not any(a.flags.writeable for a in arrays)
+
+
+def test_stored_errors_are_raised_by_their_own_rows():
+    """universal3:50 up to length 7: the reflections of length 5 and 7 (odd
+    palindromes; entries above 1e9, so no power certifies order 2) each raise
+    what they raise alone, every other row of their blocks classifies, and
+    raising a stored error again does not lengthen its traceback."""
+    sys = make_system("universal3:50")
+    store = enumerate_elements(sys, 7)
+    raised = []
+    for elem in store:
+        got = _outcome(sys, elem)
+        assert got == _outcome(sys, GroupElement(elem.word, elem.matrix))
+        if got[0] is ClassificationError:
+            raised.append(elem.word)
+        else:
+            assert isinstance(got[0], Kind)
+    reflections = [w for w in store.words(5, 7) if len(w) % 2 and w == w[::-1]]
+    assert raised == reflections and len(raised) == 12 + 24
+    depths = []
+    for _ in range(2):
+        with pytest.raises(ClassificationError, match="powering stopped") as info:
+            classify(sys, store.of_length(7)[store.words(7, 7).index(raised[-1])])
+        depths.append(len(info.traceback))
+    assert depths[0] == depths[1]
+
+
+def test_store_blocks_are_read_only_for_the_store_system():
+    """A fig1b store element classified against fig1a (same rank) is a stack
+    of one for fig1a, before and after fig1b has filled the store's blocks."""
+    fig1b, fig1a = make_system("fig1b"), make_system("fig1a")
+    store = enumerate_elements(fig1b, 4)
+    alone = [_outcome(fig1a, GroupElement(e.word, e.matrix)) for e in store]
+    assert [_outcome(fig1a, e) for e in store] == alone
+    assert store.class_blocks == {}
+    own = [_outcome(fig1b, e) for e in store]
+    assert sorted(store.class_blocks) == [(k, 0) for k in range(5)]
+    assert [_outcome(fig1a, e) for e in store] == alone != own
+
+
+def test_store_blocks_in_rank_5_take_the_eigvals_rule(monkeypatch):
+    """universal5:1 up to length 4: one ``eigvals`` rule per store row, and
+    the classes of a stack of one; a NaN matrix takes no ``eigvals``."""
+    sys = make_system("universal5:1")
+    store = enumerate_elements(sys, 4)
+    rule, calls = spectral._eigvals_rule, []
+    monkeypatch.setattr(spectral, "_eigvals_rule", lambda M, f: calls.append(f) or rule(M, f))
+    got = [_outcome(sys, e) for e in store]
+    assert len(calls) == len(store)
+    assert got == [_outcome(sys, GroupElement(e.word, e.matrix)) for e in store]
+    kinds = Counter(g[0] for g in got)
+    assert kinds[Kind.HYPERBOLIC] and kinds[Kind.ELLIPTIC] and kinds[Kind.PARABOLIC]
+    # A non-finite row is refused as a non-isometry, not by ``eigvals``.
+    with pytest.raises(ClassificationError, match="not a B-isometry"), np.errstate(invalid="ignore"):
+        classify(sys, np.full((5, 5), np.nan))
+
+
+def _per_row_trace_rule(M, det):
+    """The rank 3 and 4 trace rule of one matrix in Python floats, the
+    reference for the stacked rule: (x, beta, unit, eps, Q, |M|_F)."""
+    n, f, RHO = len(M), float(np.linalg.norm(M)), spectral.RHO
+    T1 = 0.0
+    for v in M.diagonal().tolist():
+        T1 += v
+    eps = det if n == 3 else math.copysign(1.0, T1)
+    beta, near = RHO * (f + 1), True
+    if n == 3:
+        x, Q = T1 - det, M.copy()
+    elif det < 0:
+        x, Q = T1, M @ M
+    else:
+        Q = M @ M
+        T2 = 0.0
+        for v in Q.diagonal().tolist():
+            T2 += v
+        D = 2 * T2 + 8 - T1 * T1
+        dD = 8 * RHO * (f * f + 1)
+        root = math.sqrt(max(D, 0.0))
+        x = (T1 + root) / 2
+        beta = (beta + (min(math.sqrt(dD), dD / root) if root else math.sqrt(dD))) / 2
+        Q -= (T1 - x) * M
+        near = D <= dD
+    Q.ravel()[:: n + 1] += -det if n == 3 else det
+    return x, beta, near and abs(abs(x) - 2) <= beta, eps, Q, f
+
+
+@pytest.mark.parametrize("graph, length", [("fig1b", 7), ("universal3:1.1", 8), ("universal5:1", 3)])
+def test_stacked_trace_rule_keeps_each_rows_bits(graph, length):
+    """The trace rule over a store against one stack of one per row and, in
+    rank 3 and 4, against the per-row rule in Python floats: every output
+    bit for bit."""
+    sys = make_system(graph)
+    store = enumerate_elements(sys, length)
+    M = store.matrices(0, length)
+    det = np.array([(-1.0) ** len(w) for w in store.words(0, length)])
+    stacked = spectral._trace_rule(M, det)
+    for i, m in enumerate(M):
+        row = [np.asarray(a[i]).tobytes() for a in stacked]
+        alone = spectral._trace_rule(M[i : i + 1], det[i : i + 1])
+        assert row == [a[0].tobytes() for a in alone]
+        if sys.rank <= 4:
+            assert row == [np.asarray(a).tobytes() for a in _per_row_trace_rule(m, det[i])]
