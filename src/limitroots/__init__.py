@@ -3,8 +3,8 @@
 Spectral computation of limit roots: group elements are enumerated as
 matrices, classified by Lorentz-transformation type, and light-like
 eigendirections of infinite-order elements (plus their conjugates) yield
-dense samples of the limit set, cross-validated against orbit accumulation
-and codimension-2 arrangement intersections.
+dense samples of the limit set, cross-validated against the limits of
+infinite reduced words and codimension-2 arrangement intersections.
 """
 
 __version__ = "0.1.0"
@@ -26,8 +26,6 @@ from .limits import (
     PointRecord,
     PointSet,
     hausdorff,
-    inversion_set,
-    orbit_accumulate,
     power_dynamics,
     sample_limit_roots,
     word_limit_root,
@@ -66,11 +64,9 @@ __all__ = [
     "hausdorff",
     "hyperbolic_directions",
     "intersection_equals_unimodular",
-    "inversion_set",
     "light_conic",
     "load_graph",
     "make_system",
-    "orbit_accumulate",
     "parabolic_direction",
     "power_dynamics",
     "roots_by_depth",

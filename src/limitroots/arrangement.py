@@ -15,8 +15,8 @@ from operator import mul
 
 import numpy as np
 
-from .elements import reflect_rows
 from .errors import EnumerationError, ExtractionError
+from .geometry import reflect_rows
 from .graphs import word_to_str
 from .projective import to_chart
 from .spectral import Kind, _plane_complements, classify_many
@@ -71,16 +71,13 @@ def roots_by_depth(sys, max_depth):
     t-major: s_t gamma is kept when B(alpha_t, gamma) < 0 and t is the
     smallest index with a positive pairing after the step.  The pairings
     p = B beta move by ``reflect_rows`` from an absolute bound of 4 u, as B is
-    rounded (m = 2 gives -6.1e-17).  A nonzero pairing of roots is cos(k pi/m),
-    m dividing a finite label, or at least 1 in size, so at least
-    gap = sin(pi/2M) = sqrt((1 - cos(pi/M)) / 2), M the largest finite label:
-    |p| <= E < gap/2 is an orthogonal pair, with no child.  A sign neither way
-    decided is EnumerationError.
+    rounded (m = 2 gives -6.1e-17).  A nonzero pairing is at least
+    gap = ``sys.pairing_gap`` in size: |p| <= E < gap/2 is an orthogonal pair,
+    with no child.  A sign neither way decided is EnumerationError.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    n = sys.rank
-    gap = math.sqrt((1 + np.min(sys.form[sys.form > -1])) / 2)
+    n, gap = sys.rank, sys.pairing_gap
     X, P, E = np.eye(n), sys.form, np.full((n, n), 2 * np.finfo(float).eps)
     W, base = np.empty((n, 0), int), np.arange(n)
     levels = [(X, W, base)]

@@ -7,11 +7,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import EnumerationError
 from .graphs import word_to_str
-
-# Unit roundoff of float64.
-_U = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,61 +40,57 @@ class GroupElement:
         return f"GroupElement({word_to_str(self.word)!r})"
 
 
-def matrix_inverse(sys, M):
-    """Inverse of a B-isometry via M^-1 = B^-1 M^T B."""
-    return np.linalg.solve(sys.form, M.T @ sys.form)
+def _step(act, S, t):
+    """State S(t v) = ({alpha_t} | s_t S(v)) & E from S = S(v), booleans over
+    E (the last axis) of the small roots v^-1 makes negative, for one state
+    or a stack; t v is reduced iff alpha_t is not in S(v) (Bjorner & Brenti,
+    Combinatorics of Coxeter Groups, 4.8).  ``act`` (``small_roots``) is an
+    involution on E where defined, so entry j of S(t v) is entry act[t, j]
+    of S: entry t, False, where s_t beta_j is not in E."""
+    S = S.T[act[t]].T
+    S[..., t] = True
+    return S
 
 
-def reflect_rows(gens, t, X, E):
-    """Rows x S_t of a stack X of rows x, and bounds E >= |x - x_exact|.
-
-    (x S_t)_j = x_j + x_t d_j, d = S_t[t] - e_t: the row 1^T u^-1 under
-    u -> s_t u, 1^T w under w -> w s_t, a root's pairings B beta under
-    beta -> s_t beta.  The float d_j is within 3 ulps of max(|d_j|, 1) (m = 2
-    gives 1.2e-16, not 0), so E_j gains |d_j| E_t + 16 u (|x_j| + |x_t|
-    (|d_j| + 1)): 2 ulps for the product and the sum, 3 for d_j, a few for
-    second-order terms and for rounding E.  Where |x| > E its sign is exact.
-    """
-    d = gens[t][t].copy()
-    d[t] -= 1
-    spread = np.abs(d)
-    spread[t] = 0
-    xt = X[:, t, None]
-    charge = np.abs(X) + np.abs(xt) * (spread + 1)
-    return X + xt * d, E + E[:, t, None] * spread + 16 * _U * charge
-
-
-def reduced_word(sys, M):
-    """ShortLex (lex-minimal reduced) word of the element with matrix M.
-
-    Entry s of r = 1^T M^-1 is the coefficient sum of the root M^-1(alpha_s),
-    at most -1 exactly when s is a left descent; peeling the smallest one
-    takes r to r S_s (``reflect_rows``).  r is taken to be within 2^14 u of
-    exact, relatively (products of ``enumerate_elements``: 2.1e3 u at most on
-    fig1a to 13, fig1b to 11, fig8 to 8).  Peeling shrinks r but not E, so it
-    may meet a sign it cannot decide: EnumerationError.
-    """
-    R = np.ones((1, sys.rank)) @ matrix_inverse(sys, M)
-    E, word = 2**14 * _U * np.abs(R), []
-    while np.all(np.abs(R) > E):
-        descents = np.flatnonzero(R[0] < 0)
-        if not descents.size:
-            return tuple(word)
-        word.append(int(descents[0]))
-        R, E = reflect_rows(sys.gens, word[-1], R, E)
-    raise EnumerationError(f"reduced word: descent sign undecidable after {len(word)} letters")
+def _read(act, letters, S=None):
+    """Read ``letters`` in order, each put in front of the word read so far,
+    from state S (the empty word's by default): how many are read before the
+    first refused letter (all if none), and the state after them."""
+    S = np.zeros(act.shape[1], bool) if S is None else S
+    for k, t in enumerate(letters):
+        if S[t]:
+            return k, S
+        S = _step(act, S, t)
+    return len(letters), S
 
 
 def element_of(sys, word):
-    """Element for an arbitrary word (not necessarily reduced).
-
-    The matrix is the ordered product of generator matrices; the stored word
-    is replaced by the ShortLex-minimal reduced word.
+    """Element for an arbitrary word (not necessarily reduced): the ordered
+    product of generator matrices, and the ShortLex (lex-minimal reduced)
+    word, by the exchange condition in O(k^2) automaton steps.  A reduced
+    word w of the letters so far is kept with the state of its reverse; if
+    w s is not reduced, it is w without the w_j at which reading s, w_{k-1},
+    ..., w_j first fails.  Then each smallest left descent t of w (from the
+    state of w) goes to the front, deleting the w_i at which reading t, w_0,
+    ..., w_i first fails.
     """
+    act = sys.small_roots
     M = np.eye(sys.rank)
+    w, R = [], np.zeros(act.shape[1], bool)
     for s in word:
         M = M @ sys.gens[s]
-    return GroupElement(word=reduced_word(sys, M), matrix=M)
+        if R[s]:
+            del w[len(w) - _read(act, [s] + w[::-1])[0]]
+            R = _read(act, w)[1]
+        else:
+            w.append(s)
+            R = _step(act, R, s)
+    shortlex = []
+    while w:
+        t = int(np.argmax(_read(act, w[::-1])[1][: sys.rank]))
+        del w[_read(act, [t] + w)[0] - 1]
+        shortlex.append(t)
+    return GroupElement(word=tuple(shortlex), matrix=M)
 
 
 class ElementSequence(Sequence):
@@ -225,15 +217,10 @@ def enumerate_elements(sys, max_length):
     That word is t then the word of v = t u, t the smallest left descent of
     u.  So level L is built from level L - 1, t-major and v-minor, keeping
     t v exactly when t is its smallest left descent.  Each element carries
-    r_u = 1^T u^-1 (ones for the identity), and r_{tv} = r_v S_t.  Entry s is
-    the coefficient sum of the root u^-1(alpha_s): >= 1, or <= -1 exactly
-    when s is a left descent of u.  So t v is kept when (r_v)_t > 0 and
-    (r_v S_t)_s > 0 for all s < t.  Only the generator matrices are used, so
-    degenerate forms work too.
-
-    The rows move by ``reflect_rows`` with a bound E from 0 at the identity:
-    each row formed must have |r| > E throughout, so its signs are the exact
-    ones, else EnumerationError.
+    its small-root state S (``_step``), empty for the identity: t v is kept
+    when alpha_t is not in S_v (t v is reduced) and S_{tv} holds no simple
+    root alpha_s with s < t (no smaller left descent).  The only float
+    decisions are those of ``GeometricSystem.small_roots``.
 
     Matrices.  M_u = M_p @ S_s, p and s the prefix and last letter of u's
     word, as a breadth-first search forms it.  The prefix of t v is t times
@@ -247,18 +234,17 @@ def enumerate_elements(sys, max_length):
     store = ElementStore(sys)
     letter = np.min_scalar_type(n - 1)
     W, M = np.empty((1, 0), letter), np.eye(n)[None]
-    R, E = np.ones((1, n)), np.zeros((1, n))
+    act = sys.small_roots
+    S = np.zeros((1, act.shape[1]), bool)
     store._add_level(W, M)
     for length in range(1, max_length + 1):
         kept = []
         for t in range(n):
-            V = np.flatnonzero(R[:, t] > 0)
-            Rt, Et = reflect_rows(gens, t, R[V], E[V])
-            if not np.all(np.abs(Rt) > Et):
-                raise EnumerationError(f"descent sign undecidable at length {length}")
-            keep = np.all(Rt[:, :t] > 0, axis=1)
-            kept.append((np.full(np.count_nonzero(keep), t, letter), V[keep], Rt[keep], Et[keep]))
-        T, V, R, E = map(np.concatenate, zip(*kept))
+            V = np.flatnonzero(~S[:, t])
+            St = _step(act, S[V], t)
+            keep = ~np.any(St[:, :t], axis=1)
+            kept.append((np.full(np.count_nonzero(keep), t, letter), V[keep], St[keep]))
+        T, V, S = map(np.concatenate, zip(*kept))
         prefix, last = (child[T, prefix[V]], last[V]) if length > 1 else (np.zeros_like(V), T)
         child = np.full((n, len(W)), -1, np.intp)
         child[T, V] = np.arange(len(V))

@@ -26,4 +26,4 @@ class ExtractionError(NumericalError):
 
 
 class EnumerationError(NumericalError):
-    """Enumeration or reduction aborted: a descent sign the numerics cannot decide."""
+    """A root build (``roots_by_depth``, ``small_roots``) met a pairing it cannot decide."""

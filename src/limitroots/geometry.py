@@ -6,9 +6,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GraphError, NotLorentzianError
+from .errors import EnumerationError, GraphError, NotLorentzianError
 from .graphs import INF, CoxeterGraph
 
+# Unit roundoff of float64.
+_U = np.finfo(float).eps / 2
 # Relative zero band for eigenvalues when counting the signature.
 SIGNATURE_ZERO_TOL = 1e-9
 # Smallest eigenvalue of B_C above which a connected subgraph C is finite;
@@ -109,6 +111,24 @@ def parabolic_order(graph, B, T):
     return None if exponents is None else math.prod(m + 1 for m in exponents)
 
 
+def reflect_rows(gens, t, X, E):
+    """Rows x S_t of a stack X of rows x, and bounds E >= |x - x_exact|.
+
+    (x S_t)_j = x_j + x_t d_j, d = S_t[t] - e_t: a root's pairings B beta
+    under beta -> s_t beta.  The float d_j is within 3 ulps of max(|d_j|, 1)
+    (m = 2 gives 1.2e-16, not 0), so E_j gains |d_j| E_t + 16 u (|x_j| +
+    |x_t| (|d_j| + 1)): 2 ulps for the product and the sum, 3 for d_j, a few
+    for second-order terms and for rounding E.  Where |x| > E its sign is exact.
+    """
+    d = gens[t][t].copy()
+    d[t] -= 1
+    spread = np.abs(d)
+    spread[t] = 0
+    xt = X[:, t, None]
+    charge = np.abs(X) + np.abs(xt) * (spread + 1)
+    return X + xt * d, E + E[:, t, None] * spread + 16 * _U * charge
+
+
 def system_type(B):
     """'finite', 'affine', 'lorentzian' or 'other' from the signature of B."""
     n = B.shape[0]
@@ -175,6 +195,62 @@ class GeometricSystem:
                         grown.append(T + (s,))
             frontier = grown
         return best
+
+    @cached_property
+    def pairing_gap(self):
+        """g = sin(pi / 2M), M the largest finite label (1 if there is none).
+        A pairing of two roots is cos(k pi / m), m dividing a finite label, or
+        at least 1 in size (Bjorner & Brenti, Combinatorics of Coxeter Groups,
+        Prop. 4.5.4): so a nonzero one is at least g in size, and one in
+        (-1, 0) is at least 1 - cos(pi / M) = 2 g^2 above -1."""
+        n = self.rank
+        labels = [self.graph.label(i, j) for i in range(n) for j in range(i + 1, n)]
+        return math.sin(math.pi / (2 * max((m for m in labels if m is not INF), default=1)))
+
+    @cached_property
+    def small_roots(self):
+        """``act[t, i]``, read-only, is the index of s_t beta_i in the small
+        roots E, or t where that root is negative or not small (a state that
+        s_t may act on lacks alpha_t).  E is the closure of the simple roots
+        (rows 0..n-1) under beta -> s_t beta where -1 < B(alpha_t, beta) < 0,
+        finite (Brink & Howlett, Math. Ann. 296, 1993) and closed under the
+        steps that lower the depth.  A root is its pairing row p = B beta,
+        moved by ``reflect_rows``, off by eps^T G for some |eps| <= 1, G from
+        4 u I: this affine bound moves with p, so along a dihedral string it
+        grows linearly, not doubling at each step.  The float decisions
+        (g = ``pairing_gap``, E_t = sum |G_t|): p_t is 0 where
+        |p_t| <= E_t < g/2, else has the sign it shows past E_t; a negative
+        p_t is small above -1 + g^2, where it lies past E_t of it (E_t < g^2/2
+        always decides it); s_t beta is the one row of E within both bounds
+        of it, or a new root for an ascent.  Anything undecided is
+        EnumerationError.
+        """
+        n, gap = self.rank, self.pairing_gap
+        X = [np.vstack((p, 4 * _U * np.eye(n))) for p in self.form]
+        P, E, act = self.form.copy(), np.full((n, n), 4 * _U), []
+        while len(act) < len(P):
+            i = len(act)
+            act.append(list(range(n)))
+            for t in range(n):
+                p, e = P[i, t], E[i, t]
+                if abs(p) <= e and 2 * e < gap:
+                    act[i][t] = i
+                elif not abs(p) > e or (p < 0 and not abs(p + 1 - gap**2) > e):
+                    raise EnumerationError(f"small root {i}: pairing {p} with s_{t} undecidable")
+                elif i != t and p > gap**2 - 1:
+                    Y, fresh = reflect_rows(self.gens, t, X[i], np.zeros_like(X[i]))
+                    Y = np.vstack((Y, np.diag(fresh.sum(0))))
+                    q, f = Y[0], np.abs(Y[1:]).sum(0)
+                    (j,) = np.nonzero(np.all(np.abs(P - q) <= E + f, axis=1))
+                    if len(j) > 1 or (p > 0 and len(j) == 0):
+                        raise EnumerationError(f"small root {i}: s_{t} of it matches {len(j)} roots")
+                    if len(j) == 0:
+                        X.append(Y)
+                        P, E, j = np.vstack((P, q)), np.vstack((E, f)), [len(P)]
+                    act[i][t] = j[0]
+        act = np.array(act, np.intp).T
+        act.setflags(write=False)
+        return act
 
     @cached_property
     def form_inverse(self):

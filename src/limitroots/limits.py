@@ -3,8 +3,8 @@
 Light-like eigendirections of infinite-order elements are dense in the set
 of limit roots, so a dense sample is produced by computing each core
 element's eigendirection once and pushing it around by conjugators (group
-elements act on eigendirections of their conjugates).  Orbit accumulation
-and infinite-reduced-word limits provide independent cross-checks.
+elements act on eigendirections of their conjugates).  The limits of
+infinite reduced words provide an independent cross-check.
 """
 
 import logging
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import element_of, reflect_rows
-from .errors import EnumerationError
+from .elements import _read, element_of
 from .graphs import word_to_str
 from .projective import ProjectivePoint, chart_distance, to_chart
 from .spectral import Kind, classify, classify_many
@@ -22,10 +21,11 @@ from .spectral import Kind, classify, classify_many
 log = logging.getLogger(__name__)
 
 DEDUP_EPS = 1e-6
+# Steps of the period's power iteration in the cross-check of word_limit_root.
+ORBIT_STEPS = 50
 
 KIND_PARABOLIC = "parabolic-eig"
 KIND_HYPERBOLIC = "hyperbolic-eig"
-KIND_ORBIT = "orbit"
 
 
 @dataclass(frozen=True)
@@ -253,24 +253,6 @@ def sample_limit_roots(
     )
 
 
-def orbit_accumulate(sys, base, store, min_length, max_length, dedup_eps=DEDUP_EPS):
-    """Orbit points w(base) over min_length <= l(w) <= max_length, deduplicated."""
-    base_vec = base.coords if isinstance(base, ProjectivePoint) else np.asarray(base, float)
-    points = [to_chart(sys, M @ base_vec) for M in store.matrices(min_length, max_length)]
-    ps = PointSet(
-        np.array([p.coords for p in points]).reshape(len(points), sys.rank),
-        dedup_eps,
-        kinds=(KIND_ORBIT,),
-        words=[()] + store.words(min_length, max_length),
-        source=np.arange(1, len(points) + 1),
-        at_infinity=[p.at_infinity for p in points],
-        bnorm=[p.bnorm for p in points],
-    )
-    if len(ps) < 2:
-        log.warning("orbit degenerated to %d point(s)", len(ps))
-    return ps
-
-
 def power_dynamics(sys, elem, base, k_max):
     """Trajectory (w^k(base))_{k=1..k_max} in the chart.
 
@@ -299,22 +281,22 @@ class PeriodicWord:
         if len(self.period) == 0:
             raise ValueError("period must be nonempty")
 
-    def head(self, repeats):
-        return self.prefix + self.period * repeats
 
+def certify_reduced(sys, pw):
+    """Whether prefix . period^inf is reduced, decided exactly.
 
-def certify_reduced(sys, pw, horizon=50):
-    """Check that prefix . period^k is reduced for all k up to the horizon.
-
-    Uses the inversion-root criterion (every root of the word stays
-    positive), which needs one forward pass and keeps its sign information
-    even when the matrix entries grow geometrically.
+    The small-root automaton (``elements._read``) reads the prefix, then
+    whole periods, until its state at a period boundary repeats: from there
+    on it reads the same periods from the same states again.
     """
-    try:
-        inversion_set(sys, pw.head(horizon))
-    except ValueError:
-        return False
-    return True
+    act, seen = sys.small_roots, set()
+    k, S = _read(act, pw.prefix)
+    reduced = k == len(pw.prefix)
+    while reduced and S.tobytes() not in seen:
+        seen.add(S.tobytes())
+        k, S = _read(act, pw.period, S)
+        reduced = k == len(pw.period)
+    return reduced
 
 
 @dataclass(frozen=True)
@@ -325,41 +307,30 @@ class WordLimitResult:
     orbit_residual: float
 
 
-def word_limit_root(sys, pw, horizon=50):
+def word_limit_root(sys, pw):
     """Unique limit root of an infinite reduced word with periodic tail.
 
     The limit is the prefix image of the period element's attracting
-    eigendirection; it is cross-validated against the empirical limit of the
+    eigendirection (the period has infinite order, as all its powers are
+    reduced); it is cross-validated against the empirical limit of the
     prefix orbit acting on a simple root outside the unimodular subspace.
     """
     sys.require_lorentzian("infinite-word limits")
-    if not certify_reduced(sys, pw, horizon):
-        raise ValueError(
-            f"{word_to_str(pw.prefix)!r}.{word_to_str(pw.period)!r}^inf is not reduced "
-            f"at horizon {horizon}"
-        )
+    if not certify_reduced(sys, pw):
+        raise ValueError(f"{word_to_str(pw.prefix)!r}.{word_to_str(pw.period)!r}^inf is not reduced")
     p = element_of(sys, pw.period)
     sc = classify(sys, p)
-    if sc.kind is Kind.ELLIPTIC:
-        raise ValueError(
-            f"period {word_to_str(pw.period)!r} has finite order; "
-            "not an infinite reduced word witness"
-        )
     q = element_of(sys, pw.prefix).matrix
     if sc.kind is Kind.HYPERBOLIC:
-        lam, x_plus, _ = sc.dominant
-        direction = x_plus
+        lam, direction, _ = sc.dominant
     else:
-        lam = float(sc.parabolic_eps)
-        direction = sc.parabolic_vec
+        lam, direction = float(sc.parabolic_eps), sc.parabolic_vec
     point = to_chart(sys, q @ direction)
 
     # Empirical check: iterate the period on each simple root, keep the best.
     residual = math.inf
-    for s in range(sys.rank):
-        v = np.zeros(sys.rank)
-        v[s] = 1.0
-        for _ in range(horizon):
+    for v in np.eye(sys.rank):
+        for _ in range(ORBIT_STEPS):
             v = p.matrix @ v
             v /= np.linalg.norm(v)
         try:
@@ -368,34 +339,6 @@ def word_limit_root(sys, pw, horizon=50):
             continue
         residual = min(residual, chart_distance(point, orbit_pt))
     return WordLimitResult(point=point, kind=sc.kind, eigenvalue=lam, orbit_residual=residual)
-
-
-def inversion_set(sys, word):
-    """Positive roots w_{k-1}(alpha_{s_k}) of a reduced word.
-
-    A word is reduced exactly when every such root is positive; a negative
-    root (the image of an earlier inversion) raises ValueError.  The sign of
-    w(alpha_s) is that of c_s, c = 1^T w, c <- c S_s: row 0 of X.  The rows
-    below bound its error affinely, eps^T G with |eps| <= 1; an entrywise
-    bound would grow like products of |S_t| and pass c on parabolic periods
-    such as (st)^50 on universal3:1.  An undecided sign is EnumerationError.
-    """
-    n = sys.rank
-    roots = []
-    M = np.eye(n)
-    X = np.ones((1, n))
-    for k, s in enumerate(word):
-        if not abs(X[0, s]) > np.sum(np.abs(X[1:, s])):
-            raise EnumerationError(f"inversion sign undecidable at letter {k}")
-        if X[0, s] < 0:
-            raise ValueError(
-                f"word {word_to_str(word)!r} is not reduced (negative inversion root)"
-            )
-        roots.append(M[:, s].copy())
-        M = M @ sys.gens[s]
-        X, fresh = reflect_rows(sys.gens, s, X, np.zeros_like(X))
-        X = np.vstack((X, np.diag(np.sum(fresh, axis=0))))
-    return roots
 
 
 def hausdorff(a, b):

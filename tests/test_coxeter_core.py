@@ -2,9 +2,9 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,11 +21,7 @@ from limitroots import (
     make_system,
     universal,
 )
-from limitroots.elements import (
-    GroupElement,
-    matrix_inverse,
-    reduced_word,
-)
+from limitroots.elements import GroupElement
 from limitroots.errors import EnumerationError, GraphError
 from limitroots.geometry import (
     build_form,
@@ -227,6 +223,9 @@ def _steinberg_growth(sys, n):
         ("fig1b", 9),
         ("a2", 30),
         ("dihedral:5", 30),
+        # Long dihedral strings: the small roots' affine error bound grows
+        # linearly along them (an entrywise one gave out near length 41).
+        ("dihedral:100", 60),
         ("universal3:50", 12),
     ],
 )
@@ -286,11 +285,6 @@ def test_two_letter_product_matrix(sys_u1):
     np.testing.assert_allclose(element_of(sys_u1, (0, 1)).matrix, expected)
 
 
-def test_matrix_inverse_via_form(sys_u1):
-    M = element_of(sys_u1, (0, 1, 2, 0)).matrix
-    np.testing.assert_allclose(matrix_inverse(sys_u1, M) @ M, np.eye(3), atol=1e-9)
-
-
 def test_square_of_generator_reduces_to_identity(sys_u1):
     e = element_of(sys_u1, (0, 0))
     assert e.word == ()
@@ -300,7 +294,6 @@ def test_square_of_generator_reduces_to_identity(sys_u1):
 def test_braid_relation_normalizes_to_shortlex():
     sys3 = make_system("dihedral:3")
     assert element_of(sys3, (1, 0, 1)).word == (0, 1, 0)
-    assert reduced_word(sys3, element_of(sys3, (1, 0, 1)).matrix) == (0, 1, 0)
 
 
 def test_universal_growth_counts(store_u1_6):
@@ -439,6 +432,10 @@ def test_level_words_match_the_reference_on_generated_graphs(graph):
     assert store.words(0, 5) == ref
     for k in range(store.max_length + 1):
         assert store.level(k)[0].tolist() == [list(w) for w in ref if len(w) == k]
+    # A stored word with a cancelling pair s s inserted is the same element.
+    word = ref[-1]
+    s, cut = word[-1], len(word) // 2
+    assert element_of(sys, word[:cut] + (s, s) + word[cut:]).word == word
 
 
 def test_store_retains_under_200_bytes_per_element():
@@ -454,12 +451,40 @@ def test_store_retains_under_200_bytes_per_element():
     assert retained / len(store) < 200
 
 
-def test_enumeration_reports_an_undecidable_descent_sign():
-    # B_01 = B_10 = 1/2: the row 1^T s^-1 of either generator has an entry
-    # 1 - 1 = 0, whose sign no bound can certify.
-    gens = (np.array([[-1.0, -1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [-1.0, -1.0]]))
-    with pytest.raises(EnumerationError, match="undecidable at length 1"):
-        enumerate_elements(SimpleNamespace(rank=2, gens=gens), 1)
+def test_small_root_build_raises_inside_its_minus_one_margin():
+    # Label 10^8 puts the gap at sin(pi / 2 10^8) = 1.6e-8: the pairing
+    # -cos(pi / 10^8), -1.0 in floats, carries a bound of 4 u = 4.4e-16,
+    # wider than its distance gap^2 = 2.5e-16 from the threshold -1 + gap^2:
+    # whether s_0 alpha_1 is small is undecided.  At label 10 the margin is
+    # wide, and the 10 positive roots of I2(10) are all small.
+    cparams = {(0, 2): 1.0, (1, 2): 1.0}
+    for m, size in ((10, 11), (10**8, None)):
+        sys = make_system(CoxeterGraph(3, {(0, 1): m, (0, 2): INF, (1, 2): INF}, cparams))
+        if size is None:
+            with pytest.raises(EnumerationError, match="undecidable"):
+                sys.small_roots
+        else:
+            assert sys.small_roots.shape == (3, size)
+
+
+@pytest.mark.parametrize(
+    "labels, positive_roots",
+    [
+        ({(0, 1): 3, (1, 2): 3, (2, 3): 3}, 10),  # A4
+        ({(0, 1): 5, (1, 2): 3}, 15),  # H3
+        ({(0, 1): 5, (1, 2): 3, (2, 3): 3}, 60),  # H4
+        ({(0, 1): 3, (1, 2): 4, (2, 3): 3}, 24),  # F4
+        ({(0, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3}, 120),  # E8
+    ],
+)
+def test_every_positive_root_of_a_finite_group_is_small(labels, positive_roots):
+    rank = 1 + max(j for _, j in labels)
+    act = make_system(CoxeterGraph(rank, labels)).small_roots
+    assert act.shape == (rank, positive_roots)
+    # s_t permutes the positive roots other than alpha_t, which it negates
+    # (act[t, t] = t).
+    for t in range(rank):
+        assert sorted(act[t]) == list(range(positive_roots))
 
 
 @pytest.mark.parametrize(
@@ -477,14 +502,35 @@ def test_reduced_word_recovers_stored_words(name, length):
     sys = make_system(name)
     elements = enumerate_elements(sys, length).elements
     for e in elements[::7]:
-        assert reduced_word(sys, e.matrix) == e.word
+        assert element_of(sys, e.word) == e
+
+
+def _free_reduction(word):
+    """The reduced word of a free product of groups of order 2: adjacent
+    equal letters cancel, until none are left."""
+    out = []
+    for s in word:
+        if out and out[-1] == s:
+            out.pop()
+        else:
+            out.append(s)
+    return tuple(out)
 
 
 def test_reduced_word_never_returns_a_wrong_word():
-    # The entries reach 1e18, and peeling cancels them down to 1: the
-    # certified peel must raise before it loses the element or overflows.
-    word = (1, 0, 1, 0, 1, 2, 0, 1, 2)
-    try:
-        assert element_of(make_system("universal3:50"), word).word == word
-    except EnumerationError:
-        pass
+    # The entries of these matrices reach 1e18; the words are decided
+    # without them.  Every label of universal3:50 is infinite, so the word
+    # of an element is its free reduction.
+    sys = make_system("universal3:50")
+    assert element_of(sys, (1, 0, 1, 0, 1, 2, 0, 1, 2)).word == (1, 0, 1, 0, 1, 2, 0, 1, 2)
+    assert element_of(sys, (1, 2, 1, 2, 1, 0, 1, 2, 2, 1, 2)).word == (1, 2, 1, 2, 1, 0, 2)
+
+
+@pytest.mark.parametrize("c", [1.0, 1.1, 50.0])
+def test_words_of_universal_systems_are_free_reductions(c):
+    """The free-product rule is an oracle independent of the program."""
+    sys = make_system(f"universal3:{c}")
+    rng = random.Random(17)
+    for _ in range(300):
+        word = tuple(rng.randrange(3) for _ in range(rng.randrange(24)))
+        assert element_of(sys, word).word == _free_reduction(word)

@@ -1,6 +1,7 @@
 """Limit-root sampling, orbits, power dynamics, and infinite-word limits."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from limitroots import (
     element_of,
     enumerate_elements,
     hausdorff,
-    inversion_set,
     make_system,
-    orbit_accumulate,
     power_dynamics,
     sample_limit_roots,
     to_chart,
@@ -190,13 +189,6 @@ def test_sampling_needs_deep_enough_store(sys_u1, store_u1_6):
 # orbits and dynamics
 
 
-def test_orbit_accumulate_dedups(sys_u1, store_u1_6):
-    base = to_chart(sys_u1, np.array([1.0, 1.0, 1.0]))
-    ps = orbit_accumulate(sys_u1, base, store_u1_6, 0, 4)
-    assert 2 <= len(ps) <= sum(store_u1_6.counts()[:5])
-    assert all(r.kind == "orbit" for r in ps)
-
-
 def test_power_dynamics_converges_to_attracting_direction(sys_u1):
     w = element_of(sys_u1, (0, 1, 2))
     sc = classify(sys_u1, w)
@@ -227,6 +219,20 @@ def test_certify_reduced(sys_u1):
     assert not certify_reduced(sys_u1, PeriodicWord(prefix=(0,), period=(0, 1)))
 
 
+@pytest.mark.parametrize("c", [1.0, 1.1, 50.0])
+def test_certify_reduced_follows_the_free_product_rule(c):
+    """With every label infinite, an infinite word is reduced exactly when no
+    two adjacent letters are equal: an oracle independent of the program."""
+    sys = make_system(f"universal3:{c}")
+    rng = random.Random(29)
+    for _ in range(300):
+        prefix = tuple(rng.randrange(3) for _ in range(rng.randrange(6)))
+        period = tuple(rng.randrange(3) for _ in range(1 + rng.randrange(6)))
+        head = prefix + period * 2
+        reduced = all(a != b for a, b in zip(head, head[1:]))
+        assert certify_reduced(sys, PeriodicWord(prefix, period)) is reduced
+
+
 def test_word_limit_of_hyperbolic_period(sys_u1):
     res = word_limit_root(sys_u1, PeriodicWord(prefix=(), period=(0, 1, 2)))
     assert res.kind is Kind.HYPERBOLIC
@@ -255,25 +261,7 @@ def test_non_reduced_word_rejected(sys_u1):
 
 
 def test_elliptic_period_rejected():
+    # s_0 s_1 has order 5 on fig1b, so (s_0 s_1)^5 = e: not reduced.
     sys_b = make_system("fig1b")
-    with pytest.raises(ValueError, match="finite order"):
-        word_limit_root(sys_b, PeriodicWord(prefix=(), period=(0, 1)), horizon=1)
-
-
-# ---------------------------------------------------------------------------
-# inversion sets
-
-
-def test_inversion_set_of_reduced_word(sys_u1):
-    roots = inversion_set(sys_u1, (0, 1, 2))
-    assert len(roots) == 3
-    np.testing.assert_allclose(roots[0], [1.0, 0.0, 0.0])
-    for r in roots:
-        assert np.min(r) > -1e-12  # positive roots only
-
-
-def test_inversion_set_flags_non_reduced(sys_u1):
     with pytest.raises(ValueError, match="not reduced"):
-        inversion_set(sys_u1, (0, 0))
-    with pytest.raises(ValueError, match="not reduced"):
-        inversion_set(sys_u1, (0, 1, 1, 2))
+        word_limit_root(sys_b, PeriodicWord(prefix=(), period=(0, 1)))
