@@ -23,7 +23,6 @@ from .spectral import (
 )
 from .limits import (
     PeriodicWord,
-    PointRecord,
     PointSet,
     hausdorff,
     power_dynamics,
@@ -45,7 +44,6 @@ __all__ = [
     "ElementStore",
     "ProjectivePoint",
     "PointSet",
-    "PointRecord",
     "PeriodicWord",
     "Kind",
     "Causal",

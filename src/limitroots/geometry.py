@@ -227,8 +227,10 @@ class GeometricSystem:
         """
         n, gap = self.rank, self.pairing_gap
         X = [np.vstack((p, 4 * _U * np.eye(n))) for p in self.form]
-        P, E, act = self.form.copy(), np.full((n, n), 4 * _U), []
-        while len(act) < len(P):
+        # P and E hold the rows of the roots found so far, len(X) of them, in
+        # arrays that double when full: appending one root is O(1) amortised.
+        P, E, act = np.vstack((self.form, self.form)), np.full((2 * n, n), 4 * _U), []
+        while len(act) < len(X):
             i = len(act)
             act.append(list(range(n)))
             for t in range(n):
@@ -241,13 +243,18 @@ class GeometricSystem:
                     Y, fresh = reflect_rows(self.gens, t, X[i], np.zeros_like(X[i]))
                     Y = np.vstack((Y, np.diag(fresh.sum(0))))
                     q, f = Y[0], np.abs(Y[1:]).sum(0)
-                    (j,) = np.nonzero(np.all(np.abs(P - q) <= E + f, axis=1))
+                    size = len(X)
+                    (j,) = np.nonzero(np.all(np.abs(P[:size] - q) <= E[:size] + f, axis=1))
                     if len(j) > 1 or (p > 0 and len(j) == 0):
                         raise EnumerationError(f"small root {i}: s_{t} of it matches {len(j)} roots")
                     if len(j) == 0:
+                        if size == len(P):
+                            P, E = np.vstack((P, P)), np.vstack((E, E))
+                        P[size], E[size], j = q, f, [size]
                         X.append(Y)
-                        P, E, j = np.vstack((P, q)), np.vstack((E, f)), [len(P)]
                     act[i][t] = j[0]
+            # A root's bound rows (1 + n depth of them) are read only here.
+            X[i] = None
         act = np.array(act, np.intp).T
         act.setflags(write=False)
         return act

@@ -28,16 +28,6 @@ KIND_PARABOLIC = "parabolic-eig"
 KIND_HYPERBOLIC = "hyperbolic-eig"
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    """One sampled direction with its provenance."""
-
-    point: ProjectivePoint
-    kind: str
-    source: tuple = ()
-    conjugator: tuple = ()
-
-
 def _frozen(a):
     a.setflags(write=False)
     return a
@@ -56,7 +46,7 @@ class PointSet:
     keeping the first row in insertion order; affine and at-infinity rows
     are merged separately.  With ``dedup_eps`` = 0 every row is kept (a set
     read back from a file).  ``bnorm`` defaults to B(x, x) under ``form``,
-    computed for the kept rows only.  Iteration yields ``PointRecord``s.
+    computed for the kept rows only.
     """
 
     def __init__(
@@ -99,20 +89,6 @@ class PointSet:
 
     def __len__(self):
         return len(self.coords)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            point = ProjectivePoint(
-                coords=self.coords[i],
-                at_infinity=bool(self.at_infinity[i]),
-                bnorm=float(self.bnorm[i]),
-            )
-            yield PointRecord(
-                point=point,
-                kind=self.kinds[self.kind[i]],
-                source=self.words[self.source[i]],
-                conjugator=self.words[self.conjugator[i]],
-            )
 
     @property
     def affine_coords(self):

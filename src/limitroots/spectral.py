@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import GroupElement
-from .errors import BorderlineSpectrumError, ClassificationError, ExtractionError, NumericalError
+from .errors import BorderlineSpectrumError, ClassificationError, ExtractionError
 from .projective import to_chart
 
 _EPS = np.finfo(float).eps
@@ -65,12 +65,6 @@ class SpectralClass:
     parabolic_vec: np.ndarray = None
     unimodular_basis: np.ndarray = None
     order: int = None
-
-
-def _norm(x):
-    """``np.linalg.norm(x)`` of a real array, without its dispatch."""
-    x = x.ravel(order="K")
-    return math.sqrt(x.dot(x))
 
 
 def _determinants(sys, M):
@@ -295,10 +289,21 @@ def _plane_complements(sys, V):
     return np.swapaxes(vt[:, 2:], 1, 2), n - np.count_nonzero(s > _EPS * n * s[:, :1], axis=1)
 
 
-def _kernel(A):
-    """Orthonormal kernel basis (columns) of A at the relative KERNEL_TOL."""
+def _kernels(A):
+    """Orthonormal kernels of a stack A (K, m, n) at the relative KERNEL_TOL,
+    from one stacked SVD: (vt, w), the kernel of A[i] spanned by the rows
+    vt[i, n - w[i]:]."""
     _, s, vt = np.linalg.svd(A)
-    return vt[np.count_nonzero(s >= KERNEL_TOL * max(1.0, s[0])) :].T
+    return vt, A.shape[2] - np.count_nonzero(s >= KERNEL_TOL * np.fmax(1.0, s[:, :1]), axis=1)
+
+
+def _groups(*keys):
+    """Each distinct tuple of the integer arrays ``keys`` (one entry per row),
+    with its rows: stacks whose shapes differ by row are formed per group."""
+    groups = {}
+    for i, key in enumerate(zip(*(k.tolist() for k in keys))):
+        groups.setdefault(key, []).append(i)
+    return [(key, np.array(rows)) for key, rows in groups.items()]
 
 
 def classify(sys, elem):
@@ -351,14 +356,14 @@ def classify_many(sys, mats, det=None):
 
 def _classify_rows(sys, M, det):
     """Class of each row of a contiguous (N, n, n) stack, N >= 1, or the
-    error ``classify`` raises for it (a NumericalError or LinAlgError; any
-    other exception propagates).  ``det`` is det M (one value or one per
-    row), 0 where a raw matrix is not a B-isometry of det +-1.
+    NumericalError ``classify`` raises for it (any other exception
+    propagates).  ``det`` is det M (one value or one per row), 0 where a raw
+    matrix is not a B-isometry of det +-1.
 
     ``_trace_rule`` gives x = lambda + 1/lambda and its rounding bound beta
     for the whole stack.  The rows with x - 2 > beta are hyperbolic, and one
-    ``_hyperbolic_classes`` extracts their eigendata; ``_unimodular_class``
-    decides each other row.
+    ``_hyperbolic_classes`` extracts their eigendata; one
+    ``_unimodular_classes`` decides all other rows.
     """
     det = np.broadcast_to(np.asarray(det, float), len(M))
     x, beta, unit, eps, Q, f = _trace_rule(M, det)
@@ -369,11 +374,11 @@ def _classify_rows(sys, M, det):
         classes = _hyperbolic_classes(sys, M[rows], x[rows], Q[rows], f[rows])
         for i, sc in zip(rows.tolist(), classes):
             out[i] = sc
-    for i in np.flatnonzero(~hyp).tolist():
-        try:
-            out[i] = _unimodular_class(sys, M[i], det[i], unit[i], eps[i])
-        except (NumericalError, np.linalg.LinAlgError) as exc:
-            out[i] = exc
+    rows = np.flatnonzero(~hyp)
+    if len(rows):
+        classes = _unimodular_classes(sys, M[rows], det[rows], unit[rows], eps[rows])
+        for i, sc in zip(rows.tolist(), classes):
+            out[i] = sc
     return out
 
 
@@ -386,94 +391,178 @@ def _checked(sc):
     return sc
 
 
-def _unimodular_class(sys, M, det, unit, eps):
-    """Class of a B-isometry of determinant ``det`` (0 where it is not +-1)
-    that the traces do not call hyperbolic: elliptic for an identity power
-    up to ``sys.finite_order_bound`` (the largest order of a finite standard
-    parabolic subgroup, so of a finite-order element of W), else parabolic
-    for a verified Jordan defect where the traces put the unimodular
-    spectrum at +-1 (``unit``, with Jordan sign ``eps``).  Anything else, a
-    raw matrix of finite order above the bound too, raises
-    ClassificationError saying where powering stopped."""
-    if not det:
-        raise ClassificationError("not a B-isometry of determinant +-1")
+def _unimodular_classes(sys, M, det, unit, eps):
+    """Class of each B-isometry of a stack M (K, n, n) with determinants
+    ``det`` (0 where not +-1) that the traces do not call hyperbolic, or its
+    error: elliptic for an identity power up to ``sys.finite_order_bound``
+    (the largest order of a finite standard parabolic subgroup, so of a
+    finite-order element of W, ``_powering``), else parabolic for a verified
+    Jordan defect where the traces put the unimodular spectrum at +-1
+    (``unit``, with Jordan sign ``eps``, ``_parabolic_classes``).  Anything
+    else, a raw matrix of finite order above the bound too, is a
+    ClassificationError saying where powering stopped; a Jordan test's
+    ClassificationError is its cause.  A row with an infinite entry has an
+    infinite beta, so its ``unit`` says nothing: it is not Jordan-tested
+    (one such row would make a stacked SVD fail for the whole stack)."""
     bound = sys.finite_order_bound
-    # Roundoff in M^k grows with max|M|^2 (elliptic conjugates with entries
-    # near 500 miss I by ~1e-8), while the powers of an infinite-order element
-    # stay order one away from I; the cap keeps the test far below that.
-    tol = min(1e-2, 1e-8 * max(1.0, float(np.abs(M).max())) ** 2)
-    eye, P = np.eye(len(M)), M
+    unit = unit & np.isfinite(M).all(axis=(1, 2))
+    order, stop = _powering(M, det != 0, bound)
+    out, suffix = [None] * len(M), {}
+    rows = zip(det.tolist(), order.tolist(), stop.tolist(), unit.tolist())
+    for i, (d, k, s, u) in enumerate(rows):
+        if not d:
+            out[i] = ClassificationError("not a B-isometry of determinant +-1")
+            continue
+        if k:
+            out[i] = SpectralClass(kind=Kind.ELLIPTIC, order=k)
+            continue
+        powering = f"no identity power up to the finite order bound {bound}"
+        if s < bound:
+            powering = f"powering stopped at M^{s}, which passes the norm cap {POWER_CAP:g}"
+        if u:
+            suffix[i] = powering
+        else:
+            out[i] = ClassificationError(
+                f"unresolved elliptic/parabolic: {powering} and the spectrum is not at +-1"
+            )
+    rows = list(suffix)
+    if rows:
+        for i, sc in zip(rows, _parabolic_classes(sys, M[rows], eps[rows])):
+            if isinstance(sc, ClassificationError):
+                sc, cause = ClassificationError(f"{sc}; {suffix[i]}"), sc
+                sc.__cause__ = cause
+            out[i] = sc
+    return out
+
+
+@np.errstate(over="ignore")
+def _powering(M, live, bound):
+    """(order, stop) of each matrix of a stack M (K, n, n) where ``live``:
+    ``order`` is the first k <= bound with max|M^k - I| < tol, else 0, and
+    ``stop`` the first k < bound with max|M^k| > POWER_CAP, else bound.  The
+    powers of the rows still going are formed together, one product per
+    matrix.  Roundoff in M^k grows with max|M|^2 (elliptic conjugates with
+    entries near 500 miss I by ~1e-8), while the powers of an
+    infinite-order element stay order one away from I, so
+    tol = min(1e-2, 1e-8 max(1, max|M|)^2).  fmin and fmax keep Python's
+    min and max on a NaN row (tol = 1e-8; its powers then reach the bound),
+    and a square that overflows gives tol = 1e-2."""
+    K, n, _ = M.shape
+    order, stop = np.zeros(K, np.intp), np.full(K, bound)
+    tol = np.fmin(1e-2, 1e-8 * np.fmax(1.0, np.abs(M).max(axis=(1, 2))) ** 2)
+    live = np.flatnonzero(live)
+    P, eye = M[live], np.eye(n)
     for k in range(1, bound + 1):
-        if np.abs(P - eye).max() < tol:
-            return SpectralClass(kind=Kind.ELLIPTIC, order=k)
-        if np.abs(P).max() > POWER_CAP:
+        done = np.abs(P - eye).max(axis=(1, 2)) < tol[live]
+        order[live[done]] = k
+        capped = ~done & (np.abs(P).max(axis=(1, 2)) > POWER_CAP)
+        stop[live[capped]] = k
+        going = ~(done | capped)
+        live = live[going]
+        if not len(live) or k == bound:
             break
-        P = P @ M
-    powering = f"no identity power up to the finite order bound {bound}"
-    if k < bound:
-        powering = f"powering stopped at M^{k}, which passes the norm cap {POWER_CAP:g}"
-    if not unit:
-        raise ClassificationError(
-            f"unresolved elliptic/parabolic: {powering} and the spectrum is not at +-1"
-        )
-    try:
-        return _make_parabolic(sys, M, int(eps))
-    except ClassificationError as exc:
-        raise ClassificationError(f"{exc}; {powering}") from exc
+        P = P[going] @ M[live]
+    return order, stop
 
 
-def _make_parabolic(sys, M, eps):
-    """Parabolic class of M with its Jordan block at eps, verified.
+def _parabolic_classes(sys, M, eps):
+    """Parabolic class of each matrix of a stack M (K, n, n) with its Jordan
+    block at eps (K,), verified, or the row's error.
 
     The eigenvectors span ker(M - eps I) + ker(M + eps I) (rank <= 4 has
     no other unimodular eigenvalue beside a Jordan triple); it must have
-    dimension n - 2, and (M - eps I)^2 must kill its B-orthogonal
-    companion (the minimal-polynomial clause).
+    dimension n - 2 (else ClassificationError), and (M - eps I)^2 must kill
+    its B-orthogonal complement, the minimal-polynomial clause (else
+    BorderlineSpectrumError).  Each SVD, product and ``eigh`` is one call
+    over the rows it serves, in groups of equal kernel widths where the
+    shapes differ by row, so a row's bits do not depend on the stack.
     """
-    n = sys.rank
-    A = M - eps * np.eye(n)
-    K = _kernel(A)
-    raw = np.hstack([K, _kernel(M + eps * np.eye(n))])
-    u, s, _ = np.linalg.svd(raw if raw.shape[1] else np.zeros((n, 1)), full_matrices=False)
-    dim = np.count_nonzero(s > 1e-8 * s[0])
-    if dim != n - 2:
-        raise ClassificationError(f"eigenvector span has dimension {dim}, expected {n - 2}")
-    basis = u[:, :dim]
-    perp = _kernel((sys.form @ basis).T)
-    defect = np.abs(A @ A @ perp).max()
-    scale = max(1.0, _norm(A) ** 2)
-    if defect > 1e-7 * scale:
-        raise BorderlineSpectrumError(
-            f"parabolic verification failed: |(M - {eps} I)^2 on U_perp| = {defect:g}"
-        )
-    vec = _parabolic_vector(sys, K)
-    vec.setflags(write=False)
-    basis.setflags(write=False)
-    return SpectralClass(
-        kind=Kind.PARABOLIC, parabolic_eps=eps, parabolic_vec=vec, unimodular_basis=basis
-    )
+    K, n, _ = M.shape
+    shift = eps[:, None, None] * np.eye(n)
+    A = M - shift
+    vt, w = _kernels(A)
+    vt2, w2 = _kernels(M + shift)
+    out = [None] * K
+    dim, U = np.zeros(K, np.intp), np.empty((K, n, n - 2))
+    for (a, b), g in _groups(w, w2):
+        if not a + b:
+            continue
+        span = np.concatenate((vt[g, n - a :], vt2[g, n - b :]), axis=1)
+        u, s, _ = np.linalg.svd(np.swapaxes(span, 1, 2), full_matrices=False)
+        dim[g] = np.count_nonzero(s > 1e-8 * s[:, :1], axis=1)
+        if a + b >= n - 2:
+            U[g] = u[:, :, : n - 2]
+    for i, d in enumerate(dim.tolist()):
+        if d != n - 2:
+            out[i] = ClassificationError(f"eigenvector span has dimension {d}, expected {n - 2}")
+    rows = np.flatnonzero(dim == n - 2)
+    if not len(rows):
+        return out
+    perp, c = _kernels(np.swapaxes(sys.form @ U[rows], 1, 2))
+    A = A[rows]
+    AA, defect = A @ A, np.empty(len(rows))
+    for (width,), g in _groups(c):
+        defect[g] = np.abs(AA[g] @ np.swapaxes(perp[g, n - width :], 1, 2)).max(axis=(1, 2))
+    F = A.reshape(len(rows), 1, n * n)
+    scale = np.fmax(1.0, np.sqrt((F @ np.swapaxes(F, 1, 2))[:, 0, 0]) ** 2)
+    vec = _parabolic_vectors(sys, vt[rows], w[rows])
+    U.setflags(write=False)
+    for j, (i, d, ok, e) in enumerate(
+        zip(rows.tolist(), defect.tolist(), (defect <= 1e-7 * scale).tolist(), eps[rows].tolist())
+    ):
+        e = int(e)
+        if not ok:
+            out[i] = BorderlineSpectrumError(
+                f"parabolic verification failed: |(M - {e} I)^2 on U_perp| = {d:g}"
+            )
+        elif isinstance(vec[j], Exception):
+            out[i] = vec[j]
+        else:
+            out[i] = SpectralClass(
+                kind=Kind.PARABOLIC, parabolic_eps=e, parabolic_vec=vec[j], unimodular_basis=U[i]
+            )
+    return out
 
 
-def _parabolic_vector(sys, K):
-    """The unique light-like direction in the eps-eigenspace K (columns).
+@np.errstate(divide="ignore", invalid="ignore")
+def _parabolic_vectors(sys, vt, w):
+    """The unique light-like direction at height 1 in each eps-eigenspace of
+    a stack, the rows vt[i, n - w[i]:] (``_kernels``), or the row's
+    ExtractionError.
 
-    Restricted to K, B is positive semi-definite with a 1-dimensional
-    radical, and the radical direction is the light-like eigenvector.
+    Restricted to an eigenspace, B is positive semi-definite with a
+    1-dimensional radical, and the radical direction is the light-like
+    eigenvector.  The radicals come from one stacked ``eigh`` per width.
     """
-    if K.shape[1] < 1:
-        raise ExtractionError("parabolic extraction failed: empty eigenspace kernel")
-    gram = K.T @ sys.form @ K
-    gvals, gvecs = np.linalg.eigh(gram)
-    gscale = max(1.0, float(np.abs(gvals).max()))
-    radical = np.abs(gvals) < 1e-7 * gscale
-    rdim = np.count_nonzero(radical)
-    if rdim != 1:
-        raise ExtractionError(f"parabolic extraction failed: radical dimension {rdim} != 1")
-    v = K @ gvecs[:, radical.argmax()]
-    h = v.sum()
-    if abs(h) < 1e-12 * _norm(v):
-        raise ExtractionError("eigendirection has zero height; not in the chart")
-    return v / h
+    K, n, _ = vt.shape
+    out, v = [None] * K, np.zeros((K, n))
+    for (width,), g in _groups(w):
+        if not width:
+            for i in g.tolist():
+                out[i] = ExtractionError("parabolic extraction failed: empty eigenspace kernel")
+            continue
+        Kt = vt[g, n - width :]
+        gvals, gvecs = np.linalg.eigh(Kt @ sys.form @ np.swapaxes(Kt, 1, 2))
+        radical = np.abs(gvals) < 1e-7 * np.fmax(1.0, np.abs(gvals).max(axis=1))[:, None]
+        # A column of gvecs, as a strided view: K @ gvecs[:, j] is a gemv
+        # whose rounding depends on the vector's stride.
+        for (j,), rows in _groups(radical.argmax(axis=1)):
+            v[g[rows]] = (np.swapaxes(Kt[rows], 1, 2) @ gvecs[rows][:, :, j : j + 1])[:, :, 0]
+        for i, r in zip(g.tolist(), np.count_nonzero(radical, axis=1).tolist()):
+            if r != 1:
+                out[i] = ExtractionError(
+                    f"parabolic extraction failed: radical dimension {r} != 1"
+                )
+    h = np.add.reduce(v, 1)
+    norm = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    X = v / h[:, None]
+    X.setflags(write=False)
+    for i, zero in enumerate((np.abs(h) < 1e-12 * norm).tolist()):
+        if out[i] is None and zero:
+            out[i] = ExtractionError("eigendirection has zero height; not in the chart")
+        elif out[i] is None:
+            out[i] = X[i]
+    return out
 
 
 def hyperbolic_directions(sys, sc, iso_tol=1e-8):

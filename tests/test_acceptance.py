@@ -121,7 +121,7 @@ def test_criterion_3_isotropy_and_hull():
         ps = sample_limit_roots(sys, store, core, conj)
         assert len(ps) > 0, name
         coords = ps.affine_coords
-        worst_b = max(worst_b, max(abs(r.point.bnorm) for r in ps))
+        worst_b = max(worst_b, float(np.abs(ps.bnorm).max()))
         worst_low = min(worst_low, float(coords.min()))
         worst_high = max(worst_high, float(coords.max()))
     ok = worst_b < 1e-7 and worst_low > -1e-9 and worst_high < 1 + 1e-9

@@ -475,6 +475,11 @@ def test_small_root_build_raises_inside_its_minus_one_margin():
         ({(0, 1): 5, (1, 2): 3, (2, 3): 3}, 60),  # H4
         ({(0, 1): 3, (1, 2): 4, (2, 3): 3}, 24),  # F4
         ({(0, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3}, 120),  # E8
+        # I2(m): the small-root rows grow to m, by doubling.
+        ({(0, 1): 3}, 3),
+        ({(0, 1): 10}, 10),
+        ({(0, 1): 101}, 101),
+        ({(0, 1): 1000}, 1000),
     ],
 )
 def test_every_positive_root_of_a_finite_group_is_small(labels, positive_roots):
@@ -482,9 +487,12 @@ def test_every_positive_root_of_a_finite_group_is_small(labels, positive_roots):
     act = make_system(CoxeterGraph(rank, labels)).small_roots
     assert act.shape == (rank, positive_roots)
     # s_t permutes the positive roots other than alpha_t, which it negates
-    # (act[t, t] = t).
+    # (act[t, t] = t), and s_t twice is the identity there.
+    rows = np.arange(positive_roots)
     for t in range(rank):
-        assert sorted(act[t]) == list(range(positive_roots))
+        assert act[t, t] == t
+        assert sorted(act[t]) == rows.tolist()
+        assert np.array_equal(act[t][act[t]], rows)
 
 
 @pytest.mark.parametrize(

@@ -56,12 +56,18 @@ def test_csv_read_back_keeps_every_column(tmp_path, sample):
     assert back.coords.tobytes() == ps.coords.tobytes()
     assert back.bnorm.tobytes() == ps.bnorm.tobytes()
     assert not back.at_infinity.any()
-    assert [(r.kind, r.source, r.conjugator) for r in back] == [
-        (r.kind, r.source, r.conjugator) for r in ps
-    ]
+    assert _provenance(back) == _provenance(ps)
     again = tmp_path / "again.csv"
     write_pointset_csv(back, str(again))
     assert again.read_bytes() == path.read_bytes()
+
+
+def _provenance(ps):
+    """(kind, source word, conjugator word) of each row of a point set."""
+    return [
+        (ps.kinds[k], ps.words[s], ps.words[c])
+        for k, s, c in zip(ps.kind, ps.source, ps.conjugator)
+    ]
 
 
 def test_csv_header_names_coordinates(tmp_path, sample):
@@ -95,13 +101,15 @@ def _json_reference(ps, sys, budgets):
         },
         "points": [
             {
-                "coords": r.point.coords.tolist(),
-                "kind": r.kind,
-                "source_word": word_to_str(r.source),
-                "conjugator_word": word_to_str(r.conjugator),
-                "bnorm": r.point.bnorm,
+                "coords": coords.tolist(),
+                "kind": kind,
+                "source_word": word_to_str(source),
+                "conjugator_word": word_to_str(conjugator),
+                "bnorm": bnorm,
             }
-            for r in ps
+            for coords, (kind, source, conjugator), bnorm in zip(
+                ps.coords, _provenance(ps), ps.bnorm.tolist()
+            )
         ],
     }
     return json.dumps(data, indent=1, sort_keys=True) + "\n"
@@ -150,10 +158,12 @@ def _csv_reference(ps, rank):
     writer.writerow(
         [f"x{i + 1}" for i in range(rank)] + ["kind", "source_word", "conjugator_word", "bnorm"]
     )
-    for r in ps:
+    for coords, (kind, source, conjugator), bnorm in zip(
+        ps.coords, _provenance(ps), ps.bnorm.tolist()
+    ):
         writer.writerow(
-            [repr(float(v)) for v in r.point.coords]
-            + [r.kind, word_to_str(r.source), word_to_str(r.conjugator), repr(r.point.bnorm)]
+            [repr(float(v)) for v in coords]
+            + [kind, word_to_str(source), word_to_str(conjugator), repr(bnorm)]
         )
     return out.getvalue()
 

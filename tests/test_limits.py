@@ -90,7 +90,7 @@ def test_counts_by_kind_and_filter(sys_u1):
 
 def test_length_two_cores_give_the_three_midpoints(sys_u1, store_u1_6):
     ps = sample_limit_roots(sys_u1, store_u1_6, (2, 2), (0, 0))
-    got = sorted(tuple(np.round(r.point.coords, 9)) for r in ps)
+    got = sorted(tuple(c) for c in np.round(ps.coords, 9))
     assert got == [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)]
 
 
@@ -115,10 +115,9 @@ def test_sampled_points_are_isotropic_chart_points(sys_u11):
     store = enumerate_elements(sys_u11, 4)
     ps = sample_limit_roots(sys_u11, store, (2, 4), (0, 2))
     assert len(ps) > 0
-    for r in ps:
-        assert not r.point.at_infinity
-        assert abs(r.point.bnorm) < 1e-7
-        assert r.point.coords.min() > -1e-9
+    assert not ps.at_infinity.any()
+    assert np.abs(ps.bnorm).max() < 1e-7
+    assert ps.coords.min() > -1e-9
 
 
 def test_conjugation_shortcut_matches_direct_eigensolve(sys_u1, store_u1_6):
@@ -173,11 +172,12 @@ def test_columnar_sample_matches_per_record_reference(name, core_range, conj_ran
     want = _per_record_sample(sys, store, core_range, conj_range)
     ps = sample_limit_roots(sys, store, core_range, conj_range)
     assert len(ps) == len(want) > 0
-    for rec, (coords, bnorm, kind, source, conjugator) in zip(ps, want):
-        assert rec.point.coords.tobytes() == coords.tobytes()
-        assert rec.point.bnorm == bnorm
-        assert not rec.point.at_infinity
-        assert (rec.kind, rec.source, rec.conjugator) == (kind, source, conjugator)
+    for i, (coords, bnorm, kind, source, conjugator) in enumerate(want):
+        assert ps.coords[i].tobytes() == coords.tobytes()
+        assert ps.bnorm[i] == bnorm
+        assert not ps.at_infinity[i]
+        row = (ps.kinds[ps.kind[i]], ps.words[ps.source[i]], ps.words[ps.conjugator[i]])
+        assert row == (kind, source, conjugator)
 
 
 def test_sampling_needs_deep_enough_store(sys_u1, store_u1_6):

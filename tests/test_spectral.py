@@ -18,7 +18,7 @@ from limitroots import (
 )
 from limitroots import spectral
 from limitroots.arrangement import IntersectionKind, codim2_spacelike, roots_by_depth
-from limitroots.errors import ClassificationError, NotLorentzianError
+from limitroots.errors import BorderlineSpectrumError, ClassificationError, NotLorentzianError
 from limitroots.graphs import INF, CoxeterGraph
 from limitroots.elements import GroupElement, enumerate_elements
 from limitroots.spectral import Kind, classify_many
@@ -501,12 +501,77 @@ def test_classify_many_raises_where_classify_does():
         classify_many(sys, stack)
 
 
+def _stored(sys, sc):
+    """``_fields`` of a class, or an error's type, message and cause type."""
+    if isinstance(sc, Exception):
+        return type(sc), str(sc), type(sc.__cause__)
+    return _fields(sys, sc)
+
+
 def _outcome(sys, elem):
-    """``_fields`` of ``classify(sys, elem)``, or the type and message it raises."""
+    """``_stored`` of what ``classify(sys, elem)`` returns or raises."""
     try:
-        return _fields(sys, classify(sys, elem))
+        sc = classify(sys, elem)
     except Exception as exc:
-        return type(exc), str(exc)
+        sc = exc
+    return _stored(sys, sc)
+
+
+def test_unimodular_branches_keep_their_own_errors_in_one_stack():
+    """One raw fig1b stack with a row for each branch of the unimodular pass:
+    every row gives what it gives as a stack of one, type, message and
+    cause.  Only a Jordan test's ClassificationError takes the powering
+    suffix, with the Jordan error as its cause; a BorderlineSpectrumError
+    passes through as it is."""
+    sys = make_system("fig1b")
+    hyperbolic = (0, 1, 2, 3) * 3
+    # An odd palindrome, so a reflection, with entries of 3e8: its computed
+    # square misses I by far more than tol, and M^5 passes the norm cap.
+    reflection = element_of(sys, hyperbolic + (0,) + hyperbolic[::-1]).matrix
+    jordan = np.eye(4) + np.diag([1.0, 1.0, 0.0], 1)
+    # det -1 and trace 2 with one infinite entry: beta is infinite, so the
+    # traces put its spectrum at +-1, but it is not Jordan-tested.
+    infinite = np.diag([1.0, 1.0, 1.0, -1.0])
+    infinite[0, 1] = math.inf
+    rows = [
+        (2 * element_of(sys, (0, 3)).matrix, 0, "not a B-isometry"),
+        (_rotation(sys, 2 * math.pi), 1, "order bound 10 and the spectrum is not at"),
+        (reflection, -1, "expected 2; powering stopped at M^5, which passes the norm cap"),
+        (_rotation(sys, 11), 1, "order bound 10 and the spectrum is not at"),
+        (jordan, 1, "parabolic verification failed"),
+        (infinite, -1, "passes the norm cap 1e+09 and the spectrum is not at"),
+        (element_of(sys, (0, 3)).matrix, 1, Kind.PARABOLIC),
+        (element_of(sys, (0, 1)).matrix, 1, Kind.ELLIPTIC),
+    ]
+    stack = np.stack([M for M, _, _ in rows])
+    det = np.array([d for _, d, _ in rows], float)
+    got = [_stored(sys, sc) for sc in spectral._classify_rows(sys, stack, det)]
+    for i, (_, d, expected) in enumerate(rows):
+        try:
+            alone = classify_many(sys, stack[i : i + 1], det=d)[0]
+        except Exception as exc:
+            alone = exc
+        assert got[i] == _stored(sys, alone)
+        assert got[i][0] is expected if isinstance(expected, Kind) else expected in got[i][1]
+    causes = [g[2] for g in got[:6]]
+    assert causes == [type(None), type(None), ClassificationError] + [type(None)] * 3
+    assert got[4][0] is BorderlineSpectrumError
+
+
+def test_store_blocks_match_a_stack_of_one_on_every_unimodular_row():
+    """fig1b up to length 9: each of the 864 rows the traces do not call
+    hyperbolic (538 elliptic, 326 parabolic, spread over every block)
+    classifies in its store block as the element of its word and matrix
+    does alone, bit for bit."""
+    sys = make_system("fig1b")
+    store = enumerate_elements(sys, 9)
+    kinds = Counter()
+    for elem in store:
+        got = _outcome(sys, elem)
+        if got[0] is not Kind.HYPERBOLIC:
+            kinds[got[0]] += 1
+            assert got == _outcome(sys, GroupElement(elem.word, elem.matrix))
+    assert kinds == {Kind.ELLIPTIC: 538, Kind.PARABOLIC: 326}
 
 
 def test_store_blocks_match_one_element_and_one_matrix():
