@@ -206,35 +206,31 @@ def decimal_unit_roots(sys, roots):
 
 
 def reflection_pair_eigendata(a, Ba, b, Bb):
-    """Closed-form eigendata of w = s_a s_b for a space-like pair (a, b),
-    from the two roots' ``decimal_unit_roots`` data, in ``decimal`` at the
-    precision of the current context.
+    """Closed-form eigendata of w = s_a s_b for a space-like pair (a, b) of
+    a rank-3 system, from the two roots' ``decimal_unit_roots`` data, in
+    ``decimal`` at the precision of the current context.
 
     With a, b of B-norm 1 and c = -B(a, b) > 1, w is the rank-2 update
     I - 2a(Ba)^T - 2b(Bb)^T - 4c a(Bb)^T, with the isotropic eigenvectors
     x_plus, x_minus = a + (c -/+ r) b, r = sqrt(c^2 - 1), for the eigenvalues
-    lam = (c + r)^2 and 1/lam; it fixes {a, b}^perp_B pointwise.
+    lam = (c + r)^2 and 1/lam; it fixes {a, b}^perp_B pointwise.  In rank 3
+    that is the line of u = Ba x Bb: u is B-orthogonal to a and b exactly
+    when it is Euclidean-orthogonal to Ba and Bb.
 
     Returns (w, lam, x_minus, u) in ``Decimal``: w as a list of rows, and
-    x_minus and a fixed vector u (the longest B-orthogonal projection of a
-    simple root off span{a, b}) as Euclidean unit vectors.
+    x_minus and u as Euclidean unit vectors.  Another rank is ValueError.
     """
-    n = len(a)
+    if len(a) != 3:
+        raise ValueError(f"reflection_pair_eigendata needs rank 3, not rank {len(a)}")
     c = -_dot(Ba, b)
     if not c > 1:
         raise ValueError("reflection_pair_eigendata requires a space-like pair")
     t = c + (c * c - 1).sqrt()
     g = [p + 2 * c * q for p, q in zip(Ba, Bb)]
-    w = [[(i == j) - 2 * (a[i] * g[j] + b[i] * Bb[j]) for j in range(n)] for i in range(n)]
+    w = [[-2 * (ai * gj + bi * qj) for gj, qj in zip(g, Bb)] for ai, bi in zip(a, b)]
+    for i, row in enumerate(w):
+        row[i] += 1
     x_minus = [p + t * q for p, q in zip(a, b)]
-
-    def project(s):
-        # B(a, e_s) = (Ba)_s; the coefficients come from the inverse Gram
-        # matrix [[1, c], [c, 1]] / (1 - c^2) of (a, b).
-        p, q = Ba[s], Bb[s]
-        f, h, d = p + c * q, c * p + q, 1 - c * c
-        return [(i == s) - (a[i] * f + b[i] * h) / d for i in range(n)]
-
-    u = max((project(s) for s in range(n)), key=lambda v: _dot(v, v))
+    (p0, p1, p2), (q0, q1, q2) = Ba, Bb
+    u = [p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0]
     return w, t * t, _unit(x_minus, _dot(x_minus, x_minus)), _unit(u, _dot(u, u))
-

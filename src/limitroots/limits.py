@@ -82,7 +82,9 @@ class PointSet:
         self.source = column(source)
         self.conjugator = column(conjugator)
         if bnorm is None:
-            bnorm = [float(c @ form @ c) for c in self.coords]
+            # One stacked matmul; it rounds each row as c @ form @ c does.
+            C = self.coords
+            bnorm = (C[:, None, :] @ form @ C[:, :, None])[:, 0, 0] if len(C) else ()
             self.bnorm = _frozen(np.array(bnorm, dtype=float))
         else:
             self.bnorm = _frozen(np.asarray(bnorm, dtype=float)[keep])

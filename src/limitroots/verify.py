@@ -5,7 +5,6 @@ quantities, so the CLI can emit JSON and exit nonzero on failure.
 """
 
 import math
-from operator import mul
 
 import numpy as np
 
@@ -109,12 +108,12 @@ def verify_sandwich(sys=None, depth=4):
 
     The Case-2 base x_minus + u and w = s_a s_b come from the closed-form
     eigendata of the pair, built from per-root ``decimal`` data formed once
-    per root.  w^k (x_minus + u) = lam^-k x_minus + u takes k row-by-vector
-    steps in ``decimal`` at SANDWICH_DPS digits, and k = ceil(24 / log10 lam)
-    bounds both the contraction lam^-k <= 1e-24 and the rounding along
-    x_plus, about k lam^k 10^-dps <= k lam 10^(24 - dps).  The end points
-    and the intersections are charted as two stacks.  The dynamics test
-    compares with a single chart point, so it needs rank 3."""
+    per root.  w^k (x_minus + u) = lam^-k x_minus + u takes k steps, three
+    products per row, in ``decimal`` at SANDWICH_DPS digits, and
+    k = ceil(24 / log10 lam) bounds both the contraction lam^-k <= 1e-24 and
+    the rounding along x_plus, about k lam^k 10^-dps <= k lam 10^(24 - dps).
+    The end points and the intersections are charted as two stacks.  The
+    dynamics test compares with a single chart point, so it needs rank 3."""
     import decimal
 
     sys = sys or make_system("universal3:1.1")
@@ -136,12 +135,14 @@ def verify_sandwich(sys=None, depth=4):
         for ci in passed:
             (a, Ba), (b, Bb) = (unit[position[id(r)]] for r in ci.pair)
             w, lam, x_minus, u = reflection_pair_eigendata(a, Ba, b, Bb)
-            x = [p + q for p, q in zip(x_minus, u)]
+            (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = w
+            x0, x1, x2 = (p + q for p, q in zip(x_minus, u))
             k = max(1, math.ceil(24.0 / math.log10(lam)))
             for _ in range(k):
-                x = [sum(map(mul, row, x)) for row in w]
+                x0, x1, x2 = (w00 * x0 + w01 * x1 + w02 * x2, w10 * x0 + w11 * x1 + w12 * x2,
+                              w20 * x0 + w21 * x1 + w22 * x2)
             steps += k
-            ends.append([float(c) for c in x])
+            ends.append((float(x0), float(x1), float(x2)))
     d = chart_distances(
         sys,
         np.array(ends, dtype=float).reshape(-1, sys.rank),

@@ -309,15 +309,11 @@ def _per_pair_eigendata(sys, ci):
     c = -dot(Ba, b)
     t = c + (c * c - 1).sqrt()
     g = [p + 2 * c * q for p, q in zip(Ba, Bb)]
-    w = [[(i == j) - 2 * (a[i] * g[j] + b[i] * Bb[j]) for j in range(n)] for i in range(n)]
+    w = [[-2 * (a[i] * g[j] + b[i] * Bb[j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        w[i][i] += 1
     x_minus = [p + t * q for p, q in zip(a, b)]
-
-    def project(s):
-        p, q = Ba[s], Bb[s]
-        f, h, d = p + c * q, c * p + q, 1 - c * c
-        return [(i == s) - (a[i] * f + b[i] * h) / d for i in range(n)]
-
-    u = max((project(s) for s in range(n)), key=lambda v: dot(v, v))
+    u = [Ba[i - 2] * Bb[i - 1] - Ba[i - 1] * Bb[i - 2] for i in range(n)]
     return w, t * t, unit(x_minus, dot(x_minus, x_minus)), unit(u, dot(u, u))
 
 
@@ -345,6 +341,56 @@ def test_pair_eigendata_refuses_a_light_like_pair(sys_u1):
         (a, Ba), (b, Bb) = decimal_unit_roots(sys_u1, ci.pair)
         with pytest.raises(ValueError, match="space-like pair"):
             reflection_pair_eigendata(a, Ba, b, Bb)
+
+
+def test_pair_eigendata_refuses_rank_four():
+    sys = make_system("universal4:1")
+    cis = codim2_spacelike(sys, roots_by_depth(sys, 2))
+    ci = next(ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        (a, Ba), (b, Bb) = decimal_unit_roots(sys, ci.pair)
+        with pytest.raises(ValueError, match="needs rank 3, not rank 4"):
+            reflection_pair_eigendata(a, Ba, b, Bb)
+
+
+def _longest_projection(a, Ba, b, Bb):
+    """The fixed vector that u = Ba x Bb replaced: the longest B-orthogonal
+    projection of a simple root off span{a, b}, as a Euclidean unit vector.
+    B(a, e_s) = (Ba)_s, and the coefficients come from the inverse Gram
+    matrix [[1, c], [c, 1]] / (1 - c^2) of (a, b)."""
+    n, c = len(a), -sum(map(mul, Ba, b))
+
+    def project(s):
+        f, h, d = Ba[s] + c * Bb[s], c * Ba[s] + Bb[s], 1 - c * c
+        return [(i == s) - (a[i] * f + b[i] * h) / d for i in range(n)]
+
+    u = max(map(project, range(n)), key=lambda v: sum(map(mul, v, v)))
+    norm = sum(map(mul, u, u)).sqrt()
+    return [x / norm for x in u]
+
+
+@pytest.mark.parametrize("graph", ["universal3:1", "universal3:1.1", "universal3:5"])
+def test_cross_product_spans_the_fixed_line(graph):
+    """At depth 5, u = Ba x Bb is the longest projection up to sign, is
+    B-orthogonal to a and b and is fixed by w."""
+    sys = make_system(graph)
+    roots = roots_by_depth(sys, 5)
+    cis = [ci for ci in codim2_spacelike(sys, roots) if ci.kind is IntersectionKind.SPACE_LIKE]
+    assert cis
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        unit = decimal_unit_roots(sys, roots)
+        position = {id(r): k for k, r in enumerate(roots)}
+        for ci in cis:
+            (a, Ba), (b, Bb) = (unit[position[id(r)]] for r in ci.pair)
+            w, _, _, u = reflection_pair_eigendata(a, Ba, b, Bb)
+            ref = _longest_projection(a, Ba, b, Bb)
+            sign = 1 if sum(map(mul, u, ref)) > 0 else -1
+            assert max(abs(x - sign * y) for x, y in zip(u, ref)) < 1e-55
+            assert abs(sum(map(mul, u, Ba))) < 1e-50
+            assert abs(sum(map(mul, u, Bb))) < 1e-50
+            assert _eigen_residual(w, u, 1) < 1e-40
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,27 @@ def test_counts_by_kind_and_filter(sys_u1):
     assert len(ps.filter(KIND_PARABOLIC)) == 1
 
 
+@pytest.mark.parametrize(
+    "name, core_range, conj_range",
+    [("fig1a", (3, 4), (1, 6)), ("fig1b", (2, 4), (0, 5)), ("universal4:1", (2, 4), (0, 3))],
+)
+def test_stacked_bnorm_matches_the_per_row_loop(name, core_range, conj_range):
+    """The constructor's stacked B-norm equals float(c @ B @ c) row by row,
+    bit for bit, on samples and on rows with non-finite coordinates."""
+    sys = make_system(name)
+    ps = sample_limit_roots(sys, enumerate_elements(sys, 6), core_range, conj_range)
+    n = sys.rank
+    odd = np.array([[np.nan] + [0.5] * (n - 1), [np.inf] + [0.0] * (n - 1), [1e-300] * n])
+    for coords in (ps.coords, np.concatenate([ps.coords[:5], odd])):
+        with np.errstate(invalid="ignore"):  # inf * 0 in both forms
+            got = PointSet(coords, 0.0, kinds=("orbit",), form=sys.form).bnorm
+            want = np.array([float(c @ sys.form @ c) for c in coords])
+        assert len(got) == len(coords) > 0
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
