@@ -15,13 +15,15 @@ from operator import mul
 
 import numpy as np
 
-from .errors import EnumerationError, ExtractionError
-from .geometry import reflect_rows
+from .elements import _read_rows
+from .errors import ExtractionError
 from .graphs import word_to_str
 from .projective import to_chart
 from .spectral import Kind, _plane_complements, classify_many
 
 PAIRING_TOL = 1e-9
+# Largest principal angle of an intersection that equals a unimodular subspace.
+ANGLE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -64,36 +66,42 @@ class Codim2Intersection:
 
 
 def roots_by_depth(sys, max_depth):
-    """All positive roots of depth <= max_depth, each formed once.
+    """All positive roots of depth <= max_depth, each formed once, decided by
+    the small-root automaton (``GeometricSystem.small_roots``), no float sign.
 
-    dp(s_t beta) = dp(beta) - 1 exactly when B(alpha_t, beta) > 0 (Brink &
-    Howlett, Math. Ann. 296, 1993).  So depth d grows from depth d - 1,
-    t-major: s_t gamma is kept when B(alpha_t, gamma) < 0 and t is the
-    smallest index with a positive pairing after the step.  The pairings
-    p = B beta move by ``reflect_rows`` from an absolute bound of 4 u, as B is
-    rounded (m = 2 gives -6.1e-17).  A nonzero pairing is at least
-    gap = ``sys.pairing_gap`` in size: |p| <= E < gap/2 is an orthogonal pair,
-    with no child.  A sign neither way decided is EnumerationError.
+    A root beta = w(alpha_s) (w its prefix word, s its base) of depth
+    dp(beta) = l(w) + 1 is the reflection r = w s w^-1, and that word is
+    reduced: l(s_beta) = 2 dp(beta) - 1.  For a root gamma, B = B(alpha_t, gamma):
+    - B < 0: s_gamma(alpha_t) = alpha_t - 2B gamma > 0, and (s_t s_gamma)(alpha_t)
+      = (4B^2 - 1) alpha_t + 2|B| gamma is a root with a positive coefficient
+      on some alpha_u != alpha_t, so positive: l(s_t s_gamma s_t) = l(s_gamma) + 2,
+      and the length rule follows by induction;
+    - B > 0: s_gamma(alpha_t) < 0, as alpha_t is extreme in the positive
+      cone, so t r is not reduced;
+    - B = 0: s_t s_gamma s_t = s_gamma.
+    So the left descents of s_beta, beta not simple, are the t with
+    B(alpha_t, beta) > 0, and by Brink & Howlett (Math. Ann. 296, 1993)
+    s_t gamma is a child of gamma (one deeper, parent step t) exactly when
+    t r t is reduced with smallest left descent t.  Depth d grows from d - 1,
+    t-major, by one ``_read_rows`` of [t, W, base, W reversed, t] for every t
+    and root.  Pairing rows p = B beta move as ``reflect_rows`` moves them,
+    only to form each root's vector.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    n, gap = sys.rank, sys.pairing_gap
-    X, P, E = np.eye(n), sys.form, np.full((n, n), 2 * np.finfo(float).eps)
-    W, base = np.empty((n, 0), int), np.arange(n)
+    n, act = sys.rank, sys.small_roots
+    D = np.array([g[t] for t, g in enumerate(sys.gens)]) - np.eye(n)
+    X, P, W, base = np.eye(n), sys.form, np.empty((n, 0), int), np.arange(n)
     levels = [(X, W, base)]
-    for depth in range(2, max_depth + 1):
-        kept = []
-        for t in range(n):
-            V = np.flatnonzero(P[:, t] < -E[:, t])
-            Pt, Et = reflect_rows(sys.gens, t, P[V], E[V])
-            if not (np.all(np.isfinite(Et)) and np.all((np.abs(Pt) > Et) | (2 * Et < gap))):
-                raise EnumerationError(f"root pairing sign undecidable at depth {depth}")
-            keep = ~np.any(Pt[:, :t] > Et[:, :t], axis=1)
-            kept.append((np.full(np.count_nonzero(keep), t), V[keep], Pt[keep], Et[keep]))
-        T, V, P_next, E = map(np.concatenate, zip(*kept))
+    for _ in range(2, max_depth + 1):
+        T, V = np.repeat(np.arange(n), len(W)), np.tile(np.arange(len(W)), n)
+        words = np.column_stack((T, W[V], base[V], W[V, ::-1], T))
+        reduced, S = _read_rows(act, words)
+        keep = reduced & (np.argmax(S[:, :n], axis=1) == T)
+        T, V = T[keep], V[keep]
         X = X[V]
         X[np.arange(len(V)), T] -= 2 * P[V, T]
-        P, W, base = P_next, np.concatenate((T[:, None], W[V]), axis=1), base[V]
+        P, W, base = P[V] + P[V, T, None] * D[T], np.column_stack((T, W[V])), base[V]
         levels.append((X, W, base))
     roots = []
     for depth, (X, W, base) in enumerate(levels, 1):
@@ -115,12 +123,12 @@ def fundamental_weights(sys):
     return out
 
 
-def codim2_spacelike(sys, roots, tol=PAIRING_TOL):
+def codim2_spacelike(sys, roots):
     """Codimension-2 intersections over root pairs, in
     ``itertools.combinations`` order.
 
-    Pairs with pairing < -1 - tol are space-like (products of the two
-    reflections are hyperbolic); pairs with pairing = -1 within tol are
+    Pairs with pairing < -1 - PAIRING_TOL are space-like (products of the
+    two reflections are hyperbolic); pairs with pairing = -1 within it are
     flagged light-like (parabolic tangency).  Other pairs are omitted.  One
     R B R^T gives the pairings, one stack the bases and the check that B is
     positive-definite on the space-like ones; the first pair failing raises.
@@ -128,8 +136,8 @@ def codim2_spacelike(sys, roots, tol=PAIRING_TOL):
     R = np.array([r.vector for r in roots], dtype=float).reshape(-1, sys.rank)
     i, j = np.triu_indices(len(R), 1)
     pairing = (R @ sys.form @ R.T)[i, j]
-    space = pairing < -1.0 - tol
-    keep = np.flatnonzero(space | (np.abs(pairing + 1.0) <= tol))
+    space = pairing < -1.0 - PAIRING_TOL
+    keep = np.flatnonzero(space | (np.abs(pairing + 1.0) <= PAIRING_TOL))
     if not len(keep):
         return []
     i, j, pairing, space = i[keep], j[keep], pairing[keep], space[keep]
@@ -157,10 +165,10 @@ def principal_sine(q1, q2):
     return np.linalg.svd(d, compute_uv=False)[..., 0]
 
 
-def intersection_equals_unimodular(sys, cis, angle_tol=1e-7):
+def intersection_equals_unimodular(sys, cis):
     """For each space-like intersection, whether it equals the unimodular
     subspace of the product of its two reflections (principal angle below
-    tolerance), and the sine of that angle (NaN where the product is not
+    ``ANGLE_TOL``), and the sine of that angle (NaN where the product is not
     hyperbolic).  Each distinct root gives one reflection matrix; the
     products R_a R_b are one stacked matmul, classified as one batch, and
     the unimodular subspaces of the hyperbolic ones are formed as one stack."""
@@ -178,7 +186,7 @@ def intersection_equals_unimodular(sys, cis, angle_tol=1e-7):
         unimodular, _ = _plane_complements(sys, np.stack([classes[i].dominant[1:] for i in hyp]))
         for i, sine in zip(hyp, principal_sine(np.stack([cis[i].basis for i in hyp]), unimodular)):
             sines[i] = float(sine)
-    return [s < math.sin(angle_tol) for s in sines], sines
+    return [s < math.sin(ANGLE_TOL) for s in sines], sines
 
 
 def _dot(v, x):

@@ -91,6 +91,8 @@ def cmd_limit_roots(args):
 
 
 def cmd_plot(args):
+    if args.arrangement_depth < 0:
+        raise ValueError(f"--arrangement-depth must be at least 0, got {args.arrangement_depth}")
     graph = load_graph(args.graph)
     sys = make_system(graph)
     ps = read_pointset_csv(args.points, sys) if args.points else None
@@ -98,13 +100,7 @@ def cmd_plot(args):
     if args.arrangement_depth > 0 and sys.rank == 3:
         roots = roots_by_depth(sys, args.arrangement_depth)
         intersections = codim2_spacelike(sys, roots)
-    svg = render_svg(
-        sys,
-        pointset=ps,
-        roots=roots,
-        intersections=intersections,
-        show_weights=args.weights,
-    )
+    svg = render_svg(sys, ps, roots, intersections, show_weights=args.weights)
     with open(args.out, "w") as fh:
         fh.write(svg)
     print(f"wrote {args.out}")

@@ -64,6 +64,20 @@ def _read(act, letters, S=None):
     return len(letters), S
 
 
+def _read_rows(act, words):
+    """Read each row of an (N, L) word array from its last column to its first,
+    one ``_step`` per column with a letter per row: whether each row is reduced,
+    and the (N, |E|) states (meaningless for a refused row, which reads on)."""
+    rows = np.arange(len(words))
+    reduced = np.ones(len(words), bool)
+    S = np.zeros((len(words), act.shape[1]), bool)
+    for t in words.T[::-1]:
+        reduced &= ~S[rows, t]
+        S = np.take_along_axis(S, act[t], axis=1)
+        S[rows, t] = True
+    return reduced, S
+
+
 def element_of(sys, word):
     """Element for an arbitrary word (not necessarily reduced): the ordered
     product of generator matrices, and the ShortLex (lex-minimal reduced)

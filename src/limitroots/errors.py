@@ -26,4 +26,4 @@ class ExtractionError(NumericalError):
 
 
 class EnumerationError(NumericalError):
-    """A root build (``roots_by_depth``, ``small_roots``) met a pairing it cannot decide."""
+    """The small-root build, which words and roots are read with, met a pairing it cannot decide."""

@@ -34,10 +34,10 @@ def build_form(graph: CoxeterGraph) -> np.ndarray:
     return B
 
 
-def signature(B, zero_tol=SIGNATURE_ZERO_TOL):
+def signature(B):
     """Counts (n_plus, n_minus, n_zero) of eigenvalues of a symmetric matrix.
 
-    The zero band is ``zero_tol`` relative to the largest eigenvalue magnitude.
+    The zero band is ``SIGNATURE_ZERO_TOL`` relative to the largest eigenvalue magnitude.
     Raises if the answer changes when the band is shrunk tenfold (borderline).
     This limits finite labels: the smallest form eigenvalue of I2(m) is
     1 - cos(pi / m) ~ pi^2 / (2 m^2), so m = 10^4 (4.9e-8) is decided but
@@ -57,8 +57,8 @@ def signature(B, zero_tol=SIGNATURE_ZERO_TOL):
             int(np.sum(np.abs(evals) <= tau)),
         )
 
-    sig = count(zero_tol)
-    if sig != count(zero_tol / 10):
+    sig = count(SIGNATURE_ZERO_TOL)
+    if sig != count(SIGNATURE_ZERO_TOL / 10):
         raise ValueError(f"borderline signature: eigenvalues {evals} near zero band")
     return sig
 
@@ -111,22 +111,21 @@ def parabolic_order(graph, B, T):
     return None if exponents is None else math.prod(m + 1 for m in exponents)
 
 
-def reflect_rows(gens, t, X, E):
-    """Rows x S_t of a stack X of rows x, and bounds E >= |x - x_exact|.
+def reflect_rows(gens, t, X):
+    """Rows x S_t of a stack X of rows x, and the rounding the step adds to them.
 
     (x S_t)_j = x_j + x_t d_j, d = S_t[t] - e_t: a root's pairings B beta
     under beta -> s_t beta.  The float d_j is within 3 ulps of max(|d_j|, 1)
-    (m = 2 gives 1.2e-16, not 0), so E_j gains |d_j| E_t + 16 u (|x_j| +
-    |x_t| (|d_j| + 1)): 2 ulps for the product and the sum, 3 for d_j, a few
-    for second-order terms and for rounding E.  Where |x| > E its sign is exact.
+    (m = 2 gives 1.2e-16, not 0), so the step adds at most 16 u (|x_j| +
+    |x_t| (|d_j| + 1)) to |x_j - x_exact_j|: 2 ulps for the product and the
+    sum, 3 for d_j, a few for second-order terms and for rounding the bound.
     """
     d = gens[t][t].copy()
     d[t] -= 1
     spread = np.abs(d)
     spread[t] = 0
     xt = X[:, t, None]
-    charge = np.abs(X) + np.abs(xt) * (spread + 1)
-    return X + xt * d, E + E[:, t, None] * spread + 16 * _U * charge
+    return X + xt * d, 16 * _U * (np.abs(X) + np.abs(xt) * (spread + 1))
 
 
 def system_type(B):
@@ -240,7 +239,7 @@ class GeometricSystem:
                 elif not abs(p) > e or (p < 0 and not abs(p + 1 - gap**2) > e):
                     raise EnumerationError(f"small root {i}: pairing {p} with s_{t} undecidable")
                 elif i != t and p > gap**2 - 1:
-                    Y, fresh = reflect_rows(self.gens, t, X[i], np.zeros_like(X[i]))
+                    Y, fresh = reflect_rows(self.gens, t, X[i])
                     Y = np.vstack((Y, np.diag(fresh.sum(0))))
                     q, f = Y[0], np.abs(Y[1:]).sum(0)
                     size = len(X)

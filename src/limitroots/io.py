@@ -116,11 +116,15 @@ def read_pointset_csv(path, sys):
     """Parse a point-set CSV back into a PointSet (no re-deduplication)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty point-set CSV")
         rank = sum(1 for h in header if h.startswith("x") and h[1:].isdigit())
         if rank != sys.rank:
             raise ValueError(f"CSV rank {rank} does not match graph rank {sys.rank}")
         rows = list(reader)
+    if any(len(row) < rank + 4 for row in rows):
+        raise ValueError(f"{path}: a point-set row has fewer than {rank + 4} fields")
     coords = np.array([[float(v) for v in row[:rank]] for row in rows]).reshape(len(rows), rank)
     kinds, words = {}, {}
     kind = [kinds.setdefault(row[rank], len(kinds)) for row in rows]

@@ -103,20 +103,6 @@ class PointSet:
         order = np.argsort(first)
         return {self.kinds[ids[i]]: int(counts[i]) for i in order}
 
-    def filter(self, kind):
-        rows = np.isin(self.kind, [i for i, k in enumerate(self.kinds) if k == kind])
-        return PointSet(
-            self.coords[rows],
-            self.dedup_eps,
-            kinds=self.kinds,
-            kind=self.kind[rows],
-            words=self.words,
-            source=self.source[rows],
-            conjugator=self.conjugator[rows],
-            at_infinity=self.at_infinity[rows],
-            bnorm=self.bnorm[rows],
-        )
-
 
 def _dedup(coords, at_infinity, eps):
     """Ascending indices of the rows kept by the two-pass merge.

@@ -40,14 +40,14 @@ class ProjectivePoint:
         return f"ProjectivePoint[{tag}]({vals})"
 
 
-def to_chart(sys, v, height_tol=HEIGHT_TOL):
+def to_chart(sys, v):
     """Chart point of a nonzero vector: v/h(v), or an at-infinity direction."""
     v = np.asarray(v, dtype=float)
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("cannot project the zero vector")
     h = float(np.sum(v))
-    if abs(h) > height_tol * norm:
+    if abs(h) > HEIGHT_TOL * norm:
         coords = v / h
     else:
         coords = v / norm
@@ -58,7 +58,7 @@ def to_chart(sys, v, height_tol=HEIGHT_TOL):
             coords = -coords
     bnorm = float(coords @ sys.form @ coords)
     coords.setflags(write=False)
-    return ProjectivePoint(coords=coords, at_infinity=abs(h) <= height_tol * norm, bnorm=bnorm)
+    return ProjectivePoint(coords=coords, at_infinity=abs(h) <= HEIGHT_TOL * norm, bnorm=bnorm)
 
 
 def chart_distance(p, q):
@@ -91,14 +91,14 @@ def chart_distances(sys, X, Y):
     return d
 
 
-def causal_character(sys, v, iso_tol=ISO_TOL):
+def causal_character(sys, v):
     """Sign of B(v, v) with a zero band relative to the squared vector norm."""
     v = np.asarray(v, dtype=float)
     norm2 = float(v @ v)
     if norm2 == 0:
         raise ValueError("causal character of the zero vector is undefined")
     b = float(v @ sys.form @ v)
-    if abs(b) <= iso_tol * norm2:
+    if abs(b) <= ISO_TOL * norm2:
         return Causal.LIGHT_LIKE
     return Causal.SPACE_LIKE if b > 0 else Causal.TIME_LIKE
 

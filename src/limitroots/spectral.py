@@ -35,6 +35,8 @@ KERNEL_TOL = 1e-7
 ISOMETRY_TOL = 1e-8
 # Powering stops at the first power with an entry above this.
 POWER_CAP = 1e9
+# |B(x, x)| of a chart eigendirection above this is not light-like.
+LIGHT_LIKE_TOL = 1e-8
 # ``classify`` classifies store rows in blocks of this many rows of a level.
 BLOCK_ROWS = 1024
 
@@ -565,7 +567,7 @@ def _parabolic_vectors(sys, vt, w):
     return out
 
 
-def hyperbolic_directions(sys, sc, iso_tol=1e-8):
+def hyperbolic_directions(sys, sc):
     """Chart points of the two light-like eigendirections of a hyperbolic class."""
     if sc.kind is not Kind.HYPERBOLIC:
         raise ValueError("hyperbolic_directions requires a hyperbolic class")
@@ -573,7 +575,7 @@ def hyperbolic_directions(sys, sc, iso_tol=1e-8):
     p_plus = to_chart(sys, x_plus)
     p_minus = to_chart(sys, x_minus)
     for p in (p_plus, p_minus):
-        if abs(p.bnorm) > iso_tol:
+        if abs(p.bnorm) > LIGHT_LIKE_TOL:
             raise ExtractionError(f"eigendirection not light-like: B = {p.bnorm:g}")
     return p_plus, p_minus
 

@@ -11,6 +11,8 @@ from .projective import light_conic
 
 SIZE = 640
 MARGIN = 60
+CONIC_RESOLUTION = 512
+POINT_RADIUS = 1.6
 
 # Fixed 2D positions for the chart simplex vertices.
 _TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8660254037844386]])
@@ -21,7 +23,6 @@ _TETRA = np.array(
 KIND_COLORS = {
     "parabolic-eig": "#1f77b4",
     "hyperbolic-eig": "#d62728",
-    "orbit": "#2ca02c",
     "intersection": "#9467bd",
     "weight": "#ff7f0e",
 }
@@ -73,9 +74,8 @@ class _Canvas:
     def diamond(self, xy, r, fill):
         x, y = xy
         pts = [(x, y - r), (x + r, y), (x, y + r), (x - r, y)]
-        self.polyline(pts, stroke="black", closed=True)
         path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
-        self.parts[-1] = f'<polygon points="{path}" fill="{fill}" stroke="black"/>'
+        self.parts.append(f'<polygon points="{path}" fill="{fill}" stroke="black"/>')
 
     def text(self, xy, s):
         x, y = xy
@@ -107,16 +107,7 @@ def _arrangement_lines(sys, roots, canvas):
         canvas.polyline(pts, stroke="#bbbbbb", width=0.6)
 
 
-def render_svg(
-    sys,
-    pointset=None,
-    show_conic=True,
-    roots=None,
-    intersections=None,
-    show_weights=False,
-    conic_resolution=512,
-    point_radius=1.6,
-):
+def render_svg(sys, pointset=None, roots=None, intersections=None, show_weights=False):
     """Compose the chart picture: simplex outline, light conic, arrangement
     overlays, and provenance-colored points.  Output is deterministic."""
     canvas = _Canvas(sys.rank)
@@ -132,8 +123,8 @@ def render_svg(
             )
     if roots is not None and n == 3:
         _arrangement_lines(sys, roots, canvas)
-    if show_conic and sys.is_lorentzian and n in (3, 4):
-        conic = light_conic(sys, resolution=conic_resolution)
+    if sys.is_lorentzian and n in (3, 4):
+        conic = light_conic(sys, resolution=CONIC_RESOLUTION)
         pts = [canvas.map_point(v) for v in conic.vertices]
         canvas.polyline(pts, stroke="#555555", width=1.0, closed=(n == 3))
     if intersections is not None and n == 3:
@@ -150,5 +141,5 @@ def render_svg(
         affine = ~pointset.at_infinity
         for coords, kind in zip(pointset.coords[affine], pointset.kind[affine]):
             color = KIND_COLORS.get(pointset.kinds[kind], "#333333")
-            canvas.circle(canvas.map_point(coords), point_radius, color)
+            canvas.circle(canvas.map_point(coords), POINT_RADIUS, color)
     return canvas.render()

@@ -17,6 +17,7 @@ from test_coxeter_core import _graphs
 
 import limitroots.arrangement
 from limitroots import (
+    CoxeterGraph,
     classify,
     codim2_spacelike,
     element_of,
@@ -121,10 +122,38 @@ def _assert_roots_match_the_reference(sys, max_depth):
 
 
 @pytest.mark.parametrize(
-    "name, depth", [("fig1a", 12), ("fig1b", 9), ("universal3:1.1", 9), ("universal4:1", 7)]
+    "name, depth",
+    [("fig1a", 12), ("fig1b", 9), ("universal3:1.1", 9), ("universal4:1", 7), ("dihedral:100", 60)],
 )
 def test_roots_match_the_reference(name, depth):
     _assert_roots_match_the_reference(make_system(name), depth)
+
+
+@pytest.mark.parametrize(
+    "labels, depth",
+    [
+        ({(0, 1): 3, (1, 2): 3, (2, 3): 3}, 4),  # A4
+        ({(0, 1): 3, (1, 2): 3, (2, 3): 4}, 6),  # B4
+        ({(0, 1): 5, (1, 2): 3}, 7),  # H3
+        ({(0, 1): 5, (1, 2): 3, (2, 3): 3}, 23),  # H4
+        ({(0, 1): 3, (1, 2): 4, (2, 3): 3}, 8),  # F4
+        ({(0, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3}, 29),  # E8
+        ({(0, 1): 7}, 4),  # I2(7)
+    ],
+)
+def test_reflection_of_a_root_has_length_twice_its_depth_less_one(labels, depth):
+    """l(s_beta) = 2 dp(beta) - 1, the rule ``roots_by_depth`` reads with
+    the automaton, checked without it: in a finite group l(s_beta) is the
+    number of positive roots s_beta makes negative, counted over the
+    reference roots with the float reflection matrix."""
+    sys = make_system(CoxeterGraph(1 + max(j for _, j in labels), labels))
+    ref = _reference_roots(sys, depth + 1)
+    assert max(r.depth for r in ref) == depth
+    R = np.array([r.vector for r in ref])
+    for r in ref:
+        negated = (R @ sys.reflection_in(r.vector).T).sum(axis=1) < 0
+        assert np.count_nonzero(negated) == 2 * r.depth - 1
+    _assert_roots_match_the_reference(sys, depth + 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -162,7 +191,6 @@ def test_universal_weights_are_space_like(sys_u11):
 
 def test_singular_form_has_no_weights():
     # The affine dihedral form (infinite label, c = 1) is singular.
-    from limitroots import CoxeterGraph
     from limitroots.graphs import INF
 
     g = CoxeterGraph(rank=2, labels={(0, 1): INF}, cparams={(0, 1): 1.0})

@@ -19,6 +19,7 @@ from limitroots import (
     enumerate_elements,
     load_graph,
     make_system,
+    roots_by_depth,
     universal,
 )
 from limitroots.elements import GroupElement
@@ -456,13 +457,16 @@ def test_small_root_build_raises_inside_its_minus_one_margin():
     # -cos(pi / 10^8), -1.0 in floats, carries a bound of 4 u = 4.4e-16,
     # wider than its distance gap^2 = 2.5e-16 from the threshold -1 + gap^2:
     # whether s_0 alpha_1 is small is undecided.  At label 10 the margin is
-    # wide, and the 10 positive roots of I2(10) are all small.
+    # wide, and the 10 positive roots of I2(10) are all small.  Roots by
+    # depth are read with the same table, so they are refused with it.
     cparams = {(0, 2): 1.0, (1, 2): 1.0}
     for m, size in ((10, 11), (10**8, None)):
         sys = make_system(CoxeterGraph(3, {(0, 1): m, (0, 2): INF, (1, 2): INF}, cparams))
         if size is None:
             with pytest.raises(EnumerationError, match="undecidable"):
                 sys.small_roots
+            with pytest.raises(EnumerationError, match="undecidable"):
+                roots_by_depth(sys, 3)
         else:
             assert sys.small_roots.shape == (3, size)
 

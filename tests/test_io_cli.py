@@ -358,6 +358,27 @@ def test_cli_plot(tmp_path):
     assert "<svg" in out.read_text()[:200]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "empty point-set CSV"), ("x0,x1,x2\n0.3,0.3,0.4\n", "a point-set row has fewer than 7 fields")],
+)
+def test_cli_plot_rejects_a_malformed_points_file(tmp_path, capsys, text, message):
+    points = tmp_path / "points.csv"
+    points.write_text(text)
+    out = tmp_path / "pic.svg"
+    assert main(["plot", "--graph", "universal3:1", "--points", str(points), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {points}: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_plot_rejects_a_negative_arrangement_depth(tmp_path, capsys):
+    out = tmp_path / "pic.svg"
+    args = ["plot", "--graph", "universal3:1", "--arrangement-depth", "-3", "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: --arrangement-depth must be at least 0, got -3\n"
+    assert not out.exists()
+
+
 def test_cli_verify_suite(capsys):
     assert main(["verify", "--suite", "spectra"]) == 0
     report = json.loads(capsys.readouterr().out)

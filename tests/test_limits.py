@@ -81,7 +81,6 @@ def test_counts_by_kind_and_filter(sys_u1):
         kind=[0, 1],
     )
     assert ps.counts_by_kind() == {KIND_PARABOLIC: 1, KIND_HYPERBOLIC: 1}
-    assert len(ps.filter(KIND_PARABOLIC)) == 1
 
 
 @pytest.mark.parametrize(
