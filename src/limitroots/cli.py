@@ -95,9 +95,11 @@ def cmd_plot(args):
         raise ValueError(f"--arrangement-depth must be at least 0, got {args.arrangement_depth}")
     graph = load_graph(args.graph)
     sys = make_system(graph)
+    if args.arrangement_depth > 0 and sys.rank != 3:
+        raise ValueError(f"--arrangement-depth draws rank 3 only; the graph has rank {sys.rank}")
     ps = read_pointset_csv(args.points, sys) if args.points else None
     roots = intersections = None
-    if args.arrangement_depth > 0 and sys.rank == 3:
+    if args.arrangement_depth > 0:
         roots = roots_by_depth(sys, args.arrangement_depth)
         intersections = codim2_spacelike(sys, roots)
     svg = render_svg(sys, ps, roots, intersections, show_weights=args.weights)
@@ -167,7 +169,7 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--points", help="point-set CSV to draw")
     p.add_argument("--out", required=True)
-    p.add_argument("--arrangement-depth", type=int, default=0)
+    p.add_argument("--arrangement-depth", type=int, default=0, help="root depth (rank 3 only)")
     p.add_argument("--weights", action="store_true", help="mark fundamental weights")
     p.set_defaults(fn=cmd_plot)
 

@@ -2,17 +2,17 @@
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import word_to_str
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
-    """A group element: canonical reduced word plus its representation matrix.
+class GroupElement(NamedTuple):
+    """A group element: canonical reduced word plus its representation matrix,
+    as an immutable named tuple (word, matrix, origin).
 
     Two elements are equal when their words and matrix bytes are; the hash
     is the word's.  ``origin`` is (store, row) for an element read from an
@@ -22,12 +22,16 @@ class GroupElement:
 
     word: tuple
     matrix: np.ndarray
-    origin: tuple = field(default=None, repr=False)
+    origin: tuple = None
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
         return self.word == other.word and self.matrix.tobytes() == other.matrix.tobytes()
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash(self.word)

@@ -15,7 +15,7 @@ product (``_hyperbolic_classes``).
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +47,8 @@ class Kind(enum.Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class SpectralClass:
-    """Spectral data of one element.
+class SpectralClass(NamedTuple):
+    """Spectral data of one element, as an immutable named tuple.
 
     ``dominant`` is (lambda, x_plus, x_minus) for hyperbolic elements, with
     both eigenvectors scaled to height 1.  ``parabolic_eps`` / ``parabolic_vec``
@@ -57,8 +56,8 @@ class SpectralClass:
     elements.  ``unimodular_basis`` (n, n-2, Euclidean-orthonormal columns)
     comes from the Jordan test of parabolic elements, else None (see
     ``unimodular_subspace``); ``order`` is an elliptic element's verified order.
-    The arrays are read-only: ``classify`` hands the class of a store row to
-    every call on that row.
+    The record and its arrays are read-only: ``classify`` hands the class
+    of a store row to every call on that row.
     """
 
     kind: Kind
@@ -228,10 +227,11 @@ def _hyperbolic_classes(sys, M, x, Q, f):
     aa, ab, bb = _row_sum(a * a), _row_sum(a * b), _row_sum(b * b)
     rr = _row_sum((b - (ab / aa)[:, None] * a) ** 2)
     independent = np.sqrt(aa * rr) > _EPS * n * (aa + bb + np.hypot(aa - bb, 2 * ab)) / 2
-    for i, (l, ok) in enumerate(zip(lam.tolist(), independent.tolist())):
+    rows = zip(lam.tolist(), independent.tolist(), X[:, 0], X[:, 1])
+    for i, (l, ok, plus, minus) in enumerate(rows):
         if out[i] is None:
             out[i] = (
-                SpectralClass(kind=Kind.HYPERBOLIC, dominant=(l, X[i, 0], X[i, 1]))
+                SpectralClass(Kind.HYPERBOLIC, (l, plus, minus))
                 if ok
                 else ClassificationError(
                     f"unimodular complement has dimension {n - 1}, expected {n - 2}"
@@ -318,8 +318,9 @@ def classify(sys, elem):
 
     An element read from an ``ElementStore`` of ``sys`` (its ``origin``)
     takes its class from the store's ``class_blocks``: the first call on a
-    row classifies the block of BLOCK_ROWS rows of its level that holds it
-    as one stack, kept for the store's lifetime, and a row's error is
+    row checks that ``sys`` is Lorentzian and classifies the block of
+    BLOCK_ROWS rows of its level that holds it as one stack, kept for the
+    store's lifetime (a refused store keeps none), and a row's error is
     raised only when that row is asked for.  Any other element or matrix is a stack of one.
     A row's class does not depend on its stack, so both give the same bits.
     """
@@ -327,12 +328,12 @@ def classify(sys, elem):
         return classify_many(sys, np.asarray(elem)[None])[0]
     if elem.origin is None or elem.origin[0].sys is not sys:
         return classify_many(sys, elem.matrix[None], (-1.0) ** elem.length)[0]
-    sys.require_lorentzian("spectral classification")
     store, row = elem.origin
     k, j = store.locate(row)
     b, i = divmod(j, BLOCK_ROWS)
     block = store.class_blocks.get((k, b))
     if block is None:
+        sys.require_lorentzian("spectral classification")
         M = store.level(k)[1][b * BLOCK_ROWS : (b + 1) * BLOCK_ROWS]
         block = store.class_blocks[k, b] = _classify_rows(sys, M, (-1.0) ** k)
     return _checked(block[i])

@@ -391,7 +391,8 @@ def test_element_sequence_indexing():
 
 def test_group_elements_compare_by_word_and_matrix_bytes():
     """Two accesses of one store row are equal and hash alike (the hash is
-    the word's); the store and row they carry take no part in either."""
+    the word's); the store and row they carry take no part in either, and
+    ``!=`` is the negation of ``==``.  No field can be assigned."""
     sys = make_system("fig1b")
     store = enumerate_elements(sys, 4)
     a, b = store.elements[40], list(store)[40]
@@ -399,7 +400,14 @@ def test_group_elements_compare_by_word_and_matrix_bytes():
     assert a.origin == b.origin == (store, 40)
     assert a == GroupElement(a.word, a.matrix.copy()) == element_of(sys, a.word)
     assert a != store.elements[41] and a != GroupElement(a.word, -a.matrix)
-    assert a != a.word
+    assert (a != a.word) is True and (a == a.word) is False
+    same = [b, GroupElement(a.word, a.matrix.copy()), GroupElement(a.word, a.matrix, (store, 41))]
+    other = [store.elements[41], GroupElement(a.word, -a.matrix), GroupElement((), a.matrix)]
+    for c in same + other:
+        assert (a != c) is (not (a == c)) is (c not in same)
+    for name in ("word", "matrix", "origin"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
     assert len(set(store) | {element_of(sys, w) for w in store.words(0, 4)}) == len(store)
     assert repr(a) == f"GroupElement({word_to_str(a.word)!r})"
 

@@ -379,6 +379,16 @@ def test_cli_plot_rejects_a_negative_arrangement_depth(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_plot_rejects_an_arrangement_depth_outside_rank_3(tmp_path, capsys):
+    out = tmp_path / "pic.svg"
+    assert main(["plot", "--graph", "fig1b", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    out.unlink()
+    assert main(["plot", "--graph", "fig1b", "--arrangement-depth", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --arrangement-depth draws rank 3 only; the graph has rank 4\n"
+    assert not out.exists()
+
+
 def test_cli_verify_suite(capsys):
     assert main(["verify", "--suite", "spectra"]) == 0
     report = json.loads(capsys.readouterr().out)

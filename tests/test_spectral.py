@@ -227,9 +227,16 @@ def test_degenerate_dominant_eigenvalue_is_rejected(sys_u1):
 
 
 def test_classify_requires_lorentzian_signature():
+    """The element of a word and every row of a store are refused on every
+    call, and the store forms no block."""
     sys_fin = make_system("a2")
     with pytest.raises(NotLorentzianError):
         classify(sys_fin, element_of(sys_fin, (0, 1)))
+    store = enumerate_elements(sys_fin, 3)
+    for elem in list(store) * 2:
+        with pytest.raises(NotLorentzianError):
+            classify(sys_fin, elem)
+    assert store.class_blocks == {}
 
 
 def _reference_dominant(M, lam):
@@ -589,12 +596,16 @@ def test_store_blocks_match_one_element_and_one_matrix():
         assert got == _outcome(sys, element_of(sys, elem.word)) == _outcome(sys, elem.matrix)
     assert sorted(store.class_blocks) == [(9, 0), (9, 1), (9, 12)]
     assert len(store.class_blocks[9, 12]) == 13044 - 12 * spectral.BLOCK_ROWS
-    # Every call on a row hands out the one class, so its arrays are read-only.
+    # Every call on a row hands out the one class, so its fields cannot be
+    # assigned and its arrays are read-only.
     for j in (0, 1024):
         sc = classify(sys, level[j])
         assert classify(sys, level[j]) is sc
         arrays = sc.dominant[1:] if sc.dominant else (sc.parabolic_vec, sc.unimodular_basis)
         assert not any(a.flags.writeable for a in arrays)
+        for name in spectral.SpectralClass._fields:
+            with pytest.raises(AttributeError):
+                setattr(sc, name, None)
 
 
 def test_stored_errors_are_raised_by_their_own_rows():
