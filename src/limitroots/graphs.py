@@ -156,7 +156,8 @@ _BUILTINS = {
         labels={(0, 1): INF, (1, 2): 3, (2, 3): 3, (3, 4): INF},
         cparams={(0, 1): 2.0, (3, 4): 2.0},
     ),
-    "a2": lambda: CoxeterGraph(rank=3, labels={(0, 1): 3, (1, 2): 3}),
+    # Rank-3 path with two label-3 edges: the finite group A3 of order 24.
+    "a3": lambda: CoxeterGraph(rank=3, labels={(0, 1): 3, (1, 2): 3}),
 }
 
 
@@ -165,7 +166,7 @@ def builtin_names():
 
 
 def builtin(name):
-    """Look up a named graph: fig1a, fig1b, fig8, a2, universal3:1.1, dihedral:3."""
+    """Look up a named graph: fig1a, fig1b, fig8, a3, universal3:1.1, dihedral:3."""
     if name in _BUILTINS:
         return _BUILTINS[name]()
     if name.startswith("universal"):

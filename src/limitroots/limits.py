@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import _read, element_of
+from .errors import NumericalError
 from .graphs import word_to_str
 from .projective import ProjectivePoint, chart_distance, to_chart
 from .spectral import Kind, classify, classify_many
@@ -21,6 +22,8 @@ from .spectral import Kind, classify, classify_many
 log = logging.getLogger(__name__)
 
 DEDUP_EPS = 1e-6
+# Candidate pairs (dedup) or distances (hausdorff) formed at once.
+_CHUNK = 1 << 18
 # Steps of the period's power iteration in the cross-check of word_limit_root.
 ORBIT_STEPS = 50
 
@@ -107,20 +110,45 @@ class PointSet:
 def _dedup(coords, at_infinity, eps):
     """Ascending indices of the rows kept by the two-pass merge.
 
-    Coarse pass: the first row in each cell of the epsilon grid.  Fine pass:
-    grid representatives within ``eps`` of each other are joined, and each
-    connected group keeps its lowest index.
+    Coarse pass: the first row in each cell of the grid with keys
+    round(x / eps).  Fine pass: grid representatives whose squared distance
+    (``_squared_distances``) is at most eps * eps are joined, and each
+    connected group keeps its lowest index.  Two such points differ by at
+    most eps, to rounding, in each coordinate, so their keys differ by at
+    most 1, or by 2 where both quotients sit on half-integers that round
+    apart (numpy rounds halves to even).  The fine pass therefore compares
+    only cells whose keys are within 2 in the two columns of widest key
+    spread.
     """
+    all_keys = _grid_keys(coords, eps)
     kept = []
     for group in (np.flatnonzero(~at_infinity), np.flatnonzero(at_infinity)):
         if len(group) == 0:
             continue
-        pts = coords[group]
-        keys = np.round(pts / eps).astype(np.int64)
-        order = np.lexsort(keys.T[::-1])
-        sorted_keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)])
-        reps = np.sort(np.minimum.reduceat(order, starts))
+        keys = all_keys.take(group, axis=0)
+        # Columns by decreasing key spread, packed in mixed radix into as few
+        # int64 sort keys as fit: one lexsort orders the cells by the widest
+        # column, then the next, which is the order the pair search needs.
+        lows = [int(k.min()) for k in keys.T]
+        spans = [int(k.max()) - low + 1 for k, low in zip(keys.T, lows)]
+        cols = sorted(range(len(spans)), key=lambda c: -spans[c])
+        sort_keys, radix = [], 0
+        for c in reversed(cols):
+            k = keys[:, c] - lows[c]
+            if sort_keys and radix * spans[c] <= 2**63:
+                sort_keys[-1] = k * radix + sort_keys[-1]
+                radix *= spans[c]
+            else:
+                sort_keys.append(k)
+                radix = spans[c]
+        order = np.lexsort(sort_keys)
+        changed = np.any([np.diff(k[order]) != 0 for k in sort_keys], axis=0)
+        reps = np.minimum.reduceat(order, np.flatnonzero(np.r_[True, changed]))
+        window = keys.take(reps, axis=0)[:, (cols + cols)[:2]]  # one column serves twice
+        i, j = _close_pairs(coords.take(group[reps], axis=0), window, eps)
+        # Union-find over the representatives in index order.
+        by_index = np.empty(len(reps), np.intp)
+        by_index[np.argsort(reps)] = np.arange(len(reps))
         parent = list(range(len(reps)))
 
         def find(a):
@@ -129,21 +157,86 @@ def _dedup(coords, at_infinity, eps):
                 a = parent[a]
             return a
 
-        # scipy loads here, on first use: its import outweighs the package's.
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(pts[reps])
-        for a, b in sorted(tree.query_pairs(eps)):
+        for a, b in zip(by_index[i].tolist(), by_index[j].tolist()):
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
         # A union only ever re-parents the larger root, so the kept roots are
         # the lowest index of each group.
         roots = np.array(parent) == np.arange(len(reps))
-        kept.append(group[reps[roots]])
+        kept.append(group[np.sort(reps)[roots]])
     if not kept:
         return np.empty(0, np.intp)
     return np.sort(np.concatenate(kept))
+
+
+def _grid_keys(coords, eps):
+    """The int64 keys round(x / eps).  A row that is non-finite or has
+    |x| / eps >= 2**62, whose keys and key differences would not fit int64,
+    is a NumericalError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = coords / eps
+    if len(coords) and not np.abs(scaled).max() < 2.0**62:  # NaN fails too
+        bad = len(coords) - np.count_nonzero(np.all(np.abs(scaled) < 2.0**62, axis=1))
+        raise NumericalError(
+            f"{bad} row(s) non-finite or with |coord| / eps >= 2**62 at dedup eps {eps:g}:"
+            " their grid keys overflow int64"
+        )
+    return np.round(scaled, out=scaled).astype(np.int64)
+
+
+def _close_pairs(pts, window, eps):
+    """Index arrays (i, j), i < j, of the rows of ``pts`` at squared distance
+    at most eps * eps, given their keys in two columns, ``window`` (r, 2),
+    sorted lexicographically.
+
+    Only rows whose keys are within 2 in both columns are compared.  The
+    key pairs are ranked densely, so each row's candidates under a first
+    key of +0, +1 or +2 form one run of the sorted rows, found by binary
+    search; the runs are expanded at most ``_CHUNK`` candidates at a time.
+    """
+    r = len(pts)
+    first, first_rank = np.unique(window[:, 0], return_inverse=True)
+    second, second_rank = np.unique(window[:, 1], return_inverse=True)
+    cell = first_rank * len(second) + second_rank
+    low = np.searchsorted(second, window[:, 1] - 2)
+    high = np.searchsorted(second, window[:, 1] + 2, side="right")
+    run_start, run_len = [], []
+    for step in (0, 1, 2):
+        target = window[:, 0] + step
+        rank = np.searchsorted(first, target)
+        present = first[np.minimum(rank, len(first) - 1)] == target
+        lo = np.searchsorted(cell, rank * len(second) + low)
+        hi = np.searchsorted(cell, rank * len(second) + high)
+        if step == 0:
+            lo = np.maximum(lo, np.arange(1, r + 1))  # later rows of the same first key
+        run_start.append(lo)
+        run_len.append(np.where(present, np.maximum(hi - lo, 0), 0))
+    source = np.tile(np.arange(r), 3)
+    run_start, run_len = np.concatenate(run_start), np.concatenate(run_len)
+    ends = np.cumsum(run_len)
+    cuts = np.searchsorted(ends, np.arange(_CHUNK, ends[-1], _CHUNK))
+    columns = np.ascontiguousarray(pts.T)
+    found_i, found_j = [], []
+    for runs in np.split(np.arange(len(source)), cuts):
+        n = run_len[runs]
+        i = np.repeat(source[runs], n)
+        j = np.repeat(run_start[runs] - np.cumsum(n) + n, n) + np.arange(len(i))
+        close = _squared_distances(columns.take(i, axis=1), columns.take(j, axis=1)) <= eps * eps
+        found_i.append(i[close])
+        found_j.append(j[close])
+    return np.concatenate(found_i), np.concatenate(found_j)
+
+
+def _squared_distances(xs, ys):
+    """Squared Euclidean distances between points given as per-coordinate
+    arrays ``xs`` and ``ys`` (broadcast against each other), summed over
+    the coordinates left to right, as scipy's kd-tree sums them for up to
+    seven coordinates."""
+    total = 0.0
+    for x, y in zip(xs, ys):
+        total = total + (x - y) ** 2
+    return total
 
 
 def infinite_order_directions(sys, elem, sc=None):
@@ -316,8 +409,13 @@ def hausdorff(a, b):
             skipped = int(np.count_nonzero(ps.at_infinity))
             if skipped:
                 log.warning("hausdorff: excluding %d at-infinity point(s)", skipped)
-    from scipy.spatial import cKDTree
-
-    d_ab = cKDTree(cb).query(ca)[0].max()
-    d_ba = cKDTree(ca).query(cb)[0].max()
-    return float(max(d_ab, d_ba))
+    # One chunk of rows of ca against all of cb at a time: its row minima
+    # are distances to cb, and its column minima update those to ca.
+    to_b = np.empty(len(ca))
+    to_a = np.full(len(cb), np.inf)
+    rows = max(1, _CHUNK // len(cb))
+    for lo in range(0, len(ca), rows):
+        d2 = _squared_distances(ca[lo : lo + rows].T[:, :, None], cb.T[:, None, :])
+        to_b[lo : lo + rows] = d2.min(axis=1)
+        np.minimum(to_a, d2.min(axis=0), out=to_a)
+    return float(np.sqrt(max(to_b.max(), to_a.max())))

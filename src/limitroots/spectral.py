@@ -189,10 +189,11 @@ def _hyperbolic_classes(sys, M, x, Q, f):
     take Rayleigh steps; a residual left above 1e-6 max(1, |M|_F), or zero
     height, is an ExtractionError.  At height 1, B x_plus and B x_minus must
     be independent, or their kernel, the unimodular subspace, is not of
-    dimension n - 2: ClassificationError.  Independence is scipy's rank rule
-    s_1 > n eps s_0 for the rows a, b, in closed form: s_0 s_1 = |a| |r| with
-    r = b - (a.b / a.a) a formed as a vector (|b|^2 - (a.b)^2 / |a|^2
-    cancels below eps), s_0^2 the larger eigenvalue of the Gram matrix.
+    dimension n - 2: ClassificationError.  Independence is the rank rule
+    s_1 > n eps s_0 (numpy matrix_rank's default) for the rows a, b, in
+    closed form: s_0 s_1 = |a| |r| with r = b - (a.b / a.a) a formed as a
+    vector (|b|^2 - (a.b)^2 / |a|^2 cancels below eps), s_0^2 the larger
+    eigenvalue of the Gram matrix.
     """
     N, n, _ = M.shape
     add, rows = np.add.reduce, np.arange(N)
@@ -285,7 +286,8 @@ def _solve(A, b):
 def _plane_complements(sys, V):
     """Orthonormal kernels (N, n, n-2), as columns, of the rows of each V B
     for a stack V (N, 2, n), from one stacked SVD (a row's bits do not
-    depend on the stack), and the kernel dimensions by scipy's rank rule."""
+    depend on the stack), and the kernel dimensions by the rank rule
+    s_k > n eps s_0 (numpy matrix_rank's default)."""
     n = V.shape[2]
     _, s, vt = np.linalg.svd(V @ sys.form)
     return np.swapaxes(vt[:, 2:], 1, 2), n - np.count_nonzero(s > _EPS * n * s[:, :1], axis=1)

@@ -164,7 +164,7 @@ def _closure_order(sys, T, cap=500):
         ("universal3:1", 2),
         ("universal4:1", 2),
         ("universal3:1.1", 2),
-        ("a2", 24),
+        ("a3", 24),
         ("fig8", 24),
         ("dihedral:5", 10),
         pytest.param(H3_JSON, 120, id="h3"),
@@ -222,7 +222,7 @@ def _steinberg_growth(sys, n):
         ("fig1a", 9),
         ("fig8", 6),
         ("fig1b", 9),
-        ("a2", 30),
+        ("a3", 30),
         ("dihedral:5", 30),
         # Long dihedral strings: the small roots' affine error bound grows
         # linearly along them (an entrywise one gave out near length 41).

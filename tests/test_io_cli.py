@@ -210,16 +210,21 @@ def test_writers_share_one_formatting_pass(tmp_path, case):
         assert shared.read_bytes() == alone.read_bytes()
 
 
-def test_scipy_loads_only_for_dedup_and_hausdorff():
-    # Importing the package, enumerating, classifying and the sandwich check
-    # need no scipy; a fresh interpreter shows which modules they load.
-    code = """
+def test_package_never_loads_scipy(tmp_path):
+    # scipy is a test oracle only: importing the package, enumerating,
+    # classifying, limit-roots (dedup) and the density (hausdorff) and
+    # sandwich suites run in a fresh interpreter without loading it.
+    code = f"""
 import sys
 import limitroots, limitroots.cli, limitroots.verify
 from limitroots import classify, enumerate_elements, make_system
 fig1b = make_system("fig1b")
 for elem in enumerate_elements(fig1b, 6):
     classify(fig1b, elem)
+out = {str(tmp_path / "fig1a.csv")!r}
+assert limitroots.cli.main(["limit-roots", "--graph", "fig1a", "--core-lengths", "3..4",
+                            "--conj-lengths", "1..9", "--out", out]) == 0
+assert limitroots.cli.main(["verify", "--suite", "density"]) == 0
 assert limitroots.cli.main(["verify", "--suite", "sandwich", "--depth", "2"]) == 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
@@ -314,7 +319,7 @@ def test_cli_limit_roots_rejects_non_lorentzian(tmp_path, capsys):
         [
             "limit-roots",
             "--graph",
-            "a2",
+            "a3",
             "--core-lengths",
             "2..2",
             "--conj-lengths",

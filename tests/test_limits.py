@@ -1,5 +1,6 @@
 """Limit-root sampling, orbits, power dynamics, and infinite-word limits."""
 
+import itertools
 import math
 import random
 
@@ -19,10 +20,13 @@ from limitroots import (
     to_chart,
     word_limit_root,
 )
+from limitroots.errors import NumericalError
 from limitroots.limits import (
     KIND_HYPERBOLIC,
     KIND_PARABOLIC,
     PointSet,
+    _close_pairs,
+    _dedup,
     certify_reduced,
     infinite_order_directions,
 )
@@ -55,7 +59,8 @@ def test_pointset_merges_within_eps(sys_u1):
 
 def test_pointset_merges_across_grid_cells_keeping_the_first(sys_u1):
     # The last two points sit 1.4e-7 apart on either side of a cell boundary
-    # of the 1e-6 grid, so only the kd-tree pass can merge them.
+    # of the 1e-6 grid, so only the pair pass between neighbouring cells can
+    # merge them.
     base = np.array([0.2, 0.3, 0.5])
     step = np.array([1e-6, -1e-6, 0.0])
     coords = np.array([[0.5, 0.5, 0.0], base + 0.55 * step, base + 0.45 * step])
@@ -81,6 +86,127 @@ def test_counts_by_kind_and_filter(sys_u1):
         kind=[0, 1],
     )
     assert ps.counts_by_kind() == {KIND_PARABOLIC: 1, KIND_HYPERBOLIC: 1}
+
+
+def _kdtree_dedup(coords, at_infinity, eps):
+    """Reference for the dedup: the first row in each cell of the eps grid,
+    then a kd-tree join of the cells where the lowest index wins."""
+    kept = []
+    for group in (np.flatnonzero(~at_infinity), np.flatnonzero(at_infinity)):
+        first = {}
+        for row in group:
+            first.setdefault(tuple(np.round(coords[row] / eps).astype(np.int64)), row)
+        reps = sorted(first.values())
+        parent = list(range(len(reps)))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        if reps:
+            for a, b in cKDTree(coords[reps]).query_pairs(eps):
+                ra, rb = find(a), find(b)
+                parent[max(ra, rb)] = min(ra, rb)
+        kept += [reps[p] for p in range(len(reps)) if find(p) == p]
+    return sorted(kept)
+
+
+def _dedup_cases(eps):
+    """Named point sets at the scale of eps that stress the pair pass."""
+    rng = np.random.default_rng(7)
+    cases = {}
+    # Many cells sharing the key of column 0, some pairs closer than eps.
+    cluster = np.zeros((300, 4))
+    cluster[:, 1:] = rng.integers(0, 12, (300, 3)) * eps * rng.choice([0.45, 0.9, 1.3], (300, 3))
+    cluster[:, 0] = 0.25
+    cases["shared key column"] = (cluster, np.zeros(300, bool))
+    # Coordinates near half-integers of the grid, where keys round apart.
+    half = (rng.integers(-6, 6, (400, 3)) + 0.5) * eps
+    half += rng.choice([-1, 0, 1], (400, 3)) * rng.random((400, 3)) * 1e-3 * eps
+    half = half + 0.3
+    # Pairs on the half-integers 2k + 1/2 and 2k + 3/2, which round to keys
+    # 2k and 2k + 2 (halves round to even) at distance about eps.
+    for k in range(-20, 20):
+        for col in range(3):
+            pair = np.tile([0.3, 0.2, 0.5], (2, 1))
+            pair[:, col] = [(2 * k + 0.5) * eps, (2 * k + 1.5) * eps]
+            half = np.concatenate([half, pair])
+    # The same, one ulp across a rounding boundary in a second column: keys
+    # +1 there and -2 in the first, at distance eps to rounding.
+    for k in range(-5, 5):
+        for ca, cb in itertools.permutations(range(3), 2):
+            pair = np.tile([0.3, 0.2, 0.5], (2, 1))
+            pair[:, ca] = (2 * k + 0.5) * eps
+            pair[1, ca] = np.nextafter(pair[0, ca], np.inf)
+            pair[:, cb] = [(2 * k + 1.5) * eps, (2 * k + 0.5) * eps]
+            half = np.concatenate([half, pair])
+    cases["half-integer boundaries"] = (half, np.zeros(len(half), bool))
+    # Pairs at distance eps and a few ulps either side, in each coordinate.
+    rows = []
+    for k in range(3):
+        for ulps in range(-3, 4):
+            p = np.array([0.3, 0.2, 0.5]) + 1000 * eps * len(rows)
+            q = p.copy()
+            q[k] = p[k] + eps
+            for _ in range(abs(ulps)):
+                q[k] = np.nextafter(q[k], np.inf if ulps > 0 else -np.inf)
+            rows += [p, q]
+    cases["pairs at eps"] = (np.array(rows), np.zeros(len(rows), bool))
+    # At-infinity rows are merged only among themselves.
+    mixed = rng.integers(0, 8, (200, 3)) * eps * 0.7
+    cases["at infinity"] = (mixed, rng.random(200) < 0.5)
+    return cases
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-3, 1e-2])
+def test_dedup_matches_the_kdtree_reference(eps):
+    for name, (coords, at_infinity) in _dedup_cases(eps).items():
+        got = _dedup(coords, at_infinity, eps)
+        assert got.tolist() == _kdtree_dedup(coords, at_infinity, eps), name
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-3, 1e-2])
+def test_pair_pass_finds_the_kdtree_pairs(eps):
+    """The pairs of rows within eps, over the rows sorted by their keys in
+    two columns, are those cKDTree.query_pairs finds."""
+    gaps = []
+    for name, (coords, _) in _dedup_cases(eps).items():
+        keys = np.round(coords / eps).astype(np.int64)
+        pairs = np.array(sorted(cKDTree(coords).query_pairs(eps))).reshape(-1, 2)
+        gaps += np.abs(keys[pairs[:, 0]] - keys[pairs[:, 1]]).max(axis=1).tolist()
+        for cols in ([0, 1], [1, 2], [2, 0]):
+            order = np.lexsort(keys[:, cols[::-1]].T)
+            i, j = _close_pairs(coords[order], keys[order][:, cols], eps)
+            assert np.all(i < j)
+            got = {tuple(sorted(pair)) for pair in zip(order[i].tolist(), order[j].tolist())}
+            assert len(got) == len(i)
+            assert got == set(map(tuple, pairs.tolist())), (name, cols)
+    # Pairs within eps whose keys differ by 2 occur, and none by more.
+    assert max(gaps) == 2
+
+
+def test_pair_pass_is_exercised_at_the_eps_boundary():
+    """Of the pairs a few ulps either side of distance eps, some merge and
+    some stay apart."""
+    eps = 1e-3
+    coords, at_infinity = _dedup_cases(eps)["pairs at eps"]
+    assert 0 < len(coords) - len(_dedup(coords, at_infinity, eps)) < len(coords) // 2
+
+
+def test_dedup_refuses_grid_keys_beyond_int64():
+    """Two rows 1e13 apart would both get key INT64_MIN at eps 1e-6; such
+    rows, and non-finite ones, are a NumericalError naming their count."""
+    far = np.array([[1e13, 0, 0, 1 - 1e13], [2e13, 0, 0, 1 - 2e13], [0.1, 0.2, 0.3, 0.4]])
+    with pytest.raises(NumericalError, match=r"^2 row\(s\)"):
+        PointSet(far, 1e-6, kinds=("orbit",), form=np.eye(4))
+    odd = np.array([[np.nan, 0.5, 0.5], [0.2, 0.3, 0.5], [np.inf, 0.0, 0.0]])
+    with pytest.raises(NumericalError, match=r"^2 row\(s\)"):
+        _dedup(odd, np.array([False, False, True]), 1e-6)
+    edge = np.array([[2.0**62 * 1e-6, 0.0], [-(2.0**62) * 1e-6, 0.0], [0.5, 0.5]])
+    with pytest.raises(NumericalError, match=r"^2 row\(s\)"):
+        _dedup(edge, np.zeros(3, bool), 1e-6)
+    assert len(_dedup(edge[2:] * 1e10, np.zeros(1, bool), 1e-6)) == 1
 
 
 @pytest.mark.parametrize(
@@ -151,9 +277,8 @@ def test_conjugation_shortcut_matches_direct_eigensolve(sys_u1, store_u1_6):
 
 
 def _per_record_sample(sys, store, core_range, conj_range, eps=1e-6):
-    """Reference for sample_limit_roots: one image at a time, the first image
-    in each cell of the eps grid, then a kd-tree merge of the cells where
-    the lowest index wins, and B(x, x) row by row."""
+    """Reference for sample_limit_roots: one image at a time, merged by the
+    kd-tree reference ``_kdtree_dedup``, and B(x, x) row by row."""
     conjugators = store.with_length(*conj_range)
     conj_mats = np.stack([g.matrix for g in conjugators])
     rows = []
@@ -163,22 +288,8 @@ def _per_record_sample(sys, store, core_range, conj_range, eps=1e-6):
             heights = images.sum(axis=1)
             for g, img, h in zip(conjugators, images, heights):
                 rows.append((img / h, kind, elem.word, g.word))
-    first = {}
-    for i, row in enumerate(rows):
-        first.setdefault(tuple(np.round(row[0] / eps).astype(np.int64)), i)
-    reps = sorted(first.values())
-    parent = list(range(len(reps)))
-
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
-    tree = cKDTree(np.array([rows[i][0] for i in reps]))
-    for a, b in sorted(tree.query_pairs(eps)):
-        ra, rb = find(a), find(b)
-        parent[max(ra, rb)] = min(ra, rb)
-    kept = [rows[reps[p]] for p in range(len(reps)) if find(p) == p]
+    coords = np.array([row[0] for row in rows])
+    kept = [rows[i] for i in _kdtree_dedup(coords, np.zeros(len(rows), bool), eps)]
     return [(c, float(c @ sys.form @ c), kind, src, conj) for c, kind, src, conj in kept]
 
 
@@ -216,6 +327,14 @@ def test_power_dynamics_converges_to_attracting_direction(sys_u1):
     target = to_chart(sys_u1, x_plus)
     traj = power_dynamics(sys_u1, w, np.array([1.0, 1.0, 1.0]), 60)
     assert chart_distance(traj[-1], target) < 1e-10
+
+
+@pytest.mark.parametrize("rank, m, k", [(3, 40, 70), (4, 700, 800), (3, 1, 5)])
+def test_hausdorff_matches_kdtree_queries(rank, m, k):
+    rng = np.random.default_rng(rank * m + k)
+    a, b = rng.random((m, rank)), rng.random((k, rank)) * 1.5
+    want = max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max())
+    assert hausdorff(a, b) == hausdorff(b, a) == want
 
 
 def test_hausdorff_basics(sys_u1, store_u1_6):

@@ -229,7 +229,7 @@ def test_degenerate_dominant_eigenvalue_is_rejected(sys_u1):
 def test_classify_requires_lorentzian_signature():
     """The element of a word and every row of a store are refused on every
     call, and the store forms no block."""
-    sys_fin = make_system("a2")
+    sys_fin = make_system("a3")
     with pytest.raises(NotLorentzianError):
         classify(sys_fin, element_of(sys_fin, (0, 1)))
     store = enumerate_elements(sys_fin, 3)
