@@ -160,7 +160,7 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--core-lengths", required=True, help="a..b lengths of core elements")
     p.add_argument("--conj-lengths", required=True, help="a..b lengths of conjugators")
-    p.add_argument("--dedup-eps", type=float, default=DEDUP_EPS)
+    p.add_argument("--dedup-eps", type=float, default=DEDUP_EPS, help="merge distance, finite and > 0")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--json", help="optional JSON mirror path")
     p.set_defaults(fn=cmd_limit_roots)

@@ -113,7 +113,10 @@ def write_pointset_csv(ps, path, floats=None):
 
 
 def read_pointset_csv(path, sys):
-    """Parse a point-set CSV back into a PointSet (no re-deduplication)."""
+    """Parse a point-set CSV back into a PointSet (no re-deduplication).
+
+    Every row must be an affine chart point, its coordinates summing to 1
+    within 1e-6, as the rows ``write_pointset_csv`` writes are."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -126,6 +129,11 @@ def read_pointset_csv(path, sys):
     if any(len(row) < rank + 4 for row in rows):
         raise ValueError(f"{path}: a point-set row has fewer than {rank + 4} fields")
     coords = np.array([[float(v) for v in row[:rank]] for row in rows]).reshape(len(rows), rank)
+    off_chart = np.count_nonzero(~(np.abs(coords.sum(axis=1) - 1.0) <= 1e-6))
+    if off_chart:
+        raise ValueError(
+            f"{path}: {off_chart} point-set row(s) with coordinates not summing to 1 within 1e-6"
+        )
     kinds, words = {}, {}
     kind = [kinds.setdefault(row[rank], len(kinds)) for row in rows]
     source = [words.setdefault(row[rank + 1], len(words)) for row in rows]
@@ -138,7 +146,6 @@ def read_pointset_csv(path, sys):
         words=[str_to_word(w, sys.rank) for w in words],
         source=source,
         conjugator=conjugator,
-        at_infinity=np.abs(coords.sum(axis=1) - 1.0) > 1e-6,
         bnorm=[float(row[rank + 3]) for row in rows],
     )
 

@@ -29,6 +29,7 @@ ORBIT_STEPS = 50
 
 KIND_PARABOLIC = "parabolic-eig"
 KIND_HYPERBOLIC = "hyperbolic-eig"
+KINDS = (KIND_PARABOLIC, KIND_HYPERBOLIC)
 
 
 def _frozen(a):
@@ -37,19 +38,20 @@ def _frozen(a):
 
 
 class PointSet:
-    """Deduplicated chart points with per-point provenance, stored as columns.
+    """Deduplicated limit roots with per-point provenance, stored as columns.
 
-    Row i is the chart point ``coords[i]`` (shape (m, n)) with
-    ``bnorm[i]`` = B(x, x) and the flag ``at_infinity[i]``.  Its provenance
-    is the kind ``kinds[kind[i]]``, the source word ``words[source[i]]`` and
-    the conjugator word ``words[conjugator[i]]``; ``kind``, ``source`` and
-    ``conjugator`` default to index 0 for every row.
+    Row i is the affine chart point ``coords[i]`` (shape (m, n), coordinates
+    summing to 1) with ``bnorm[i]`` = B(x, x).  Its provenance is the kind
+    ``kinds[kind[i]]``, the source word ``words[source[i]]`` and the
+    conjugator word ``words[conjugator[i]]``; ``kind``, ``source`` and
+    ``conjugator`` default to index 0 for every row.  Limit roots lie in the
+    convex hull of the simple roots, so every direction has positive height
+    and a chart point; a set holds no rows at infinity.
 
     The constructor merges rows whose chart distance is below ``dedup_eps``,
-    keeping the first row in insertion order; affine and at-infinity rows
-    are merged separately.  With ``dedup_eps`` = 0 every row is kept (a set
-    read back from a file).  ``bnorm`` defaults to B(x, x) under ``form``,
-    computed for the kept rows only.
+    keeping the first row in insertion order.  With ``dedup_eps`` = 0 every
+    row is kept (a set read back from a file).  ``bnorm`` defaults to
+    B(x, x) under ``form``, computed for the kept rows only.
     """
 
     def __init__(
@@ -62,14 +64,11 @@ class PointSet:
         words=((),),
         source=None,
         conjugator=None,
-        at_infinity=None,
         bnorm=None,
         form=None,
     ):
         coords = np.asarray(coords, dtype=float)
-        m = len(coords)
-        at_infinity = np.zeros(m, bool) if at_infinity is None else np.asarray(at_infinity, bool)
-        keep = _dedup(coords, at_infinity, dedup_eps) if dedup_eps > 0 else np.arange(m)
+        keep = _dedup(coords, dedup_eps) if dedup_eps > 0 else np.arange(len(coords))
 
         def column(values):
             if values is None:
@@ -80,7 +79,6 @@ class PointSet:
         self.kinds = tuple(kinds)
         self.words = tuple(words)
         self.coords = _frozen(coords[keep])
-        self.at_infinity = _frozen(at_infinity[keep])
         self.kind = column(kind)
         self.source = column(source)
         self.conjugator = column(conjugator)
@@ -95,11 +93,6 @@ class PointSet:
     def __len__(self):
         return len(self.coords)
 
-    @property
-    def affine_coords(self):
-        """(m', n) array of the affine chart coordinates (at-infinity rows excluded)."""
-        return self.coords[~self.at_infinity]
-
     def counts_by_kind(self):
         """Point count of each kind present, in order of first appearance."""
         ids, first, counts = np.unique(self.kind, return_index=True, return_counts=True)
@@ -107,7 +100,7 @@ class PointSet:
         return {self.kinds[ids[i]]: int(counts[i]) for i in order}
 
 
-def _dedup(coords, at_infinity, eps):
+def _dedup(coords, eps):
     """Ascending indices of the rows kept by the two-pass merge.
 
     Coarse pass: the first row in each cell of the grid with keys
@@ -120,54 +113,44 @@ def _dedup(coords, at_infinity, eps):
     only cells whose keys are within 2 in the two columns of widest key
     spread.
     """
-    all_keys = _grid_keys(coords, eps)
-    kept = []
-    for group in (np.flatnonzero(~at_infinity), np.flatnonzero(at_infinity)):
-        if len(group) == 0:
-            continue
-        keys = all_keys.take(group, axis=0)
-        # Columns by decreasing key spread, packed in mixed radix into as few
-        # int64 sort keys as fit: one lexsort orders the cells by the widest
-        # column, then the next, which is the order the pair search needs.
-        lows = [int(k.min()) for k in keys.T]
-        spans = [int(k.max()) - low + 1 for k, low in zip(keys.T, lows)]
-        cols = sorted(range(len(spans)), key=lambda c: -spans[c])
-        sort_keys, radix = [], 0
-        for c in reversed(cols):
-            k = keys[:, c] - lows[c]
-            if sort_keys and radix * spans[c] <= 2**63:
-                sort_keys[-1] = k * radix + sort_keys[-1]
-                radix *= spans[c]
-            else:
-                sort_keys.append(k)
-                radix = spans[c]
-        order = np.lexsort(sort_keys)
-        changed = np.any([np.diff(k[order]) != 0 for k in sort_keys], axis=0)
-        reps = np.minimum.reduceat(order, np.flatnonzero(np.r_[True, changed]))
-        window = keys.take(reps, axis=0)[:, (cols + cols)[:2]]  # one column serves twice
-        i, j = _close_pairs(coords.take(group[reps], axis=0), window, eps)
-        # Union-find over the representatives in index order.
-        by_index = np.empty(len(reps), np.intp)
-        by_index[np.argsort(reps)] = np.arange(len(reps))
-        parent = list(range(len(reps)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, b in zip(by_index[i].tolist(), by_index[j].tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        # A union only ever re-parents the larger root, so the kept roots are
-        # the lowest index of each group.
-        roots = np.array(parent) == np.arange(len(reps))
-        kept.append(group[np.sort(reps)[roots]])
-    if not kept:
+    keys = _grid_keys(coords, eps)
+    if len(keys) == 0:
         return np.empty(0, np.intp)
-    return np.sort(np.concatenate(kept))
+    # Columns by decreasing key spread, packed in mixed radix into as few
+    # int64 sort keys as fit: one lexsort orders the cells by the widest
+    # column, then the next, which is the order the pair search needs.
+    lows = [int(k.min()) for k in keys.T]
+    spans = [int(k.max()) - low + 1 for k, low in zip(keys.T, lows)]
+    cols = sorted(range(len(spans)), key=lambda c: -spans[c])
+    sort_keys, radix = [], 0
+    for c in reversed(cols):
+        k = keys[:, c] - lows[c]
+        if sort_keys and radix * spans[c] <= 2**63:
+            sort_keys[-1] = k * radix + sort_keys[-1]
+            radix *= spans[c]
+        else:
+            sort_keys.append(k)
+            radix = spans[c]
+    order = np.lexsort(sort_keys)
+    changed = np.any([np.diff(k[order]) != 0 for k in sort_keys], axis=0)
+    reps = np.minimum.reduceat(order, np.flatnonzero(np.r_[True, changed]))
+    window = keys.take(reps, axis=0)[:, (cols + cols)[:2]]  # one column serves twice
+    i, j = _close_pairs(coords.take(reps, axis=0), window, eps)
+    # Components over the representatives in index order: each round hooks
+    # the larger root of every pair still split onto the smaller, then
+    # pointer jumping points every representative at its root.  A parent is
+    # never above its child, so each group's root is its lowest index.
+    ranked = np.sort(reps)
+    a, b = np.searchsorted(ranked, reps[i]), np.searchsorted(ranked, reps[j])
+    parent = np.arange(len(reps))
+    while len(a):
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        a, b = a[split], b[split]
+        parent[np.maximum(ra, rb)[split]] = np.minimum(ra, rb)[split]
+        while not np.array_equal(parent, up := parent[parent]):
+            parent = up
+    return ranked[parent == np.arange(len(reps))]
 
 
 def _grid_keys(coords, eps):
@@ -250,14 +233,7 @@ def infinite_order_directions(sys, elem, sc=None):
     return [(KIND_HYPERBOLIC, x_plus), (KIND_HYPERBOLIC, x_minus)]
 
 
-def sample_limit_roots(
-    sys,
-    store,
-    core_range,
-    conj_range,
-    dedup_eps=DEDUP_EPS,
-    kinds=(KIND_PARABOLIC, KIND_HYPERBOLIC),
-):
+def sample_limit_roots(sys, store, core_range, conj_range, dedup_eps=DEDUP_EPS):
     """Dense limit-root sample from eigendirections and their conjugates.
 
     The elements of length in ``core_range`` are classified as one batch,
@@ -265,8 +241,12 @@ def sample_limit_roots(
     once; every conjugator g of length in ``conj_range`` then contributes
     the image point g(x), without re-solving any eigenproblem.  The images
     of each direction are one product with the stacked conjugator matrices,
-    and all of them enter one ``PointSet``.
+    written into its slice of one image array and divided by the heights in
+    place; all of them enter one ``PointSet`` merged at ``dedup_eps``, which
+    must be finite and positive.  Every row has a kind of ``KINDS``.
     """
+    if not 0 < dedup_eps < math.inf:
+        raise ValueError(f"dedup eps must be finite and positive, got {dedup_eps!r}")
     sys.require_lorentzian("limit-root sampling")
     core_lo, core_hi = core_range
     conj_lo, conj_hi = conj_range
@@ -274,38 +254,40 @@ def sample_limit_roots(
         raise ValueError(
             f"store covers length {store.max_length}, need {max(core_hi, conj_hi)}"
         )
-    kinds = tuple(kinds)
     conj_mats = store.matrices(conj_lo, conj_hi)
     # Words table: the conjugators first, then each core that contributes.
     words = store.words(conj_lo, conj_hi)
     core_mats = store.matrices(core_lo, core_hi)
     core_words = store.words(core_lo, core_hi)
     parity = [(-1) ** len(w) for w in core_words]
-    blocks, dir_kind, dir_source = [], [], []
+    dirs, dir_kind, dir_source = [], [], []
     for word, M, sc in zip(core_words, core_mats, classify_many(sys, core_mats, det=parity)):
-        dirs = [(k, v) for k, v in infinite_order_directions(sys, M, sc) if k in kinds]
-        if not dirs:
+        found = infinite_order_directions(sys, M, sc)
+        if not found:
             continue
-        for kind, vec in dirs:
-            blocks.append(conj_mats @ vec)
-            dir_kind.append(kinds.index(kind))
+        for kind, vec in found:
+            dirs.append(vec)
+            dir_kind.append(KINDS.index(kind))
             dir_source.append(len(words))
         words.append(word)
-    if not blocks:
+    if not dirs:
         log.warning(
             "no infinite-order elements with length in %s; emitting an empty set",
             core_range,
         )
-    images = np.concatenate(blocks) if blocks else np.empty((0, sys.rank))
     n_conj = len(conj_mats)
+    images = np.empty((len(dirs) * n_conj, sys.rank))
+    for d, vec in enumerate(dirs):
+        np.matmul(conj_mats, vec, out=images[d * n_conj : (d + 1) * n_conj])
+    images /= images.sum(axis=1)[:, None]
     return PointSet(
-        images / images.sum(axis=1)[:, None],
+        images,
         dedup_eps,
-        kinds=kinds,
+        kinds=KINDS,
         kind=np.repeat(dir_kind, n_conj),
         words=words,
         source=np.repeat(dir_source, n_conj),
-        conjugator=np.tile(np.arange(n_conj), len(blocks)),
+        conjugator=np.tile(np.arange(n_conj), len(dirs)),
         form=sys.form,
     )
 
@@ -399,16 +381,10 @@ def word_limit_root(sys, pw):
 
 
 def hausdorff(a, b):
-    """Symmetric Hausdorff distance between two point sets in the chart."""
-    ca = a.affine_coords if isinstance(a, PointSet) else np.asarray(a, float)
-    cb = b.affine_coords if isinstance(b, PointSet) else np.asarray(b, float)
+    """Symmetric Hausdorff distance between two (m, n) arrays of chart points."""
+    ca, cb = np.asarray(a, float), np.asarray(b, float)
     if ca.size == 0 or cb.size == 0:
         raise ValueError("hausdorff distance of an empty set")
-    for ps in (a, b):
-        if isinstance(ps, PointSet):
-            skipped = int(np.count_nonzero(ps.at_infinity))
-            if skipped:
-                log.warning("hausdorff: excluding %d at-infinity point(s)", skipped)
     # One chunk of rows of ca against all of cb at a time: its row minima
     # are distances to cb, and its column minima update those to ca.
     to_b = np.empty(len(ca))

@@ -138,8 +138,7 @@ def render_svg(sys, pointset=None, roots=None, intersections=None, show_weights=
             coords = w.vector / np.sum(w.vector)
             canvas.diamond(canvas.map_point(coords), 4.0, KIND_COLORS["weight"])
     if pointset is not None:
-        affine = ~pointset.at_infinity
-        for coords, kind in zip(pointset.coords[affine], pointset.kind[affine]):
+        for coords, kind in zip(pointset.coords, pointset.kind):
             color = KIND_COLORS.get(pointset.kinds[kind], "#333333")
             canvas.circle(canvas.map_point(coords), POINT_RADIUS, color)
     return canvas.render()

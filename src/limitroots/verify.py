@@ -69,10 +69,9 @@ def verify_isotropy(sys=None):
     sys = sys or make_system("universal3:1")
     store = enumerate_elements(sys, 5)
     ps = sample_limit_roots(sys, store, (2, 5), (0, 2))
-    coords = ps.affine_coords
     max_b = float(np.max(np.abs(ps.bnorm)))
-    min_coord = float(coords.min())
-    max_coord = float(coords.max())
+    min_coord = float(ps.coords.min())
+    max_coord = float(ps.coords.max())
     ok = max_b < 1e-7 and min_coord > -1e-9 and max_coord < 1 + 1e-9
     return {
         "pass": bool(ok),
@@ -90,8 +89,8 @@ def verify_density(sys=None):
     sys = sys or make_system("universal3:1")
     store = enumerate_elements(sys, max(map(max, DENSITY_BUDGETS)))
     sets = [sample_limit_roots(sys, store, (2, core), (0, conj)) for core, conj in DENSITY_BUDGETS]
-    d_small = hausdorff(sets[0], sets[2])
-    d_mid = hausdorff(sets[1], sets[2])
+    d_small = hausdorff(sets[0].coords, sets[2].coords)
+    d_mid = hausdorff(sets[1].coords, sets[2].coords)
     ok = d_mid <= d_small
     return {
         "pass": bool(ok),

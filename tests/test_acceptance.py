@@ -79,12 +79,9 @@ def test_criterion_2_figure_counts(u1):
     par_counts = []
     hyp_distinct = []
     for eps in (1e-8, 1e-6, 1e-4):
-        par_counts.append(
-            len(sample_limit_roots(u1, store, (2, 6), (0, 0), eps, kinds=(KIND_PARABOLIC,)))
-        )
-        hyp_distinct.append(
-            len(sample_limit_roots(u1, store, (2, 6), (0, 0), eps, kinds=(KIND_HYPERBOLIC,)))
-        )
+        counts = sample_limit_roots(u1, store, (2, 6), (0, 0), eps).counts_by_kind()
+        par_counts.append(counts[KIND_PARABOLIC])
+        hyp_distinct.append(counts[KIND_HYPERBOLIC])
     elapsed = time.perf_counter() - t0
     ok = (
         par_counts == [12, 12, 12]
@@ -120,10 +117,9 @@ def test_criterion_3_isotropy_and_hull():
         store = enumerate_elements(sys, depth)
         ps = sample_limit_roots(sys, store, core, conj)
         assert len(ps) > 0, name
-        coords = ps.affine_coords
         worst_b = max(worst_b, float(np.abs(ps.bnorm).max()))
-        worst_low = min(worst_low, float(coords.min()))
-        worst_high = max(worst_high, float(coords.max()))
+        worst_low = min(worst_low, float(ps.coords.min()))
+        worst_high = max(worst_high, float(ps.coords.max()))
     ok = worst_b < 1e-7 and worst_low > -1e-9 and worst_high < 1 + 1e-9
     assert _report(
         3,
@@ -140,10 +136,11 @@ def test_criterion_4_density(u1, u1_store8):
     sets = {
         b: sample_limit_roots(u1, u1_store8, (2, b), (0, b)) for b in (2, 4, 6)
     }
-    d_small = hausdorff(sets[2], sets[6])
-    d_mid = hausdorff(sets[4], sets[6])
-    par8 = sample_limit_roots(u1, u1_store8, (2, 8), (0, 0), kinds=(KIND_PARABOLIC,))
-    hyp8 = sample_limit_roots(u1, u1_store8, (2, 8), (0, 0), kinds=(KIND_HYPERBOLIC,))
+    d_small = hausdorff(sets[2].coords, sets[6].coords)
+    d_mid = hausdorff(sets[4].coords, sets[6].coords)
+    ps8 = sample_limit_roots(u1, u1_store8, (2, 8), (0, 0))
+    par8 = ps8.coords[ps8.kind == ps8.kinds.index(KIND_PARABOLIC)]
+    hyp8 = ps8.coords[ps8.kind == ps8.kinds.index(KIND_HYPERBOLIC)]
     d_kinds = hausdorff(par8, hyp8)
     ok = d_mid <= d_small and d_kinds <= 0.15
     assert _report(

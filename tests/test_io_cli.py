@@ -55,7 +55,6 @@ def test_csv_read_back_keeps_every_column(tmp_path, sample):
     assert back.dedup_eps == 0.0
     assert back.coords.tobytes() == ps.coords.tobytes()
     assert back.bnorm.tobytes() == ps.bnorm.tobytes()
-    assert not back.at_infinity.any()
     assert _provenance(back) == _provenance(ps)
     again = tmp_path / "again.csv"
     write_pointset_csv(back, str(again))
@@ -314,6 +313,17 @@ def test_cli_limit_roots_writes_outputs(tmp_path, capsys):
     assert "points" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+def test_cli_limit_roots_rejects_a_dedup_eps_not_finite_and_positive(tmp_path, eps, capsys):
+    out = tmp_path / "pts.csv"
+    args = ["limit-roots", "--graph", "universal3:1", "--core-lengths", "2..3"]
+    args += ["--conj-lengths", "0..2", f"--dedup-eps={eps}", "--out", str(out)]
+    assert main(args + ["--json", str(tmp_path / "pts.json")]) == 2
+    value = float(eps)
+    assert capsys.readouterr().err == f"error: dedup eps must be finite and positive, got {value!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_limit_roots_rejects_non_lorentzian(tmp_path, capsys):
     code = main(
         [
@@ -365,7 +375,15 @@ def test_cli_plot(tmp_path):
 
 @pytest.mark.parametrize(
     "text, message",
-    [("", "empty point-set CSV"), ("x0,x1,x2\n0.3,0.3,0.4\n", "a point-set row has fewer than 7 fields")],
+    [
+        ("", "empty point-set CSV"),
+        ("x0,x1,x2\n0.3,0.3,0.4\n", "a point-set row has fewer than 7 fields"),
+        (
+            "x1,x2,x3,kind,source_word,conjugator_word,bnorm\n"
+            "0.3,0.3,0.4,orbit,,,0.0\n1.0,-1.0,0.0,orbit,,,0.0\n0.3,0.3,nan,orbit,,,0.0\n",
+            "2 point-set row(s) with coordinates not summing to 1 within 1e-6",
+        ),
+    ],
 )
 def test_cli_plot_rejects_a_malformed_points_file(tmp_path, capsys, text, message):
     points = tmp_path / "points.csv"

@@ -41,7 +41,6 @@ def _pointset(sys, vecs, kinds=("orbit",), kind=None):
         1e-6,
         kinds=kinds,
         kind=kind,
-        at_infinity=[p.at_infinity for p in points],
         form=sys.form,
     )
 
@@ -72,12 +71,6 @@ def test_pointset_keeps_distinct_points(sys_u1):
     assert len(_pointset(sys_u1, [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]])) == 2
 
 
-def test_pointset_separates_affine_from_infinity(sys_u1):
-    ps = _pointset(sys_u1, [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])  # second at infinity
-    assert len(ps) == 2
-    assert ps.affine_coords.shape == (1, 3)
-
-
 def test_counts_by_kind_and_filter(sys_u1):
     ps = _pointset(
         sys_u1,
@@ -88,28 +81,25 @@ def test_counts_by_kind_and_filter(sys_u1):
     assert ps.counts_by_kind() == {KIND_PARABOLIC: 1, KIND_HYPERBOLIC: 1}
 
 
-def _kdtree_dedup(coords, at_infinity, eps):
+def _kdtree_dedup(coords, eps):
     """Reference for the dedup: the first row in each cell of the eps grid,
     then a kd-tree join of the cells where the lowest index wins."""
-    kept = []
-    for group in (np.flatnonzero(~at_infinity), np.flatnonzero(at_infinity)):
-        first = {}
-        for row in group:
-            first.setdefault(tuple(np.round(coords[row] / eps).astype(np.int64)), row)
-        reps = sorted(first.values())
-        parent = list(range(len(reps)))
+    first = {}
+    for row in range(len(coords)):
+        first.setdefault(tuple(np.round(coords[row] / eps).astype(np.int64)), row)
+    reps = sorted(first.values())
+    parent = list(range(len(reps)))
 
-        def find(a):
-            while parent[a] != a:
-                a = parent[a]
-            return a
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
 
-        if reps:
-            for a, b in cKDTree(coords[reps]).query_pairs(eps):
-                ra, rb = find(a), find(b)
-                parent[max(ra, rb)] = min(ra, rb)
-        kept += [reps[p] for p in range(len(reps)) if find(p) == p]
-    return sorted(kept)
+    if reps:
+        for a, b in cKDTree(coords[reps]).query_pairs(eps):
+            ra, rb = find(a), find(b)
+            parent[max(ra, rb)] = min(ra, rb)
+    return [reps[p] for p in range(len(reps)) if find(p) == p]
 
 
 def _dedup_cases(eps):
@@ -120,7 +110,7 @@ def _dedup_cases(eps):
     cluster = np.zeros((300, 4))
     cluster[:, 1:] = rng.integers(0, 12, (300, 3)) * eps * rng.choice([0.45, 0.9, 1.3], (300, 3))
     cluster[:, 0] = 0.25
-    cases["shared key column"] = (cluster, np.zeros(300, bool))
+    cases["shared key column"] = cluster
     # Coordinates near half-integers of the grid, where keys round apart.
     half = (rng.integers(-6, 6, (400, 3)) + 0.5) * eps
     half += rng.choice([-1, 0, 1], (400, 3)) * rng.random((400, 3)) * 1e-3 * eps
@@ -141,7 +131,7 @@ def _dedup_cases(eps):
             pair[1, ca] = np.nextafter(pair[0, ca], np.inf)
             pair[:, cb] = [(2 * k + 1.5) * eps, (2 * k + 0.5) * eps]
             half = np.concatenate([half, pair])
-    cases["half-integer boundaries"] = (half, np.zeros(len(half), bool))
+    cases["half-integer boundaries"] = half
     # Pairs at distance eps and a few ulps either side, in each coordinate.
     rows = []
     for k in range(3):
@@ -152,18 +142,20 @@ def _dedup_cases(eps):
             for _ in range(abs(ulps)):
                 q[k] = np.nextafter(q[k], np.inf if ulps > 0 else -np.inf)
             rows += [p, q]
-    cases["pairs at eps"] = (np.array(rows), np.zeros(len(rows), bool))
-    # At-infinity rows are merged only among themselves.
-    mixed = rng.integers(0, 8, (200, 3)) * eps * 0.7
-    cases["at infinity"] = (mixed, rng.random(200) < 0.5)
+    cases["pairs at eps"] = np.array(rows)
+    # A path of cells 0.95 eps apart whose rows are out of index order: it
+    # is one group, kept as row 0, only if the grouping re-parents roots
+    # alone and runs until every pair is joined.
+    path = np.tile([0.3, 0.2, 0.5], (7, 1))
+    path[[0, 4, 3, 5, 2, 6, 1], 0] += 0.95 * eps * np.arange(7)
+    cases["path out of index order"] = path
     return cases
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-3, 1e-2])
 def test_dedup_matches_the_kdtree_reference(eps):
-    for name, (coords, at_infinity) in _dedup_cases(eps).items():
-        got = _dedup(coords, at_infinity, eps)
-        assert got.tolist() == _kdtree_dedup(coords, at_infinity, eps), name
+    for name, coords in _dedup_cases(eps).items():
+        assert _dedup(coords, eps).tolist() == _kdtree_dedup(coords, eps), name
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-3, 1e-2])
@@ -171,7 +163,7 @@ def test_pair_pass_finds_the_kdtree_pairs(eps):
     """The pairs of rows within eps, over the rows sorted by their keys in
     two columns, are those cKDTree.query_pairs finds."""
     gaps = []
-    for name, (coords, _) in _dedup_cases(eps).items():
+    for name, coords in _dedup_cases(eps).items():
         keys = np.round(coords / eps).astype(np.int64)
         pairs = np.array(sorted(cKDTree(coords).query_pairs(eps))).reshape(-1, 2)
         gaps += np.abs(keys[pairs[:, 0]] - keys[pairs[:, 1]]).max(axis=1).tolist()
@@ -190,8 +182,8 @@ def test_pair_pass_is_exercised_at_the_eps_boundary():
     """Of the pairs a few ulps either side of distance eps, some merge and
     some stay apart."""
     eps = 1e-3
-    coords, at_infinity = _dedup_cases(eps)["pairs at eps"]
-    assert 0 < len(coords) - len(_dedup(coords, at_infinity, eps)) < len(coords) // 2
+    coords = _dedup_cases(eps)["pairs at eps"]
+    assert 0 < len(coords) - len(_dedup(coords, eps)) < len(coords) // 2
 
 
 def test_dedup_refuses_grid_keys_beyond_int64():
@@ -202,11 +194,11 @@ def test_dedup_refuses_grid_keys_beyond_int64():
         PointSet(far, 1e-6, kinds=("orbit",), form=np.eye(4))
     odd = np.array([[np.nan, 0.5, 0.5], [0.2, 0.3, 0.5], [np.inf, 0.0, 0.0]])
     with pytest.raises(NumericalError, match=r"^2 row\(s\)"):
-        _dedup(odd, np.array([False, False, True]), 1e-6)
+        _dedup(odd, 1e-6)
     edge = np.array([[2.0**62 * 1e-6, 0.0], [-(2.0**62) * 1e-6, 0.0], [0.5, 0.5]])
     with pytest.raises(NumericalError, match=r"^2 row\(s\)"):
-        _dedup(edge, np.zeros(3, bool), 1e-6)
-    assert len(_dedup(edge[2:] * 1e10, np.zeros(1, bool), 1e-6)) == 1
+        _dedup(edge, 1e-6)
+    assert len(_dedup(edge[2:] * 1e10, 1e-6)) == 1
 
 
 @pytest.mark.parametrize(
@@ -241,27 +233,23 @@ def test_length_two_cores_give_the_three_midpoints(sys_u1, store_u1_6):
 
 
 def test_parabolic_direction_count_up_to_length_six(sys_u1, store_u1_6):
-    ps = sample_limit_roots(
-        sys_u1, store_u1_6, (2, 6), (0, 0), kinds=(KIND_PARABOLIC,)
-    )
-    assert len(ps) == 12
+    ps = sample_limit_roots(sys_u1, store_u1_6, (2, 6), (0, 0))
+    assert ps.counts_by_kind()[KIND_PARABOLIC] == 12
 
 
 def test_hyperbolic_direction_count_up_to_length_six(sys_u1, store_u1_6):
     # 126 hyperbolic elements contribute 252 eigendirection samples; the
     # distinct set has 120 points because the six length-3 elements share
     # their axes with their own squares at length 6.
-    ps = sample_limit_roots(
-        sys_u1, store_u1_6, (2, 6), (0, 0), kinds=(KIND_HYPERBOLIC,)
-    )
-    assert len(ps) == 120
+    ps = sample_limit_roots(sys_u1, store_u1_6, (2, 6), (0, 0))
+    assert ps.counts_by_kind()[KIND_HYPERBOLIC] == 120
 
 
 def test_sampled_points_are_isotropic_chart_points(sys_u11):
     store = enumerate_elements(sys_u11, 4)
     ps = sample_limit_roots(sys_u11, store, (2, 4), (0, 2))
     assert len(ps) > 0
-    assert not ps.at_infinity.any()
+    assert np.abs(ps.coords.sum(axis=1) - 1).max() < 1e-12
     assert np.abs(ps.bnorm).max() < 1e-7
     assert ps.coords.min() > -1e-9
 
@@ -289,7 +277,7 @@ def _per_record_sample(sys, store, core_range, conj_range, eps=1e-6):
             for g, img, h in zip(conjugators, images, heights):
                 rows.append((img / h, kind, elem.word, g.word))
     coords = np.array([row[0] for row in rows])
-    kept = [rows[i] for i in _kdtree_dedup(coords, np.zeros(len(rows), bool), eps)]
+    kept = [rows[i] for i in _kdtree_dedup(coords, eps)]
     return [(c, float(c @ sys.form @ c), kind, src, conj) for c, kind, src, conj in kept]
 
 
@@ -306,7 +294,6 @@ def test_columnar_sample_matches_per_record_reference(name, core_range, conj_ran
     for i, (coords, bnorm, kind, source, conjugator) in enumerate(want):
         assert ps.coords[i].tobytes() == coords.tobytes()
         assert ps.bnorm[i] == bnorm
-        assert not ps.at_infinity[i]
         row = (ps.kinds[ps.kind[i]], ps.words[ps.source[i]], ps.words[ps.conjugator[i]])
         assert row == (kind, source, conjugator)
 
@@ -339,9 +326,9 @@ def test_hausdorff_matches_kdtree_queries(rank, m, k):
 
 def test_hausdorff_basics(sys_u1, store_u1_6):
     ps = sample_limit_roots(sys_u1, store_u1_6, (2, 4), (0, 0))
-    assert hausdorff(ps, ps) == 0.0
+    assert hausdorff(ps.coords, ps.coords) == 0.0
     with pytest.raises(ValueError):
-        hausdorff(ps, PointSet(np.empty((0, 3)), 1e-6, kinds=()))
+        hausdorff(ps.coords, np.empty((0, 3)))
 
 
 # ---------------------------------------------------------------------------
