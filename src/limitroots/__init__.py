@@ -17,8 +17,7 @@ from .spectral import (
     Kind,
     classify,
     classify_many,
-    hyperbolic_directions,
-    parabolic_direction,
+    light_like_directions,
     unimodular_subspace,
 )
 from .limits import (
@@ -60,12 +59,11 @@ __all__ = [
     "enumerate_elements",
     "fundamental_weights",
     "hausdorff",
-    "hyperbolic_directions",
     "intersection_equals_unimodular",
     "light_conic",
+    "light_like_directions",
     "load_graph",
     "make_system",
-    "parabolic_direction",
     "power_dynamics",
     "roots_by_depth",
     "sample_limit_roots",

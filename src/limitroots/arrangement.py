@@ -40,12 +40,6 @@ class Root:
         return word_to_str(self.word + (self.base,))
 
 
-@dataclass(frozen=True)
-class Weight:
-    vector: np.ndarray
-    index: int
-
-
 class IntersectionKind(enum.Enum):
     SPACE_LIKE = "space-like"
     LIGHT_LIKE = "light-like"
@@ -111,16 +105,12 @@ def roots_by_depth(sys, max_depth):
 
 
 def fundamental_weights(sys):
-    """Dual-basis vectors: columns of the inverse of the form matrix."""
+    """The fundamental weights as the columns of B^-1, the read-only
+    ``sys.form_inverse``: column s is omega_s, with B(alpha_t, omega_s) =
+    delta_ts.  A singular form has none: ValueError."""
     if abs(np.linalg.det(sys.form)) < 1e-12:
         raise ValueError("fundamental weights need a nonsingular form")
-    inv = np.linalg.inv(sys.form)
-    out = []
-    for s in range(sys.rank):
-        vec = inv[:, s].copy()
-        vec.setflags(write=False)
-        out.append(Weight(vector=vec, index=s))
-    return out
+    return sys.form_inverse
 
 
 def codim2_spacelike(sys, roots):

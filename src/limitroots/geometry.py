@@ -260,7 +260,8 @@ class GeometricSystem:
 
     @cached_property
     def form_inverse(self):
-        """B^-1, read-only; a B-isometry M has M^-1 = B^-1 M^T B."""
+        """B^-1, read-only; a B-isometry M has M^-1 = B^-1 M^T B.  Its
+        columns are also the fundamental weights (``fundamental_weights``)."""
         inv = np.linalg.inv(self.form)
         inv.setflags(write=False)
         return inv

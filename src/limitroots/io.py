@@ -150,17 +150,21 @@ def read_pointset_csv(path, sys):
     )
 
 
-_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def write_pointset_json(ps, path, sys, budgets, floats=None):
     """The text of ``json.dumps(data, indent=1, sort_keys=True)`` plus a
     newline, for data = {"metadata": ..., "points": [...]}, written directly:
     the standard library formats indented output in pure Python, one token
     at a time.  The metadata goes through ``json.dumps``; each point fills a
     fixed template with the float reprs (``floats``, else
-    ``format_floats(ps)``), NaN and +-Infinity spelled as json spells them,
-    and json's C string encoder."""
+    ``format_floats(ps)``) and json's C string encoder.  NaN and +-Infinity
+    are not JSON: a set with a non-finite coordinate or B-norm is a
+    ValueError, raised before the file is opened."""
+    finite = np.isfinite(ps.coords).all(axis=1) & np.isfinite(ps.bnorm)
+    if not finite.all():
+        raise ValueError(
+            f"{len(finite) - np.count_nonzero(finite)} point-set row(s) with a non-finite"
+            " coordinate or B-norm; JSON has no NaN or Infinity"
+        )
     metadata = {
         "graph": json.loads(sys.graph.to_json()),
         "budgets": budgets,
@@ -174,9 +178,6 @@ def write_pointset_json(ps, path, sys, budgets, floats=None):
         + '\n   ],\n   "kind": %s,\n   "source_word": %s\n  }'
     )
     coords, bnorms = floats or format_floats(ps)
-    if not (np.isfinite(ps.coords).all() and np.isfinite(ps.bnorm).all()):
-        coords = [[_JSON_SPECIAL.get(r, r) for r in xs] for xs in coords]
-        bnorms = [_JSON_SPECIAL.get(r, r) for r in bnorms]
     points = ",\n".join(
         point % (bnorm, conjugator, *xs, kind, source)
         for xs, (kind, source, conjugator), bnorm in zip(

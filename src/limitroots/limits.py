@@ -17,7 +17,7 @@ from .elements import _read, element_of
 from .errors import NumericalError
 from .graphs import word_to_str
 from .projective import ProjectivePoint, chart_distance, to_chart
-from .spectral import Kind, classify, classify_many
+from .spectral import Kind, classify, classify_many, light_like_directions
 
 log = logging.getLogger(__name__)
 
@@ -222,17 +222,6 @@ def _squared_distances(xs, ys):
     return total
 
 
-def infinite_order_directions(sys, elem, sc=None):
-    """Light-like eigendirection records for one infinite-order element."""
-    sc = sc if sc is not None else classify(sys, elem)
-    if sc.kind is Kind.ELLIPTIC:
-        return []
-    if sc.kind is Kind.PARABOLIC:
-        return [(KIND_PARABOLIC, sc.parabolic_vec)]
-    _, x_plus, x_minus = sc.dominant
-    return [(KIND_HYPERBOLIC, x_plus), (KIND_HYPERBOLIC, x_minus)]
-
-
 def sample_limit_roots(sys, store, core_range, conj_range, dedup_eps=DEDUP_EPS):
     """Dense limit-root sample from eigendirections and their conjugates.
 
@@ -243,7 +232,8 @@ def sample_limit_roots(sys, store, core_range, conj_range, dedup_eps=DEDUP_EPS):
     of each direction are one product with the stacked conjugator matrices,
     written into its slice of one image array and divided by the heights in
     place; all of them enter one ``PointSet`` merged at ``dedup_eps``, which
-    must be finite and positive.  Every row has a kind of ``KINDS``.
+    must be finite and positive.  A row's kind, of ``KINDS``, is its core's
+    ``sc.kind``.
     """
     if not 0 < dedup_eps < math.inf:
         raise ValueError(f"dedup eps must be finite and positive, got {dedup_eps!r}")
@@ -261,14 +251,13 @@ def sample_limit_roots(sys, store, core_range, conj_range, dedup_eps=DEDUP_EPS):
     core_words = store.words(core_lo, core_hi)
     parity = [(-1) ** len(w) for w in core_words]
     dirs, dir_kind, dir_source = [], [], []
-    for word, M, sc in zip(core_words, core_mats, classify_many(sys, core_mats, det=parity)):
-        found = infinite_order_directions(sys, M, sc)
+    for word, sc in zip(core_words, classify_many(sys, core_mats, det=parity)):
+        found = light_like_directions(sc)
         if not found:
             continue
-        for kind, vec in found:
-            dirs.append(vec)
-            dir_kind.append(KINDS.index(kind))
-            dir_source.append(len(words))
+        dirs += found
+        dir_kind += [int(sc.kind is Kind.HYPERBOLIC)] * len(found)  # index into KINDS
+        dir_source += [len(words)] * len(found)
         words.append(word)
     if not dirs:
         log.warning(
@@ -293,14 +282,14 @@ def sample_limit_roots(sys, store, core_range, conj_range, dedup_eps=DEDUP_EPS):
 
 
 def power_dynamics(sys, elem, base, k_max):
-    """Trajectory (w^k(base))_{k=1..k_max} in the chart.
+    """Trajectory (w^k(base))_{k=1..k_max} in the chart, as a list of
+    chart points, for a ``GroupElement`` w and a base vector.
 
-    ``elem`` is a group element or a float matrix; the working vector is
-    renormalized every step, so arbitrarily long trajectories of
-    hyperbolic elements stay in floating-point range.
+    The working vector is renormalized every step, so arbitrarily long
+    trajectories of hyperbolic elements stay in floating-point range.
     """
-    M = elem.matrix if hasattr(elem, "matrix") else np.asarray(elem, float)
-    v = np.array(base.coords if isinstance(base, ProjectivePoint) else base, dtype=float)
+    M = elem.matrix
+    v = np.array(base, dtype=float)
     out = []
     for _ in range(k_max):
         v = M @ v
@@ -372,11 +361,7 @@ def word_limit_root(sys, pw):
         for _ in range(ORBIT_STEPS):
             v = p.matrix @ v
             v /= np.linalg.norm(v)
-        try:
-            orbit_pt = to_chart(sys, q @ v)
-        except ValueError:
-            continue
-        residual = min(residual, chart_distance(point, orbit_pt))
+        residual = min(residual, chart_distance(point, to_chart(sys, q @ v)))
     return WordLimitResult(point=point, kind=sc.kind, eigenvalue=lam, orbit_residual=residual)
 
 

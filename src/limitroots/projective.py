@@ -113,20 +113,6 @@ def timelike_center(sys):
     return to_chart(sys, v)
 
 
-@dataclass(frozen=True)
-class ConicSection:
-    """Discretized light cone restricted to the height-1 slice.
-
-    ``vertices`` is an (m, n) array of chart points, each satisfying
-    |B(x, x)| < 1e-6.  ``center`` is the time-like chart point the rays were
-    shot from; ``resolution`` the requested number of directions.
-    """
-
-    vertices: np.ndarray
-    center: np.ndarray
-    resolution: int
-
-
 def _chart_plane_basis(n):
     """Euclidean-orthonormal basis of the sum-zero subspace."""
     basis = []
@@ -139,10 +125,13 @@ def _chart_plane_basis(n):
 
 
 def light_conic(sys, resolution=256):
-    """Zero set of B on the affine chart, for rank 3 (curve) or 4 (mesh).
+    """Zero set of B on the affine chart, for rank 3 (curve) or 4 (mesh), as
+    a read-only (m, n) array of chart points, each with |B(x, x)| < 1e-6.
 
-    From a time-like center c, shoot rays along chart-plane directions d and
-    solve B(c + t d, c + t d) = 0 for the positive root t.
+    From a time-like center c, shoot rays along ``resolution`` chart-plane
+    directions d (rank 4: an m by 2m latitude/longitude grid, m =
+    max(4, floor(sqrt(resolution)))) and solve B(c + t d, c + t d) = 0 for
+    the positive root t; a direction with B(d, d) <= 0 gives no point.
     """
     n = sys.rank
     if n not in (3, 4):
@@ -177,4 +166,4 @@ def light_conic(sys, resolution=256):
         verts.append(x / np.sum(x))
     vertices = np.array(verts)
     vertices.setflags(write=False)
-    return ConicSection(vertices=vertices, center=c, resolution=resolution)
+    return vertices

@@ -21,7 +21,6 @@ import numpy as np
 
 from .elements import GroupElement
 from .errors import BorderlineSpectrumError, ClassificationError, ExtractionError
-from .projective import to_chart
 
 _EPS = np.finfo(float).eps
 # Rounding bound on the traces: |T1 - T1_exact| <= RHO (|M|_F + 1), where
@@ -35,8 +34,6 @@ KERNEL_TOL = 1e-7
 ISOMETRY_TOL = 1e-8
 # Powering stops at the first power with an entry above this.
 POWER_CAP = 1e9
-# |B(x, x)| of a chart eigendirection above this is not light-like.
-LIGHT_LIKE_TOL = 1e-8
 # ``classify`` classifies store rows in blocks of this many rows of a level.
 BLOCK_ROWS = 1024
 
@@ -570,24 +567,15 @@ def _parabolic_vectors(sys, vt, w):
     return out
 
 
-def hyperbolic_directions(sys, sc):
-    """Chart points of the two light-like eigendirections of a hyperbolic class."""
-    if sc.kind is not Kind.HYPERBOLIC:
-        raise ValueError("hyperbolic_directions requires a hyperbolic class")
-    _, x_plus, x_minus = sc.dominant
-    p_plus = to_chart(sys, x_plus)
-    p_minus = to_chart(sys, x_minus)
-    for p in (p_plus, p_minus):
-        if abs(p.bnorm) > LIGHT_LIKE_TOL:
-            raise ExtractionError(f"eigendirection not light-like: B = {p.bnorm:g}")
-    return p_plus, p_minus
-
-
-def parabolic_direction(sys, sc):
-    """Chart point of the unique light-like eigendirection of a parabolic class."""
-    if sc.kind is not Kind.PARABOLIC:
-        raise ValueError("parabolic_direction requires a parabolic class")
-    return to_chart(sys, sc.parabolic_vec)
+def light_like_directions(sc):
+    """The light-like eigendirections of a class at height 1: (x_plus,
+    x_minus) for a hyperbolic class, (parabolic_vec,) for a parabolic one,
+    () for an elliptic one."""
+    if sc.kind is Kind.HYPERBOLIC:
+        return sc.dominant[1:]
+    if sc.kind is Kind.PARABOLIC:
+        return (sc.parabolic_vec,)
+    return ()
 
 
 def unimodular_subspace(sys, sc):

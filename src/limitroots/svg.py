@@ -56,13 +56,11 @@ class _Canvas:
         y = SIZE - (p[1] * self.scale + self.offset[1])  # SVG y grows downward
         return x, y
 
-    def polyline(self, pts, stroke, width=1.0, closed=False, dashed=False):
+    def polyline(self, pts, stroke, width=1.0, closed=False):
         path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
         tag = "polygon" if closed else "polyline"
-        dash = ' stroke-dasharray="4,3"' if dashed else ""
         self.parts.append(
-            f'<{tag} points="{path}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{width}"{dash}/>'
+            f'<{tag} points="{path}" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
         )
 
     def circle(self, xy, r, fill):
@@ -76,13 +74,6 @@ class _Canvas:
         pts = [(x, y - r), (x + r, y), (x, y + r), (x - r, y)]
         path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
         self.parts.append(f'<polygon points="{path}" fill="{fill}" stroke="black"/>')
-
-    def text(self, xy, s):
-        x, y = xy
-        self.parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="12" '
-            f'font-family="monospace">{s}</text>'
-        )
 
     def render(self):
         body = "\n".join(self.parts)
@@ -109,7 +100,9 @@ def _arrangement_lines(sys, roots, canvas):
 
 def render_svg(sys, pointset=None, roots=None, intersections=None, show_weights=False):
     """Compose the chart picture: simplex outline, light conic, arrangement
-    overlays, and provenance-colored points.  Output is deterministic."""
+    overlays (an intersection at infinity has no chart point and is not
+    drawn), the weights (the columns of B^-1) and provenance-colored points.
+    Output is deterministic."""
     canvas = _Canvas(sys.rank)
     n = sys.rank
     # Simplex outline: every edge of the chart simplex.
@@ -124,19 +117,18 @@ def render_svg(sys, pointset=None, roots=None, intersections=None, show_weights=
     if roots is not None and n == 3:
         _arrangement_lines(sys, roots, canvas)
     if sys.is_lorentzian and n in (3, 4):
-        conic = light_conic(sys, resolution=CONIC_RESOLUTION)
-        pts = [canvas.map_point(v) for v in conic.vertices]
+        pts = [canvas.map_point(v) for v in light_conic(sys, resolution=CONIC_RESOLUTION)]
         canvas.polyline(pts, stroke="#555555", width=1.0, closed=(n == 3))
     if intersections is not None and n == 3:
         for ci in intersections:
             pt = ci.chart_point(sys)
-            canvas.circle(canvas.map_point(pt.coords), 2.2, KIND_COLORS["intersection"])
+            if not pt.at_infinity:  # no chart point to draw
+                canvas.circle(canvas.map_point(pt.coords), 2.2, KIND_COLORS["intersection"])
     if show_weights:
         from .arrangement import fundamental_weights
 
-        for w in fundamental_weights(sys):
-            coords = w.vector / np.sum(w.vector)
-            canvas.diamond(canvas.map_point(coords), 4.0, KIND_COLORS["weight"])
+        for w in fundamental_weights(sys).T:
+            canvas.diamond(canvas.map_point(w / np.sum(w)), 4.0, KIND_COLORS["weight"])
     if pointset is not None:
         for coords, kind in zip(pointset.coords, pointset.kind):
             color = KIND_COLORS.get(pointset.kinds[kind], "#333333")

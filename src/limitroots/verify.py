@@ -171,18 +171,16 @@ def verify_weights():
     worst_identity = 0.0
     for name in ("fig1a", "fig1b", "fig8", "universal3:1", "universal3:1.1"):
         sys = make_system(name)
-        weights = fundamental_weights(sys)
-        W = np.column_stack([w.vector for w in weights])
+        W = fundamental_weights(sys)
         worst_identity = max(
             worst_identity, float(np.max(np.abs(sys.form @ W - np.eye(sys.rank))))
         )
     sys = make_system("universal3:1.1")
-    weights = fundamental_weights(sys)
-    bnorms = [float(w.vector @ sys.form @ w.vector) for w in weights]
+    weights = fundamental_weights(sys).T
+    bnorms = [float(w @ sys.form @ w) for w in weights]
     cis = codim2_spacelike(sys, roots_by_depth(sys, 1))
     matches = [
-        min(chart_distance(to_chart(sys, w.vector), ci.chart_point(sys)) for ci in cis)
-        for w in weights
+        min(chart_distance(to_chart(sys, w), ci.chart_point(sys)) for ci in cis) for w in weights
     ]
     ok = (
         worst_identity < 1e-10

@@ -181,7 +181,7 @@ def test_criterion_6_base_point_independence(u1, u1_store8):
         if sc.kind is Kind.HYPERBOLIC:
             hyp.append((e, sc))
     idx = rng.choice(len(hyp), size=100, replace=False)
-    conic = light_conic(u1, resolution=64).vertices
+    conic = light_conic(u1, resolution=64)
     center = timelike_center(u1).coords
     worst = 0.0
     for i in idx:

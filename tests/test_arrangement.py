@@ -179,13 +179,15 @@ def test_universal_root_counts_match_the_closed_form(name, depth):
 def test_fundamental_weights_dual_basis():
     for name in ("fig1a", "fig1b", "fig8", "universal3:1", "universal3:1.1"):
         sys = make_system(name)
-        W = np.column_stack([w.vector for w in fundamental_weights(sys)])
+        W = fundamental_weights(sys)
+        assert W.tobytes() == np.linalg.inv(sys.form).tobytes()
+        assert not W.flags.writeable
         np.testing.assert_allclose(sys.form @ W, np.eye(sys.rank), atol=1e-10)
 
 
 def test_universal_weights_are_space_like(sys_u11):
-    for w in fundamental_weights(sys_u11):
-        bnorm = float(w.vector @ sys_u11.form @ w.vector)
+    for w in fundamental_weights(sys_u11).T:
+        bnorm = float(w @ sys_u11.form @ w)
         assert bnorm == pytest.approx(0.0396825396825, abs=1e-10)
 
 
@@ -552,7 +554,7 @@ def test_sandwich_report_counters_at_depth_4(sys_u11):
 
 def test_weights_sit_on_simple_pair_intersections(sys_u11):
     cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 1))
-    for w in fundamental_weights(sys_u11):
-        wpt = to_chart(sys_u11, w.vector)
+    for w in fundamental_weights(sys_u11).T:
+        wpt = to_chart(sys_u11, w)
         best = min(chart_distance(wpt, ci.chart_point(sys_u11)) for ci in cis)
         assert best < 1e-9

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from limitroots import __version__, enumerate_elements, make_system, sample_limit_roots
+from limitroots.arrangement import codim2_spacelike, roots_by_depth
 from limitroots.cli import main
 from limitroots.graphs import word_to_str
 from limitroots.io import (
@@ -142,12 +143,29 @@ def _non_finite_rows():
     return sys, ps, {"note": "na\u00efve \"quoted\"\n", "eps": float("inf")}
 
 
-@pytest.mark.parametrize("case", [_fig1a_sample, _empty_set, _non_finite_rows])
+def _quoted_non_ascii_labels():
+    """The labels and budgets of ``_non_finite_rows`` on finite rows."""
+    sys, ps, budgets = _non_finite_rows()
+    coords = [[0.25, 0.25, 0.5], [1e-300, 0.5, 0.5], [0.1, 0.2, 0.7]]
+    fields = {f: getattr(ps, f) for f in ("kinds", "kind", "words", "source", "conjugator")}
+    return sys, PointSet(coords, 0.0, **fields, bnorm=[0.5, -1e-300, -0.0]), budgets
+
+
+@pytest.mark.parametrize("case", [_fig1a_sample, _empty_set, _quoted_non_ascii_labels])
 def test_json_writer_matches_the_standard_library(tmp_path, case):
     sys, ps, budgets = case()
     path = tmp_path / "points.json"
     write_pointset_json(ps, str(path), sys, budgets)
     assert path.read_bytes() == _json_reference(ps, sys, budgets).encode()
+
+
+def test_json_writer_refuses_non_finite_rows(tmp_path):
+    # JSON has no NaN or Infinity; two of the three rows hold one.
+    sys, ps, budgets = _non_finite_rows()
+    path = tmp_path / "points.json"
+    with pytest.raises(ValueError, match=r"^2 point-set row\(s\) with a non-finite coordinate"):
+        write_pointset_json(ps, str(path), sys, budgets, format_floats(ps))
+    assert not path.exists()
 
 
 def _csv_reference(ps, rank):
@@ -192,7 +210,7 @@ def test_csv_writer_matches_the_standard_library(tmp_path, case):
     assert path.read_bytes() == _csv_reference(ps, sys.rank).encode()
 
 
-@pytest.mark.parametrize("case", [_fig1a_sample, _non_finite_rows])
+@pytest.mark.parametrize("case", [_fig1a_sample, _quoted_non_ascii_labels])
 def test_writers_share_one_formatting_pass(tmp_path, case):
     """``limit-roots --json`` formats the floats once for both files; the
     bytes are those each writer makes on its own."""
@@ -270,6 +288,24 @@ def test_svg_render(sample):
     svg = render_svg(sys, pointset=ps, show_weights=True)
     assert svg.lstrip().startswith("<svg") or "<svg" in svg[:200]
     assert "circle" in svg
+
+
+def test_svg_draws_no_intersection_at_infinity():
+    # Of the 180 intersections of the depth-3 roots of universal3:1, the
+    # space-like pairs (st, ut), (su, tu) and (ts, us), with pairing -7,
+    # meet at height 0: they have no chart point and no circle.
+    sys = make_system("universal3:1")
+    roots = roots_by_depth(sys, 3)
+    cis = codim2_spacelike(sys, roots)
+    at_infinity = [ci for ci in cis if ci.chart_point(sys).at_infinity]
+    assert [(a.word_str(), b.word_str()) for a, b in (ci.pair for ci in at_infinity)] == [
+        ("st", "ut"),
+        ("su", "tu"),
+        ("ts", "us"),
+    ]
+    assert [ci.pairing for ci in at_infinity] == [-7.0] * 3
+    svg = render_svg(sys, roots=roots, intersections=cis)
+    assert len(cis) == 180 and svg.count("<circle") == 177
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,9 @@ from limitroots.limits import (
     _close_pairs,
     _dedup,
     certify_reduced,
-    infinite_order_directions,
 )
 from limitroots.projective import ProjectivePoint, chart_distance
-from limitroots.spectral import Kind
+from limitroots.spectral import Kind, light_like_directions
 
 
 def _pointset(sys, vecs, kinds=("orbit",), kind=None):
@@ -258,8 +257,8 @@ def test_conjugation_shortcut_matches_direct_eigensolve(sys_u1, store_u1_6):
     w = element_of(sys_u1, (0, 1, 2))
     g = element_of(sys_u1, (1, 0))
     conj = element_of(sys_u1, g.word + w.word + tuple(reversed(g.word)))
-    _, vec = infinite_order_directions(sys_u1, w)[0]
-    _, direct_vec = infinite_order_directions(sys_u1, conj)[0]
+    vec = light_like_directions(classify(sys_u1, w))[0]
+    direct_vec = light_like_directions(classify(sys_u1, conj))[0]
     pushed = to_chart(sys_u1, g.matrix @ vec)
     assert chart_distance(pushed, to_chart(sys_u1, direct_vec)) < 1e-7
 
@@ -269,9 +268,12 @@ def _per_record_sample(sys, store, core_range, conj_range, eps=1e-6):
     kd-tree reference ``_kdtree_dedup``, and B(x, x) row by row."""
     conjugators = store.with_length(*conj_range)
     conj_mats = np.stack([g.matrix for g in conjugators])
+    kinds = {Kind.PARABOLIC: KIND_PARABOLIC, Kind.HYPERBOLIC: KIND_HYPERBOLIC}
     rows = []
     for elem in store.with_length(*core_range):
-        for kind, vec in infinite_order_directions(sys, elem):
+        sc = classify(sys, elem)
+        for vec in light_like_directions(sc):
+            kind = kinds[sc.kind]
             images = conj_mats @ vec
             heights = images.sum(axis=1)
             for g, img, h in zip(conjugators, images, heights):

@@ -11,9 +11,8 @@ from scipy.linalg import null_space
 from limitroots import (
     classify,
     element_of,
-    hyperbolic_directions,
+    light_like_directions,
     make_system,
-    parabolic_direction,
     unimodular_subspace,
 )
 from limitroots import spectral
@@ -123,15 +122,17 @@ def test_identity_is_elliptic(sys_u1):
     sc = classify(sys_u1, element_of(sys_u1, ()))
     assert sc.kind is Kind.ELLIPTIC
     assert sc.order == 1
+    assert light_like_directions(sc) == ()
 
 
 def test_two_letter_product_is_parabolic(sys_u1):
     sc = classify(sys_u1, element_of(sys_u1, (0, 1)))
     assert sc.kind is Kind.PARABOLIC
     assert sc.parabolic_eps == 1
-    p = parabolic_direction(sys_u1, sc)
-    np.testing.assert_allclose(p.coords, [0.5, 0.5, 0.0], atol=1e-9)
-    assert abs(p.bnorm) < 1e-10
+    (x,) = light_like_directions(sc)
+    assert x is sc.parabolic_vec
+    np.testing.assert_allclose(x, [0.5, 0.5, 0.0], atol=1e-9)
+    assert abs(x @ sys_u1.form @ x) < 1e-10
 
 
 def test_parabolic_power_still_parabolic(sys_u1):
@@ -139,8 +140,8 @@ def test_parabolic_power_still_parabolic(sys_u1):
     # the Jordan triple by ~1e-5, which must not read as hyperbolic.
     sc = classify(sys_u1, element_of(sys_u1, (0, 1) * 3))
     assert sc.kind is Kind.PARABOLIC
-    p = parabolic_direction(sys_u1, sc)
-    np.testing.assert_allclose(p.coords, [0.5, 0.5, 0.0], atol=1e-7)
+    (x,) = light_like_directions(sc)
+    np.testing.assert_allclose(x, [0.5, 0.5, 0.0], atol=1e-7)
 
 
 def test_three_letter_product_is_hyperbolic(sys_u1):
@@ -155,11 +156,11 @@ def test_three_letter_product_is_hyperbolic(sys_u1):
 
 def test_hyperbolic_directions_are_light_like_chart_points(sys_u1):
     sc = classify(sys_u1, element_of(sys_u1, (0, 1, 2)))
-    plus, minus = hyperbolic_directions(sys_u1, sc)
-    for p in (plus, minus):
-        assert not p.at_infinity
-        assert abs(p.bnorm) < 1e-9
-    assert np.linalg.norm(plus.coords - minus.coords) > 0.1
+    plus, minus = light_like_directions(sc)
+    for x in (plus, minus):
+        assert x.sum() == pytest.approx(1.0, abs=1e-12)
+        assert abs(x @ sys_u1.form @ x) < 1e-9
+    assert np.linalg.norm(plus - minus) > 0.1
 
 
 def test_unimodular_subspace_is_space_like_complement(sys_u1):
