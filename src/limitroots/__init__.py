@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .graphs import CoxeterGraph, builtin, load_graph, universal, dihedral
 from .geometry import GeometricSystem, build_form, make_system, signature
 from .elements import ElementStore, GroupElement, element_of, enumerate_elements
-from .projective import Causal, ProjectivePoint, causal_character, chart_distance, light_conic, to_chart
+from .projective import ProjectivePoint, chart_distance, light_conic, to_chart
 from .spectral import (
     Kind,
     classify,
@@ -45,11 +45,9 @@ __all__ = [
     "PointSet",
     "PeriodicWord",
     "Kind",
-    "Causal",
     "IntersectionKind",
     "build_form",
     "builtin",
-    "causal_character",
     "chart_distance",
     "classify",
     "classify_many",

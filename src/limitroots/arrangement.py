@@ -8,17 +8,15 @@ reflections).
 """
 
 import enum
-import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
 from .elements import _read_rows
 from .errors import ExtractionError
 from .graphs import word_to_str
-from .projective import to_chart
 from .spectral import Kind, _plane_complements, classify_many
 
 PAIRING_TOL = 1e-9
@@ -26,18 +24,19 @@ PAIRING_TOL = 1e-9
 ANGLE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class Root:
-    """A positive root: coefficient vector over the simple roots, its depth,
-    and a minimal word (prefix, base) with vector = prefix(alpha_base)."""
+class RootSet:
+    """Positive roots as columns: row i is the read-only coefficient vector
+    ``vectors[i]`` over the simple roots and the minimal word ``words[i]``,
+    its prefix w followed by its base s, with vectors[i] = w(alpha_s); the
+    depth is ``len(words[i])``."""
 
-    vector: np.ndarray
-    depth: int
-    word: tuple
-    base: int
+    def __init__(self, vectors, words):
+        self.vectors = np.asarray(vectors, dtype=float)
+        self.vectors.setflags(write=False)
+        self.words = tuple(words)
 
-    def word_str(self):
-        return word_to_str(self.word + (self.base,))
+    def __len__(self):
+        return len(self.words)
 
 
 class IntersectionKind(enum.Enum):
@@ -45,23 +44,20 @@ class IntersectionKind(enum.Enum):
     LIGHT_LIKE = "light-like"
 
 
-@dataclass(frozen=True)
-class Codim2Intersection:
+class Codim2Intersection(NamedTuple):
+    """The intersection of the hyperplanes of the roots in rows ``pair`` of
+    a ``RootSet``: an orthonormal basis (columns), its kind and the pairing."""
+
     pair: tuple
     basis: np.ndarray
     kind: IntersectionKind
     pairing: float
 
-    def chart_point(self, sys):
-        """For rank 3 the intersection is a single projective point."""
-        if self.basis.shape[1] != 1:
-            raise ValueError("chart_point applies to 1-dimensional intersections only")
-        return to_chart(sys, self.basis[:, 0])
-
 
 def roots_by_depth(sys, max_depth):
-    """All positive roots of depth <= max_depth, each formed once, decided by
-    the small-root automaton (``GeometricSystem.small_roots``), no float sign.
+    """All positive roots of depth <= max_depth as a ``RootSet``, depth by
+    depth, each formed once, decided by the small-root automaton
+    (``GeometricSystem.small_roots``), no float sign.
 
     A root beta = w(alpha_s) (w its prefix word, s its base) of depth
     dp(beta) = l(w) + 1 is the reflection r = w s w^-1, and that word is
@@ -97,11 +93,8 @@ def roots_by_depth(sys, max_depth):
         X[np.arange(len(V)), T] -= 2 * P[V, T]
         P, W, base = P[V] + P[V, T, None] * D[T], np.column_stack((T, W[V])), base[V]
         levels.append((X, W, base))
-    roots = []
-    for depth, (X, W, base) in enumerate(levels, 1):
-        X.setflags(write=False)
-        roots += map(Root, X, itertools.repeat(depth), map(tuple, W.tolist()), base.tolist())
-    return roots
+    words = (tuple(w) for _, W, base in levels for w in np.column_stack((W, base)).tolist())
+    return RootSet(np.concatenate([X for X, _, _ in levels]), words)
 
 
 def fundamental_weights(sys):
@@ -114,7 +107,7 @@ def fundamental_weights(sys):
 
 
 def codim2_spacelike(sys, roots):
-    """Codimension-2 intersections over root pairs, in
+    """Codimension-2 intersections over the pairs of rows of ``roots``, in
     ``itertools.combinations`` order.
 
     Pairs with pairing < -1 - PAIRING_TOL are space-like (products of the
@@ -123,7 +116,7 @@ def codim2_spacelike(sys, roots):
     R B R^T gives the pairings, one stack the bases and the check that B is
     positive-definite on the space-like ones; the first pair failing raises.
     """
-    R = np.array([r.vector for r in roots], dtype=float).reshape(-1, sys.rank)
+    R = roots.vectors
     i, j = np.triu_indices(len(R), 1)
     pairing = (R @ sys.form @ R.T)[i, j]
     space = pairing < -1.0 - PAIRING_TOL
@@ -137,11 +130,11 @@ def codim2_spacelike(sys, roots):
     for k in np.flatnonzero(bad)[:1]:
         if dim[k] != sys.rank - 2:
             raise ExtractionError(f"codimension-2 intersection has dimension {dim[k]}")
-        a, b = roots[i[k]].word_str(), roots[j[k]].word_str()
+        a, b = word_to_str(roots.words[i[k]]), word_to_str(roots.words[j[k]])
         raise ExtractionError(f"restricted form not positive-definite for pair ({a}, {b})")
     kinds = [IntersectionKind.SPACE_LIKE if sp else IntersectionKind.LIGHT_LIKE for sp in space]
     return [
-        Codim2Intersection(pair=(roots[a], roots[b]), basis=q, kind=kind, pairing=p)
+        Codim2Intersection(pair=(a, b), basis=q, kind=kind, pairing=p)
         for a, b, q, kind, p in zip(i.tolist(), j.tolist(), bases, kinds, pairing.tolist())
     ]
 
@@ -155,20 +148,19 @@ def principal_sine(q1, q2):
     return np.linalg.svd(d, compute_uv=False)[..., 0]
 
 
-def intersection_equals_unimodular(sys, cis):
-    """For each space-like intersection, whether it equals the unimodular
-    subspace of the product of its two reflections (principal angle below
-    ``ANGLE_TOL``), and the sine of that angle (NaN where the product is not
-    hyperbolic).  Each distinct root gives one reflection matrix; the
-    products R_a R_b are one stacked matmul, classified as one batch, and
-    the unimodular subspaces of the hyperbolic ones are formed as one stack."""
+def intersection_equals_unimodular(sys, roots, cis):
+    """For each space-like intersection of rows of ``roots``, whether it
+    equals the unimodular subspace of the product of its two reflections
+    (principal angle below ``ANGLE_TOL``), and the sine of that angle (NaN
+    where the product is not hyperbolic).  Each root row gives one
+    reflection matrix; the products R_a R_b are one stacked matmul,
+    classified as one batch, and the unimodular subspaces of the hyperbolic
+    ones are formed as one stack."""
     if any(ci.kind is not IntersectionKind.SPACE_LIKE for ci in cis):
         raise ValueError("intersection_equals_unimodular requires space-like pairs")
-    roots = {id(r): r for ci in cis for r in ci.pair}
-    position = {key: k for k, key in enumerate(roots)}
     n = sys.rank
-    R = np.array([sys.reflection_in(r.vector) for r in roots.values()]).reshape(-1, n, n)
-    first, second = (np.array([position[id(ci.pair[s])] for ci in cis], int) for s in (0, 1))
+    R = np.array([sys.reflection_in(v) for v in roots.vectors]).reshape(-1, n, n)
+    first, second = np.array([ci.pair for ci in cis], int).reshape(-1, 2).T
     classes = classify_many(sys, R[first] @ R[second], det=1)
     hyp = [i for i, sc in enumerate(classes) if sc.kind is Kind.HYPERBOLIC]
     sines = [math.nan] * len(cis)
@@ -196,8 +188,8 @@ def decimal_unit_roots(sys, roots):
 
     B = [[Decimal(x) for x in row] for row in sys.form.tolist()]
     out = []
-    for r in roots:
-        v = [Decimal(x) for x in r.vector.tolist()]
+    for vector in roots.vectors.tolist():
+        v = [Decimal(x) for x in vector]
         a = _unit(v, _dot(v, [_dot(row, v) for row in B]))
         out.append((a, [_dot(row, a) for row in B]))
     return out

@@ -8,6 +8,7 @@ import argparse
 import inspect
 import json
 import sys as _sys
+import time
 
 from . import __version__
 from .arrangement import codim2_spacelike, roots_by_depth
@@ -17,7 +18,6 @@ from .geometry import make_system, system_type
 from .graphs import load_graph, str_to_word
 from .io import (
     RunManifest,
-    Timer,
     format_floats,
     graph_hash,
     read_pointset_csv,
@@ -66,19 +66,20 @@ def cmd_limit_roots(args):
     core = _parse_range(args.core_lengths)
     conj = _parse_range(args.conj_lengths)
     budgets = {"core_lengths": list(core), "conj_lengths": list(conj)}
-    with Timer() as timer:
-        store = enumerate_elements(sys, max(core[1], conj[1]))
-        ps = sample_limit_roots(sys, store, core, conj, args.dedup_eps)
-        floats = format_floats(ps)
-        write_pointset_csv(ps, args.out, floats)
-        if args.json:
-            write_pointset_json(ps, args.json, sys, budgets, floats)
+    start = time.perf_counter()
+    store = enumerate_elements(sys, max(core[1], conj[1]))
+    ps = sample_limit_roots(sys, store, core, conj, args.dedup_eps)
+    floats = format_floats(ps)
+    write_pointset_csv(ps, args.out, floats)
+    if args.json:
+        write_pointset_json(ps, args.json, sys, budgets, floats)
+    wall_time = time.perf_counter() - start
     manifest = RunManifest(
         graph_hash=graph_hash(graph),
         budgets=budgets,
         tolerances={"dedup_eps": args.dedup_eps},
         command="limit-roots",
-        wall_time=timer.elapsed,
+        wall_time=wall_time,
     )
     manifest.add_output(args.out)
     if args.json:

@@ -65,8 +65,8 @@ class CoxeterGraph:
         for (i, j), c in self.cparams.items():
             if self.labels.get((i, j)) is not INF:
                 raise GraphError(f"c-parameter on non-infinite edge ({i}, {j})")
-            if c < 1:
-                raise GraphError(f"c_{i}{j} must be >= 1, got {c}")
+            if not 1 <= c < INF:
+                raise GraphError(f"c_{i}{j} must be finite and >= 1, got {c}")
 
     def label(self, i, j):
         """Coxeter label m_ij; m_ii = 1 and absent edges give 2."""
@@ -90,34 +90,48 @@ class CoxeterGraph:
 
     @classmethod
     def from_json(cls, text):
+        """Read {"rank": n, "edges": [{"i": i, "j": j, "m": m, "c": c}, ...]}:
+        rank, indices and finite labels are integers (not bools), m = "inf"
+        (or "infinity") needs a finite c >= 1, and other input is a GraphError."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphError(f"invalid graph JSON: {exc}") from exc
         if not isinstance(data, dict) or "rank" not in data:
             raise GraphError("graph JSON must be an object with a 'rank' field")
-        rank = data["rank"]
+        edges = data.get("edges", [])
+        if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
+            raise GraphError(f"graph JSON 'edges' must be a list of objects, got {edges!r}")
         labels = {}
         cparams = {}
-        for edge in data.get("edges", []):
-            try:
-                i, j = int(edge["i"]), int(edge["j"])
-            except (KeyError, TypeError) as exc:
-                raise GraphError(f"malformed edge {edge!r}") from exc
+        for edge in edges:
+            if not {"i", "j", "m"} <= edge.keys():
+                raise GraphError(f"malformed edge {edge!r}: it needs i, j and m")
+            i, j = _integer(edge["i"], "edge index"), _integer(edge["j"], "edge index")
             if i == j:
                 raise GraphError(f"self edge on generator {i}")
             key = (min(i, j), max(i, j))
             if key in labels:
                 raise GraphError(f"duplicate edge ({key[0]}, {key[1]})")
-            m = edge.get("m")
+            m = edge["m"]
             if m in ("inf", "infinity"):
                 if "c" not in edge:
                     raise GraphError(f"infinite edge ({i}, {j}) has no c-parameter")
+                try:
+                    cparams[key] = float(edge["c"])
+                except (TypeError, ValueError) as exc:
+                    raise GraphError(f"c-parameter of edge ({i}, {j}) is not a number") from exc
                 labels[key] = INF
-                cparams[key] = float(edge["c"])
             else:
-                labels[key] = int(m)
-        return cls(rank=rank, labels=labels, cparams=cparams)
+                labels[key] = _integer(m, f"label m_{key[0]}{key[1]}")
+        return cls(rank=_integer(data["rank"], "rank"), labels=labels, cparams=cparams)
+
+
+def _integer(value, what):
+    """``value`` if it is a JSON integer; a bool or any other value is a GraphError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def universal(rank, c):

@@ -3,7 +3,6 @@
 import csv
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -188,12 +187,3 @@ def write_pointset_json(ps, path, sys, budgets, floats=None):
     body = f"[\n{points}\n ]" if points else "[]"
     with open(path, "w") as fh:
         fh.write(f'{{\n "metadata": {head},\n "points": {body}\n}}\n')
-
-
-class Timer:
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start

@@ -5,20 +5,12 @@ Directions are stored in the affine chart spanned by the simple roots
 infinity and carry a sign-canonicalized unit vector instead.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 HEIGHT_TOL = 1e-12
-ISO_TOL = 1e-9
-
-
-class Causal(enum.Enum):
-    SPACE_LIKE = "space-like"
-    TIME_LIKE = "time-like"
-    LIGHT_LIKE = "light-like"
 
 
 @dataclass(frozen=True)
@@ -89,18 +81,6 @@ def chart_distances(sys, X, Y):
     for i in np.flatnonzero(~affine):
         d[i] = chart_distance(to_chart(sys, X[i]), to_chart(sys, Y[i]))
     return d
-
-
-def causal_character(sys, v):
-    """Sign of B(v, v) with a zero band relative to the squared vector norm."""
-    v = np.asarray(v, dtype=float)
-    norm2 = float(v @ v)
-    if norm2 == 0:
-        raise ValueError("causal character of the zero vector is undefined")
-    b = float(v @ sys.form @ v)
-    if abs(b) <= ISO_TOL * norm2:
-        return Causal.LIGHT_LIKE
-    return Causal.SPACE_LIKE if b > 0 else Causal.TIME_LIKE
 
 
 def timelike_center(sys):

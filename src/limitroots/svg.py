@@ -7,7 +7,7 @@ tetrahedron: vertices at (0,0), (1,0), (0.5, 0.866), (0.5, 0.289).
 
 import numpy as np
 
-from .projective import light_conic
+from .projective import light_conic, to_chart
 
 SIZE = 640
 MARGIN = 60
@@ -87,9 +87,8 @@ class _Canvas:
 def _arrangement_lines(sys, roots, canvas):
     """Chart traces of reflecting hyperplanes (rank 3: straight lines)."""
     ones = np.ones(sys.rank)
-    for root in roots:
-        a = sys.form @ root.vector
-        rows = np.vstack([a, ones])
+    for vector in roots.vectors:
+        rows = np.vstack([sys.form @ vector, ones])
         # Particular chart point on the hyperplane and the line direction.
         p0, *_ = np.linalg.lstsq(rows, np.array([0.0, 1.0]), rcond=None)
         u, s, vt = np.linalg.svd(rows)
@@ -120,8 +119,7 @@ def render_svg(sys, pointset=None, roots=None, intersections=None, show_weights=
         pts = [canvas.map_point(v) for v in light_conic(sys, resolution=CONIC_RESOLUTION)]
         canvas.polyline(pts, stroke="#555555", width=1.0, closed=(n == 3))
     if intersections is not None and n == 3:
-        for ci in intersections:
-            pt = ci.chart_point(sys)
+        for pt in (to_chart(sys, ci.basis[:, 0]) for ci in intersections):
             if not pt.at_infinity:  # no chart point to draw
                 canvas.circle(canvas.map_point(pt.coords), 2.2, KIND_COLORS["intersection"])
     if show_weights:

@@ -106,8 +106,8 @@ def verify_sandwich(sys=None, depth=4):
     Case-2 orbits accumulate on them.
 
     The Case-2 base x_minus + u and w = s_a s_b come from the closed-form
-    eigendata of the pair, built from per-root ``decimal`` data formed once
-    per root.  w^k (x_minus + u) = lam^-k x_minus + u takes k steps, three
+    eigendata of the pair, built from ``decimal`` data formed once per root
+    row.  w^k (x_minus + u) = lam^-k x_minus + u takes k steps, three
     products per row, in ``decimal`` at SANDWICH_DPS digits, and
     k = ceil(24 / log10 lam) bounds both the contraction lam^-k <= 1e-24 and
     the rounding along x_plus, about k lam^k 10^-dps <= k lam 10^(24 - dps).
@@ -124,15 +124,14 @@ def verify_sandwich(sys=None, depth=4):
     roots = roots_by_depth(sys, depth)
     cis = codim2_spacelike(sys, roots)
     intersections = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
-    verdicts, sines = intersection_equals_unimodular(sys, intersections)
+    verdicts, sines = intersection_equals_unimodular(sys, roots, intersections)
     passed = [ci for ci, equal in zip(intersections, verdicts) if equal]
-    position = {id(r): k for k, r in enumerate(roots)}
     ends, steps = [], 0
     with decimal.localcontext() as ctx:
         ctx.prec = SANDWICH_DPS
         unit = decimal_unit_roots(sys, roots)
         for ci in passed:
-            (a, Ba), (b, Bb) = (unit[position[id(r)]] for r in ci.pair)
+            (a, Ba), (b, Bb) = (unit[r] for r in ci.pair)
             w, lam, x_minus, u = reflection_pair_eigendata(a, Ba, b, Bb)
             (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = w
             x0, x1, x2 = (p + q for p, q in zip(x_minus, u))
@@ -178,10 +177,8 @@ def verify_weights():
     sys = make_system("universal3:1.1")
     weights = fundamental_weights(sys).T
     bnorms = [float(w @ sys.form @ w) for w in weights]
-    cis = codim2_spacelike(sys, roots_by_depth(sys, 1))
-    matches = [
-        min(chart_distance(to_chart(sys, w), ci.chart_point(sys)) for ci in cis) for w in weights
-    ]
+    points = [to_chart(sys, ci.basis[:, 0]) for ci in codim2_spacelike(sys, roots_by_depth(sys, 1))]
+    matches = [min(chart_distance(to_chart(sys, w), p) for p in points) for w in weights]
     ok = (
         worst_identity < 1e-10
         and all(abs(b - 0.0396825396825) < 1e-6 for b in bnorms)

@@ -1,6 +1,5 @@
 """Roots by depth, weights, codimension-2 intersections, and chamber descent."""
 
-import dataclasses
 import decimal
 import itertools
 import math
@@ -30,12 +29,13 @@ from limitroots import (
 from limitroots.arrangement import (
     Codim2Intersection,
     IntersectionKind,
-    Root,
+    RootSet,
     decimal_unit_roots,
     principal_sine,
     reflection_pair_eigendata,
 )
 from limitroots.errors import ExtractionError
+from limitroots.graphs import word_to_str
 from limitroots.projective import chart_distance
 from limitroots.spectral import Kind, classify_many, unimodular_subspace
 from limitroots.verify import run_suite
@@ -44,13 +44,13 @@ from limitroots.verify import run_suite
 def test_root_counts_by_depth(sys_u1, sys_u11):
     for sys in (sys_u1, sys_u11):
         roots = roots_by_depth(sys, 3)
-        assert Counter(r.depth for r in roots) == {1: 3, 2: 6, 3: 12}
+        assert Counter(len(w) for w in roots.words) == {1: 3, 2: 6, 3: 12}
 
 
 def test_depth_one_roots_are_simple(sys_u1):
-    roots = [r for r in roots_by_depth(sys_u1, 1)]
+    roots = roots_by_depth(sys_u1, 1)
     assert len(roots) == 3
-    assert {tuple(r.vector) for r in roots} == {
+    assert {tuple(v) for v in roots.vectors} == {
         (1.0, 0.0, 0.0),
         (0.0, 1.0, 0.0),
         (0.0, 0.0, 1.0),
@@ -58,16 +58,14 @@ def test_depth_one_roots_are_simple(sys_u1):
 
 
 def test_all_roots_positive(sys_u11):
-    for r in roots_by_depth(sys_u11, 4):
-        assert np.min(r.vector) > -1e-9
+    assert np.min(roots_by_depth(sys_u11, 4).vectors) > -1e-9
 
 
 def test_root_word_reproduces_vector(sys_u1):
-    for r in roots_by_depth(sys_u1, 3):
-        w = element_of(sys_u1, r.word)
-        np.testing.assert_allclose(
-            w.matrix @ np.eye(3)[r.base], r.vector, atol=1e-9
-        )
+    roots = roots_by_depth(sys_u1, 3)
+    for vector, word in zip(roots.vectors, roots.words):
+        w = element_of(sys_u1, word[:-1])
+        np.testing.assert_allclose(w.matrix @ np.eye(3)[word[-1]], vector, atol=1e-9)
 
 
 def _reference_roots(sys, max_depth):
@@ -77,7 +75,8 @@ def _reference_roots(sys, max_depth):
     ``roots_by_depth``: each root's images under the generators are probed
     against vectors rounded to a 1e-9 grid, and a negative image is dropped.
     Coefficients are kept below 1e6, where that grid still tells roots apart
-    and its integer keys cannot overflow.
+    and its integer keys cannot overflow.  Each root is a pair (vector,
+    word), the word its prefix followed by its base.
     """
     n = sys.rank
 
@@ -85,18 +84,18 @@ def _reference_roots(sys, max_depth):
         assert np.max(np.abs(vec)) <= 1e6
         return np.round(vec / 1e-9).astype(np.int64).tobytes()
 
-    roots = [Root(vector=np.eye(n)[s], depth=1, word=(), base=s) for s in range(n)]
-    seen = {key(r.vector) for r in roots}
+    roots = [(np.eye(n)[s], (s,)) for s in range(n)]
+    seen = {key(vector) for vector, _ in roots}
     frontier = list(roots)
-    for depth in range(2, max_depth + 1):
+    for _ in range(2, max_depth + 1):
         next_frontier = []
-        for root in frontier:
+        for vector, word in frontier:
             for s in range(n):
-                vec = sys.gens[s] @ root.vector
+                vec = sys.gens[s] @ vector
                 if np.min(vec) < -1e-9 or key(vec) in seen:
                     continue
                 seen.add(key(vec))
-                next_frontier.append(Root(vec, depth, (s,) + root.word, root.base))
+                next_frontier.append((vec, (s,) + word))
         roots += next_frontier
         frontier = next_frontier
     return roots
@@ -105,20 +104,21 @@ def _reference_roots(sys, max_depth):
 def _assert_roots_match_the_reference(sys, max_depth):
     roots = roots_by_depth(sys, max_depth)
     ref = _reference_roots(sys, max_depth)
+    depths = np.array([len(w) for w in roots.words])
     for depth in range(1, max_depth + 1):
-        got = np.array([r.vector for r in roots if r.depth == depth]).reshape(-1, sys.rank)
-        want = np.array([r.vector for r in ref if r.depth == depth]).reshape(-1, sys.rank)
+        got = roots.vectors[depths == depth]
+        want = np.array([v for v, w in ref if len(w) == depth]).reshape(-1, sys.rank)
         assert len(got) == len(want)
         if len(want):
             scale = np.max(np.abs(want))
             dist, match = cKDTree(want / scale).query(got / scale)
             assert np.max(dist) <= 1e-12 and len(set(match)) == len(want)
-    for r in roots:
-        vec = np.eye(sys.rank)[r.base]
-        for s in reversed(r.word):
+    for vector, word in zip(roots.vectors, roots.words):
+        vec = np.eye(sys.rank)[word[-1]]
+        for s in reversed(word[:-1]):
             vec = sys.gens[s] @ vec
-        assert np.max(np.abs(vec - r.vector)) <= 1e-12 * np.max(np.abs(r.vector))
-        assert not r.vector.flags.writeable
+        assert np.max(np.abs(vec - vector)) <= 1e-12 * np.max(np.abs(vector))
+    assert len(roots) == len(roots.vectors) and not roots.vectors.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -148,11 +148,11 @@ def test_reflection_of_a_root_has_length_twice_its_depth_less_one(labels, depth)
     reference roots with the float reflection matrix."""
     sys = make_system(CoxeterGraph(1 + max(j for _, j in labels), labels))
     ref = _reference_roots(sys, depth + 1)
-    assert max(r.depth for r in ref) == depth
-    R = np.array([r.vector for r in ref])
-    for r in ref:
-        negated = (R @ sys.reflection_in(r.vector).T).sum(axis=1) < 0
-        assert np.count_nonzero(negated) == 2 * r.depth - 1
+    assert max(len(w) for _, w in ref) == depth
+    R = np.array([v for v, _ in ref])
+    for vector, word in ref:
+        negated = (R @ sys.reflection_in(vector).T).sum(axis=1) < 0
+        assert np.count_nonzero(negated) == 2 * len(word) - 1
     _assert_roots_match_the_reference(sys, depth + 1)
 
 
@@ -170,7 +170,7 @@ def test_roots_match_the_reference_on_generated_graphs(graph):
 def test_universal_root_counts_match_the_closed_form(name, depth):
     # A universal Coxeter system of rank n has n (n - 1)^(d - 1) roots of depth d.
     sys = make_system(name)
-    counts = Counter(r.depth for r in roots_by_depth(sys, depth))
+    counts = Counter(len(w) for w in roots_by_depth(sys, depth).words)
     n = sys.rank
     for d in range(1, depth + 1):
         assert counts[d] == n * (n - 1) ** (d - 1)
@@ -202,7 +202,8 @@ def test_singular_form_has_no_weights():
 
 
 def test_simple_pair_intersections_space_like(sys_u11):
-    cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 1))
+    roots = roots_by_depth(sys_u11, 1)
+    cis = codim2_spacelike(sys_u11, roots)
     assert len(cis) == 3
     for ci in cis:
         assert ci.kind is IntersectionKind.SPACE_LIKE
@@ -211,7 +212,7 @@ def test_simple_pair_intersections_space_like(sys_u11):
         assert ci.basis.shape == (3, 1)
         v = ci.basis[:, 0]
         for r in ci.pair:
-            assert abs(v @ sys_u11.form @ r.vector) < 1e-10
+            assert abs(v @ sys_u11.form @ roots.vectors[r]) < 1e-10
         assert v @ sys_u11.form @ v > 0
 
 
@@ -225,24 +226,25 @@ def _codim2_per_pair(sys, roots, tol=1e-9):
     """The per-pair loop ``codim2_spacelike`` replaced: one pairing, one
     null space and one ``eigvalsh`` per pair."""
     out = []
-    for r1, r2 in itertools.combinations(roots, 2):
-        pairing = float(r1.vector @ sys.form @ r2.vector)
+    for a, b in itertools.combinations(range(len(roots)), 2):
+        r1, r2 = roots.vectors[a], roots.vectors[b]
+        pairing = float(r1 @ sys.form @ r2)
         if pairing < -1.0 - tol:
             kind = IntersectionKind.SPACE_LIKE
         elif abs(pairing + 1.0) <= tol:
             kind = IntersectionKind.LIGHT_LIKE
         else:
             continue
-        basis = null_space(np.vstack([sys.form @ r1.vector, sys.form @ r2.vector]))
+        basis = null_space(np.vstack([sys.form @ r1, sys.form @ r2]))
         if basis.shape[1] != sys.rank - 2:
             raise ExtractionError(f"codimension-2 intersection has dimension {basis.shape[1]}")
         if kind is IntersectionKind.SPACE_LIKE:
             if np.min(np.linalg.eigvalsh(basis.T @ sys.form @ basis)) <= 0:
                 raise ExtractionError(
                     f"restricted form not positive-definite for pair "
-                    f"({r1.word_str()}, {r2.word_str()})"
+                    f"({word_to_str(roots.words[a])}, {word_to_str(roots.words[b])})"
                 )
-        out.append(Codim2Intersection(pair=(r1, r2), basis=basis, kind=kind, pairing=pairing))
+        out.append(Codim2Intersection(pair=(a, b), basis=basis, kind=kind, pairing=pairing))
     return out
 
 
@@ -257,8 +259,7 @@ def test_codim2_batch_matches_the_per_pair_loop(graph, depth):
     got, expected = codim2_spacelike(sys, roots), _codim2_per_pair(sys, roots)
     assert len(got) == len(expected) > 0
     for a, b in zip(got, expected):
-        assert a.pair[0] is b.pair[0] and a.pair[1] is b.pair[1]
-        assert a.kind is b.kind
+        assert a.pair == b.pair and a.kind is b.kind
         assert abs(a.pairing - b.pairing) <= 1e-12 * abs(b.pairing)
         np.testing.assert_allclose(
             a.basis @ a.basis.T, b.basis @ b.basis.T, rtol=0, atol=1e-14
@@ -271,31 +272,37 @@ def test_codim2_names_the_first_pair_without_a_definite_form():
     ``itertools.combinations`` order, as the per-pair loop does."""
     sys = SimpleNamespace(form=np.diag([1.0, 1.0, -1.0, -1.0]), rank=4)
     vectors = [(0, 0, 1, 0), (0, 0, 2, 1), (1, 0, 2, 0), (0, 1, 2, 0)]
-    roots = [Root(np.array(v, float), 1, (), k) for k, v in enumerate(vectors)]
+    roots = RootSet(np.array(vectors, float), [(k,) for k in range(len(vectors))])
     with pytest.raises(ExtractionError) as expected:
         _codim2_per_pair(sys, roots)
     with pytest.raises(ExtractionError) as got:
         codim2_spacelike(sys, roots)
     assert str(got.value) == str(expected.value)
     assert str(got.value).endswith("pair (s, u)")
-    assert codim2_spacelike(sys, roots[:2])[0].kind is IntersectionKind.SPACE_LIKE
+    first_two = RootSet(roots.vectors[:2], roots.words[:2])
+    assert codim2_spacelike(sys, first_two)[0].kind is IntersectionKind.SPACE_LIKE
 
 
 def test_intersection_equals_unimodular_subspace(sys_u11):
-    cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 2))
+    roots = roots_by_depth(sys_u11, 2)
+    cis = codim2_spacelike(sys_u11, roots)
     space_like = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
     assert space_like
-    verdicts, sines = intersection_equals_unimodular(sys_u11, space_like)
+    verdicts, sines = intersection_equals_unimodular(sys_u11, roots, space_like)
     assert verdicts == [True] * len(space_like)
     assert max(sines) < math.sin(1e-7)
 
 
 def test_reflection_pair_closed_form_matches_spectral(sys_u11):
-    cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 3))
+    roots = roots_by_depth(sys_u11, 3)
+    cis = codim2_spacelike(sys_u11, roots)
     space_like = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
     assert space_like
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        unit = decimal_unit_roots(sys_u11, roots)
     for ci in space_like:
-        a, b = (r.vector / math.sqrt(r.vector @ sys_u11.form @ r.vector) for r in ci.pair)
+        a, b = (v / math.sqrt(v @ sys_u11.form @ v) for v in roots.vectors[list(ci.pair)])
         c = -float(a @ sys_u11.form @ b)
         r = math.sqrt(c * c - 1)
         w = sys_u11.reflection_in(a) @ sys_u11.reflection_in(b)
@@ -307,7 +314,7 @@ def test_reflection_pair_closed_form_matches_spectral(sys_u11):
             )
         with decimal.localcontext() as ctx:
             ctx.prec = 60
-            (ua, Ba), (ub, Bb) = decimal_unit_roots(sys_u11, ci.pair)
+            (ua, Ba), (ub, Bb) = (unit[r] for r in ci.pair)
             w_dec, lam_dec, xm, u = reflection_pair_eigendata(ua, Ba, ub, Bb)
             assert float(lam_dec) == pytest.approx(lam, rel=1e-9)
             assert _eigen_residual(w_dec, xm, 1 / lam_dec) < 1e-40
@@ -319,7 +326,7 @@ def test_reflection_pair_closed_form_matches_spectral(sys_u11):
         assert err < 1e-12 * np.max(np.abs(w))
 
 
-def _per_pair_eigendata(sys, ci):
+def _per_pair_eigendata(sys, roots, ci):
     """The per-pair ``reflection_pair_eigendata`` that per-root data
     replaced: B and both roots converted and scaled for every pair."""
     from decimal import Decimal
@@ -333,7 +340,7 @@ def _per_pair_eigendata(sys, ci):
 
     n = sys.rank
     B = [[Decimal(x) for x in row] for row in sys.form.tolist()]
-    a, b = ([Decimal(x) for x in r.vector.tolist()] for r in ci.pair)
+    a, b = ([Decimal(x) for x in roots.vectors[r].tolist()] for r in ci.pair)
     a, b = (unit(v, dot(v, [dot(row, v) for row in B])) for v in (a, b))
     Ba, Bb = ([dot(row, v) for row in B] for v in (a, b))
     c = -dot(Ba, b)
@@ -356,30 +363,32 @@ def test_per_root_eigendata_matches_the_per_pair_reference(sys_u11):
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         unit = decimal_unit_roots(sys_u11, roots)
-        position = {id(r): k for k, r in enumerate(roots)}
         for ci in cis:
-            (a, Ba), (b, Bb) = (unit[position[id(r)]] for r in ci.pair)
+            (a, Ba), (b, Bb) = (unit[r] for r in ci.pair)
             got = reflection_pair_eigendata(a, Ba, b, Bb)
-            assert repr(got) == repr(_per_pair_eigendata(sys_u11, ci))
+            assert repr(got) == repr(_per_pair_eigendata(sys_u11, roots, ci))
 
 
 def test_pair_eigendata_refuses_a_light_like_pair(sys_u1):
-    ci = codim2_spacelike(sys_u1, roots_by_depth(sys_u1, 1))[0]
+    roots = roots_by_depth(sys_u1, 1)
+    ci = codim2_spacelike(sys_u1, roots)[0]
     assert ci.kind is IntersectionKind.LIGHT_LIKE
     with decimal.localcontext() as ctx:
         ctx.prec = 60
-        (a, Ba), (b, Bb) = decimal_unit_roots(sys_u1, ci.pair)
+        unit = decimal_unit_roots(sys_u1, roots)
+        (a, Ba), (b, Bb) = (unit[r] for r in ci.pair)
         with pytest.raises(ValueError, match="space-like pair"):
             reflection_pair_eigendata(a, Ba, b, Bb)
 
 
 def test_pair_eigendata_refuses_rank_four():
     sys = make_system("universal4:1")
-    cis = codim2_spacelike(sys, roots_by_depth(sys, 2))
-    ci = next(ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE)
+    roots = roots_by_depth(sys, 2)
+    ci = next(ci for ci in codim2_spacelike(sys, roots) if ci.kind is IntersectionKind.SPACE_LIKE)
     with decimal.localcontext() as ctx:
         ctx.prec = 60
-        (a, Ba), (b, Bb) = decimal_unit_roots(sys, ci.pair)
+        unit = decimal_unit_roots(sys, roots)
+        (a, Ba), (b, Bb) = (unit[r] for r in ci.pair)
         with pytest.raises(ValueError, match="needs rank 3, not rank 4"):
             reflection_pair_eigendata(a, Ba, b, Bb)
 
@@ -411,9 +420,8 @@ def test_cross_product_spans_the_fixed_line(graph):
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         unit = decimal_unit_roots(sys, roots)
-        position = {id(r): k for k, r in enumerate(roots)}
         for ci in cis:
-            (a, Ba), (b, Bb) = (unit[position[id(r)]] for r in ci.pair)
+            (a, Ba), (b, Bb) = (unit[r] for r in ci.pair)
             w, _, _, u = reflection_pair_eigendata(a, Ba, b, Bb)
             ref = _longest_projection(a, Ba, b, Bb)
             sign = 1 if sum(map(mul, u, ref)) > 0 else -1
@@ -431,11 +439,12 @@ def test_light_like_pairs_give_parabolic_products(graph, depth, count):
     pairing -1, s_a s_b is parabolic and its fixed isotropic vector lies
     in the intersection of the two hyperplanes."""
     sys = make_system(graph)
-    cis = codim2_spacelike(sys, roots_by_depth(sys, depth))
+    roots = roots_by_depth(sys, depth)
+    cis = codim2_spacelike(sys, roots)
     cis = [ci for ci in cis if ci.kind is IntersectionKind.LIGHT_LIKE]
-    pairs = [ci.pair for ci in cis]
     assert len(cis) == count
-    products = [sys.reflection_in(a.vector) @ sys.reflection_in(b.vector) for a, b in pairs]
+    R = [sys.reflection_in(v) for v in roots.vectors]
+    products = [R[a] @ R[b] for a, b in (ci.pair for ci in cis)]
     for ci, sc in zip(cis, classify_many(sys, products, det=1)):
         assert sc.kind is Kind.PARABOLIC
         v = sc.parabolic_vec / np.linalg.norm(sc.parabolic_vec)
@@ -451,12 +460,13 @@ def test_principal_sine_matches_subspace_angles(sys_u11):
     """The direct sine against scipy's angles: on the depth-3 space-like
     pairs, across unrelated intersections (large angles) and on random
     planes in R^5 (subspaces of dimension above one)."""
-    cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 3))
+    roots = roots_by_depth(sys_u11, 3)
+    cis = codim2_spacelike(sys_u11, roots)
     cis = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
     pairs = []
     for ci in cis:
-        r1, r2 = ci.pair
-        w = sys_u11.reflection_in(r1.vector) @ sys_u11.reflection_in(r2.vector)
+        r1, r2 = roots.vectors[list(ci.pair)]
+        w = sys_u11.reflection_in(r1) @ sys_u11.reflection_in(r2)
         pairs.append((ci.basis, unimodular_subspace(sys_u11, classify(sys_u11, w))))
     pairs += [(p.basis, q.basis) for p, q in zip(cis, cis[1:])]
     rng = np.random.default_rng(7)
@@ -473,48 +483,61 @@ def test_intersection_equals_unimodular_rejects_a_tilted_basis(sys_u11):
     """A direction B-orthogonal to the first root of the pair, at an angle
     theta from the intersection, passes only for theta below the 1e-7
     tolerance."""
-    cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 2))
+    roots = roots_by_depth(sys_u11, 2)
+    cis = codim2_spacelike(sys_u11, roots)
     ci = next(ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE)
-    plane = null_space((sys_u11.form @ ci.pair[0].vector)[None, :])
+    plane = null_space((sys_u11.form @ roots.vectors[ci.pair[0]])[None, :])
     off = plane @ null_space(ci.basis.T @ plane)
     cases = ((1e-9, True), (1e-6, False), (math.pi / 2, False))
     tilted = [
-        dataclasses.replace(ci, basis=math.cos(theta) * ci.basis + math.sin(theta) * off)
-        for theta, _ in cases
+        ci._replace(basis=math.cos(theta) * ci.basis + math.sin(theta) * off) for theta, _ in cases
     ]
-    assert intersection_equals_unimodular(sys_u11, tilted)[0] == [e for _, e in cases]
+    assert intersection_equals_unimodular(sys_u11, roots, tilted)[0] == [e for _, e in cases]
 
 
 def test_intersection_equals_unimodular_batch_matches_per_pair_reference(sys_u11):
     """One batch of true and tilted intersections against one ``classify``
     and one ``principal_sine`` per pair."""
-    cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 3))
+    roots = roots_by_depth(sys_u11, 3)
+    cis = codim2_spacelike(sys_u11, roots)
     cis = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
     batch = []
     for k, ci in enumerate(cis):
         theta = (0.0, 1e-9, 1e-6, math.pi / 2)[k % 4]
-        plane = null_space((sys_u11.form @ ci.pair[0].vector)[None, :])
+        plane = null_space((sys_u11.form @ roots.vectors[ci.pair[0]])[None, :])
         off = plane @ null_space(ci.basis.T @ plane)
-        batch.append(
-            dataclasses.replace(ci, basis=math.cos(theta) * ci.basis + math.sin(theta) * off)
-        )
+        batch.append(ci._replace(basis=math.cos(theta) * ci.basis + math.sin(theta) * off))
     expected = []
     for ci in batch:
-        r1, r2 = ci.pair
-        sc = classify(sys_u11, sys_u11.reflection_in(r1.vector) @ sys_u11.reflection_in(r2.vector))
+        r1, r2 = roots.vectors[list(ci.pair)]
+        sc = classify(sys_u11, sys_u11.reflection_in(r1) @ sys_u11.reflection_in(r2))
         assert sc.kind is Kind.HYPERBOLIC
         expected.append(float(principal_sine(ci.basis, unimodular_subspace(sys_u11, sc))))
-    verdicts, sines = intersection_equals_unimodular(sys_u11, batch)
+    verdicts, sines = intersection_equals_unimodular(sys_u11, roots, batch)
     assert verdicts == [s < math.sin(1e-7) for s in expected]
     assert verdicts == [k % 4 < 2 for k in range(len(batch))]
     assert sines == expected
 
 
+def test_intersection_equals_unimodular_reads_each_pair_by_its_rows(sys_u11):
+    """A pair's rows pick its reflections, whatever the batch: on a reversed
+    subset of the depth-4 space-like pairs, each pair gets the verdict and
+    the sine it gets in the full batch."""
+    roots = roots_by_depth(sys_u11, 4)
+    cis = codim2_spacelike(sys_u11, roots)
+    cis = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
+    verdicts, sines = intersection_equals_unimodular(sys_u11, roots, cis)
+    subset = cis[::-3]
+    assert len(subset) == 296 and subset[0].pair > subset[-1].pair
+    assert intersection_equals_unimodular(sys_u11, roots, subset) == (verdicts[::-3], sines[::-3])
+
+
 def test_stacked_reflection_products_match_the_per_pair_products(sys_u11, monkeypatch):
     """The products R_a R_b that ``intersection_equals_unimodular`` forms
-    from one reflection matrix per distinct root, in one stacked matmul,
-    equal one ``reflection_in`` product per pair bit for bit (depth 4)."""
-    cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 4))
+    from one reflection matrix per root row, in one stacked matmul, equal
+    one ``reflection_in`` product per pair bit for bit (depth 4)."""
+    roots = roots_by_depth(sys_u11, 4)
+    cis = codim2_spacelike(sys_u11, roots)
     cis = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
     seen = []
 
@@ -523,10 +546,10 @@ def test_stacked_reflection_products_match_the_per_pair_products(sys_u11, monkey
         return classify_many(sys, mats, det=det)
 
     monkeypatch.setattr(limitroots.arrangement, "classify_many", spy)
-    intersection_equals_unimodular(sys_u11, cis)
+    intersection_equals_unimodular(sys_u11, roots, cis)
     expected = [
-        sys_u11.reflection_in(ci.pair[0].vector) @ sys_u11.reflection_in(ci.pair[1].vector)
-        for ci in cis
+        sys_u11.reflection_in(roots.vectors[a]) @ sys_u11.reflection_in(roots.vectors[b])
+        for a, b in (ci.pair for ci in cis)
     ]
     assert len(seen) == 1 and seen[0].shape == (888, 3, 3)
     assert np.array_equal(seen[0], np.array(expected))
@@ -556,5 +579,5 @@ def test_weights_sit_on_simple_pair_intersections(sys_u11):
     cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 1))
     for w in fundamental_weights(sys_u11).T:
         wpt = to_chart(sys_u11, w)
-        best = min(chart_distance(wpt, ci.chart_point(sys_u11)) for ci in cis)
+        best = min(chart_distance(wpt, to_chart(sys_u11, ci.basis[:, 0])) for ci in cis)
         assert best < 1e-9

@@ -23,6 +23,7 @@ from limitroots.io import (
     write_pointset_json,
 )
 from limitroots.limits import PointSet
+from limitroots.projective import to_chart
 from limitroots.svg import render_svg
 
 
@@ -297,8 +298,8 @@ def test_svg_draws_no_intersection_at_infinity():
     sys = make_system("universal3:1")
     roots = roots_by_depth(sys, 3)
     cis = codim2_spacelike(sys, roots)
-    at_infinity = [ci for ci in cis if ci.chart_point(sys).at_infinity]
-    assert [(a.word_str(), b.word_str()) for a, b in (ci.pair for ci in at_infinity)] == [
+    at_infinity = [ci for ci in cis if to_chart(sys, ci.basis[:, 0]).at_infinity]
+    assert [tuple(word_to_str(roots.words[r]) for r in ci.pair) for ci in at_infinity] == [
         ("st", "ut"),
         ("su", "tu"),
         ("ts", "us"),
@@ -321,6 +322,45 @@ def test_cli_analyze(capsys):
 def test_cli_unknown_graph_is_input_error(capsys):
     assert main(["analyze", "--graph", "no-such-graph"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+_INF_EDGES = '{"i": 0, "j": 1, "m": "inf", "c": 1.1}, {"i": 1, "j": 2, "m": "inf", "c": 1.1}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"rank": "3"}', "rank must be an integer, got '3'"),
+        ('{"rank": 3.5}', "rank must be an integer, got 3.5"),
+        ('{"rank": true}', "rank must be an integer, got True"),
+        ('{"rank": 3, "edges": 5}', "graph JSON 'edges' must be a list of objects, got 5"),
+        ('{"rank": 3, "edges": [5]}', "graph JSON 'edges' must be a list of objects, got [5]"),
+        ('{"rank": 3, "edges": [{"i": 0, "j": 1}]}', "it needs i, j and m"),
+        ('{"rank": 3, "edges": [{"i": 0, "j": 1, "m": 2.5}]}', "label m_01 must be an integer, got 2.5"),
+        ('{"rank": 3, "edges": [{"i": 0, "j": 1, "m": "3"}]}', "label m_01 must be an integer, got '3'"),
+        ('{"rank": 3, "edges": [{"i": 0.7, "j": 1, "m": 3}]}', "edge index must be an integer, got 0.7"),
+        ('{"rank": 3, "edges": [{"i": 0, "j": true, "m": 3}]}', "edge index must be an integer, got True"),
+        ('{"rank": 3, "edges": [{"i": 0, "j": 2, "m": "inf", "c": "inf"}, %s]}' % _INF_EDGES,
+         "c_02 must be finite and >= 1, got inf"),
+        ('{"rank": 3, "edges": [{"i": 0, "j": 2, "m": "inf", "c": "nan"}, %s]}' % _INF_EDGES,
+         "c_02 must be finite and >= 1, got nan"),
+        ('{"rank": 3, "edges": [{"i": 0, "j": 2, "m": "inf", "c": NaN}, %s]}' % _INF_EDGES,
+         "c_02 must be finite and >= 1, got nan"),
+        ('{"rank": 3, "edges": [{"i": 0, "j": 2, "m": "inf", "c": [1]}]}',
+         "c-parameter of edge (0, 2) is not a number"),
+    ],
+    ids=["rank-str", "rank-float", "rank-bool", "edges-int", "edge-int", "no-m", "m-float",
+         "m-str", "i-float", "j-bool", "c-inf", "c-nan", "c-nan-literal", "c-list"],
+)
+def test_cli_analyze_refuses_a_malformed_graph(tmp_path, capsys, text, message):
+    """A malformed graph file is an input error (exit 2, one ``error:``
+    line), never a traceback, a silently truncated number or an infinite c."""
+    graph = tmp_path / "bad.json"
+    graph.write_text(text)
+    assert main(["analyze", "--graph", str(graph)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_cli_limit_roots_writes_outputs(tmp_path, capsys):

@@ -1,12 +1,12 @@
-"""Chart arithmetic, causal characters, and the light conic."""
+"""Chart arithmetic and the light conic."""
 
 import math
 
 import numpy as np
 import pytest
 
-from limitroots import causal_character, chart_distance, light_conic, to_chart
-from limitroots.projective import Causal, chart_distances, timelike_center
+from limitroots import chart_distance, light_conic, to_chart
+from limitroots.projective import chart_distances, timelike_center
 
 
 def test_chart_normalizes_height(sys_u1):
@@ -42,12 +42,6 @@ def test_distance_across_chart_boundary_is_infinite(sys_u1):
     inf_pt = to_chart(sys_u1, np.array([1.0, -1.0, 0.0]))
     assert chart_distance(aff, inf_pt) == math.inf
     assert chart_distance(inf_pt, inf_pt) == 0.0
-
-
-def test_causal_characters(sys_u1):
-    assert causal_character(sys_u1, np.array([1.0, 0.0, 0.0])) is Causal.SPACE_LIKE
-    assert causal_character(sys_u1, np.array([1.0, 1.0, 0.0])) is Causal.LIGHT_LIKE
-    assert causal_character(sys_u1, np.array([1.0, 1.0, 1.0])) is Causal.TIME_LIKE
 
 
 def test_timelike_center(sys_u1):

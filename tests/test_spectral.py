@@ -426,12 +426,14 @@ def test_raw_matrix_determinant_from_its_rounding_bound():
     and 6 the bound passes 1/2 and the float det has the wrong sign on 4 of
     48 and 50 of 96 elements: every raw matrix is refused."""
     sys = make_system("universal3:1.1")
+    roots = roots_by_depth(sys, 4)
     pairs = [
         ci.pair
-        for ci in codim2_spacelike(sys, roots_by_depth(sys, 4))
+        for ci in codim2_spacelike(sys, roots)
         if ci.kind is IntersectionKind.SPACE_LIKE
     ]
-    mats = np.stack([sys.reflection_in(a.vector) @ sys.reflection_in(b.vector) for a, b in pairs])
+    R = [sys.reflection_in(v) for v in roots.vectors]
+    mats = np.stack([R[a] @ R[b] for a, b in pairs])
     assert len(mats) == 888
     assert np.max(np.abs(np.linalg.det(mats) - 1)) > 1e-6
     batch = classify_many(sys, mats, det=1)
@@ -456,12 +458,14 @@ def test_rayleigh_steps_on_the_depth_5_sandwich_products(monkeypatch):
     that test: |M|_F reaches 5.9e4 here, and a seed that passes it can sit
     1.8e-9 from the eigenvector."""
     sys = make_system("universal3:1.1")
+    roots = roots_by_depth(sys, 5)
     pairs = [
         ci.pair
-        for ci in codim2_spacelike(sys, roots_by_depth(sys, 5))
+        for ci in codim2_spacelike(sys, roots)
         if ci.kind is IntersectionKind.SPACE_LIKE
     ]
-    mats = np.stack([sys.reflection_in(a.vector) @ sys.reflection_in(b.vector) for a, b in pairs])
+    R = [sys.reflection_in(v) for v in roots.vectors]
+    mats = np.stack([R[a] @ R[b] for a, b in pairs])
     stepped = []
     rayleigh = spectral._rayleigh
 
