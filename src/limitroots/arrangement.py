@@ -80,11 +80,12 @@ def roots_by_depth(sys, max_depth):
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     n, act = sys.rank, sys.small_roots
+    letter = np.min_scalar_type(n - 1)
     D = np.array([g[t] for t, g in enumerate(sys.gens)]) - np.eye(n)
-    X, P, W, base = np.eye(n), sys.form, np.empty((n, 0), int), np.arange(n)
+    X, P, W, base = np.eye(n), sys.form, np.empty((n, 0), letter), np.arange(n, dtype=letter)
     levels = [(X, W, base)]
     for _ in range(2, max_depth + 1):
-        T, V = np.repeat(np.arange(n), len(W)), np.tile(np.arange(len(W)), n)
+        T, V = np.repeat(np.arange(n, dtype=letter), len(W)), np.tile(np.arange(len(W)), n)
         words = np.column_stack((T, W[V], base[V], W[V, ::-1], T))
         reduced, S = _read_rows(act, words)
         keep = reduced & (np.argmax(S[:, :n], axis=1) == T)

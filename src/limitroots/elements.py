@@ -9,6 +9,10 @@ import numpy as np
 
 from .graphs import word_to_str
 
+# Rows of a level's matrices that ``enumerate_elements`` forms in one product,
+# so that its working memory does not grow with the level.
+_ROWS = 1 << 12
+
 
 class GroupElement(NamedTuple):
     """A group element: canonical reduced word plus its representation matrix,
@@ -243,7 +247,12 @@ def enumerate_elements(sys, max_length):
     Matrices.  M_u = M_p @ S_s, p and s the prefix and last letter of u's
     word, as a breadth-first search forms it.  The prefix of t v is t times
     the prefix of v: ``child[t, i]`` indexes t times element i one level
-    down.  Each level's matrices are one read-only (N, n, n) array.
+    down (the last level needs none).  Each level's matrices are one
+    read-only (N, n, n) array, filled last letter by last letter, ``_ROWS``
+    rows at a time through one reused product buffer.  Stacked matmul rounds
+    each matrix alike for any stack height, so the bytes do not depend on
+    ``_ROWS``, and the working memory above the store is that of one level's
+    states, prefixes and last letters plus the fixed buffer.
     """
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
@@ -255,6 +264,7 @@ def enumerate_elements(sys, max_length):
     act = sys.small_roots
     S = np.zeros((1, act.shape[1]), bool)
     store._add_level(W, M)
+    buf = np.empty((_ROWS, n, n))
     for length in range(1, max_length + 1):
         kept = []
         for t in range(n):
@@ -264,12 +274,17 @@ def enumerate_elements(sys, max_length):
             kept.append((np.full(np.count_nonzero(keep), t, letter), V[keep], St[keep]))
         T, V, S = map(np.concatenate, zip(*kept))
         prefix, last = (child[T, prefix[V]], last[V]) if length > 1 else (np.zeros_like(V), T)
-        child = np.full((n, len(W)), -1, np.intp)
-        child[T, V] = np.arange(len(V))
+        if length < max_length:
+            child = np.full((n, len(W)), -1, np.intp)
+            child[T, V] = np.arange(len(V))
         W = np.concatenate((T[:, None], W[V]), axis=1)
-        M_prev, M = M, np.empty((len(V), n, n))
+        del kept, St, keep, T, V
+        M_prev, M = M, np.empty((len(W), n, n))
         for s in range(n):
-            M[last == s] = M_prev[prefix[last == s]] @ gens[s]
+            rows = np.flatnonzero(last == s)
+            for lo in range(0, len(rows), _ROWS):
+                r = rows[lo : lo + _ROWS]
+                M[r] = np.matmul(M_prev[prefix[r]], gens[s], out=buf[: len(r)])
         store._add_level(W, M)
         if not len(W):
             break

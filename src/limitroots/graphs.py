@@ -92,13 +92,15 @@ class CoxeterGraph:
     def from_json(cls, text):
         """Read {"rank": n, "edges": [{"i": i, "j": j, "m": m, "c": c}, ...]}:
         rank, indices and finite labels are integers (not bools), m = "inf"
-        (or "infinity") needs a finite c >= 1, and other input is a GraphError."""
+        (or "infinity") needs a finite c >= 1 (a number, not a bool), a finite
+        m takes no c, and other input, an unknown key included, is a GraphError."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphError(f"invalid graph JSON: {exc}") from exc
         if not isinstance(data, dict) or "rank" not in data:
             raise GraphError("graph JSON must be an object with a 'rank' field")
+        _known_keys(data, {"rank", "edges"}, "graph JSON")
         edges = data.get("edges", [])
         if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
             raise GraphError(f"graph JSON 'edges' must be a list of objects, got {edges!r}")
@@ -107,6 +109,7 @@ class CoxeterGraph:
         for edge in edges:
             if not {"i", "j", "m"} <= edge.keys():
                 raise GraphError(f"malformed edge {edge!r}: it needs i, j and m")
+            _known_keys(edge, {"i", "j", "m", "c"}, f"edge {edge!r}")
             i, j = _integer(edge["i"], "edge index"), _integer(edge["j"], "edge index")
             if i == j:
                 raise GraphError(f"self edge on generator {i}")
@@ -117,14 +120,33 @@ class CoxeterGraph:
             if m in ("inf", "infinity"):
                 if "c" not in edge:
                     raise GraphError(f"infinite edge ({i}, {j}) has no c-parameter")
-                try:
-                    cparams[key] = float(edge["c"])
-                except (TypeError, ValueError) as exc:
-                    raise GraphError(f"c-parameter of edge ({i}, {j}) is not a number") from exc
+                cparams[key] = _number(edge["c"], f"c-parameter of edge ({i}, {j})")
                 labels[key] = INF
+            elif "c" in edge:
+                raise GraphError(f"c-parameter on non-infinite edge ({i}, {j}), m = {m!r}")
             else:
                 labels[key] = _integer(m, f"label m_{key[0]}{key[1]}")
         return cls(rank=_integer(data["rank"], "rank"), labels=labels, cparams=cparams)
+
+
+def _known_keys(obj, known, what):
+    """A GraphError naming the keys of ``obj`` outside ``known``, if any."""
+    unknown = sorted(obj.keys() - known)
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise GraphError(f"{what} has unknown key {names}; known: {', '.join(sorted(known))}")
+
+
+def _number(value, what):
+    """float(``value``) for a JSON number, or a string that float reads ("inf"
+    and "nan" are left for ``CoxeterGraph`` to refuse); a bool or any other
+    value is a GraphError."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise GraphError(f"{what} is not a number, got {value!r}")
 
 
 def _integer(value, what):

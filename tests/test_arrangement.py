@@ -34,6 +34,7 @@ from limitroots.arrangement import (
     principal_sine,
     reflection_pair_eigendata,
 )
+from limitroots.elements import _read_rows
 from limitroots.errors import ExtractionError
 from limitroots.graphs import word_to_str
 from limitroots.projective import chart_distance
@@ -66,6 +67,37 @@ def test_root_word_reproduces_vector(sys_u1):
     for vector, word in zip(roots.vectors, roots.words):
         w = element_of(sys_u1, word[:-1])
         np.testing.assert_allclose(w.matrix @ np.eye(3)[word[-1]], vector, atol=1e-9)
+
+
+def _roots_by_depth_int64(sys, max_depth):
+    """``roots_by_depth`` with its word table in int64: (vectors, words)."""
+    n, act = sys.rank, sys.small_roots
+    D = np.array([g[t] for t, g in enumerate(sys.gens)]) - np.eye(n)
+    X, P, W, base = np.eye(n), sys.form, np.empty((n, 0), np.int64), np.arange(n, dtype=np.int64)
+    levels = [(X, W, base)]
+    for _ in range(2, max_depth + 1):
+        T, V = np.repeat(np.arange(n, dtype=np.int64), len(W)), np.tile(np.arange(len(W)), n)
+        words = np.column_stack((T, W[V], base[V], W[V, ::-1], T))
+        reduced, S = _read_rows(act, words)
+        keep = reduced & (np.argmax(S[:, :n], axis=1) == T)
+        T, V = T[keep], V[keep]
+        X = X[V]
+        X[np.arange(len(V)), T] -= 2 * P[V, T]
+        P, W, base = P[V] + P[V, T, None] * D[T], np.column_stack((T, W[V])), base[V]
+        levels.append((X, W, base))
+    words = tuple(tuple(w) for _, W, base in levels for w in np.column_stack((W, base)).tolist())
+    return np.concatenate([X for X, _, _ in levels]), words
+
+
+def test_roots_match_the_int64_word_table():
+    """The word table in the letter dtype gives the int64 table's roots: the
+    same vector bytes, and the same words as tuples of Python ints."""
+    sys = make_system("fig1b")
+    roots = roots_by_depth(sys, 9)
+    vectors, words = _roots_by_depth_int64(sys, 9)
+    assert roots.vectors.tobytes() == vectors.tobytes() and len(roots) == len(words) == 13243
+    assert roots.words == words
+    assert {type(a) for w in roots.words for a in w} == {int}
 
 
 def _reference_roots(sys, max_depth):

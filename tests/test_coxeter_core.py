@@ -22,6 +22,7 @@ from limitroots import (
     roots_by_depth,
     universal,
 )
+from limitroots import elements
 from limitroots.elements import GroupElement
 from limitroots.errors import EnumerationError, GraphError
 from limitroots.geometry import (
@@ -458,6 +459,39 @@ def test_store_retains_under_200_bytes_per_element():
     finally:
         tracemalloc.stop()
     assert retained / len(store) < 200
+
+
+def test_store_build_holds_under_50_transient_bytes_per_element():
+    """Working memory of the build above the store it returns: the traced
+    peak less the retained bytes, per element, on fig1b at length 10.  The
+    level products run a fixed row count at a time through one buffer, so
+    this measured 37 B/element; the whole-letter products before that took
+    87.  The bound leaves 13 B/element (a third) of margin."""
+    sys = make_system("fig1b")
+    enumerate_elements(sys, 3)
+    tracemalloc.start()
+    try:
+        store = enumerate_elements(sys, 10)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - retained) / len(store) < 50
+
+
+@pytest.mark.parametrize("name, length", [("fig1b", 8), ("universal4:10", 6)])
+def test_level_bytes_do_not_depend_on_the_product_chunk(monkeypatch, name, length):
+    """Every level's words and matrix bytes are those of the default build
+    when the products run 7 rows at a time, so most chunks of a letter are
+    full and its last one is not."""
+    sys = make_system(name)
+    default = enumerate_elements(sys, length)
+    monkeypatch.setattr(elements, "_ROWS", 7)
+    small = enumerate_elements(sys, length)
+    assert small.counts() == default.counts()
+    for k in range(length + 1):
+        (W, M), (W7, M7) = default.level(k), small.level(k)
+        assert W7.dtype == W.dtype and W7.tobytes() == W.tobytes()
+        assert M7.tobytes() == M.tobytes()
 
 
 def test_small_root_build_raises_inside_its_minus_one_margin():

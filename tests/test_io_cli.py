@@ -348,9 +348,18 @@ _INF_EDGES = '{"i": 0, "j": 1, "m": "inf", "c": 1.1}, {"i": 1, "j": 2, "m": "inf
          "c_02 must be finite and >= 1, got nan"),
         ('{"rank": 3, "edges": [{"i": 0, "j": 2, "m": "inf", "c": [1]}]}',
          "c-parameter of edge (0, 2) is not a number"),
+        ('{"rank": 2, "edges": [{"i": 0, "j": 1, "m": "inf", "c": true}]}',
+         "c-parameter of edge (0, 1) is not a number, got True"),
+        ('{"rank": 2, "edges": [{"i": 0, "j": 1, "m": 3, "c": 2}]}',
+         "c-parameter on non-infinite edge (0, 1), m = 3"),
+        ('{"rank": 3, "Edges": [{"i": 0, "j": 1, "m": "inf", "c": 1.1}]}',
+         "graph JSON has unknown key 'Edges'; known: edges, rank"),
+        ('{"rank": 3, "edges": [{"i": 0, "j": 1, "m": 3, "C": 2}]}',
+         "has unknown key 'C'; known: c, i, j, m"),
     ],
     ids=["rank-str", "rank-float", "rank-bool", "edges-int", "edge-int", "no-m", "m-float",
-         "m-str", "i-float", "j-bool", "c-inf", "c-nan", "c-nan-literal", "c-list"],
+         "m-str", "i-float", "j-bool", "c-inf", "c-nan", "c-nan-literal", "c-list", "c-bool",
+         "c-on-finite-edge", "unknown-graph-key", "unknown-edge-key"],
 )
 def test_cli_analyze_refuses_a_malformed_graph(tmp_path, capsys, text, message):
     """A malformed graph file is an input error (exit 2, one ``error:``
