@@ -120,7 +120,8 @@ class ElementSequence(Sequence):
 
     Each access builds a fresh ``GroupElement`` from the level arrays, with
     its store and row as ``origin``: two accesses give equal elements, not
-    identical objects.
+    identical objects.  Iteration builds the elements of each level slice
+    with one ``map(tuple.__new__, ...)``, with no Python frame per element.
     ``rows`` is a ``range`` of store rows; slicing narrows it.
     """
 
@@ -147,7 +148,8 @@ class ElementSequence(Sequence):
             if part:
                 local = slice(part.start - starts[k], part.stop - starts[k], part.step)
                 words = map(tuple, W[local].tolist())
-                yield from map(GroupElement, words, M[local], zip(repeat(self._store), part))
+                origins = zip(repeat(self._store), part)
+                yield from map(tuple.__new__, repeat(GroupElement), zip(words, M[local], origins))
 
     def __repr__(self):
         return f"ElementSequence({len(self)} elements)"
@@ -214,13 +216,9 @@ class ElementStore:
     def _lengths(self, lo, hi):
         return range(max(lo, 0), min(hi, self.max_length) + 1)
 
-    def locate(self, i):
-        """(length k, index in level k) of store row i."""
-        k = bisect_right(self._starts, i) - 1
-        return k, i - self._starts[k]
-
     def _element(self, i):
-        k, j = self.locate(i)
+        k = bisect_right(self._starts, i) - 1
+        j = i - self._starts[k]
         return GroupElement(tuple(self._words[k][j].tolist()), self._mats[k][j], (self, i))
 
     def _add_level(self, W, M):

@@ -15,6 +15,7 @@ product (``_hyperbolic_classes``).
 
 import enum
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +64,13 @@ class SpectralClass(NamedTuple):
     parabolic_vec: np.ndarray = None
     unimodular_basis: np.ndarray = None
     order: int = None
+
+
+def _records(kind, **columns):
+    """``SpectralClass(kind, **row)`` for each row of the field columns, the
+    other fields None, built by ``tuple.__new__`` with no Python frame."""
+    fields = (columns.get(name, repeat(None)) for name in SpectralClass._fields[1:])
+    return map(tuple.__new__, repeat(SpectralClass), zip(repeat(kind), *fields))
 
 
 def _determinants(sys, M):
@@ -225,17 +233,11 @@ def _hyperbolic_classes(sys, M, x, Q, f):
     aa, ab, bb = _row_sum(a * a), _row_sum(a * b), _row_sum(b * b)
     rr = _row_sum((b - (ab / aa)[:, None] * a) ** 2)
     independent = np.sqrt(aa * rr) > _EPS * n * (aa + bb + np.hypot(aa - bb, 2 * ab)) / 2
-    rows = zip(lam.tolist(), independent.tolist(), X[:, 0], X[:, 1])
-    for i, (l, ok, plus, minus) in enumerate(rows):
-        if out[i] is None:
-            out[i] = (
-                SpectralClass(Kind.HYPERBOLIC, (l, plus, minus))
-                if ok
-                else ClassificationError(
-                    f"unimodular complement has dimension {n - 1}, expected {n - 2}"
-                )
-            )
-    return out
+    dependent = f"unimodular complement has dimension {n - 1}, expected {n - 2}"
+    for i in np.flatnonzero(~independent).tolist():
+        out[i] = out[i] or ClassificationError(dependent)
+    records = _records(Kind.HYPERBOLIC, dominant=zip(lam.tolist(), X[:, 0], X[:, 1]))
+    return [error or sc for error, sc in zip(out, records)]
 
 
 def _row_sum(A):
@@ -320,22 +322,25 @@ def classify(sys, elem):
     row checks that ``sys`` is Lorentzian and classifies the block of
     BLOCK_ROWS rows of its level that holds it as one stack, kept for the
     store's lifetime (a refused store keeps none), and a row's error is
-    raised only when that row is asked for.  Any other element or matrix is a stack of one.
-    A row's class does not depend on its stack, so both give the same bits.
+    raised only when that row is asked for.  The row's level is its word's
+    length, so the block is one dict lookup away.  Any other element or
+    matrix is a stack of one.  A row's class does not depend on its stack,
+    so both give the same bits.
     """
     if not isinstance(elem, GroupElement):
         return classify_many(sys, np.asarray(elem)[None])[0]
     if elem.origin is None or elem.origin[0].sys is not sys:
         return classify_many(sys, elem.matrix[None], (-1.0) ** elem.length)[0]
     store, row = elem.origin
-    k, j = store.locate(row)
-    b, i = divmod(j, BLOCK_ROWS)
+    k = len(elem.word)
+    b, i = divmod(row - store._starts[k], BLOCK_ROWS)
     block = store.class_blocks.get((k, b))
     if block is None:
         sys.require_lorentzian("spectral classification")
         M = store.level(k)[1][b * BLOCK_ROWS : (b + 1) * BLOCK_ROWS]
         block = store.class_blocks[k, b] = _classify_rows(sys, M, (-1.0) ** k)
-    return _checked(block[i])
+    sc = block[i]
+    return sc if type(sc) is SpectralClass else _checked(sc)
 
 
 def classify_many(sys, mats, det=None):
@@ -409,14 +414,13 @@ def _unimodular_classes(sys, M, det, unit, eps):
     bound = sys.finite_order_bound
     unit = unit & np.isfinite(M).all(axis=(1, 2))
     order, stop = _powering(M, det != 0, bound)
-    out, suffix = [None] * len(M), {}
+    out, suffix = list(_records(Kind.ELLIPTIC, order=order.tolist())), {}
     rows = zip(det.tolist(), order.tolist(), stop.tolist(), unit.tolist())
     for i, (d, k, s, u) in enumerate(rows):
+        if k:  # elliptic, its record in place
+            continue
         if not d:
             out[i] = ClassificationError("not a B-isometry of determinant +-1")
-            continue
-        if k:
-            out[i] = SpectralClass(kind=Kind.ELLIPTIC, order=k)
             continue
         powering = f"no identity power up to the finite order bound {bound}"
         if s < bound:
@@ -508,21 +512,19 @@ def _parabolic_classes(sys, M, eps):
     F = A.reshape(len(rows), 1, n * n)
     scale = np.fmax(1.0, np.sqrt((F @ np.swapaxes(F, 1, 2))[:, 0, 0]) ** 2)
     vec = _parabolic_vectors(sys, vt[rows], w[rows])
+    U = U[rows]
     U.setflags(write=False)
-    for j, (i, d, ok, e) in enumerate(
-        zip(rows.tolist(), defect.tolist(), (defect <= 1e-7 * scale).tolist(), eps[rows].tolist())
-    ):
-        e = int(e)
+    e = eps[rows].astype(int).tolist()
+    records = _records(Kind.PARABOLIC, parabolic_eps=e, parabolic_vec=vec, unimodular_basis=U)
+    verified = (defect <= 1e-7 * scale).tolist()
+    for i, d, ok, sc in zip(rows.tolist(), defect.tolist(), verified, records):
         if not ok:
-            out[i] = BorderlineSpectrumError(
-                f"parabolic verification failed: |(M - {e} I)^2 on U_perp| = {d:g}"
+            sc = BorderlineSpectrumError(
+                f"parabolic verification failed: |(M - {sc.parabolic_eps} I)^2 on U_perp| = {d:g}"
             )
-        elif isinstance(vec[j], Exception):
-            out[i] = vec[j]
-        else:
-            out[i] = SpectralClass(
-                kind=Kind.PARABOLIC, parabolic_eps=e, parabolic_vec=vec[j], unimodular_basis=U[i]
-            )
+        elif isinstance(sc.parabolic_vec, Exception):
+            sc = sc.parabolic_vec
+        out[i] = sc
     return out
 
 

@@ -433,6 +433,28 @@ def test_element_matrices_are_views_of_their_level():
             assert not e.matrix.flags.writeable
 
 
+@pytest.mark.parametrize("graph, length", [("fig1b", 6), ("universal3:1.1", 5)])
+def test_iterated_elements_are_group_elements_of_their_rows(graph, length):
+    """Iteration builds its records without ``GroupElement``'s constructor:
+    forward and reversed, each is a ``GroupElement`` whose word holds Python
+    ints, equal to the element read by index in word, matrix bytes and
+    origin, with a read-only view of its level as matrix."""
+    store = enumerate_elements(make_system(graph), length)
+    elements = store.elements
+    rows = range(len(store))
+    for order, got in ((rows, iter(elements)), (rows[::-1], reversed(elements))):
+        got = list(got)
+        assert len(got) == len(store)
+        for i, e in zip(order, got):
+            want = elements[i]
+            assert type(e) is GroupElement
+            assert all(type(s) is int for s in e.word)
+            assert e.word == want.word and e.origin == want.origin == (store, i)
+            assert e.matrix.tobytes() == want.matrix.tobytes()
+            assert np.shares_memory(e.matrix, store.level(len(e.word))[1])
+            assert not e.matrix.flags.writeable
+
+
 @settings(max_examples=25, deadline=None)
 @given(_graphs())
 def test_level_words_match_the_reference_on_generated_graphs(graph):

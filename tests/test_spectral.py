@@ -1,6 +1,7 @@
 """Elliptic / parabolic / hyperbolic classification and eigendirections."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import mpmath
@@ -17,7 +18,12 @@ from limitroots import (
 )
 from limitroots import spectral
 from limitroots.arrangement import IntersectionKind, codim2_spacelike, roots_by_depth
-from limitroots.errors import BorderlineSpectrumError, ClassificationError, NotLorentzianError
+from limitroots.errors import (
+    BorderlineSpectrumError,
+    ClassificationError,
+    ExtractionError,
+    NotLorentzianError,
+)
 from limitroots.graphs import INF, CoxeterGraph
 from limitroots.elements import GroupElement, enumerate_elements
 from limitroots.spectral import Kind, classify_many
@@ -611,6 +617,87 @@ def test_store_blocks_match_one_element_and_one_matrix():
         for name in spectral.SpectralClass._fields:
             with pytest.raises(AttributeError):
                 setattr(sc, name, None)
+
+
+def _record_bits(sc):
+    """Every field of a class record, scalars with their types and arrays
+    as (dtype, shape, bytes, writeable)."""
+
+    def raw(v):
+        if isinstance(v, np.ndarray):
+            return v.dtype.str, v.shape, v.tobytes(), v.flags.writeable
+        return type(v), v
+
+    assert type(sc) is spectral.SpectralClass
+    dominant = sc.dominant and tuple(map(raw, sc.dominant))
+    return (sc.kind, dominant) + tuple(map(raw, sc[2:]))
+
+
+def test_every_store_row_classifies_as_its_whole_level():
+    """fig1b up to length 9: each of the 20,696 rows classifies through
+    ``classify`` (blocks of 1,024 rows) with the fields, bit for bit, that
+    ``classify_many`` gives it on its whole level, and every 97th hyperbolic
+    row also as a stack of one."""
+    sys = make_system("fig1b")
+    store = enumerate_elements(sys, 9)
+    kinds = Counter()
+    for k in range(store.max_length + 1):
+        level = classify_many(sys, store.level(k)[1], det=(-1.0) ** k)
+        for elem, sc in zip(store.of_length(k), level):
+            assert _record_bits(classify(sys, elem)) == _record_bits(sc)
+            if sc.kind is Kind.HYPERBOLIC and kinds[sc.kind] % 97 == 0:
+                alone = classify_many(sys, elem.matrix[None], det=(-1.0) ** k)[0]
+                assert _record_bits(alone) == _record_bits(sc)
+            kinds[sc.kind] += 1
+    assert kinds == {Kind.HYPERBOLIC: 19832, Kind.PARABOLIC: 326, Kind.ELLIPTIC: 538}
+
+
+def test_hyperbolic_stack_keeps_each_rows_class_or_error():
+    """One stack of a good hyperbolic row, a row whose eigendirections have
+    zero height (and so are also dependent) and a row whose eigendirections
+    are dependent: each row gets what it gets as a stack of one, and the
+    zero-height ExtractionError wins over the independence test."""
+    sys = make_system("fig1b")
+    word = (0, 1, 2, 3)
+    good = element_of(sys, word).matrix
+    x, _, _, _, Q, f = spectral._trace_rule(good[None], np.ones(1))
+    flat, skew = np.array([1.0, -1.0, 0.0, 0.0]), np.array([1.0, 2.0, 3.0, 5.0])
+    M = np.stack([good, 3.0 * np.eye(4), 3.0 * np.eye(4)])
+    Q = np.stack([Q[0]] + [np.outer(v, sys.form @ v) for v in (flat, skew)])
+    x, f = np.array([x[0], 3 + 1 / 3, 3 + 1 / 3]), np.array([f[0], 6.0, 6.0])
+    got = spectral._hyperbolic_classes(sys, M, x, Q, f)
+    for i, sc in enumerate(got):
+        s = slice(i, i + 1)
+        alone = spectral._hyperbolic_classes(sys, M[s], x[s], Q[s], f[s])[0]
+        assert _stored(sys, sc) == _stored(sys, alone)
+    assert _stored(sys, got[0]) == _outcome(sys, element_of(sys, word))
+    assert got[0].kind is Kind.HYPERBOLIC
+    zero_height = "eigendirection has zero height; not in the chart"
+    assert _stored(sys, got[1])[:2] == (ExtractionError, zero_height)
+    dependent = "unimodular complement has dimension 3, expected 2"
+    assert _stored(sys, got[2])[:2] == (ClassificationError, dependent)
+
+
+def test_classified_store_retains_under_700_bytes_per_row():
+    """fig1b up to length 9 with every row classified: the store and its
+    class blocks retain 601 bytes per row (``tracemalloc``; the same with
+    per-row record constructors), about 400 of them the hyperbolic records,
+    their eigendirection views and the arrays behind them.  The bound leaves
+    99 bytes per row (16%) of margin."""
+    sys = make_system("fig1b")
+    for elem in enumerate_elements(sys, 3):
+        classify(sys, elem)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = enumerate_elements(sys, 9)
+        for elem in store:
+            classify(sys, elem)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 20696
+    assert retained / len(store) < 700
 
 
 def test_stored_errors_are_raised_by_their_own_rows():
