@@ -93,9 +93,10 @@ class CoxeterGraph:
         """Read {"rank": n, "edges": [{"i": i, "j": j, "m": m, "c": c}, ...]}:
         rank, indices and finite labels are integers (not bools), m = "inf"
         (or "infinity") needs a finite c >= 1 (a number, not a bool), a finite
-        m takes no c, and other input, an unknown key included, is a GraphError."""
+        m takes no c, and other input, an unknown or repeated key included, is a
+        GraphError."""
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise GraphError(f"invalid graph JSON: {exc}") from exc
         if not isinstance(data, dict) or "rank" not in data:
@@ -127,6 +128,17 @@ class CoxeterGraph:
             else:
                 labels[key] = _integer(m, f"label m_{key[0]}{key[1]}")
         return cls(rank=_integer(data["rank"], "rank"), labels=labels, cparams=cparams)
+
+
+def _unique_keys(pairs):
+    """The JSON object of ``pairs``, or a GraphError naming a key it repeats
+    (``json.loads`` alone keeps the last value)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise GraphError(f"graph JSON repeats key {key!r} in one object")
+        obj[key] = value
+    return obj
 
 
 def _known_keys(obj, known, what):

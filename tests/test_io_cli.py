@@ -356,10 +356,14 @@ _INF_EDGES = '{"i": 0, "j": 1, "m": "inf", "c": 1.1}, {"i": 1, "j": 2, "m": "inf
          "graph JSON has unknown key 'Edges'; known: edges, rank"),
         ('{"rank": 3, "edges": [{"i": 0, "j": 1, "m": 3, "C": 2}]}',
          "has unknown key 'C'; known: c, i, j, m"),
+        ('{"rank": 2, "edges": [{"i": 0, "j": 1, "m": 3, "m": "inf", "c": 1.1}]}',
+         "graph JSON repeats key 'm' in one object"),
+        ('{"rank": 2, "rank": 3, "edges": []}', "graph JSON repeats key 'rank' in one object"),
     ],
     ids=["rank-str", "rank-float", "rank-bool", "edges-int", "edge-int", "no-m", "m-float",
          "m-str", "i-float", "j-bool", "c-inf", "c-nan", "c-nan-literal", "c-list", "c-bool",
-         "c-on-finite-edge", "unknown-graph-key", "unknown-edge-key"],
+         "c-on-finite-edge", "unknown-graph-key", "unknown-edge-key", "repeated-edge-key",
+         "repeated-graph-key"],
 )
 def test_cli_analyze_refuses_a_malformed_graph(tmp_path, capsys, text, message):
     """A malformed graph file is an input error (exit 2, one ``error:``
