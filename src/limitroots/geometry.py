@@ -20,7 +20,9 @@ FINITE_ZERO_TOL = 1e-12
 
 def build_form(graph: CoxeterGraph) -> np.ndarray:
     """Symmetric matrix of the bilinear form: 1 on the diagonal,
-    -cos(pi/m) for finite labels, -c for infinite labels."""
+    -cos(pi/m) for finite labels, -c for infinite labels, and an exact 0
+    for m = 2 (the float -cos(pi/2), -6.1e-17, left s_i s_j and s_j s_i
+    apart by about 2e-16)."""
     n = graph.rank
     B = np.eye(n)
     for i in range(n):
@@ -28,6 +30,8 @@ def build_form(graph: CoxeterGraph) -> np.ndarray:
             m = graph.label(i, j)
             if m is INF:
                 v = -graph.cparam(i, j)
+            elif m == 2:
+                v = 0.0
             else:
                 v = -math.cos(math.pi / m)
             B[i, j] = B[j, i] = v
@@ -116,7 +120,7 @@ def reflect_rows(gens, t, X):
 
     (x S_t)_j = x_j + x_t d_j, d = S_t[t] - e_t: a root's pairings B beta
     under beta -> s_t beta.  The float d_j is within 3 ulps of max(|d_j|, 1)
-    (m = 2 gives 1.2e-16, not 0), so the step adds at most 16 u (|x_j| +
+    (m = 2 gives exactly 0), so the step adds at most 16 u (|x_j| +
     |x_t| (|d_j| + 1)) to |x_j - x_exact_j|: 2 ulps for the product and the
     sum, 3 for d_j, a few for second-order terms and for rounding the bound.
     """

@@ -1,6 +1,7 @@
 """Graphs, bilinear forms, generator matrices, and group enumeration."""
 
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -32,7 +33,7 @@ from limitroots.geometry import (
     signature,
     system_type,
 )
-from limitroots.graphs import INF, str_to_word, word_to_str
+from limitroots.graphs import INF, builtin_names, str_to_word, word_to_str
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +101,25 @@ def test_dihedral_form_uses_cosine():
     B = build_form(dihedral(3))
     assert B[0, 1] == pytest.approx(-math.cos(math.pi / 3))
     assert B[0, 1] == pytest.approx(-0.5)
+
+
+def test_absent_edges_give_commuting_generators():
+    """On every builtin graph with an absent edge, and on an edge given
+    m = 2 in JSON, the form entry of the pair is exactly 0.0 and the two
+    generator matrices commute exactly."""
+    edges = [{"i": 0, "j": 1, "m": 3}, {"i": 0, "j": 2, "m": 2}, {"i": 1, "j": 2, "m": 3}]
+    explicit = CoxeterGraph.from_json(json.dumps({"rank": 3, "edges": edges}))
+    names = [name for name in builtin_names() if "<" not in name]
+    found = {}
+    for name, graph in [(name, builtin(name)) for name in names] + [("explicit", explicit)]:
+        sys = make_system(graph)
+        pairs = itertools.combinations(range(sys.rank), 2)
+        for i, j in [(i, j) for i, j in pairs if graph.label(i, j) == 2]:
+            assert sys.form[i, j] == sys.form[j, i] == 0.0
+            S, T = sys.gens[i], sys.gens[j]
+            assert np.array_equal(S @ T, T @ S)
+            found[name] = found.get(name, 0) + 1
+    assert found == {"a3": 1, "fig1a": 3, "fig8": 6, "explicit": 1}
 
 
 def test_signatures():
