@@ -21,8 +21,8 @@ FINITE_ZERO_TOL = 1e-12
 def build_form(graph: CoxeterGraph) -> np.ndarray:
     """Symmetric matrix of the bilinear form: 1 on the diagonal,
     -cos(pi/m) for finite labels, -c for infinite labels, and an exact 0
-    for m = 2 (the float -cos(pi/2), -6.1e-17, left s_i s_j and s_j s_i
-    apart by about 2e-16)."""
+    for m = 2, so that commuting generators commute exactly (the float
+    -cos(pi/2) is -6.1e-17)."""
     n = graph.rank
     B = np.eye(n)
     for i in range(n):

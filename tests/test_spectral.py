@@ -680,10 +680,9 @@ def test_hyperbolic_stack_keeps_each_rows_class_or_error():
 
 def test_classified_store_retains_under_700_bytes_per_row():
     """fig1b up to length 9 with every row classified: the store and its
-    class blocks retain 601 bytes per row (``tracemalloc``; the same with
-    per-row record constructors), about 400 of them the hyperbolic records,
-    their eigendirection views and the arrays behind them.  The bound leaves
-    99 bytes per row (16%) of margin."""
+    class blocks retain 601 bytes per row (``tracemalloc``), as they did
+    with one record constructor call per row.  The bound leaves 99 bytes
+    per row (16%) of margin."""
     sys = make_system("fig1b")
     for elem in enumerate_elements(sys, 3):
         classify(sys, elem)
