@@ -9,8 +9,8 @@ import numpy as np
 
 from .graphs import word_to_str
 
-# Rows of a level's matrices that ``enumerate_elements`` forms in one product,
-# so that its working memory does not grow with the level.
+# Matrices per product in ``enumerate_elements``: its working memory stays fixed,
+# and in rank 4 the _ROWS n^3 = 262,144 multiplies stay on one OpenBLAS thread.
 _ROWS = 1 << 12
 
 
@@ -247,10 +247,11 @@ def enumerate_elements(sys, max_length):
     the prefix of v: ``child[t, i]`` indexes t times element i one level
     down (the last level needs none).  Each level's matrices are one
     read-only (N, n, n) array, filled last letter by last letter, ``_ROWS``
-    rows at a time through one reused product buffer.  Stacked matmul rounds
-    each matrix alike for any stack height, so the bytes do not depend on
-    ``_ROWS``, and the working memory above the store is that of one level's
-    states, prefixes and last letters plus the fixed buffer.
+    matrices at a time as one (k n, n) @ (n, n) BLAS call into a fixed
+    buffer.  Its rows round as one product per matrix does, for any k
+    (``test_level_bytes_do_not_depend_on_the_product_chunk``), so the bytes
+    do not depend on ``_ROWS``; the working memory above the store is one
+    level's states, prefixes and last letters plus the buffer.
     """
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
@@ -262,7 +263,7 @@ def enumerate_elements(sys, max_length):
     act = sys.small_roots
     S = np.zeros((1, act.shape[1]), bool)
     store._add_level(W, M)
-    buf = np.empty((_ROWS, n, n))
+    buf = np.empty((_ROWS * n, n))
     for length in range(1, max_length + 1):
         kept = []
         for t in range(n):
@@ -280,9 +281,9 @@ def enumerate_elements(sys, max_length):
         M_prev, M = M, np.empty((len(W), n, n))
         for s in range(n):
             rows = np.flatnonzero(last == s)
-            for lo in range(0, len(rows), _ROWS):
-                r = rows[lo : lo + _ROWS]
-                M[r] = np.matmul(M_prev[prefix[r]], gens[s], out=buf[: len(r)])
+            for r in np.split(rows, range(_ROWS, len(rows), _ROWS)):
+                prod = np.matmul(M_prev[prefix[r]].reshape(-1, n), gens[s], out=buf[: len(r) * n])
+                M[r] = prod.reshape(-1, n, n)
         store._add_level(W, M)
         if not len(W):
             break

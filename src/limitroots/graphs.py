@@ -18,9 +18,12 @@ LETTERS = "stuvwxyzabcdefghijklmnopqr"
 
 
 def word_to_str(word):
-    """Render a word (tuple of generator indices) as letters, e.g. (0,1,2) -> 'stu'."""
+    """Render a word (tuple of generator indices) as letters, e.g. (0,1,2) -> 'stu',
+    or as dot-separated indices, e.g. '0.26.3', if an index has no letter."""
     if len(word) == 0:
         return "e"
+    if max(word) >= len(LETTERS):
+        return ".".join(map(str, word))
     return "".join(LETTERS[i] for i in word)
 
 
@@ -33,6 +36,9 @@ def str_to_word(text, rank):
         parts = text.replace(".", " ").split()
         word = tuple(int(p) for p in parts)
     else:
+        for ch in text:
+            if ch not in LETTERS and not ch.isspace():
+                raise GraphError(f"{ch!r} in word {text!r} is neither a generator letter nor an index")
         word = tuple(LETTERS.index(ch) for ch in text if not ch.isspace())
     for i in word:
         if not 0 <= i < rank:

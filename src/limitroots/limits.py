@@ -17,7 +17,7 @@ from .elements import _read, element_of
 from .errors import NumericalError
 from .graphs import word_to_str
 from .projective import ProjectivePoint, chart_distance, to_chart
-from .spectral import Kind, classify, classify_many, light_like_directions
+from .spectral import Kind, _row_sum, classify, classify_many, light_like_directions
 
 log = logging.getLogger(__name__)
 
@@ -229,11 +229,12 @@ def sample_limit_roots(sys, store, core_range, conj_range, dedup_eps=DEDUP_EPS):
     and each infinite-order one has its light-like eigendirections computed
     once; every conjugator g of length in ``conj_range`` then contributes
     the image point g(x), without re-solving any eigenproblem.  The images
-    of each direction are one product with the stacked conjugator matrices,
-    written into its slice of one image array and divided by the heights in
-    place; all of them enter one ``PointSet`` merged at ``dedup_eps``, which
-    must be finite and positive.  A row's kind, of ``KINDS``, is its core's
-    ``sc.kind``.
+    of each direction are one (N n, n) @ (n,) gemv over the conjugator rows,
+    which rounds each image as g.matrix @ x does
+    (``test_columnar_sample_matches_per_record_reference``), into its row of
+    one image array, divided in place by the heights; all of them enter one
+    ``PointSet`` merged at ``dedup_eps``, which must be finite and positive.
+    A row's kind, of ``KINDS``, is its core's ``sc.kind``.
     """
     if not 0 < dedup_eps < math.inf:
         raise ValueError(f"dedup eps must be finite and positive, got {dedup_eps!r}")
@@ -264,11 +265,12 @@ def sample_limit_roots(sys, store, core_range, conj_range, dedup_eps=DEDUP_EPS):
             "no infinite-order elements with length in %s; emitting an empty set",
             core_range,
         )
-    n_conj = len(conj_mats)
-    images = np.empty((len(dirs) * n_conj, sys.rank))
+    n, n_conj = sys.rank, len(conj_mats)
+    images = np.empty((len(dirs), n_conj * n))
     for d, vec in enumerate(dirs):
-        np.matmul(conj_mats, vec, out=images[d * n_conj : (d + 1) * n_conj])
-    images /= images.sum(axis=1)[:, None]
+        np.matmul(conj_mats.reshape(-1, n), vec, out=images[d])
+    images = images.reshape(-1, n)
+    images /= _row_sum(images)[:, None]
     return PointSet(
         images,
         dedup_eps,

@@ -86,6 +86,12 @@ def test_word_string_round_trip():
     assert str_to_word("stu", 3) == (0, 1, 2)
     with pytest.raises(GraphError):
         str_to_word("sz", 3)
+    # An index past the 26 letters spells the whole word as indices.
+    for word, text in (((0, 26, 3), "0.26.3"), ((26,), "26"), ((25, 0), "rs")):
+        assert word_to_str(word) == text
+        assert str_to_word(text, 27) == word
+    with pytest.raises(GraphError, match="'!' in word 's!'"):
+        str_to_word("s!", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +526,18 @@ def test_store_build_holds_under_50_transient_bytes_per_element():
     assert (peak - retained) / len(store) < 50
 
 
-@pytest.mark.parametrize("name, length", [("fig1b", 8), ("universal4:10", 6)])
-def test_level_bytes_do_not_depend_on_the_product_chunk(monkeypatch, name, length):
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize(
+    "name, length", [("fig1b", 8), ("universal4:10", 6), ("fig8", 6), ("universal3:1.1", 10)]
+)
+def test_level_bytes_do_not_depend_on_the_product_chunk(monkeypatch, name, length, rows):
     """Every level's words and matrix bytes are those of the default build
-    when the products run 7 rows at a time, so most chunks of a letter are
-    full and its last one is not."""
+    when the products run 1 or 7 matrices at a time: one (n, n) @ (n, n)
+    product per matrix, or chunks of which most are full and the last of a
+    letter is not, in ranks 3, 4 and 5."""
     sys = make_system(name)
     default = enumerate_elements(sys, length)
-    monkeypatch.setattr(elements, "_ROWS", 7)
+    monkeypatch.setattr(elements, "_ROWS", rows)
     small = enumerate_elements(sys, length)
     assert small.counts() == default.counts()
     for k in range(length + 1):

@@ -402,6 +402,24 @@ def test_cli_limit_roots_writes_outputs(tmp_path, capsys):
     assert "points" in capsys.readouterr().out
 
 
+def _row_words(ps):
+    return [(ps.words[i], ps.words[j]) for i, j in zip(ps.source, ps.conjugator)]
+
+
+def test_cli_limit_roots_spells_generators_past_the_alphabet_as_indices(tmp_path, capsys):
+    """Rank 27: a word with generator 26 is written as dot-separated indices,
+    which the CSV reader reads back as the same word."""
+    out = tmp_path / "pts.csv"
+    args = ["limit-roots", "--graph", "universal27:1", "--core-lengths", "2..2"]
+    assert main(args + ["--conj-lengths", "0..0", "--out", str(out)]) == 0
+    sys = make_system("universal27:1")
+    want = sample_limit_roots(sys, enumerate_elements(sys, 2), (2, 2), (0, 0))
+    got = read_pointset_csv(out, sys)
+    assert (0, 26) in want.words
+    assert _row_words(got) == _row_words(want)
+    assert (tmp_path / "pts.csv.manifest.json").exists()
+
+
 @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
 def test_cli_limit_roots_rejects_a_dedup_eps_not_finite_and_positive(tmp_path, eps, capsys):
     out = tmp_path / "pts.csv"

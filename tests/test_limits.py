@@ -264,8 +264,10 @@ def test_conjugation_shortcut_matches_direct_eigensolve(sys_u1, store_u1_6):
 
 
 def _per_record_sample(sys, store, core_range, conj_range, eps=1e-6):
-    """Reference for sample_limit_roots: one image at a time, merged by the
-    kd-tree reference ``_kdtree_dedup``, and B(x, x) row by row."""
+    """Reference for sample_limit_roots: each direction's images as a stacked
+    product with the conjugator matrices and their heights from ``sum``, one
+    image at a time, merged by the kd-tree reference ``_kdtree_dedup``, and
+    B(x, x) row by row."""
     conjugators = store.with_length(*conj_range)
     conj_mats = np.stack([g.matrix for g in conjugators])
     kinds = {Kind.PARABOLIC: KIND_PARABOLIC, Kind.HYPERBOLIC: KIND_HYPERBOLIC}
@@ -285,7 +287,7 @@ def _per_record_sample(sys, store, core_range, conj_range, eps=1e-6):
 
 @pytest.mark.parametrize(
     "name, core_range, conj_range",
-    [("universal3:1", (2, 4), (0, 2)), ("fig1a", (3, 4), (1, 3))],
+    [("universal3:1", (2, 4), (0, 2)), ("fig1a", (3, 4), (1, 3)), ("fig1b", (2, 3), (1, 4))],
 )
 def test_columnar_sample_matches_per_record_reference(name, core_range, conj_range):
     sys = make_system(name)
