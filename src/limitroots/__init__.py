@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .graphs import CoxeterGraph, builtin, load_graph, universal, dihedral
 from .geometry import GeometricSystem, build_form, make_system, signature
 from .elements import ElementStore, GroupElement, element_of, enumerate_elements
-from .projective import ProjectivePoint, chart_distance, light_conic, to_chart
+from .projective import chart_distances, light_conic, to_chart
 from .spectral import (
     Kind,
     classify,
@@ -41,14 +41,13 @@ __all__ = [
     "GeometricSystem",
     "GroupElement",
     "ElementStore",
-    "ProjectivePoint",
     "PointSet",
     "PeriodicWord",
     "Kind",
     "IntersectionKind",
     "build_form",
     "builtin",
-    "chart_distance",
+    "chart_distances",
     "classify",
     "classify_many",
     "codim2_spacelike",

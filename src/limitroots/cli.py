@@ -116,9 +116,9 @@ def cmd_word_limit(args):
     prefix = str_to_word(args.prefix, sys.rank) if args.prefix else ()
     period = str_to_word(args.period, sys.rank)
     result = word_limit_root(sys, PeriodicWord(prefix=prefix, period=period))
-    coords = ", ".join(f"{v:.9f}" for v in result.point.coords)
+    coords = ", ".join(f"{v:.9f}" for v in result.point)
     print(f"limit root: ({coords})")
-    print(f"B-norm: {result.point.bnorm:.3e}")
+    print(f"B-norm: {result.bnorm:.3e}")
     print(f"period element: {result.kind.value}", end="")
     if result.kind is Kind.HYPERBOLIC:
         print(f" (eigenvalue {result.eigenvalue:.9f})")

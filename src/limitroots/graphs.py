@@ -32,14 +32,15 @@ def str_to_word(text, rank):
     text = text.strip()
     if text in ("", "e"):
         return ()
-    if any(ch.isdigit() for ch in text):
-        parts = text.replace(".", " ").split()
-        word = tuple(int(p) for p in parts)
-    else:
-        for ch in text:
-            if ch not in LETTERS and not ch.isspace():
-                raise GraphError(f"{ch!r} in word {text!r} is neither a generator letter nor an index")
-        word = tuple(LETTERS.index(ch) for ch in text if not ch.isspace())
+    indices = any(ch.isdigit() for ch in text)
+    parts = text.replace(".", " ").split() if indices else [ch for ch in text if not ch.isspace()]
+    for p in parts:
+        if not (p.isdecimal() if indices else p in LETTERS):
+            raise GraphError(
+                f"{p!r} in word {text!r} is neither a generator letter nor an index"
+                " (letters and indices do not mix)"
+            )
+    word = tuple(int(p) if indices else LETTERS.index(p) for p in parts)
     for i in word:
         if not 0 <= i < rank:
             raise GraphError(f"generator index {i} out of range for rank {rank}")

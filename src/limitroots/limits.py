@@ -16,7 +16,7 @@ import numpy as np
 from .elements import _read, element_of
 from .errors import NumericalError
 from .graphs import word_to_str
-from .projective import ProjectivePoint, chart_distance, to_chart
+from .projective import _squared_distances, chart_distances, to_chart
 from .spectral import Kind, _row_sum, classify, classify_many, light_like_directions
 
 log = logging.getLogger(__name__)
@@ -211,17 +211,6 @@ def _close_pairs(pts, window, eps):
     return np.concatenate(found_i), np.concatenate(found_j)
 
 
-def _squared_distances(xs, ys):
-    """Squared Euclidean distances between points given as per-coordinate
-    arrays ``xs`` and ``ys`` (broadcast against each other), summed over
-    the coordinates left to right, as scipy's kd-tree sums them for up to
-    seven coordinates."""
-    total = 0.0
-    for x, y in zip(xs, ys):
-        total = total + (x - y) ** 2
-    return total
-
-
 def sample_limit_roots(sys, store, core_range, conj_range, dedup_eps=DEDUP_EPS):
     """Dense limit-root sample from eigendirections and their conjugates.
 
@@ -284,20 +273,20 @@ def sample_limit_roots(sys, store, core_range, conj_range, dedup_eps=DEDUP_EPS):
 
 
 def power_dynamics(sys, elem, base, k_max):
-    """Trajectory (w^k(base))_{k=1..k_max} in the chart, as a list of
-    chart points, for a ``GroupElement`` w and a base vector.
+    """Trajectory (w^k(base))_{k=1..k_max} in the chart, as (k_max, n)
+    chart rows, for a ``GroupElement`` w and a base vector.
 
     The working vector is renormalized every step, so arbitrarily long
     trajectories of hyperbolic elements stay in floating-point range.
     """
     M = elem.matrix
     v = np.array(base, dtype=float)
-    out = []
-    for _ in range(k_max):
+    iterates = np.empty((k_max, sys.rank))
+    for k in range(k_max):
         v = M @ v
         v /= np.linalg.norm(v)
-        out.append(to_chart(sys, v))
-    return out
+        iterates[k] = v
+    return to_chart(iterates)
 
 
 @dataclass(frozen=True)
@@ -331,7 +320,8 @@ def certify_reduced(sys, pw):
 
 @dataclass(frozen=True)
 class WordLimitResult:
-    point: ProjectivePoint
+    point: np.ndarray  # chart row
+    bnorm: float  # B(point, point)
     kind: Kind
     eigenvalue: float
     orbit_residual: float
@@ -355,16 +345,17 @@ def word_limit_root(sys, pw):
         lam, direction, _ = sc.dominant
     else:
         lam, direction = float(sc.parabolic_eps), sc.parabolic_vec
-    point = to_chart(sys, q @ direction)
+    point = to_chart(q @ direction)
 
     # Empirical check: iterate the period on each simple root, keep the best.
-    residual = math.inf
+    ends = []
     for v in np.eye(sys.rank):
         for _ in range(ORBIT_STEPS):
             v = p.matrix @ v
             v /= np.linalg.norm(v)
-        residual = min(residual, chart_distance(point, to_chart(sys, q @ v)))
-    return WordLimitResult(point=point, kind=sc.kind, eigenvalue=lam, orbit_residual=residual)
+        ends.append(q @ v)
+    residual = float(chart_distances(point, to_chart(np.array(ends))).min())
+    return WordLimitResult(point, float(point @ sys.form @ point), sc.kind, lam, residual)
 
 
 def hausdorff(a, b):

@@ -7,7 +7,7 @@ tetrahedron: vertices at (0,0), (1,0), (0.5, 0.866), (0.5, 0.289).
 
 import numpy as np
 
-from .projective import light_conic, to_chart
+from .projective import at_infinity, light_conic, to_chart
 
 SIZE = 640
 MARGIN = 60
@@ -119,9 +119,9 @@ def render_svg(sys, pointset=None, roots=None, intersections=None, show_weights=
         pts = [canvas.map_point(v) for v in light_conic(sys, resolution=CONIC_RESOLUTION)]
         canvas.polyline(pts, stroke="#555555", width=1.0, closed=(n == 3))
     if intersections is not None and n == 3:
-        for pt in (to_chart(sys, ci.basis[:, 0]) for ci in intersections):
-            if not pt.at_infinity:  # no chart point to draw
-                canvas.circle(canvas.map_point(pt.coords), 2.2, KIND_COLORS["intersection"])
+        pts = to_chart(np.array([ci.basis[:, 0] for ci in intersections]).reshape(-1, n))
+        for pt in pts[~at_infinity(pts)]:  # a point at infinity has no chart point to draw
+            canvas.circle(canvas.map_point(pt), 2.2, KIND_COLORS["intersection"])
     if show_weights:
         from .arrangement import fundamental_weights
 

@@ -20,7 +20,7 @@ from .arrangement import (
 from .elements import element_of, enumerate_elements
 from .geometry import make_system
 from .limits import hausdorff, sample_limit_roots
-from .projective import chart_distance, chart_distances, to_chart
+from .projective import chart_distances, to_chart
 
 SUITES = {}
 
@@ -141,11 +141,8 @@ def verify_sandwich(sys=None, depth=4):
                               w20 * x0 + w21 * x1 + w22 * x2)
             steps += k
             ends.append((float(x0), float(x1), float(x2)))
-    d = chart_distances(
-        sys,
-        np.array(ends, dtype=float).reshape(-1, sys.rank),
-        np.array([ci.basis[:, 0] for ci in passed], dtype=float).reshape(-1, sys.rank),
-    ).tolist()
+    bases = np.reshape([ci.basis[:, 0] for ci in passed], (-1, sys.rank))
+    d = chart_distances(to_chart(np.reshape(ends, (-1, sys.rank))), to_chart(bases)).tolist()
     n_fail_angle = len(intersections) - len(passed)
     n_fail_dyn = sum(e > SANDWICH_TOL for e in d)
     ok = n_fail_angle == 0 and n_fail_dyn == 0 and len(intersections) > 0
@@ -177,8 +174,8 @@ def verify_weights():
     sys = make_system("universal3:1.1")
     weights = fundamental_weights(sys).T
     bnorms = [float(w @ sys.form @ w) for w in weights]
-    points = [to_chart(sys, ci.basis[:, 0]) for ci in codim2_spacelike(sys, roots_by_depth(sys, 1))]
-    matches = [min(chart_distance(to_chart(sys, w), p) for p in points) for w in weights]
+    points = to_chart([ci.basis[:, 0] for ci in codim2_spacelike(sys, roots_by_depth(sys, 1))])
+    matches = chart_distances(to_chart(weights)[:, None], points).min(axis=1).tolist()
     ok = (
         worst_identity < 1e-10
         and all(abs(b - 0.0396825396825) < 1e-6 for b in bnorms)

@@ -25,7 +25,7 @@ from limitroots import (
     word_limit_root,
 )
 from limitroots.limits import KIND_HYPERBOLIC, KIND_PARABOLIC
-from limitroots.projective import chart_distance, light_conic, timelike_center
+from limitroots.projective import chart_distances, light_conic, timelike_center
 from limitroots.spectral import Kind
 from limitroots.verify import run_suite
 
@@ -182,7 +182,7 @@ def test_criterion_6_base_point_independence(u1, u1_store8):
             hyp.append((e, sc))
     idx = rng.choice(len(hyp), size=100, replace=False)
     conic = light_conic(u1, resolution=64)
-    center = timelike_center(u1).coords
+    center = timelike_center(u1)
     worst = 0.0
     for i in idx:
         elem, sc = hyp[i]
@@ -204,10 +204,8 @@ def test_criterion_6_base_point_independence(u1, u1_store8):
             if abs(v @ u1.form @ x_minus) < 1e-3 * np.linalg.norm(v):
                 continue
             bases.append(v)
-        limits = [power_dynamics(u1, elem, v, 60)[-1] for v in bases]
-        spread = max(
-            chart_distance(p, q) for j, p in enumerate(limits) for q in limits[j + 1 :]
-        )
+        limits = np.array([power_dynamics(u1, elem, v, 60)[-1] for v in bases])
+        spread = float(chart_distances(limits[:, None], limits).max())
         worst = max(worst, spread)
     ok = worst < 1e-6
     assert _report(
@@ -241,8 +239,8 @@ def test_criterion_8_infinite_word_limits(u1):
     lam_err = abs(res.eigenvalue - (9 + 4 * math.sqrt(5)))
     st = word_limit_root(u1, PeriodicWord(prefix=(), period=(0, 1)))
     ts = word_limit_root(u1, PeriodicWord(prefix=(), period=(1, 0)))
-    midpoint_err = float(np.max(np.abs(st.point.coords - [0.5, 0.5, 0.0])))
-    st_ts = chart_distance(st.point, ts.point)
+    midpoint_err = float(np.max(np.abs(st.point - [0.5, 0.5, 0.0])))
+    st_ts = float(chart_distances(st.point, ts.point))
     ok = (
         res.kind is Kind.HYPERBOLIC
         and lam_err < 1e-8

@@ -37,7 +37,7 @@ from limitroots.arrangement import (
 from limitroots.elements import _read_rows
 from limitroots.errors import ExtractionError
 from limitroots.graphs import word_to_str
-from limitroots.projective import chart_distance
+from limitroots.projective import chart_distances
 from limitroots.spectral import Kind, classify_many, unimodular_subspace
 from limitroots.verify import run_suite
 
@@ -342,7 +342,7 @@ def test_reflection_pair_closed_form_matches_spectral(sys_u11):
         assert lam == pytest.approx((c + r) ** 2, rel=1e-9)
         for x, t in ((x_plus, c - r), (x_minus, c + r)):
             np.testing.assert_allclose(
-                to_chart(sys_u11, x).coords, to_chart(sys_u11, a + t * b).coords, atol=1e-9
+                to_chart(x), to_chart(a + t * b), atol=1e-9
             )
         with decimal.localcontext() as ctx:
             ctx.prec = 60
@@ -609,7 +609,6 @@ def test_sandwich_report_counters_at_depth_4(sys_u11):
 
 def test_weights_sit_on_simple_pair_intersections(sys_u11):
     cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 1))
-    for w in fundamental_weights(sys_u11).T:
-        wpt = to_chart(sys_u11, w)
-        best = min(chart_distance(wpt, to_chart(sys_u11, ci.basis[:, 0])) for ci in cis)
-        assert best < 1e-9
+    weights = to_chart(fundamental_weights(sys_u11).T)
+    best = chart_distances(weights[:, None], to_chart([ci.basis[:, 0] for ci in cis])).min(axis=1)
+    assert best.shape == (3,) and best.max() < 1e-9

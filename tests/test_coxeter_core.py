@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -92,6 +93,11 @@ def test_word_string_round_trip():
         assert str_to_word(text, 27) == word
     with pytest.raises(GraphError, match="'!' in word 's!'"):
         str_to_word("s!", 3)
+    # Letters and indices do not mix, and indices are separated by dots.
+    for text, part in (("s1", "s1"), ("0.1!", "1!"), ("0,1", "0,1")):
+        with pytest.raises(GraphError, match=re.escape(f"{part!r} in word {text!r} is neither")) as err:
+            str_to_word(text, 3)
+        assert str(err.value).endswith("(letters and indices do not mix)")
 
 
 # ---------------------------------------------------------------------------

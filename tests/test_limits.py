@@ -29,14 +29,13 @@ from limitroots.limits import (
     _dedup,
     certify_reduced,
 )
-from limitroots.projective import ProjectivePoint, chart_distance
+from limitroots.projective import chart_distances
 from limitroots.spectral import Kind, light_like_directions
 
 
 def _pointset(sys, vecs, kinds=("orbit",), kind=None):
-    points = [to_chart(sys, np.asarray(v, float)) for v in vecs]
     return PointSet(
-        np.array([p.coords for p in points]),
+        to_chart(np.asarray(vecs, float)),
         1e-6,
         kinds=kinds,
         kind=kind,
@@ -259,8 +258,8 @@ def test_conjugation_shortcut_matches_direct_eigensolve(sys_u1, store_u1_6):
     conj = element_of(sys_u1, g.word + w.word + tuple(reversed(g.word)))
     vec = light_like_directions(classify(sys_u1, w))[0]
     direct_vec = light_like_directions(classify(sys_u1, conj))[0]
-    pushed = to_chart(sys_u1, g.matrix @ vec)
-    assert chart_distance(pushed, to_chart(sys_u1, direct_vec)) < 1e-7
+    pushed = to_chart(g.matrix @ vec)
+    assert chart_distances(pushed, to_chart(direct_vec)) < 1e-7
 
 
 def _per_record_sample(sys, store, core_range, conj_range, eps=1e-6):
@@ -315,9 +314,11 @@ def test_power_dynamics_converges_to_attracting_direction(sys_u1):
     w = element_of(sys_u1, (0, 1, 2))
     sc = classify(sys_u1, w)
     _, x_plus, _ = sc.dominant
-    target = to_chart(sys_u1, x_plus)
+    target = to_chart(x_plus)
     traj = power_dynamics(sys_u1, w, np.array([1.0, 1.0, 1.0]), 60)
-    assert chart_distance(traj[-1], target) < 1e-10
+    assert traj.shape == (60, 3)
+    assert chart_distances(traj[-1], target) < 1e-10
+    assert power_dynamics(sys_u1, w, np.array([1.0, 1.0, 1.0]), 0).shape == (0, 3)
 
 
 @pytest.mark.parametrize("rank, m, k", [(3, 40, 70), (4, 700, 800), (3, 1, 5)])
@@ -367,22 +368,23 @@ def test_word_limit_of_hyperbolic_period(sys_u1):
     res = word_limit_root(sys_u1, PeriodicWord(prefix=(), period=(0, 1, 2)))
     assert res.kind is Kind.HYPERBOLIC
     assert res.eigenvalue == pytest.approx(9 + 4 * math.sqrt(5), abs=1e-8)
-    assert abs(res.point.bnorm) < 1e-9
+    assert res.bnorm == float(res.point @ sys_u1.form @ res.point)
+    assert abs(res.bnorm) < 1e-9
     assert res.orbit_residual < 1e-6
 
 
 def test_parabolic_periods_share_their_limit(sys_u1):
     st = word_limit_root(sys_u1, PeriodicWord(prefix=(), period=(0, 1)))
     ts = word_limit_root(sys_u1, PeriodicWord(prefix=(), period=(1, 0)))
-    np.testing.assert_allclose(st.point.coords, [0.5, 0.5, 0.0], atol=1e-9)
-    assert chart_distance(st.point, ts.point) < 1e-9
+    np.testing.assert_allclose(st.point, [0.5, 0.5, 0.0], atol=1e-9)
+    assert chart_distances(st.point, ts.point) < 1e-9
 
 
 def test_prefix_moves_the_limit(sys_u1):
     plain = word_limit_root(sys_u1, PeriodicWord(prefix=(), period=(0, 1)))
     moved = word_limit_root(sys_u1, PeriodicWord(prefix=(2,), period=(0, 1)))
-    assert chart_distance(plain.point, moved.point) > 0.1
-    assert abs(moved.point.bnorm) < 1e-9
+    assert chart_distances(plain.point, moved.point) > 0.1
+    assert abs(moved.bnorm) < 1e-9
 
 
 def test_non_reduced_word_rejected(sys_u1):
