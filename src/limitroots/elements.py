@@ -9,10 +9,6 @@ import numpy as np
 
 from .graphs import word_to_str
 
-# Matrices per product in ``enumerate_elements``: its working memory stays fixed,
-# and in rank 4 the _ROWS n^3 = 262,144 multiplies stay on one OpenBLAS thread.
-_ROWS = 1 << 12
-
 
 class GroupElement(NamedTuple):
     """A group element: canonical reduced word plus its representation matrix,
@@ -86,21 +82,34 @@ def _read_rows(act, words):
     return reduced, S
 
 
+def _reflect(gens, t, M):
+    """S_t M, in place, for each matrix of a stack M (k, n, n): only row t
+    changes, to S_t[t] M summed over the rows of M from the first, which is
+    elementwise, so a matrix gets the same bits in a stack of any size."""
+    g = gens[t][t]
+    row = M[:, 0] * g[0]
+    for j in range(1, len(g)):
+        row += M[:, j] * g[j]
+    M[:, t] = row
+
+
 def element_of(sys, word):
-    """Element for an arbitrary word (not necessarily reduced): the ordered
-    product of generator matrices, and the ShortLex (lex-minimal reduced)
-    word, by the exchange condition in O(k^2) automaton steps.  A reduced
-    word w of the letters so far is kept with the state of its reverse; if
-    w s is not reduced, it is w without the w_j at which reading s, w_{k-1},
-    ..., w_j first fails.  Then each smallest left descent t of w (from the
-    state of w) goes to the front, deleting the w_i at which reading t, w_0,
-    ..., w_i first fails.
+    """Element for an arbitrary word (not necessarily reduced): the ShortLex
+    (lex-minimal reduced) word, by the exchange condition in O(k^2)
+    automaton steps, and its matrix by ``_reflect`` from I, the word read
+    right to left, as a store row is formed (so it has the row's bytes, and
+    a word that cancels gives I exactly).  A reduced word w of the letters
+    so far is kept with the state of its reverse; if w s is not reduced, it
+    is w without the w_j at which reading s, w_{k-1}, ..., w_j first fails.
+    Then each smallest left descent t of w (from the state of w) goes to
+    the front, deleting the w_i at which reading t, w_0, ..., w_i first
+    fails.
     """
     act = sys.small_roots
-    M = np.eye(sys.rank)
     w, R = [], np.zeros(act.shape[1], bool)
     for s in word:
-        M = M @ sys.gens[s]
+        if not 0 <= s < sys.rank:  # R[s] would read a non-simple small root
+            raise IndexError(f"generator index {s} out of range for rank {sys.rank}")
         if R[s]:
             del w[len(w) - _read(act, [s] + w[::-1])[0]]
             R = _read(act, w)[1]
@@ -112,7 +121,10 @@ def element_of(sys, word):
         t = int(np.argmax(_read(act, w[::-1])[1][: sys.rank]))
         del w[_read(act, [t] + w)[0] - 1]
         shortlex.append(t)
-    return GroupElement(word=tuple(shortlex), matrix=M)
+    M = np.eye(sys.rank)[None]
+    for t in reversed(shortlex):
+        _reflect(sys.gens, t, M)
+    return GroupElement(word=tuple(shortlex), matrix=M[0])
 
 
 class ElementSequence(Sequence):
@@ -242,28 +254,20 @@ def enumerate_elements(sys, max_length):
     root alpha_s with s < t (no smaller left descent).  The only float
     decisions are those of ``GeometricSystem.small_roots``.
 
-    Matrices.  M_u = M_p @ S_s, p and s the prefix and last letter of u's
-    word, as a breadth-first search forms it.  The prefix of t v is t times
-    the prefix of v: ``child[t, i]`` indexes t times element i one level
-    down (the last level needs none).  Each level's matrices are one
-    read-only (N, n, n) array, filled last letter by last letter, ``_ROWS``
-    matrices at a time as one (k n, n) @ (n, n) BLAS call into a fixed
-    buffer.  Its rows round as one product per matrix does, for any k
-    (``test_level_bytes_do_not_depend_on_the_product_chunk``), so the bytes
-    do not depend on ``_ROWS``; the working memory above the store is one
-    level's states, prefixes and last letters plus the buffer.
+    Matrices.  M_{t v} = S_t M_v: a level's matrices are one read-only
+    (N, n, n) array, gathered as the M_v one level down, in which
+    ``_reflect`` updates row t of each block of first letter t (the blocks
+    are contiguous), with the bits ``element_of`` gives the word.
     """
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
     n = sys.rank
-    gens = np.stack(sys.gens)
     store = ElementStore(sys)
     letter = np.min_scalar_type(n - 1)
     W, M = np.empty((1, 0), letter), np.eye(n)[None]
     act = sys.small_roots
     S = np.zeros((1, act.shape[1]), bool)
     store._add_level(W, M)
-    buf = np.empty((_ROWS * n, n))
     for length in range(1, max_length + 1):
         kept = []
         for t in range(n):
@@ -272,18 +276,10 @@ def enumerate_elements(sys, max_length):
             keep = ~np.any(St[:, :t], axis=1)
             kept.append((np.full(np.count_nonzero(keep), t, letter), V[keep], St[keep]))
         T, V, S = map(np.concatenate, zip(*kept))
-        prefix, last = (child[T, prefix[V]], last[V]) if length > 1 else (np.zeros_like(V), T)
-        if length < max_length:
-            child = np.full((n, len(W)), -1, np.intp)
-            child[T, V] = np.arange(len(V))
-        W = np.concatenate((T[:, None], W[V]), axis=1)
-        del kept, St, keep, T, V
-        M_prev, M = M, np.empty((len(W), n, n))
-        for s in range(n):
-            rows = np.flatnonzero(last == s)
-            for r in np.split(rows, range(_ROWS, len(rows), _ROWS)):
-                prod = np.matmul(M_prev[prefix[r]].reshape(-1, n), gens[s], out=buf[: len(r) * n])
-                M[r] = prod.reshape(-1, n, n)
+        del kept, St, keep
+        W, M = np.concatenate((T[:, None], W[V]), axis=1), M[V]
+        for t, block in enumerate(np.split(M, np.searchsorted(T, range(1, n)))):
+            _reflect(sys.gens, t, block)
         store._add_level(W, M)
         if not len(W):
             break

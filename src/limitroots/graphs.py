@@ -234,9 +234,12 @@ def builtin(name):
         return universal(rank, c)
     if name.startswith("dihedral:"):
         mval = name.split(":", 1)[1]
-        m = INF if mval == "inf" else int(mval)
-        if m is INF:
+        if mval == "inf":
             raise GraphError("infinite dihedral needs a c-parameter; use a JSON graph")
+        try:
+            m = int(mval)
+        except ValueError as exc:
+            raise GraphError(f"cannot parse builtin graph name {name!r}") from exc
         return dihedral(m)
     raise GraphError(f"unknown builtin graph {name!r}; known: {', '.join(builtin_names())}")
 

@@ -77,6 +77,12 @@ def test_unknown_builtin_lists_choices():
         load_graph("definitely-not-a-graph")
 
 
+@pytest.mark.parametrize("name", ["dihedral:x", "dihedral:2.5", "dihedral:"])
+def test_unparsable_dihedral_name_is_a_graph_error(name):
+    with pytest.raises(GraphError, match=re.escape(f"cannot parse builtin graph name {name!r}")):
+        builtin(name)
+
+
 def test_json_round_trip():
     g = builtin("fig1b")
     assert CoxeterGraph.from_json(g.to_json()) == g
@@ -321,8 +327,11 @@ def test_two_letter_product_matrix(sys_u1):
 
 def test_square_of_generator_reduces_to_identity(sys_u1):
     e = element_of(sys_u1, (0, 0))
-    assert e.word == ()
-    np.testing.assert_allclose(e.matrix, np.eye(3), atol=1e-12)
+    assert e.word == () and np.array_equal(e.matrix, np.eye(3))
+    # A cancelling word gives I exactly, also where the entries round.
+    fig1b = make_system("fig1b")
+    for word in ((0, 0), (0, 1, 1, 0), (2, 1, 2, 2, 1, 2)):
+        assert np.array_equal(element_of(fig1b, word).matrix, np.eye(4))
 
 
 def test_braid_relation_normalizes_to_shortlex():
@@ -351,13 +360,28 @@ def test_with_length_slices(store_u1_6):
     assert all(len(w) == 2 for w in words)
 
 
+def _row_update(sys, t, M):
+    """S_t M for one matrix, entry by entry in Python floats: row t becomes
+    g M, g = S_t[t], summed over the rows of M from the first."""
+    g, rows, out = sys.gens[t][t].tolist(), M.tolist(), M.tolist()
+    for c in range(sys.rank):
+        acc = g[0] * rows[0][c]
+        for j in range(1, sys.rank):
+            acc += g[j] * rows[j][c]
+        out[t][c] = acc
+    return np.array(out)
+
+
 def _reference_enumeration(sys, max_length):
     """Per-candidate Cayley-graph BFS: one product, key and probe per candidate.
 
     Returns the stored elements in insertion order: the oracle, independent of
     descent signs, for ``enumerate_elements``.  Candidates are recognised by
     their matrices rounded to a 1e-7 grid, which must agree to 1e-9; entries
-    are kept below 1e12, where that grid still tells elements apart.
+    are kept below 1e12, where that grid still tells elements apart.  Each
+    returned matrix is the row update S_t M_v of its word t v, from the
+    returned element of v (``_row_update``, one matrix at a time), and lies
+    within 1e-12 relative of the BFS right product.
     """
     def key(M):
         return np.round(M / 1e-7).astype(np.int64).tobytes()
@@ -380,12 +404,24 @@ def _reference_enumeration(sys, max_length):
                 elements.append(cand)
                 next_frontier.append(cand)
         frontier = next_frontier
-    return elements
+    by_word = {(): elements[0].matrix}
+    for e in elements[1:]:
+        M = by_word[e.word] = _row_update(sys, e.word[0], by_word[e.word[1:]])
+        assert np.max(np.abs(M - e.matrix)) <= 1e-12 * np.max(np.abs(e.matrix))
+    return [GroupElement(e.word, by_word[e.word]) for e in elements]
 
 
 @pytest.mark.parametrize(
     "name, length",
-    [("fig1a", 9), ("fig1b", 9), ("universal3:1", 10), ("universal4:1", 7), ("universal3:1.1", 8)],
+    [
+        ("fig1a", 9),
+        ("fig1b", 9),
+        ("universal3:1", 10),
+        ("universal4:1", 7),
+        ("universal3:1.1", 8),
+        ("fig8", 6),
+        ("universal4:10", 6),
+    ],
 )
 def test_enumeration_matches_per_candidate_reference(name, length):
     sys = make_system(name)
@@ -502,6 +538,22 @@ def test_level_words_match_the_reference_on_generated_graphs(graph):
     assert element_of(sys, word[:cut] + (s, s) + word[cut:]).word == word
 
 
+@pytest.mark.parametrize("name, length", [("fig1b", 6), ("universal3:1.1", 7), ("fig8", 4)])
+def test_element_of_a_non_reduced_word_is_its_store_row(sys_u1, name, length):
+    """A store word with a cancelling pair s s inserted gives the store row:
+    its ShortLex word and its matrix bytes, for each insertion point and
+    letter.  A letter outside the rank is refused."""
+    sys = make_system(name)
+    store = enumerate_elements(sys, length)
+    for e in store.of_length(length)[:: len(store.of_length(length)) // 5]:
+        for cut in range(length + 1):
+            for s in range(sys.rank):
+                got = element_of(sys, e.word[:cut] + (s, s) + e.word[cut:])
+                assert got.word == e.word and got.matrix.tobytes() == e.matrix.tobytes()
+    with pytest.raises(IndexError, match="generator index 3 out of range for rank 3"):
+        element_of(sys_u1, (0, 3))
+
+
 def test_store_retains_under_200_bytes_per_element():
     sys = make_system("fig1b")
     enumerate_elements(sys, 3)
@@ -517,10 +569,10 @@ def test_store_retains_under_200_bytes_per_element():
 
 def test_store_build_holds_under_50_transient_bytes_per_element():
     """Working memory of the build above the store it returns: the traced
-    peak less the retained bytes, per element, on fig1b at length 10.  The
-    level products run a fixed row count at a time through one buffer, so
-    this measured 37 B/element; the whole-letter products before that took
-    87.  The bound leaves 13 B/element (a third) of margin."""
+    peak less the retained bytes, per element, on fig1b at length 10.  Each
+    level is one gather of the level below, updated in place a row per
+    element, so this measured 26 B/element (37 with products through a
+    fixed buffer, 87 with whole-letter products)."""
     sys = make_system("fig1b")
     enumerate_elements(sys, 3)
     tracemalloc.start()
@@ -536,20 +588,24 @@ def test_store_build_holds_under_50_transient_bytes_per_element():
 @pytest.mark.parametrize(
     "name, length", [("fig1b", 8), ("universal4:10", 6), ("fig8", 6), ("universal3:1.1", 10)]
 )
-def test_level_bytes_do_not_depend_on_the_product_chunk(monkeypatch, name, length, rows):
-    """Every level's words and matrix bytes are those of the default build
-    when the products run 1 or 7 matrices at a time: one (n, n) @ (n, n)
-    product per matrix, or chunks of which most are full and the last of a
-    letter is not, in ranks 3, 4 and 5."""
+def test_level_bytes_do_not_depend_on_the_product_chunk(name, length, rows):
+    """Every level's matrix bytes are those of the row update run 1 or 7
+    matrices at a time: from the element of each word's tail one level
+    down, one ``_reflect`` per chunk of a first letter's rows (most chunks
+    full, the last of a letter not), in ranks 3, 4 and 5."""
     sys = make_system(name)
-    default = enumerate_elements(sys, length)
-    monkeypatch.setattr(elements, "_ROWS", rows)
-    small = enumerate_elements(sys, length)
-    assert small.counts() == default.counts()
-    for k in range(length + 1):
-        (W, M), (W7, M7) = default.level(k), small.level(k)
-        assert W7.dtype == W.dtype and W7.tobytes() == W.tobytes()
-        assert M7.tobytes() == M.tobytes()
+    store = enumerate_elements(sys, length)
+    for k in range(1, length + 1):
+        (below, M_below), (W, M) = store.level(k - 1), store.level(k)
+        index = {w: i for i, w in enumerate(map(tuple, below.tolist()))}
+        got = M_below[[index[tuple(w[1:])] for w in W.tolist()]]
+        for t in range(sys.rank):
+            first = np.flatnonzero(W[:, 0] == t)
+            for r in np.split(first, range(rows, len(first), rows)):
+                chunk = got[r]
+                elements._reflect(sys.gens, t, chunk)
+                got[r] = chunk
+        assert got.tobytes() == M.tobytes()
 
 
 def test_small_root_build_raises_inside_its_minus_one_margin():

@@ -376,6 +376,11 @@ def test_cli_analyze_refuses_a_malformed_graph(tmp_path, capsys, text, message):
     assert message in err
 
 
+def test_cli_analyze_names_an_unparsable_builtin_graph(capsys):
+    assert main(["analyze", "--graph", "dihedral:x"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse builtin graph name 'dihedral:x'\n"
+
+
 def test_cli_limit_roots_writes_outputs(tmp_path, capsys):
     out = tmp_path / "pts.csv"
     code = main(

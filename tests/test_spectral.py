@@ -26,7 +26,7 @@ from limitroots.errors import (
 )
 from limitroots.graphs import INF, CoxeterGraph
 from limitroots.elements import GroupElement, enumerate_elements
-from limitroots.spectral import Kind, classify_many
+from limitroots.spectral import POWER_CAP, Kind, classify_many
 
 # fig1b with its generators relabeled 0->1, 1->2, 2->3, 3->0.
 FIG1B_RELABELED = CoxeterGraph(
@@ -542,10 +542,11 @@ def test_unimodular_branches_keep_their_own_errors_in_one_stack():
     suffix, with the Jordan error as its cause; a BorderlineSpectrumError
     passes through as it is."""
     sys = make_system("fig1b")
-    hyperbolic = (0, 1, 2, 3) * 3
-    # An odd palindrome, so a reflection, with entries of 3e8: its computed
-    # square misses I by far more than tol, and M^5 passes the norm cap.
-    reflection = element_of(sys, hyperbolic + (0,) + hyperbolic[::-1]).matrix
+    half = (0, 1, 2, 3) * 3 + (2,)
+    # An odd palindrome, so a reflection, with entries of 4.6e8: its computed
+    # square misses I by far more than tol, and M^3 passes the norm cap.
+    reflection = element_of(sys, half + (0,) + half[::-1]).matrix
+    assert np.abs(reflection).max() < POWER_CAP < np.abs(np.linalg.matrix_power(reflection, 3)).max()
     jordan = np.eye(4) + np.diag([1.0, 1.0, 0.0], 1)
     # det -1 and trace 2 with one infinite entry: beta is infinite, so the
     # traces put its spectrum at +-1, but it is not Jordan-tested.
@@ -554,7 +555,7 @@ def test_unimodular_branches_keep_their_own_errors_in_one_stack():
     rows = [
         (2 * element_of(sys, (0, 3)).matrix, 0, "not a B-isometry"),
         (_rotation(sys, 2 * math.pi), 1, "order bound 10 and the spectrum is not at"),
-        (reflection, -1, "expected 2; powering stopped at M^5, which passes the norm cap"),
+        (reflection, -1, "expected 2; powering stopped at M^3, which passes the norm cap"),
         (_rotation(sys, 11), 1, "order bound 10 and the spectrum is not at"),
         (jordan, 1, "parabolic verification failed"),
         (infinite, -1, "passes the norm cap 1e+09 and the spectrum is not at"),
