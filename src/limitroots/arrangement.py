@@ -9,7 +9,7 @@ reflections).
 
 import enum
 import math
-from operator import mul
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +22,8 @@ from .spectral import Kind, _plane_complements, classify_many
 PAIRING_TOL = 1e-9
 # Largest principal angle of an intersection that equals a unimodular subspace.
 ANGLE_TOL = 1e-7
+# Largest scaled residual of a pair's eigen-identities, 32 eps (pair_identity_residuals).
+IDENTITY_TOL = 32 * 2.0**-52
 
 
 class RootSet:
@@ -172,56 +174,64 @@ def intersection_equals_unimodular(sys, roots, cis):
     return [s < math.sin(ANGLE_TOL) for s in sines], sines
 
 
-def _dot(v, x):
-    return sum(map(mul, v, x))
+PairEigendata = namedtuple("PairEigendata", "a Ba b Bb c lam x_minus x_plus u")
 
 
-def _unit(v, norm2):
-    s = norm2.sqrt()
-    return [x / s for x in v]
+def pair_eigendata(sys, roots, pairs):
+    """Closed-form eigendata of w = s_a s_b for the space-like pairs of rows
+    of ``roots`` in the (P, 2) array ``pairs``, rank 3 only, as stacked rows:
+    a, b at B-norm 1 (each root scaled once), Ba, Bb, c = -B(a, b) > 1,
+    lam = t^2 for t = c + sqrt((c - 1)(c + 1)) (no cancellation near c = 1),
+    and the Euclidean unit rows x_minus = a + t b, x_plus = a + b/t and
+    u = Ba x Bb.  w = I - 2a(Ba + 2c Bb)^T - 2b(Bb)^T has the eigenvectors
+    x_minus, x_plus of 1/lam, lam and fixes {a, b}^perp_B, in rank 3 the line
+    of u (B-orthogonal to a and b).  Another rank or c <= 1: ValueError."""
+    if sys.rank != 3:
+        raise ValueError(f"pair eigendata need rank 3, not rank {sys.rank}")
+    R = roots.vectors
+    A = R / np.sqrt(np.einsum("ij,ij->i", R @ sys.form, R))[:, None]
+    BA = A @ sys.form
+    first, second = np.array(pairs, int).reshape(-1, 2).T
+    a, Ba, b, Bb = A[first], BA[first], A[second], BA[second]
+    c = -np.einsum("ij,ij->i", Ba, b)
+    if not (c > 1).all():
+        raise ValueError("pair eigendata require space-like pairs")
+    t = (c + np.sqrt((c - 1) * (c + 1)))[:, None]
+    x_minus, x_plus, u = (
+        X / np.linalg.norm(X, axis=1)[:, None] for X in (a + t * b, a + b / t, np.cross(Ba, Bb))
+    )
+    return PairEigendata(a, Ba, b, Bb, c, (t * t)[:, 0], x_minus, x_plus, u)
 
 
-def decimal_unit_roots(sys, roots):
-    """Each root scaled to B-norm 1, with B times it: a list of (a, Ba) in
-    ``decimal`` at the precision of the current context.  B (converted once)
-    and the float root vectors are taken over exactly."""
-    from decimal import Decimal
+def pair_identity_residuals(sys, e):
+    """Per pair of the ``PairEigendata`` e, the largest residual
+    |w x - mu x|_inf of w u = u, w x_minus = x_minus / lam and
+    w x_plus = lam x_plus, w applied as its rank-2 update, over its scale:
+    S = |W|_inf, W = I + 2|a|(p + 2c q)^T + 2|b| q^T with p = |B||a| and
+    q = |B||b| (|w| <= W, so S bounds the row-sum norm of |w|, and lam <= S),
+    for u times 1 + kappa, kappa = |Ba||Bb| / |Ba x Bb|.
 
-    B = [[Decimal(x) for x in row] for row in sys.form.tolist()]
-    out = []
-    for vector in roots.vectors.tolist():
-        v = [Decimal(x) for x in vector]
-        a = _unit(v, _dot(v, [_dot(row, v) for row in B]))
-        out.append((a, [_dot(row, a) for row in B]))
-    return out
+    Right eigendata stay below IDENTITY_TOL = 32 eps, to first order in
+    u_r = eps/2.  Roots are non-negative, so the norms of a + t b and a + b/t
+    bound |a|_inf, t |b|_inf and |b|_inf / t.  Applying the update and mu to
+    a unit row rounds by 11 u_r S.  w fixes the stored Ba x Bb, whose
+    rounding, 2 u_r kappa relative, w - I turns into 2 u_r kappa S: u stays
+    below 5.5 eps (1 + kappa) S.  B-scaling and Ba move Ba.a, Bb.b off 1 by
+    13 u_r a^T p, 13 u_r b^T q, and c, Bb.a off -c by 3 u_r, 9 u_r p^T b:
+    22 u_r S through w on span{a, b}.  t, lam and 1/lam carry 4, 9 and
+    10 u_r (18 u_r S), a + t b or a + b/t 4 u_r S: x_minus and x_plus stay
+    below 55 u_r S = 27.5 eps S."""
+    rows = np.abs(sys.form).sum(axis=0)
+    p, q = ((np.abs(X) @ rows)[:, None] for X in (e.a, e.b))
+    S = np.max(1 + 2 * np.abs(e.a) * (p + 2 * e.c[:, None] * q) + 2 * np.abs(e.b) * q, axis=1)
+    kappa = np.linalg.norm(e.Ba, axis=1) * np.linalg.norm(e.Bb, axis=1)
+    kappa /= np.linalg.norm(np.cross(e.Ba, e.Bb), axis=1)
+    g, lam = e.Ba + 2 * e.c[:, None] * e.Bb, e.lam[:, None]
 
+    def residual(x, mu):
+        s, r = np.einsum("ij,ij->i", g, x)[:, None], np.einsum("ij,ij->i", e.Bb, x)[:, None]
+        return np.abs(x - 2 * e.a * s - 2 * e.b * r - mu * x).max(axis=1)
 
-def reflection_pair_eigendata(a, Ba, b, Bb):
-    """Closed-form eigendata of w = s_a s_b for a space-like pair (a, b) of
-    a rank-3 system, from the two roots' ``decimal_unit_roots`` data, in
-    ``decimal`` at the precision of the current context.
-
-    With a, b of B-norm 1 and c = -B(a, b) > 1, w is the rank-2 update
-    I - 2a(Ba)^T - 2b(Bb)^T - 4c a(Bb)^T, with the isotropic eigenvectors
-    x_plus, x_minus = a + (c -/+ r) b, r = sqrt(c^2 - 1), for the eigenvalues
-    lam = (c + r)^2 and 1/lam; it fixes {a, b}^perp_B pointwise.  In rank 3
-    that is the line of u = Ba x Bb: u is B-orthogonal to a and b exactly
-    when it is Euclidean-orthogonal to Ba and Bb.
-
-    Returns (w, lam, x_minus, u) in ``Decimal``: w as a list of rows, and
-    x_minus and u as Euclidean unit vectors.  Another rank is ValueError.
-    """
-    if len(a) != 3:
-        raise ValueError(f"reflection_pair_eigendata needs rank 3, not rank {len(a)}")
-    c = -_dot(Ba, b)
-    if not c > 1:
-        raise ValueError("reflection_pair_eigendata requires a space-like pair")
-    t = c + (c * c - 1).sqrt()
-    g = [p + 2 * c * q for p, q in zip(Ba, Bb)]
-    w = [[-2 * (ai * gj + bi * qj) for gj, qj in zip(g, Bb)] for ai, bi in zip(a, b)]
-    for i, row in enumerate(w):
-        row[i] += 1
-    x_minus = [p + t * q for p, q in zip(a, b)]
-    (p0, p1, p2), (q0, q1, q2) = Ba, Bb
-    u = [p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0]
-    return w, t * t, _unit(x_minus, _dot(x_minus, x_minus)), _unit(u, _dot(u, u))
+    residuals = (residual(e.x_minus, 1 / lam), residual(e.x_plus, lam),
+                 residual(e.u, 1.0) / (1 + kappa))
+    return np.maximum.reduce(residuals) / S

@@ -9,11 +9,12 @@ import math
 import numpy as np
 
 from .arrangement import (
+    IDENTITY_TOL,
     codim2_spacelike,
-    decimal_unit_roots,
     fundamental_weights,
     intersection_equals_unimodular,
-    reflection_pair_eigendata,
+    pair_eigendata,
+    pair_identity_residuals,
     roots_by_depth,
     IntersectionKind,
 )
@@ -24,8 +25,6 @@ from .projective import chart_distances, to_chart
 
 SUITES = {}
 
-# Working precision of the sandwich dynamics, in decimal digits.
-SANDWICH_DPS = 60
 # Largest accepted chart distance of w^k(x_minus + u) to its intersection.
 SANDWICH_TOL = 1e-5
 DENSITY_BUDGETS = ((2, 2), (4, 4), (6, 6))  # (core, conjugator) lengths, small first
@@ -105,16 +104,14 @@ def verify_sandwich(sys=None, depth=4):
     """Space-like arrangement intersections equal unimodular subspaces, and
     Case-2 orbits accumulate on them.
 
-    The Case-2 base x_minus + u and w = s_a s_b come from the closed-form
-    eigendata of the pair, built from ``decimal`` data formed once per root
-    row.  w^k (x_minus + u) = lam^-k x_minus + u takes k steps, three
-    products per row, in ``decimal`` at SANDWICH_DPS digits, and
-    k = ceil(24 / log10 lam) bounds both the contraction lam^-k <= 1e-24 and
-    the rounding along x_plus, about k lam^k 10^-dps <= k lam 10^(24 - dps).
-    The end points and the intersections are charted as two stacks.  The
-    dynamics test compares with a single chart point, so it needs rank 3."""
-    import decimal
-
+    The Case-2 base x_minus + u comes from the closed-form eigendata of the
+    pairs that pass the angle test (``pair_eigendata``), and the orbit point
+    w^k (x_minus + u) = lam^-k x_minus + u, k = max(1, ceil(24 / log10 lam)),
+    must lie within SANDWICH_TOL of its intersection in the chart.  Its
+    eigendata must also hold w u = u, w x_minus = x_minus / lam and
+    w x_plus = lam x_plus (which catches a wrong lam) within IDENTITY_TOL
+    (``pair_identity_residuals``); a pair failing either is a dynamics
+    failure.  Comparing with one chart point needs rank 3."""
     sys = sys or make_system("universal3:1.1")
     if sys.rank != 3:
         raise ValueError(
@@ -126,25 +123,14 @@ def verify_sandwich(sys=None, depth=4):
     intersections = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
     verdicts, sines = intersection_equals_unimodular(sys, roots, intersections)
     passed = [ci for ci, equal in zip(intersections, verdicts) if equal]
-    ends, steps = [], 0
-    with decimal.localcontext() as ctx:
-        ctx.prec = SANDWICH_DPS
-        unit = decimal_unit_roots(sys, roots)
-        for ci in passed:
-            (a, Ba), (b, Bb) = (unit[r] for r in ci.pair)
-            w, lam, x_minus, u = reflection_pair_eigendata(a, Ba, b, Bb)
-            (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = w
-            x0, x1, x2 = (p + q for p, q in zip(x_minus, u))
-            k = max(1, math.ceil(24.0 / math.log10(lam)))
-            for _ in range(k):
-                x0, x1, x2 = (w00 * x0 + w01 * x1 + w02 * x2, w10 * x0 + w11 * x1 + w12 * x2,
-                              w20 * x0 + w21 * x1 + w22 * x2)
-            steps += k
-            ends.append((float(x0), float(x1), float(x2)))
+    e = pair_eigendata(sys, roots, [ci.pair for ci in passed])
+    k = np.maximum(1, np.ceil(24.0 / np.log10(e.lam)))
+    ends = e.lam[:, None] ** -k[:, None] * e.x_minus + e.u
     bases = np.reshape([ci.basis[:, 0] for ci in passed], (-1, sys.rank))
-    d = chart_distances(to_chart(np.reshape(ends, (-1, sys.rank))), to_chart(bases)).tolist()
+    d = chart_distances(to_chart(ends), to_chart(bases))
+    identity = pair_identity_residuals(sys, e)
     n_fail_angle = len(intersections) - len(passed)
-    n_fail_dyn = sum(e > SANDWICH_TOL for e in d)
+    n_fail_dyn = int(np.count_nonzero((d > SANDWICH_TOL) | ~(identity <= IDENTITY_TOL)))
     ok = n_fail_angle == 0 and n_fail_dyn == 0 and len(intersections) > 0
     return {
         "pass": bool(ok),
@@ -153,10 +139,12 @@ def verify_sandwich(sys=None, depth=4):
         "pairs": len(intersections),
         "angle_failures": n_fail_angle,
         "dynamics_failures": n_fail_dyn,
-        "dynamics_steps": steps,
+        "dynamics_steps": int(k.sum()),
         "worst_angle_sine": max((s for s in sines if not math.isnan(s)), default=0.0),
-        "worst_dynamics_residual": max(d, default=0.0),
+        "worst_dynamics_residual": float(d.max(initial=0.0)),
         "dynamics_tolerance": SANDWICH_TOL,
+        "worst_identity_residual": float(identity.max(initial=0.0)),
+        "identity_bound": IDENTITY_TOL,
     }
 
 

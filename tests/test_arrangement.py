@@ -4,6 +4,7 @@ import decimal
 import itertools
 import math
 from collections import Counter
+from decimal import Decimal
 from operator import mul
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from scipy.spatial import cKDTree
 from test_coxeter_core import _graphs
 
 import limitroots.arrangement
+import limitroots.verify
 from limitroots import (
     CoxeterGraph,
     classify,
@@ -29,10 +31,11 @@ from limitroots import (
 from limitroots.arrangement import (
     Codim2Intersection,
     IntersectionKind,
+    IDENTITY_TOL,
     RootSet,
-    decimal_unit_roots,
+    pair_eigendata,
+    pair_identity_residuals,
     principal_sine,
-    reflection_pair_eigendata,
 )
 from limitroots.elements import _read_rows
 from limitroots.errors import ExtractionError
@@ -325,57 +328,64 @@ def test_intersection_equals_unimodular_subspace(sys_u11):
     assert max(sines) < math.sin(1e-7)
 
 
+def _space_like_eigendata(sys, depth):
+    roots = roots_by_depth(sys, depth)
+    cis = [ci for ci in codim2_spacelike(sys, roots) if ci.kind is IntersectionKind.SPACE_LIKE]
+    assert cis
+    return roots, cis, pair_eigendata(sys, roots, [ci.pair for ci in cis])
+
+
 def test_reflection_pair_closed_form_matches_spectral(sys_u11):
-    roots = roots_by_depth(sys_u11, 3)
-    cis = codim2_spacelike(sys_u11, roots)
-    space_like = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
-    assert space_like
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        unit = decimal_unit_roots(sys_u11, roots)
-    for ci in space_like:
+    roots, cis, e = _space_like_eigendata(sys_u11, 3)
+    assert pair_identity_residuals(sys_u11, e).max() < IDENTITY_TOL
+    for row, ci in enumerate(cis):
         a, b = (v / math.sqrt(v @ sys_u11.form @ v) for v in roots.vectors[list(ci.pair)])
         c = -float(a @ sys_u11.form @ b)
         r = math.sqrt(c * c - 1)
         w = sys_u11.reflection_in(a) @ sys_u11.reflection_in(b)
         lam, x_plus, x_minus = classify(sys_u11, w).dominant
         assert lam == pytest.approx((c + r) ** 2, rel=1e-9)
+        assert e.lam[row] == pytest.approx(lam, rel=1e-9)
         for x, t in ((x_plus, c - r), (x_minus, c + r)):
             np.testing.assert_allclose(
                 to_chart(x), to_chart(a + t * b), atol=1e-9
             )
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            (ua, Ba), (ub, Bb) = (unit[r] for r in ci.pair)
-            w_dec, lam_dec, xm, u = reflection_pair_eigendata(ua, Ba, ub, Bb)
-            assert float(lam_dec) == pytest.approx(lam, rel=1e-9)
-            assert _eigen_residual(w_dec, xm, 1 / lam_dec) < 1e-40
-            assert _eigen_residual(w_dec, u, 1) < 1e-40
+        for x, y in ((x_plus, e.x_plus[row]), (x_minus, e.x_minus[row])):
+            np.testing.assert_allclose(to_chart(x), to_chart(y), atol=1e-9)
         # The rank-2 update is the product of the two reflections; a wrong
         # sign of its -4c a(Bb)^T term would miss by 8c |a| |Bb|.  The float
         # product itself rounds at about 1e-14 of its largest entry.
-        err = np.max(np.abs(np.array(w_dec, dtype=float) - w))
-        assert err < 1e-12 * np.max(np.abs(w))
+        g = e.Ba[row] + 2 * e.c[row] * e.Bb[row]
+        update = np.eye(3) - 2 * np.outer(e.a[row], g) - 2 * np.outer(e.b[row], e.Bb[row])
+        assert np.max(np.abs(update - w)) < 1e-12 * np.max(np.abs(w))
+
+
+def _decimal_unit_pair(sys, roots, ci):
+    """The two roots of the pair scaled to B-norm 1, with B times each, in
+    ``decimal`` at the current context's precision: (a, Ba, b, Bb)."""
+    B = [[Decimal(x) for x in row] for row in sys.form.tolist()]
+    a, b = ([Decimal(x) for x in roots.vectors[r].tolist()] for r in ci.pair)
+    a, b = (_decimal_unit(v, _decimal_dot(v, [_decimal_dot(row, v) for row in B])) for v in (a, b))
+    Ba, Bb = ([_decimal_dot(row, v) for row in B] for v in (a, b))
+    return a, Ba, b, Bb
+
+
+def _decimal_dot(v, x):
+    return sum(map(mul, v, x))
+
+
+def _decimal_unit(v, norm2):
+    s = norm2.sqrt()
+    return [x / s for x in v]
 
 
 def _per_pair_eigendata(sys, roots, ci):
-    """The per-pair ``reflection_pair_eigendata`` that per-root data
-    replaced: B and both roots converted and scaled for every pair."""
-    from decimal import Decimal
-
-    def dot(v, x):
-        return sum(map(mul, v, x))
-
-    def unit(v, norm2):
-        s = norm2.sqrt()
-        return [x / s for x in v]
-
+    """The eigendata of w = s_a s_b for one pair in ``decimal``, independent
+    of the float stack: w as a list of rows, lam, and x_minus and
+    u = Ba x Bb as Euclidean unit vectors."""
     n = sys.rank
-    B = [[Decimal(x) for x in row] for row in sys.form.tolist()]
-    a, b = ([Decimal(x) for x in roots.vectors[r].tolist()] for r in ci.pair)
-    a, b = (unit(v, dot(v, [dot(row, v) for row in B])) for v in (a, b))
-    Ba, Bb = ([dot(row, v) for row in B] for v in (a, b))
-    c = -dot(Ba, b)
+    a, Ba, b, Bb = _decimal_unit_pair(sys, roots, ci)
+    c = -_decimal_dot(Ba, b)
     t = c + (c * c - 1).sqrt()
     g = [p + 2 * c * q for p, q in zip(Ba, Bb)]
     w = [[-2 * (a[i] * g[j] + b[i] * Bb[j]) for j in range(n)] for i in range(n)]
@@ -383,46 +393,53 @@ def _per_pair_eigendata(sys, roots, ci):
         w[i][i] += 1
     x_minus = [p + t * q for p, q in zip(a, b)]
     u = [Ba[i - 2] * Bb[i - 1] - Ba[i - 1] * Bb[i - 2] for i in range(n)]
-    return w, t * t, unit(x_minus, dot(x_minus, x_minus)), unit(u, dot(u, u))
+    return (w, t * t, _decimal_unit(x_minus, _decimal_dot(x_minus, x_minus)),
+            _decimal_unit(u, _decimal_dot(u, u)))
 
 
-def test_per_root_eigendata_matches_the_per_pair_reference(sys_u11):
-    """At depth 3, eigendata from the per-root (a, Ba) equal the per-pair
-    conversion Decimal for Decimal, digits and exponents included."""
-    roots = roots_by_depth(sys_u11, 3)
-    cis = [ci for ci in codim2_spacelike(sys_u11, roots) if ci.kind is IntersectionKind.SPACE_LIKE]
-    assert cis
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        unit = decimal_unit_roots(sys_u11, roots)
-        for ci in cis:
-            (a, Ba), (b, Bb) = (unit[r] for r in ci.pair)
-            got = reflection_pair_eigendata(a, Ba, b, Bb)
-            assert repr(got) == repr(_per_pair_eigendata(sys_u11, roots, ci))
+def test_per_root_eigendata_matches_the_per_pair_reference():
+    """At depth 5 on universal3:1, universal3:1.1 and universal3:5, the
+    float stack matches the 60-digit per-pair reference: lam relative, and
+    x_minus and u (up to sign) entrywise, within 8 eps m c / r per pair,
+    m = a^T|B|a + b^T|B|b + a^T|B|b and r = sqrt(c^2 - 1).  To first order
+    the B-norm scaling (2.5 eps m relative for a and for b) and the
+    pairing's dot products round c by at most 3 eps m relative; lam moves
+    by 2c/r times that, x_minus by at most c/r times it plus the scaling's
+    2.5 eps m.  u, from the cross product of Ba and Bb, stays far inside.
+    The reference's own identities hold to 1e-40."""
+    eps = np.finfo(float).eps
+    for graph in ("universal3:1", "universal3:1.1", "universal3:5"):
+        sys = make_system(graph)
+        roots, cis, e = _space_like_eigendata(sys, 5)
+        A = np.abs(sys.form)
+        m = sum(np.einsum("ij,jk,ik->i", x, A, y) for x, y in ((e.a, e.a), (e.b, e.b), (e.a, e.b)))
+        tol = 8 * eps * m * e.c / np.sqrt((e.c - 1) * (e.c + 1))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for row, ci in enumerate(cis):
+                w, lam, x_minus, u = _per_pair_eigendata(sys, roots, ci)
+                assert _eigen_residual(w, x_minus, 1 / lam) < 1e-40
+                assert _eigen_residual(w, u, 1) < 1e-40
+                assert abs(e.lam[row] - float(lam)) <= tol[row] * float(lam)
+                assert np.max(np.abs(e.x_minus[row] - np.array(x_minus, float))) <= tol[row]
+                u = np.array(u, float)
+                assert np.max(np.abs(e.u[row] - np.sign(u @ e.u[row]) * u)) <= tol[row]
 
 
 def test_pair_eigendata_refuses_a_light_like_pair(sys_u1):
     roots = roots_by_depth(sys_u1, 1)
     ci = codim2_spacelike(sys_u1, roots)[0]
     assert ci.kind is IntersectionKind.LIGHT_LIKE
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        unit = decimal_unit_roots(sys_u1, roots)
-        (a, Ba), (b, Bb) = (unit[r] for r in ci.pair)
-        with pytest.raises(ValueError, match="space-like pair"):
-            reflection_pair_eigendata(a, Ba, b, Bb)
+    with pytest.raises(ValueError, match="space-like pairs"):
+        pair_eigendata(sys_u1, roots, [ci.pair])
 
 
 def test_pair_eigendata_refuses_rank_four():
     sys = make_system("universal4:1")
     roots = roots_by_depth(sys, 2)
     ci = next(ci for ci in codim2_spacelike(sys, roots) if ci.kind is IntersectionKind.SPACE_LIKE)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        unit = decimal_unit_roots(sys, roots)
-        (a, Ba), (b, Bb) = (unit[r] for r in ci.pair)
-        with pytest.raises(ValueError, match="needs rank 3, not rank 4"):
-            reflection_pair_eigendata(a, Ba, b, Bb)
+    with pytest.raises(ValueError, match="need rank 3, not rank 4"):
+        pair_eigendata(sys, roots, [ci.pair])
 
 
 def _longest_projection(a, Ba, b, Bb):
@@ -443,24 +460,47 @@ def _longest_projection(a, Ba, b, Bb):
 
 @pytest.mark.parametrize("graph", ["universal3:1", "universal3:1.1", "universal3:5"])
 def test_cross_product_spans_the_fixed_line(graph):
-    """At depth 5, u = Ba x Bb is the longest projection up to sign, is
-    B-orthogonal to a and b and is fixed by w."""
+    """At depth 5, the stacked u = Ba x Bb is the 60-digit longest
+    projection up to sign within 1e-14, is B-orthogonal to a and b within
+    1e-12 of |Ba| and |Bb|, and w fixes it within the identity bound."""
     sys = make_system(graph)
-    roots = roots_by_depth(sys, 5)
-    cis = [ci for ci in codim2_spacelike(sys, roots) if ci.kind is IntersectionKind.SPACE_LIKE]
-    assert cis
+    roots, cis, e = _space_like_eigendata(sys, 5)
+    assert pair_identity_residuals(sys, e).max() < IDENTITY_TOL
     with decimal.localcontext() as ctx:
         ctx.prec = 60
-        unit = decimal_unit_roots(sys, roots)
-        for ci in cis:
-            (a, Ba), (b, Bb) = (unit[r] for r in ci.pair)
-            w, _, _, u = reflection_pair_eigendata(a, Ba, b, Bb)
-            ref = _longest_projection(a, Ba, b, Bb)
-            sign = 1 if sum(map(mul, u, ref)) > 0 else -1
-            assert max(abs(x - sign * y) for x, y in zip(u, ref)) < 1e-55
-            assert abs(sum(map(mul, u, Ba))) < 1e-50
-            assert abs(sum(map(mul, u, Bb))) < 1e-50
-            assert _eigen_residual(w, u, 1) < 1e-40
+        ref = np.array([_longest_projection(*_decimal_unit_pair(sys, roots, ci)) for ci in cis], float)
+    ref *= np.sign(np.einsum("ij,ij->i", ref, e.u))[:, None]
+    assert np.max(np.abs(e.u - ref)) < 1e-14
+    for Bx in (e.Ba, e.Bb):
+        assert np.all(np.abs(np.einsum("ij,ij->i", e.u, Bx)) < 1e-12 * np.linalg.norm(Bx, axis=1))
+
+
+@pytest.mark.parametrize("field", ["u", "x_minus", "lam"])
+def test_identity_check_fails_every_pair_under_a_perturbation(sys_u11, monkeypatch, field):
+    """A 1e-6 perturbation of u, of x_minus (both along one fixed unit
+    vector) or of lam (relative) breaks the eigen-identities of every pair
+    of universal3:1.1 at depth 4, and the sandwich report counts every pair
+    as a dynamics failure.  A perturbed lam leaves every end point in
+    place: only the x_plus identity sees it."""
+    v = np.array([1.0, -2.0, 3.0]) / math.sqrt(14.0)
+
+    def perturbed(sys, roots, pairs):
+        e = pair_eigendata(sys, roots, pairs)
+        if field == "lam":
+            return e._replace(lam=e.lam * (1 + 1e-6))
+        return e._replace(**{field: getattr(e, field) + 1e-6 * v})
+
+    roots, cis, e = _space_like_eigendata(sys_u11, 4)
+    assert pair_identity_residuals(sys_u11, e).max() < IDENTITY_TOL
+    bad = perturbed(sys_u11, roots, [ci.pair for ci in cis])
+    assert pair_identity_residuals(sys_u11, bad).min() > IDENTITY_TOL
+    monkeypatch.setattr(limitroots.verify, "pair_eigendata", perturbed)
+    report = run_suite("sandwich", sys=sys_u11, depth=4)
+    assert report["pass"] is False
+    assert report["dynamics_failures"] == report["pairs"] == 888
+    assert report["worst_identity_residual"] > report["identity_bound"] == IDENTITY_TOL
+    if field == "lam":
+        assert report["worst_dynamics_residual"] < 1e-11
 
 
 @pytest.mark.parametrize(
@@ -592,19 +632,21 @@ def test_sandwich_without_space_like_pairs_fails_without_raising(sys_u1):
     assert report["pass"] is False
     assert report["pairs"] == 0
     assert (report["roots"], report["dynamics_steps"], report["worst_angle_sine"]) == (3, 0, 0.0)
-    assert report["worst_dynamics_residual"] == 0.0
+    assert report["worst_dynamics_residual"] == report["worst_identity_residual"] == 0.0
 
 
 def test_sandwich_report_counters_at_depth_4(sys_u11):
     """The deterministic counters of the sandwich report on universal3:1.1
     at depth 4; the worst principal sine sits at rounding level, far below
-    the angle tolerance sin(1e-7)."""
+    the angle tolerance sin(1e-7), and the worst eigen-identity residual
+    below its bound."""
     report = run_suite("sandwich", sys=sys_u11, depth=4)
     assert report["pass"] is True
     assert (report["roots"], report["pairs"], report["dynamics_steps"]) == (45, 888, 8874)
     assert report["angle_failures"] == report["dynamics_failures"] == 0
     assert report["worst_angle_sine"] == pytest.approx(1.0e-12, rel=0.1)
-    assert report["worst_dynamics_residual"] == pytest.approx(3.0e-12, rel=0.1)
+    assert report["worst_dynamics_residual"] == pytest.approx(2.7e-12, rel=0.1)
+    assert report["worst_identity_residual"] < report["identity_bound"] == IDENTITY_TOL
 
 
 def test_weights_sit_on_simple_pair_intersections(sys_u11):
