@@ -17,7 +17,7 @@ class GroupElement(NamedTuple):
     Two elements are equal when their words and matrix bytes are; the hash
     is the word's.  ``origin`` is (store, row) for an element read from an
     ``ElementStore`` (``spectral.classify`` reads its class from the
-    store's blocks), else None; it takes no part in equality.
+    store's levels), else None; it takes no part in equality.
     """
 
     word: tuple
@@ -127,6 +127,12 @@ def element_of(sys, word):
     return GroupElement(word=tuple(shortlex), matrix=M[0])
 
 
+def _word_tuples(W):
+    """The rows of a word array (N, k) as tuples of Python ints, built from
+    its k columns with no list per row; () for each row of level 0."""
+    return zip(*W.T.tolist()) if W.shape[1] else repeat((), len(W))
+
+
 class ElementSequence(Sequence):
     """Read-only sequence of some rows of an ``ElementStore``, in row order.
 
@@ -159,7 +165,7 @@ class ElementSequence(Sequence):
             part = rows[bisect_left(rows, starts[k]) : bisect_left(rows, starts[k + 1])]
             if part:
                 local = slice(part.start - starts[k], part.stop - starts[k], part.step)
-                words = map(tuple, W[local].tolist())
+                words = _word_tuples(W[local])
                 origins = zip(repeat(self._store), part)
                 yield from map(tuple.__new__, repeat(GroupElement), zip(words, M[local], origins))
 
@@ -174,9 +180,9 @@ class ElementStore:
     the words (N, k), in the smallest unsigned dtype that holds rank - 1, and
     the matrices (N, n, n).  ``words`` and ``matrices`` read them for a range
     of lengths; ``elements`` and ``with_length`` are ``ElementSequence``s,
-    which build ``GroupElement``s on access.  ``class_blocks`` holds the
-    spectral classes of the rows ``spectral.classify`` has asked for, by
-    block of one level, for the store's lifetime.
+    which build ``GroupElement``s on access.  ``class_levels`` holds the
+    spectral classes of the levels ``spectral.classify`` has read a row of,
+    by length, for the store's lifetime.
     """
 
     def __init__(self, sys):
@@ -184,7 +190,7 @@ class ElementStore:
         self._words = []
         self._mats = []
         self._starts = [0]
-        self.class_blocks = {}
+        self.class_levels = {}
 
     def __len__(self):
         return self._starts[-1]
@@ -218,7 +224,7 @@ class ElementStore:
 
     def words(self, lo, hi):
         """Word tuples of the elements of length lo..hi, in store order."""
-        return [w for k in self._lengths(lo, hi) for w in map(tuple, self._words[k].tolist())]
+        return [w for k in self._lengths(lo, hi) for w in _word_tuples(self._words[k])]
 
     def matrices(self, lo, hi):
         """(N, n, n) stack of the matrices of length lo..hi, in store order."""

@@ -35,8 +35,8 @@ KERNEL_TOL = 1e-7
 ISOMETRY_TOL = 1e-8
 # Powering stops at the first power with an entry above this.
 POWER_CAP = 1e9
-# ``classify`` classifies store rows in blocks of this many rows of a level.
-BLOCK_ROWS = 1024
+# ``_classify_rows`` works on chunks of at most this many rows.
+_CHUNK_ROWS = 1024
 
 
 class Kind(enum.Enum):
@@ -318,14 +318,13 @@ def classify(sys, elem):
     rounded; otherwise ClassificationError.  ``_classify_rows`` decides.
 
     An element read from an ``ElementStore`` of ``sys`` (its ``origin``)
-    takes its class from the store's ``class_blocks``: the first call on a
-    row checks that ``sys`` is Lorentzian and classifies the block of
-    BLOCK_ROWS rows of its level that holds it as one stack, kept for the
-    store's lifetime (a refused store keeps none), and a row's error is
-    raised only when that row is asked for.  The row's level is its word's
-    length, so the block is one dict lookup away.  Any other element or
-    matrix is a stack of one.  A row's class does not depend on its stack,
-    so both give the same bits.
+    takes its class from the store's ``class_levels``: the first call on a
+    row checks that ``sys`` is Lorentzian and classifies the row's whole
+    level, kept for the store's lifetime (a refused store keeps none), and
+    a row's error is raised only when that row is asked for.  The row's
+    level is its word's length, so the level is one dict lookup away.  Any
+    other element or matrix is a stack of one.  A row's class does not
+    depend on its stack, so both give the same bits.
     """
     if not isinstance(elem, GroupElement):
         return classify_many(sys, np.asarray(elem)[None])[0]
@@ -333,13 +332,11 @@ def classify(sys, elem):
         return classify_many(sys, elem.matrix[None], (-1.0) ** elem.length)[0]
     store, row = elem.origin
     k = len(elem.word)
-    b, i = divmod(row - store._starts[k], BLOCK_ROWS)
-    block = store.class_blocks.get((k, b))
-    if block is None:
+    level = store.class_levels.get(k)
+    if level is None:
         sys.require_lorentzian("spectral classification")
-        M = store.level(k)[1][b * BLOCK_ROWS : (b + 1) * BLOCK_ROWS]
-        block = store.class_blocks[k, b] = _classify_rows(sys, M, (-1.0) ** k)
-    sc = block[i]
+        level = store.class_levels[k] = _classify_rows(sys, store.level(k)[1], (-1.0) ** k)
+    sc = level[row - store._starts[k]]
     return sc if type(sc) is SpectralClass else _checked(sc)
 
 
@@ -351,7 +348,7 @@ def classify_many(sys, mats, det=None):
     hold words pass their parities, the sandwich oracle +1 for s_a s_b.
     Without it each matrix is checked and its det rounded as ``classify``
     does for a raw matrix (``_determinants``).  One ``_classify_rows`` over
-    the stack classifies every row.
+    the stack classifies every row, in chunks of bounded size.
     """
     sys.require_lorentzian("spectral classification")
     M = np.ascontiguousarray(mats, dtype=float)
@@ -367,24 +364,28 @@ def _classify_rows(sys, M, det):
     propagates).  ``det`` is det M (one value or one per row), 0 where a raw
     matrix is not a B-isometry of det +-1.
 
-    ``_trace_rule`` gives x = lambda + 1/lambda and its rounding bound beta
-    for the whole stack.  The rows with x - 2 > beta are hyperbolic, and one
-    ``_hyperbolic_classes`` extracts their eigendata; one
-    ``_unimodular_classes`` decides all other rows.
+    Two passes over chunks of at most _CHUNK_ROWS rows bound the working
+    memory.  First ``_trace_rule`` gives each chunk's x = lambda + 1/lambda
+    and bound beta, and ``_hyperbolic_classes`` takes its rows with
+    x - 2 > beta; then ``_unimodular_classes`` decides all other rows.
     """
     det = np.broadcast_to(np.asarray(det, float), len(M))
-    x, beta, unit, eps, Q, f = _trace_rule(M, det)
-    hyp = (det != 0) & (x - 2 > beta)
-    out = [None] * len(M)
-    rows = np.flatnonzero(hyp)
-    if len(rows):
-        classes = _hyperbolic_classes(sys, M[rows], x[rows], Q[rows], f[rows])
-        for i, sc in zip(rows.tolist(), classes):
-            out[i] = sc
-    rows = np.flatnonzero(~hyp)
-    if len(rows):
-        classes = _unimodular_classes(sys, M[rows], det[rows], unit[rows], eps[rows])
-        for i, sc in zip(rows.tolist(), classes):
+    out, rest = [None] * len(M), []
+    for lo in range(0, len(M), _CHUNK_ROWS):
+        C = slice(lo, lo + _CHUNK_ROWS)
+        x, beta, unit, eps, Q, f = _trace_rule(M[C], det[C])
+        hyp = (det[C] != 0) & (x - 2 > beta)
+        rows = np.flatnonzero(hyp)
+        if len(rows):
+            classes = _hyperbolic_classes(sys, M[C][rows], x[rows], Q[rows], f[rows])
+            for i, sc in zip((rows + lo).tolist(), classes):
+                out[i] = sc
+        rows = np.flatnonzero(~hyp)
+        rest.append((rows + lo, unit[rows], eps[rows]))
+    rows, unit, eps = map(np.concatenate, zip(*rest))
+    for lo in range(0, len(rows), _CHUNK_ROWS):
+        C, r = slice(lo, lo + _CHUNK_ROWS), rows[lo : lo + _CHUNK_ROWS]
+        for i, sc in zip(r.tolist(), _unimodular_classes(sys, M[r], det[r], unit[C], eps[C])):
             out[i] = sc
     return out
 

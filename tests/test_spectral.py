@@ -235,7 +235,7 @@ def test_degenerate_dominant_eigenvalue_is_rejected(sys_u1):
 
 def test_classify_requires_lorentzian_signature():
     """The element of a word and every row of a store are refused on every
-    call, and the store forms no block."""
+    call, and the store classifies no level."""
     sys_fin = make_system("a3")
     with pytest.raises(NotLorentzianError):
         classify(sys_fin, element_of(sys_fin, (0, 1)))
@@ -243,7 +243,7 @@ def test_classify_requires_lorentzian_signature():
     for elem in list(store) * 2:
         with pytest.raises(NotLorentzianError):
             classify(sys_fin, elem)
-    assert store.class_blocks == {}
+    assert store.class_levels == {}
 
 
 def _reference_dominant(M, lam):
@@ -535,13 +535,9 @@ def _outcome(sys, elem):
     return _stored(sys, sc)
 
 
-def test_unimodular_branches_keep_their_own_errors_in_one_stack():
-    """One raw fig1b stack with a row for each branch of the unimodular pass:
-    every row gives what it gives as a stack of one, type, message and
-    cause.  Only a Jordan test's ClassificationError takes the powering
-    suffix, with the Jordan error as its cause; a BorderlineSpectrumError
-    passes through as it is."""
-    sys = make_system("fig1b")
+def _unimodular_branch_rows(sys):
+    """(matrix, det, expected) for each branch of the unimodular pass on
+    fig1b: the kind, or a fragment of the error message."""
     half = (0, 1, 2, 3) * 3 + (2,)
     # An odd palindrome, so a reflection, with entries of 4.6e8: its computed
     # square misses I by far more than tol, and M^3 passes the norm cap.
@@ -562,6 +558,17 @@ def test_unimodular_branches_keep_their_own_errors_in_one_stack():
         (element_of(sys, (0, 3)).matrix, 1, Kind.PARABOLIC),
         (element_of(sys, (0, 1)).matrix, 1, Kind.ELLIPTIC),
     ]
+    return rows
+
+
+def test_unimodular_branches_keep_their_own_errors_in_one_stack():
+    """One raw fig1b stack with a row for each branch of the unimodular pass:
+    every row gives what it gives as a stack of one, type, message and
+    cause.  Only a Jordan test's ClassificationError takes the powering
+    suffix, with the Jordan error as its cause; a BorderlineSpectrumError
+    passes through as it is."""
+    sys = make_system("fig1b")
+    rows = _unimodular_branch_rows(sys)
     stack = np.stack([M for M, _, _ in rows])
     det = np.array([d for _, d, _ in rows], float)
     got = [_stored(sys, sc) for sc in spectral._classify_rows(sys, stack, det)]
@@ -579,8 +586,8 @@ def test_unimodular_branches_keep_their_own_errors_in_one_stack():
 
 def test_store_blocks_match_a_stack_of_one_on_every_unimodular_row():
     """fig1b up to length 9: each of the 864 rows the traces do not call
-    hyperbolic (538 elliptic, 326 parabolic, spread over every block)
-    classifies in its store block as the element of its word and matrix
+    hyperbolic (538 elliptic, 326 parabolic, spread over every chunk)
+    classifies in its store level as the element of its word and matrix
     does alone, bit for bit."""
     sys = make_system("fig1b")
     store = enumerate_elements(sys, 9)
@@ -595,8 +602,9 @@ def test_store_blocks_match_a_stack_of_one_on_every_unimodular_row():
 
 def test_store_blocks_match_one_element_and_one_matrix():
     """Rows 0, 1023, 1024 and the last of fig1b's level 9 (13,044 rows, 13
-    blocks): the store element, the element of its word and its raw matrix
-    classify bit for bit alike, and only the blocks asked for are formed."""
+    chunks): the store element, the element of its word and its raw matrix
+    classify bit for bit alike, and only the level asked for is classified,
+    whole."""
     sys = make_system("fig1b")
     store = enumerate_elements(sys, 9)
     level = store.of_length(9)
@@ -606,8 +614,8 @@ def test_store_blocks_match_one_element_and_one_matrix():
         got = _outcome(sys, elem)
         assert isinstance(got[0], Kind)
         assert got == _outcome(sys, element_of(sys, elem.word)) == _outcome(sys, elem.matrix)
-    assert sorted(store.class_blocks) == [(9, 0), (9, 1), (9, 12)]
-    assert len(store.class_blocks[9, 12]) == 13044 - 12 * spectral.BLOCK_ROWS
+    assert sorted(store.class_levels) == [9]
+    assert len(store.class_levels[9]) == 13044
     # Every call on a row hands out the one class, so its fields cannot be
     # assigned and its arrays are read-only.
     for j in (0, 1024):
@@ -636,9 +644,9 @@ def _record_bits(sc):
 
 def test_every_store_row_classifies_as_its_whole_level():
     """fig1b up to length 9: each of the 20,696 rows classifies through
-    ``classify`` (blocks of 1,024 rows) with the fields, bit for bit, that
-    ``classify_many`` gives it on its whole level, and every 97th hyperbolic
-    row also as a stack of one."""
+    ``classify`` (the store's classified levels) with the fields, bit for
+    bit, that ``classify_many`` gives it on its whole level, and every 97th
+    hyperbolic row also as a stack of one."""
     sys = make_system("fig1b")
     store = enumerate_elements(sys, 9)
     kinds = Counter()
@@ -681,7 +689,7 @@ def test_hyperbolic_stack_keeps_each_rows_class_or_error():
 
 def test_classified_store_retains_under_700_bytes_per_row():
     """fig1b up to length 9 with every row classified: the store and its
-    class blocks retain 601 bytes per row (``tracemalloc``), as they did
+    classified levels retain 601 bytes per row (``tracemalloc``), as they did
     with one record constructor call per row.  The bound leaves 99 bytes
     per row (16%) of margin."""
     sys = make_system("fig1b")
@@ -703,7 +711,7 @@ def test_classified_store_retains_under_700_bytes_per_row():
 def test_stored_errors_are_raised_by_their_own_rows():
     """universal3:50 up to length 7: the reflections of length 5 and 7 (odd
     palindromes; entries above 1e9, so no power certifies order 2) each raise
-    what they raise alone, every other row of their blocks classifies, and
+    what they raise alone, every other row of their levels classifies, and
     raising a stored error again does not lengthen its traceback."""
     sys = make_system("universal3:50")
     store = enumerate_elements(sys, 7)
@@ -727,14 +735,15 @@ def test_stored_errors_are_raised_by_their_own_rows():
 
 def test_store_blocks_are_read_only_for_the_store_system():
     """A fig1b store element classified against fig1a (same rank) is a stack
-    of one for fig1a, before and after fig1b has filled the store's blocks."""
+    of one for fig1a, before and after fig1b has classified the store's
+    levels."""
     fig1b, fig1a = make_system("fig1b"), make_system("fig1a")
     store = enumerate_elements(fig1b, 4)
     alone = [_outcome(fig1a, GroupElement(e.word, e.matrix)) for e in store]
     assert [_outcome(fig1a, e) for e in store] == alone
-    assert store.class_blocks == {}
+    assert store.class_levels == {}
     own = [_outcome(fig1b, e) for e in store]
-    assert sorted(store.class_blocks) == [(k, 0) for k in range(5)]
+    assert sorted(store.class_levels) == list(range(5))
     assert [_outcome(fig1a, e) for e in store] == alone != own
 
 
@@ -753,6 +762,78 @@ def test_store_blocks_in_rank_5_take_the_eigvals_rule(monkeypatch):
     # A non-finite row is refused as a non-isometry, not by ``eigvals``.
     with pytest.raises(ClassificationError, match="not a B-isometry"), np.errstate(invalid="ignore"):
         classify(sys, np.full((5, 5), np.nan))
+
+
+def _chunk_outcomes(sys, length):
+    """What ``classify`` gives each row of a fresh store up to ``length``, and
+    ``classify_many`` each row of its levels: ``_record_bits``, or an error's
+    type, message and cause type."""
+
+    def bits(call, *args):
+        try:
+            return _record_bits(call(*args))
+        except Exception as exc:
+            return type(exc), str(exc), type(exc.__cause__)
+
+    store = enumerate_elements(sys, length)
+    rows = [bits(classify, sys, e) for e in store]
+    for k in range(length + 1):
+        rows += map(_record_bits, classify_many(sys, store.level(k)[1], det=(-1.0) ** k))
+    return rows
+
+
+def test_chunk_size_changes_no_class(monkeypatch):
+    """``_classify_rows`` in chunks of 7 rows in place of 1,024 gives every
+    row the same fields, bit for bit, or the same error: on fig1b up to
+    length 8 and universal5:1 (the ``eigvals`` rule) up to length 4,
+    through the store and through ``classify_many``, and on the raw stack of
+    every unimodular branch with each branch row behind two hyperbolic
+    ones, so that the unimodular rows straddle the chunks of both passes.
+    ``classify_many`` still raises the first failing row's error."""
+    fig1b = make_system("fig1b")
+    hyperbolic = [element_of(fig1b, w).matrix for w in ((0, 1, 2, 3), (1, 2, 3, 0))]
+    stack, det = [], []
+    for M, d, _ in _unimodular_branch_rows(fig1b):
+        stack += hyperbolic + [M]
+        det += [1.0, 1.0, d]
+    stack, det = np.stack(stack), np.array(det)
+
+    def outcomes():
+        raw = [_stored(fig1b, sc) for sc in spectral._classify_rows(fig1b, stack, det)]
+        with pytest.raises(Exception) as info:
+            classify_many(fig1b, stack, det)
+        first = (type(info.value), str(info.value), type(info.value.__cause__))
+        graphs = [_chunk_outcomes(make_system(g), k) for g, k in (("fig1b", 8), ("universal5:1", 4))]
+        return raw, first, graphs
+
+    default = outcomes()
+    monkeypatch.setattr(spectral, "_CHUNK_ROWS", 7)
+    assert outcomes() == default
+    raw, first, graphs = default
+    assert len(stack) == 24 and [r[0] for r in raw[:2]] == [Kind.HYPERBOLIC] * 2
+    assert first == raw[2] and first[0] is ClassificationError
+    assert [len(g) for g in graphs] == [2 * 7652, 2 * 426]
+
+
+def test_classifying_a_level_takes_bounded_working_memory():
+    """Every row of fig1b's level 9 (13,044 rows) classified through the
+    store: the peak traced memory (``tracemalloc``) exceeds what the
+    classified level retains by under 4 MB, as the passes work on chunks of
+    1,024 rows (about 1.6 MB); the level as one stack takes about 12.8 MB."""
+    sys = make_system("fig1b")
+    for elem in enumerate_elements(sys, 3):
+        classify(sys, elem)
+    store = enumerate_elements(sys, 9)
+    level = store.of_length(9)
+    tracemalloc.start()
+    try:
+        for elem in level:
+            classify(sys, elem)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(store.class_levels[9]) == len(level) == 13044
+    assert peak - retained < 4 * 2**20
 
 
 def _per_row_trace_rule(M, det):
