@@ -548,7 +548,7 @@ def _unimodular_branch_rows(sys):
     # traces put its spectrum at +-1, but it is not Jordan-tested.
     infinite = np.diag([1.0, 1.0, 1.0, -1.0])
     infinite[0, 1] = math.inf
-    rows = [
+    return [
         (2 * element_of(sys, (0, 3)).matrix, 0, "not a B-isometry"),
         (_rotation(sys, 2 * math.pi), 1, "order bound 10 and the spectrum is not at"),
         (reflection, -1, "expected 2; powering stopped at M^3, which passes the norm cap"),
@@ -558,7 +558,6 @@ def _unimodular_branch_rows(sys):
         (element_of(sys, (0, 3)).matrix, 1, Kind.PARABOLIC),
         (element_of(sys, (0, 1)).matrix, 1, Kind.ELLIPTIC),
     ]
-    return rows
 
 
 def test_unimodular_branches_keep_their_own_errors_in_one_stack():
