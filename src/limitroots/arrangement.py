@@ -76,8 +76,8 @@ def roots_by_depth(sys, max_depth):
     s_t gamma is a child of gamma (one deeper, parent step t) exactly when
     t r t is reduced with smallest left descent t.  Depth d grows from d - 1,
     t-major, by one ``_read_rows`` of [t, W, base, W reversed, t] for every t
-    and root.  Pairing rows p = B beta move as ``reflect_rows`` moves them,
-    only to form each root's vector.
+    and root.  Pairing rows p = B beta move as in
+    ``GeometricSystem.small_roots``, only to form each root's vector.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")

@@ -69,21 +69,17 @@ def cmd_limit_roots(args):
     start = time.perf_counter()
     store = enumerate_elements(sys, max(core[1], conj[1]))
     ps = sample_limit_roots(sys, store, core, conj, args.dedup_eps)
-    floats = format_floats(ps)
-    write_pointset_csv(ps, args.out, floats)
-    if args.json:
-        write_pointset_json(ps, args.json, sys, budgets, floats)
-    wall_time = time.perf_counter() - start
     manifest = RunManifest(
         graph_hash=graph_hash(graph),
         budgets=budgets,
         tolerances={"dedup_eps": args.dedup_eps},
         command="limit-roots",
-        wall_time=wall_time,
     )
-    manifest.add_output(args.out)
+    floats = format_floats(ps)
+    manifest.add_output(args.out, write_pointset_csv(ps, args.out, floats))
     if args.json:
-        manifest.add_output(args.json)
+        manifest.add_output(args.json, write_pointset_json(ps, args.json, sys, budgets, floats))
+    manifest.wall_time = time.perf_counter() - start
     manifest.write(args.out + ".manifest.json")
     counts = ps.counts_by_kind()
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))

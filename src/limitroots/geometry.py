@@ -1,5 +1,6 @@
 """Geometric representation: bilinear form, signature, simple reflection matrices."""
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -115,23 +116,6 @@ def parabolic_order(graph, B, T):
     return None if exponents is None else math.prod(m + 1 for m in exponents)
 
 
-def reflect_rows(gens, t, X):
-    """Rows x S_t of a stack X of rows x, and the rounding the step adds to them.
-
-    (x S_t)_j = x_j + x_t d_j, d = S_t[t] - e_t: a root's pairings B beta
-    under beta -> s_t beta.  The float d_j is within 3 ulps of max(|d_j|, 1)
-    (m = 2 gives exactly 0), so the step adds at most 16 u (|x_j| +
-    |x_t| (|d_j| + 1)) to |x_j - x_exact_j|: 2 ulps for the product and the
-    sum, 3 for d_j, a few for second-order terms and for rounding the bound.
-    """
-    d = gens[t][t].copy()
-    d[t] -= 1
-    spread = np.abs(d)
-    spread[t] = 0
-    xt = X[:, t, None]
-    return X + xt * d, 16 * _U * (np.abs(X) + np.abs(xt) * (spread + 1))
-
-
 def system_type(B):
     """'finite', 'affine', 'lorentzian' or 'other' from the signature of B."""
     n = B.shape[0]
@@ -218,9 +202,9 @@ class GeometricSystem:
         (rows 0..n-1) under beta -> s_t beta where -1 < B(alpha_t, beta) < 0,
         finite (Brink & Howlett, Math. Ann. 296, 1993) and closed under the
         steps that lower the depth.  A root is its pairing row p = B beta,
-        moved by ``reflect_rows``, off by eps^T G for some |eps| <= 1, G from
-        4 u I: this affine bound moves with p, so along a dihedral string it
-        grows linearly, not doubling at each step.  The float decisions
+        off by eps^T G for some |eps| <= 1, G from 4 u I: this affine bound
+        moves with p, so along a dihedral string it grows linearly, not
+        doubling at each step.  The float decisions
         (g = ``pairing_gap``, E_t = sum |G_t|): p_t is 0 where
         |p_t| <= E_t < g/2, else has the sign it shows past E_t; a negative
         p_t is small above -1 + g^2, where it lies past E_t of it (E_t < g^2/2
@@ -229,32 +213,52 @@ class GeometricSystem:
         EnumerationError.
         """
         n, gap = self.rank, self.pairing_gap
-        X = [np.vstack((p, 4 * _U * np.eye(n))) for p in self.form]
+        # X[i] is [p; G] of root i, transposed: n rows, each contiguous.
+        X = [np.vstack((p, 4 * _U * np.eye(n))).T.copy() for p in self.form]
+        # s_t moves a row x as x_j <- x_j + x_t D_tj, D_t = S_t[t] - e_t.  The
+        # float D_tj is within 3 ulps of max(|D_tj|, 1) (m = 2 gives exactly
+        # 0), so the step adds at most 16 u |x_j| + C_tj |x_t| to the error of
+        # x_j, C_tj = 16 u (|D_tj| + 1) off t and 16 u at t: 2 ulps for the
+        # product and the sum, 3 for D_tj, a few for the rest.
+        D = np.array([S[t] for t, S in enumerate(self.gens)]) - np.eye(n)
+        C = 16 * _U * (np.abs(D) * (1 - np.eye(n)) + 1)
         # P and E hold the rows of the roots found so far, len(X) of them, in
         # arrays that double when full: appending one root is O(1) amortised.
         P, E, act = np.vstack((self.form, self.form)), np.full((2 * n, n), 4 * _U), []
+        # (P[r, 0], r) of each root r, sorted, and e0 = max E[r, 0]: a root within
+        # both bounds of an image q has |P[r, 0] - q[0]| <= e0 + f[0] (widened
+        # by 2**-40 of the ends against rounding), so only those are tested.
+        index, e0 = sorted((float(p), r) for r, p in enumerate(self.form[:, 0])), 4 * _U
         while len(act) < len(X):
             i = len(act)
             act.append(list(range(n)))
+            # The rounding a step adds, summed over [p; G], is 16 u (|p| + E)
+            # + C_t (|p_t| + E_t), E = sum |G|: no pass over G.
+            prow, erow, fresh0 = P[i].tolist(), E[i].tolist(), 16 * _U * (np.abs(P[i]) + E[i])
             for t in range(n):
-                p, e = P[i, t], E[i, t]
+                p, e = prow[t], erow[t]
                 if abs(p) <= e and 2 * e < gap:
                     act[i][t] = i
                 elif not abs(p) > e or (p < 0 and not abs(p + 1 - gap**2) > e):
                     raise EnumerationError(f"small root {i}: pairing {p} with s_{t} undecidable")
                 elif i != t and p > gap**2 - 1:
-                    Y, fresh = reflect_rows(self.gens, t, X[i])
-                    Y = np.vstack((Y, np.diag(fresh.sum(0))))
-                    q, f = Y[0], np.abs(Y[1:]).sum(0)
-                    size = len(X)
-                    (j,) = np.nonzero(np.all(np.abs(P[:size] - q) <= E[:size] + f, axis=1))
+                    Y, fresh = X[i] + D[t, :, None] * X[i][t], fresh0 + C[t] * (abs(p) + e)
+                    q, f = Y[:, 0], np.abs(Y[:, 1:]).sum(1) + fresh
+                    size, q0 = len(X), float(q[0])
+                    reach = e0 + f[0] + (abs(q0) + e0 + f[0]) * 2**-40
+                    lo = bisect.bisect_left(index, (q0 - reach,))
+                    hi = bisect.bisect_right(index, (q0 + reach, size))
+                    near = np.array([r for _, r in index[lo:hi]], np.intp)
+                    j = near[np.all(np.abs(P[near] - q) <= E[near] + f, axis=1)]
                     if len(j) > 1 or (p > 0 and len(j) == 0):
                         raise EnumerationError(f"small root {i}: s_{t} of it matches {len(j)} roots")
                     if len(j) == 0:
                         if size == len(P):
                             P, E = np.vstack((P, P)), np.vstack((E, E))
                         P[size], E[size], j = q, f, [size]
-                        X.append(Y)
+                        bisect.insort(index, (q0, size))
+                        e0 = max(e0, f[0])
+                        X.append(np.hstack((Y, np.diag(fresh))))
                     act[i][t] = j[0]
             # A root's bound rows (1 + n depth of them) are read only here.
             X[i] = None

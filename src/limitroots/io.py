@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -17,12 +18,11 @@ def graph_hash(graph):
     return hashlib.sha256(graph.to_json().encode()).hexdigest()
 
 
-def _file_digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _write(path, data):
+    """Write the bytes ``data`` to ``path``; return their SHA-256 hex digest."""
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 @dataclass
@@ -42,8 +42,10 @@ class RunManifest:
     wall_time: float = 0.0
     outputs: dict = field(default_factory=dict)
 
-    def add_output(self, path):
-        self.outputs[str(path)] = _file_digest(path)
+    def add_output(self, path, digest):
+        """Record ``digest``, the SHA-256 hex digest a writer returned, for
+        the file it wrote at ``path``."""
+        self.outputs[str(path)] = digest
 
     def write(self, path):
         data = {
@@ -61,14 +63,14 @@ class RunManifest:
 
 
 def _row_labels(ps, quote=str):
-    """Kind, source-word and conjugator-word strings of every row; each
-    distinct word is formatted (and passed through ``quote``) once."""
+    """Columns of the kind, source-word and conjugator-word strings of the
+    rows; each distinct word is formatted (and passed through ``quote``) once."""
     kinds = [quote(k) for k in ps.kinds]
     words = [quote(word_to_str(w)) for w in ps.words]
-    return zip(
-        [kinds[k] for k in ps.kind],
-        [words[i] for i in ps.source],
-        [words[i] for i in ps.conjugator],
+    return (
+        list(map(kinds.__getitem__, ps.kind.tolist())),
+        list(map(words.__getitem__, ps.source.tolist())),
+        list(map(words.__getitem__, ps.conjugator.tolist())),
     )
 
 
@@ -93,22 +95,16 @@ def format_floats(ps):
 def write_pointset_csv(ps, path, floats=None):
     """Header x1..xn,kind,source_word,conjugator_word,bnorm; floats use repr
     (``floats``, else ``format_floats(ps)``) so emission is deterministic and
-    lossless.
+    lossless.  Returns the SHA-256 hex digest of the bytes written.
 
     The bytes are those of ``csv.writer`` (excel dialect), written directly:
-    each row fills a fixed template with float reprs and labels quoted once."""
+    each row is joined from the columns, with the labels quoted once."""
     header = [f"x{i + 1}" for i in range(ps.coords.shape[1])]
     header += ["kind", "source_word", "conjugator_word", "bnorm"]
-    row = ",".join(["%s"] * len(header)) + "\r\n"
     coords, bnorms = floats or format_floats(ps)
-    with open(path, "w", newline="") as fh:
-        fh.write(row % tuple(header))
-        fh.writelines(
-            row % (*xs, kind, source, conjugator, bnorm)
-            for xs, (kind, source, conjugator), bnorm in zip(
-                coords, _row_labels(ps, _csv_field), bnorms
-            )
-        )
+    kinds, sources, conjugators = _row_labels(ps, _csv_field)
+    rows = map(",".join, zip(map(",".join, coords), kinds, sources, conjugators, bnorms))
+    return _write(path, "\r\n".join([",".join(header), *rows, ""]).encode())
 
 
 def read_pointset_csv(path, sys):
@@ -153,11 +149,12 @@ def write_pointset_json(ps, path, sys, budgets, floats=None):
     """The text of ``json.dumps(data, indent=1, sort_keys=True)`` plus a
     newline, for data = {"metadata": ..., "points": [...]}, written directly:
     the standard library formats indented output in pure Python, one token
-    at a time.  The metadata goes through ``json.dumps``; each point fills a
-    fixed template with the float reprs (``floats``, else
-    ``format_floats(ps)``) and json's C string encoder.  NaN and +-Infinity
-    are not JSON: a set with a non-finite coordinate or B-norm is a
-    ValueError, raised before the file is opened."""
+    at a time.  The metadata goes through ``json.dumps``; each point is
+    joined from the parts of a fixed template and the columns of float reprs
+    (``floats``, else ``format_floats(ps)``) and of labels through json's C
+    string encoder.  Returns the SHA-256 hex digest of the bytes written.
+    NaN and +-Infinity are not JSON: a set with a non-finite coordinate or
+    B-norm is a ValueError, raised before the file is opened."""
     finite = np.isfinite(ps.coords).all(axis=1) & np.isfinite(ps.bnorm)
     if not finite.all():
         raise ValueError(
@@ -170,20 +167,15 @@ def write_pointset_json(ps, path, sys, budgets, floats=None):
         "dedup_eps": ps.dedup_eps,
         "version": __version__,
     }
-    n = sys.rank
     point = (
-        '  {\n   "bnorm": %s,\n   "conjugator_word": %s,\n   "coords": [\n'
-        + ",\n".join(["    %s"] * n)
-        + '\n   ],\n   "kind": %s,\n   "source_word": %s\n  }'
+        '  {\n   "bnorm": %s,\n   "conjugator_word": %s,\n   "coords": [\n    %s'
+        '\n   ],\n   "kind": %s,\n   "source_word": %s\n  }'
     )
+    a, b, c, d, e, f = map(repeat, point.split("%s"))
     coords, bnorms = floats or format_floats(ps)
-    points = ",\n".join(
-        point % (bnorm, conjugator, *xs, kind, source)
-        for xs, (kind, source, conjugator), bnorm in zip(
-            coords, _row_labels(ps, encode_basestring_ascii), bnorms
-        )
-    )
+    kinds, sources, conjugators = _row_labels(ps, encode_basestring_ascii)
+    rows = zip(a, bnorms, b, conjugators, c, map(",\n    ".join, coords), d, kinds, e, sources, f)
+    points = ",\n".join(map("".join, rows))
     head = json.dumps(metadata, indent=1, sort_keys=True).replace("\n", "\n ")
     body = f"[\n{points}\n ]" if points else "[]"
-    with open(path, "w") as fh:
-        fh.write(f'{{\n "metadata": {head},\n "points": {body}\n}}\n')
+    return _write(path, f'{{\n "metadata": {head},\n "points": {body}\n}}\n'.encode())

@@ -113,28 +113,35 @@ def _dedup(coords, eps):
     only cells whose keys are within 2 in the two columns of widest key
     spread.
     """
-    keys = _grid_keys(coords, eps)
-    if len(keys) == 0:
+    if len(coords) == 0:
         return np.empty(0, np.intp)
-    # Columns by decreasing key spread, packed in mixed radix into as few
-    # int64 sort keys as fit: one lexsort orders the cells by the widest
-    # column, then the next, which is the order the pair search needs.
-    lows = [int(k.min()) for k in keys.T]
-    spans = [int(k.max()) - low + 1 for k, low in zip(keys.T, lows)]
+    columns = _grid_key_columns(coords, eps)
+    columns -= columns.min(axis=1, keepdims=True)
+    # Columns by decreasing key spread, folded in mixed radix into one int64
+    # cell code, whose order is that of the widest column, then the next: the
+    # order the pair search needs.  Where the next radix would pass 2**63, the
+    # code is replaced by its dense rank and the rows by the order sorting it
+    # (and a column whose span alone passes, by its own rank).
+    spans = (columns.max(axis=1) + 1).tolist()
     cols = sorted(range(len(spans)), key=lambda c: -spans[c])
-    sort_keys, radix = [], 0
-    for c in reversed(cols):
-        k = keys[:, c] - lows[c]
-        if sort_keys and radix * spans[c] <= 2**63:
-            sort_keys[-1] = k * radix + sort_keys[-1]
-            radix *= spans[c]
-        else:
-            sort_keys.append(k)
-            radix = spans[c]
-    order = np.lexsort(sort_keys)
-    changed = np.any([np.diff(k[order]) != 0 for k in sort_keys], axis=0)
-    reps = np.minimum.reduceat(order, np.flatnonzero(np.r_[True, changed]))
-    window = keys.take(reps, axis=0)[:, (cols + cols)[:2]]  # one column serves twice
+    code, radix, order = 0, 1, np.arange(len(coords))
+    for c in cols:
+        span = spans[c]
+        if radix * span > 2**63:
+            step = np.argsort(code)
+            code, order = code[step], order[step]
+            code = np.cumsum(np.r_[0, code[1:] != code[:-1]])
+            radix = int(code[-1]) + 1
+        k = columns[c].take(order)
+        if radix * span > 2**63:
+            values, k = np.unique(k, return_inverse=True)
+            span = len(values)
+        code = code * span + k
+        radix *= span
+    step = np.argsort(code)
+    order, code = order[step], code[step]
+    reps = np.minimum.reduceat(order, np.flatnonzero(np.r_[True, code[1:] != code[:-1]]))
+    window = columns[(cols + cols)[:2]].take(reps, axis=1).T  # one column serves twice
     i, j = _close_pairs(coords.take(reps, axis=0), window, eps)
     # Components over the representatives in index order: each round hooks
     # the larger root of every pair still split onto the smaller, then
@@ -153,10 +160,10 @@ def _dedup(coords, eps):
     return ranked[parent == np.arange(len(reps))]
 
 
-def _grid_keys(coords, eps):
-    """The int64 keys round(x / eps).  A row that is non-finite or has
-    |x| / eps >= 2**62, whose keys and key differences would not fit int64,
-    is a NumericalError."""
+def _grid_key_columns(coords, eps):
+    """The int64 keys round(x / eps), one row per column of ``coords``.  A row
+    that is non-finite or has |x| / eps >= 2**62, whose keys and key
+    differences would not fit int64, is a NumericalError."""
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = coords / eps
     if len(coords) and not np.abs(scaled).max() < 2.0**62:  # NaN fails too
@@ -165,7 +172,7 @@ def _grid_keys(coords, eps):
             f"{bad} row(s) non-finite or with |coord| / eps >= 2**62 at dedup eps {eps:g}:"
             " their grid keys overflow int64"
         )
-    return np.round(scaled, out=scaled).astype(np.int64)
+    return np.round(scaled, out=scaled).T.astype(np.int64, order="C")
 
 
 def _close_pairs(pts, window, eps):

@@ -655,6 +655,49 @@ def test_every_positive_root_of_a_finite_group_is_small(labels, positive_roots):
         assert np.array_equal(act[t][act[t]], rows)
 
 
+def _reference_small_roots(sys):
+    """The small-root table with each image tested against every root found
+    so far, and each root's bound [p; G] stacked as rows, its rounding summed
+    row by row."""
+    n, gap, u = sys.rank, sys.pairing_gap, np.finfo(float).eps / 2
+    X, act = [np.vstack((p, 4 * u * np.eye(n))) for p in sys.form], []
+    P, E = list(sys.form), [np.full(n, 4 * u)] * n
+    while len(act) < len(X):
+        i = len(act)
+        act.append(list(range(n)))
+        for t in range(n):
+            p, e = P[i][t], E[i][t]
+            if abs(p) <= e and 2 * e < gap:
+                act[i][t] = i
+            elif i != t and p > gap**2 - 1:
+                d = sys.gens[t][t] - np.eye(n)[t]
+                spread = np.abs(d) * (np.arange(n) != t)
+                xt = X[i][:, t, None]
+                fresh = 16 * u * (np.abs(X[i]) + np.abs(xt) * (spread + 1))
+                Y = np.vstack((X[i] + xt * d, np.diag(fresh.sum(0))))
+                q, f = Y[0], np.abs(Y[1:]).sum(0)
+                (j,) = np.nonzero(np.all(np.abs(np.array(P) - q) <= np.array(E) + f, axis=1))
+                assert len(j) <= 1
+                if len(j) == 0:
+                    P, E, j = P + [q], E + [f], [len(X)]
+                    X.append(Y)
+                act[i][t] = j[0]
+    return np.array(act, np.intp).T
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [*builtin_names()[:-2], "dihedral:7", "dihedral:100", "dihedral:1000", "universal3:1.1"]
+    + [CoxeterGraph(8, {(0, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3})],
+)
+def test_small_roots_match_the_test_against_every_root(graph):
+    """``small_roots`` tests an image only against the roots in a window of
+    its first pairing and keeps each bound transposed; the table is that of
+    the full test (dihedral:1000 has 1,000 roots, E8 120)."""
+    act = make_system(graph).small_roots
+    assert act.tobytes() == _reference_small_roots(make_system(graph)).tobytes()
+
+
 @pytest.mark.parametrize(
     "name, length",
     [

@@ -1,6 +1,7 @@
 """CSV/JSON output, run manifests, SVG rendering, and the command line."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -259,22 +260,25 @@ assert not loaded, loaded
 
 
 def test_manifest_digests_outputs(tmp_path, sample):
+    """Each writer returns the SHA-256 of the bytes it wrote, and the
+    manifest records it for the file."""
     sys, ps = sample
-    out = tmp_path / "points.csv"
-    write_pointset_csv(ps, str(out))
+    out, js = tmp_path / "points.csv", tmp_path / "points.json"
     manifest = RunManifest(
         graph_hash=graph_hash(sys.graph),
         budgets={"core_lengths": [2, 4]},
         tolerances={"dedup_eps": 1e-6},
         command="limit-roots",
     )
-    manifest.add_output(str(out))
+    manifest.add_output(str(out), write_pointset_csv(ps, str(out)))
+    manifest.add_output(str(js), write_pointset_json(ps, str(js), sys, {}))
     mpath = tmp_path / "m.json"
     manifest.write(str(mpath))
     data = json.loads(mpath.read_text())
     assert data["graph_hash"] == graph_hash(sys.graph)
-    digest = data["outputs"][str(out)]
-    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert data["outputs"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, js)
+    }
 
 
 def test_graph_hash_distinguishes_graphs():
@@ -403,7 +407,10 @@ def test_cli_limit_roots_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "pts.json").exists()
     manifest = json.loads((tmp_path / "pts.csv.manifest.json").read_text())
     assert manifest["command"] == "limit-roots"
-    assert str(out) in manifest["outputs"]
+    assert manifest["outputs"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (out, tmp_path / "pts.json")
+    }
     assert "points" in capsys.readouterr().out
 
 

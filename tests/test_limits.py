@@ -199,6 +199,64 @@ def test_dedup_refuses_grid_keys_beyond_int64():
     assert len(_dedup(edge[2:] * 1e10, 1e-6)) == 1
 
 
+def _spans(coords, eps):
+    """Key spans of the columns, widest first."""
+    keys = np.round(coords / eps).astype(np.int64)
+    return sorted((keys.max(axis=0) - keys.min(axis=0) + 1).tolist(), reverse=True)
+
+
+@pytest.fixture(scope="module")
+def fig1a_images():
+    """The 69,376 image rows that ``sample_limit_roots`` merges on fig1a,
+    cores 3..4, conjugators 1..9."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            "limitroots.limits._dedup", lambda coords, eps: seen.append(coords) or _dedup(coords, eps)
+        )
+        sys = make_system("fig1a")
+        sample_limit_roots(sys, enumerate_elements(sys, 9), (3, 4), (1, 9))
+    (images,) = seen
+    assert images.shape == (69376, 4)
+    return images
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-3, 1e-2])
+def test_dedup_matches_the_kdtree_reference_on_the_fig1a_images(fig1a_images, eps):
+    """At eps 1e-6 the three widest key columns fit one int64 cell code and
+    the fourth folds it into its dense rank; at wider eps all four fit."""
+    spans = _spans(fig1a_images, eps)
+    assert (math.prod(spans[:3]) <= 2**63 < math.prod(spans)) == (eps == 1e-6)
+    assert _dedup(fig1a_images, eps).tolist() == _kdtree_dedup(fig1a_images, eps)
+
+
+def test_dedup_folds_the_cell_code_wherever_it_would_pass_int64():
+    """A rank-6 cloud at eps 1e-6, with near copies of its points at about
+    eps, spans about 2**21 keys per column: the code folds at the fourth and
+    the sixth column.  Keys near +-2**62 in two columns pass 2**63 even
+    after a fold, so the second column goes by its own rank too."""
+    eps = 1e-6
+    rng = np.random.default_rng(11)
+    base = rng.uniform(-1, 1, (1500, 6))
+    step = rng.standard_normal((1500, 6))
+    step *= rng.choice([0.3, 0.7, 0.999, 1.001, 1.5], (1500, 1)) * eps / np.linalg.norm(step, axis=1)[:, None]
+    cloud = np.concatenate([base, base + step, base[:100]])[rng.permutation(3100)]
+    spans = _spans(cloud, eps)
+    _, first = np.unique(np.round(cloud / eps).astype(np.int64)[:, :3], axis=0, return_index=True)
+    cells = len(first)  # of the three widest columns, which all span about 2**21
+    assert math.prod(spans[:3]) <= 2**63 < math.prod(spans[:4])
+    assert cells * math.prod(spans[3:5]) <= 2**63 < cells * math.prod(spans[3:])
+    kept = _dedup(cloud, eps).tolist()
+    assert kept == _kdtree_dedup(cloud, eps)
+    assert 1500 < len(kept) < 3000
+    # At eps 1 both columns span S = 2**63 - 8191 keys and the first has
+    # three values: without the second column's rank, row 0's code 2 S + k
+    # would wrap past 2**64 onto row 1's.
+    top = 2.0**62 - 4096
+    far = np.array([[top, -2.0], [-top, -16384.0], [0.0, -top], [0.0, top]])
+    assert _dedup(far, 1.0).tolist() == _kdtree_dedup(far, 1.0) == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize(
     "name, core_range, conj_range",
     [("fig1a", (3, 4), (1, 6)), ("fig1b", (2, 4), (0, 5)), ("universal4:1", (2, 4), (0, 3))],
