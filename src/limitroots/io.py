@@ -4,7 +4,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -18,11 +18,17 @@ def graph_hash(graph):
     return hashlib.sha256(graph.to_json().encode()).hexdigest()
 
 
-def _write(path, data):
-    """Write the bytes ``data`` to ``path``; return their SHA-256 hex digest."""
+def _write(path, parts):
+    """Write the strings ``parts`` to ``path`` as UTF-8, encoded, hashed and
+    written 1,024 at a time, so no copy of the whole text is held; return
+    the SHA-256 hex digest of the bytes written."""
+    digest, parts = hashlib.sha256(), iter(parts)
     with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+        for block in iter(lambda: list(islice(parts, 1024)), []):
+            data = "".join(block).encode()
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 @dataclass
@@ -103,8 +109,9 @@ def write_pointset_csv(ps, path, floats=None):
     header += ["kind", "source_word", "conjugator_word", "bnorm"]
     coords, bnorms = floats or format_floats(ps)
     kinds, sources, conjugators = _row_labels(ps, _csv_field)
-    rows = map(",".join, zip(map(",".join, coords), kinds, sources, conjugators, bnorms))
-    return _write(path, "\r\n".join([",".join(header), *rows, ""]).encode())
+    ends = map(str.__add__, bnorms, repeat("\r\n"))
+    rows = map(",".join, zip(map(",".join, coords), kinds, sources, conjugators, ends))
+    return _write(path, chain([",".join(header) + "\r\n"], rows))
 
 
 def read_pointset_csv(path, sys):
@@ -152,9 +159,10 @@ def write_pointset_json(ps, path, sys, budgets, floats=None):
     at a time.  The metadata goes through ``json.dumps``; each point is
     joined from the parts of a fixed template and the columns of float reprs
     (``floats``, else ``format_floats(ps)``) and of labels through json's C
-    string encoder.  Returns the SHA-256 hex digest of the bytes written.
-    NaN and +-Infinity are not JSON: a set with a non-finite coordinate or
-    B-norm is a ValueError, raised before the file is opened."""
+    string encoder, and the text is written in blocks of points (``_write``).
+    Returns the SHA-256 hex digest of the bytes written.  NaN and
+    +-Infinity are not JSON: a set with a non-finite coordinate or B-norm is
+    a ValueError, raised before the file is opened."""
     finite = np.isfinite(ps.coords).all(axis=1) & np.isfinite(ps.bnorm)
     if not finite.all():
         raise ValueError(
@@ -171,11 +179,14 @@ def write_pointset_json(ps, path, sys, budgets, floats=None):
         '  {\n   "bnorm": %s,\n   "conjugator_word": %s,\n   "coords": [\n    %s'
         '\n   ],\n   "kind": %s,\n   "source_word": %s\n  }'
     )
-    a, b, c, d, e, f = map(repeat, point.split("%s"))
+    first, *parts = point.split("%s")
+    b, c, d, e, f = map(repeat, parts)
+    # The first point opens the list, each other one follows a comma.
+    a = chain(["[\n" + first], repeat(",\n" + first))
     coords, bnorms = floats or format_floats(ps)
     kinds, sources, conjugators = _row_labels(ps, encode_basestring_ascii)
     rows = zip(a, bnorms, b, conjugators, c, map(",\n    ".join, coords), d, kinds, e, sources, f)
-    points = ",\n".join(map("".join, rows))
     head = json.dumps(metadata, indent=1, sort_keys=True).replace("\n", "\n ")
-    body = f"[\n{points}\n ]" if points else "[]"
-    return _write(path, f'{{\n "metadata": {head},\n "points": {body}\n}}\n'.encode())
+    start = f'{{\n "metadata": {head},\n "points": '
+    end = "\n ]\n}\n" if len(bnorms) else "[]\n}\n"
+    return _write(path, chain([start], map("".join, rows), [end]))

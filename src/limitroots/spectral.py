@@ -11,6 +11,11 @@ x = lambda + 1/lambda of that pair follows from the traces and the
 determinant (``_trace_rule``), and the element is hyperbolic exactly when
 x > 2.  Its eigendirections are the column and the row of one rank-one
 product (``_hyperbolic_classes``).
+
+A parabolic element has the same two closed forms (``_parabolic_classes``):
+its eigenvectors span the kernel of the B-skew-adjoint X = M - M^-1, read
+off one SVD of X, and its light-like eigenvector is the column of the
+rank-one product (M + eps I)(M + M^-1 - 2 eps I).
 """
 
 import enum
@@ -29,7 +34,12 @@ _EPS = np.finfo(float).eps
 # rounding of M itself (the exact-trace test measures at most 3.1 u, u the
 # unit roundoff, on its graphs) and of the sum, with a margin of 40.
 RHO = 2.0**7 * _EPS / 2
-# Relative singular-value threshold of the kernels of M -/+ eps I.
+# Rank threshold of X = M - M^-1 in the Jordan test: a singular value of X
+# counts above KERNEL_TOL max(1, |M|_F), a scale set by M, not by X (X of a
+# reflection with entries 4.6e8 is rounding noise).  On every parabolic
+# element of fig1b <= 9, universal3:1 <= 16, universal4:1 <= 10 and
+# universal5:1 <= 5, the singular values s_0 >= s_1 >= s_2 of X have
+# s_1 >= 1.1e-3 |M|_F and s_2 <= 1.3e-16 |M|_F.
 KERNEL_TOL = 1e-7
 # |M^T B M - B| above this, relative to |M|_F^2 + 1, is not a B-isometry.
 ISOMETRY_TOL = 1e-8
@@ -292,23 +302,6 @@ def _plane_complements(sys, V):
     return np.swapaxes(vt[:, 2:], 1, 2), n - np.count_nonzero(s > _EPS * n * s[:, :1], axis=1)
 
 
-def _kernels(A):
-    """Orthonormal kernels of a stack A (K, m, n) at the relative KERNEL_TOL,
-    from one stacked SVD: (vt, w), the kernel of A[i] spanned by the rows
-    vt[i, n - w[i]:]."""
-    _, s, vt = np.linalg.svd(A)
-    return vt, A.shape[2] - np.count_nonzero(s >= KERNEL_TOL * np.fmax(1.0, s[:, :1]), axis=1)
-
-
-def _groups(*keys):
-    """Each distinct tuple of the integer arrays ``keys`` (one entry per row),
-    with its rows: stacks whose shapes differ by row are formed per group."""
-    groups = {}
-    for i, key in enumerate(zip(*(k.tolist() for k in keys))):
-        groups.setdefault(key, []).append(i)
-    return [(key, np.array(rows)) for key, rows in groups.items()]
-
-
 def classify(sys, elem):
     """Spectral class of a group element (or raw B-isometry matrix).
 
@@ -476,97 +469,60 @@ def _parabolic_classes(sys, M, eps):
     """Parabolic class of each matrix of a stack M (K, n, n) with its Jordan
     block at eps (K,), verified, or the row's error.
 
-    The eigenvectors span ker(M - eps I) + ker(M + eps I) (rank <= 4 has
-    no other unimodular eigenvalue beside a Jordan triple); it must have
-    dimension n - 2 (else ClassificationError), and (M - eps I)^2 must kill
-    its B-orthogonal complement, the minimal-polynomial clause (else
-    BorderlineSpectrumError).  Each SVD, product and ``eigh`` is one call
-    over the rows it serves, in groups of equal kernel widths where the
-    shapes differ by row, so a row's bits do not depend on the stack.
+    With M^-1 = B^-1 M^T B, X = M - M^-1 is B-skew-adjoint, so its kernel is
+    the eigenvector span U = ker(M - eps I) + ker(M + eps I) (the traces put
+    every unimodular eigenvalue at +-1) and its image is U^perp_B.  One
+    stacked SVD of X gives the dimension of U, n minus the number of
+    singular values above KERNEL_TOL max(1, |M|_F), which must be n - 2 (else
+    ClassificationError); an orthonormal basis of U^perp_B, its leading two
+    left singular vectors, which (M - eps I)^2 must kill, the
+    minimal-polynomial clause (else BorderlineSpectrumError); and U itself,
+    from that basis by ``_plane_complements``.  The light-like eigenvector
+    is the largest column of P = (M + eps I)(M + M^-1 - 2 eps I) =
+    (M + eps I)(M - eps I)^2 M^-1, of rank one, formed as written (sums
+    first, then one product; exact on integer matrices), at height 1 (zero
+    height: ExtractionError).  Each product and SVD is one call per matrix,
+    so a row's bits do not depend on the stack.
     """
     K, n, _ = M.shape
-    shift = eps[:, None, None] * np.eye(n)
-    A = M - shift
-    vt, w = _kernels(A)
-    vt2, w2 = _kernels(M + shift)
+    add, shift = np.add.reduce, eps[:, None, None] * np.eye(n)
+    inverse = sys.form_inverse @ np.swapaxes(M, 1, 2) @ sys.form
+    F = M.reshape(K, 1, n * n)
+    f = np.sqrt((F @ np.swapaxes(F, 1, 2))[:, 0, 0])
+    W, s, _ = np.linalg.svd(M - inverse)
+    dim = n - np.count_nonzero(s > KERNEL_TOL * np.fmax(1.0, f)[:, None], axis=1)
     out = [None] * K
-    dim, U = np.zeros(K, np.intp), np.empty((K, n, n - 2))
-    for (a, b), g in _groups(w, w2):
-        if not a + b:
-            continue
-        span = np.concatenate((vt[g, n - a :], vt2[g, n - b :]), axis=1)
-        u, s, _ = np.linalg.svd(np.swapaxes(span, 1, 2), full_matrices=False)
-        dim[g] = np.count_nonzero(s > 1e-8 * s[:, :1], axis=1)
-        if a + b >= n - 2:
-            U[g] = u[:, :, : n - 2]
     for i, d in enumerate(dim.tolist()):
         if d != n - 2:
             out[i] = ClassificationError(f"eigenvector span has dimension {d}, expected {n - 2}")
     rows = np.flatnonzero(dim == n - 2)
     if not len(rows):
         return out
-    perp, c = _kernels(np.swapaxes(sys.form @ U[rows], 1, 2))
-    A = A[rows]
-    AA, defect = A @ A, np.empty(len(rows))
-    for (width,), g in _groups(c):
-        defect[g] = np.abs(AA[g] @ np.swapaxes(perp[g, n - width :], 1, 2)).max(axis=(1, 2))
+    M, shift, inverse, perp = M[rows], shift[rows], inverse[rows], W[rows, :, :2]
+    A = M - shift
+    defect = np.abs(A @ A @ perp).max(axis=(1, 2))
     F = A.reshape(len(rows), 1, n * n)
-    scale = np.fmax(1.0, np.sqrt((F @ np.swapaxes(F, 1, 2))[:, 0, 0]) ** 2)
-    vec = _parabolic_vectors(sys, vt[rows], w[rows])
-    U = U[rows]
+    scale = np.fmax(1.0, (F @ np.swapaxes(F, 1, 2))[:, 0, 0])
+    U = _plane_complements(sys, np.swapaxes(perp, 1, 2))[0]
     U.setflags(write=False)
+    P = (M + shift) @ (M + inverse - 2 * shift)
+    v = P[np.arange(len(rows)), :, add(P * P, 1).argmax(1)]
+    h = add(v, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vec = v / h[:, None]
+    vec.setflags(write=False)
     e = eps[rows].astype(int).tolist()
     records = _records(Kind.PARABOLIC, parabolic_eps=e, parabolic_vec=vec, unimodular_basis=U)
     verified = (defect <= 1e-7 * scale).tolist()
-    for i, d, ok, sc in zip(rows.tolist(), defect.tolist(), verified, records):
+    chart = (np.abs(h) > 1e-12 * np.sqrt(add(v * v, 1))).tolist()
+    for i, d, ok, in_chart, sc in zip(rows.tolist(), defect.tolist(), verified, chart, records):
         if not ok:
             sc = BorderlineSpectrumError(
                 f"parabolic verification failed: |(M - {sc.parabolic_eps} I)^2 on U_perp| = {d:g}"
             )
-        elif isinstance(sc.parabolic_vec, Exception):
-            sc = sc.parabolic_vec
+        elif not in_chart:
+            sc = ExtractionError("eigendirection has zero height; not in the chart")
         out[i] = sc
-    return out
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _parabolic_vectors(sys, vt, w):
-    """The unique light-like direction at height 1 in each eps-eigenspace of
-    a stack, the rows vt[i, n - w[i]:] (``_kernels``), or the row's
-    ExtractionError.
-
-    Restricted to an eigenspace, B is positive semi-definite with a
-    1-dimensional radical, and the radical direction is the light-like
-    eigenvector.  The radicals come from one stacked ``eigh`` per width.
-    """
-    K, n, _ = vt.shape
-    out, v = [None] * K, np.zeros((K, n))
-    for (width,), g in _groups(w):
-        if not width:
-            for i in g.tolist():
-                out[i] = ExtractionError("parabolic extraction failed: empty eigenspace kernel")
-            continue
-        Kt = vt[g, n - width :]
-        gvals, gvecs = np.linalg.eigh(Kt @ sys.form @ np.swapaxes(Kt, 1, 2))
-        radical = np.abs(gvals) < 1e-7 * np.fmax(1.0, np.abs(gvals).max(axis=1))[:, None]
-        # A column of gvecs, as a strided view: K @ gvecs[:, j] is a gemv
-        # whose rounding depends on the vector's stride.
-        for (j,), rows in _groups(radical.argmax(axis=1)):
-            v[g[rows]] = (np.swapaxes(Kt[rows], 1, 2) @ gvecs[rows][:, :, j : j + 1])[:, :, 0]
-        for i, r in zip(g.tolist(), np.count_nonzero(radical, axis=1).tolist()):
-            if r != 1:
-                out[i] = ExtractionError(
-                    f"parabolic extraction failed: radical dimension {r} != 1"
-                )
-    h = np.add.reduce(v, 1)
-    norm = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-    X = v / h[:, None]
-    X.setflags(write=False)
-    for i, zero in enumerate((np.abs(h) < 1e-12 * norm).tolist()):
-        if out[i] is None and zero:
-            out[i] = ExtractionError("eigendirection has zero height; not in the chart")
-        elif out[i] is None:
-            out[i] = X[i]
     return out
 
 

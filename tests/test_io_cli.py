@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys as _sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -607,7 +608,8 @@ def test_cli_rejects_reversed_or_negative_length_range(tmp_path, lengths, capsys
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     # With c = 50, the 24 reflections of length 7 have entries near 1e14, so
     # powering stops at its norm cap before it certifies their order 2, and
-    # classify raises a NumericalError that says so.
+    # classify raises a NumericalError that says so.  A reflection's
+    # eigenvectors span the whole space, so M - M^-1 has rank 0.
     code = main(
         [
             "limit-roots",
@@ -623,5 +625,21 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     )
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: eigenvector span has dimension 2, expected 1; ")
+    assert err.startswith("error: eigenvector span has dimension 3, expected 1; ")
     assert "powering stopped at M^1, which passes the norm cap 1e+09" in err
+
+
+def test_cli_samples_deep_parabolic_cores(tmp_path, capsys):
+    """universal3:1 at core length 12: all 96 parabolic directions among the
+    6,030 points (the eigenspace kernels once refused some of its 192
+    parabolic elements, and the command exited 3)."""
+    out = tmp_path / "u12.csv"
+    code = main(
+        ["limit-roots", "--graph", "universal3:1", "--core-lengths", "12..12"]
+        + ["--conj-lengths", "0..0", "--out", str(out)]
+    )
+    assert code == 0
+    assert "6030 points (hyperbolic-eig: 5934, parabolic-eig: 96)" in capsys.readouterr().out
+    with open(out, newline="") as fh:
+        kinds = Counter(row["kind"] for row in csv.DictReader(fh))
+    assert kinds == {"hyperbolic-eig": 5934, "parabolic-eig": 96}

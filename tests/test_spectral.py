@@ -57,20 +57,34 @@ def test_large_entry_elliptic_elements_have_their_finite_order(word):
     assert sc.kind is Kind.ELLIPTIC
     # Oracle: the same product in 50-digit arithmetic, from the form alone.
     with mpmath.workdps(50):
-        B = mpmath.eye(4)
-        for (i, j), m in labels.items():
-            B[i, j] = B[j, i] = -1 if m is INF else -mpmath.cos(mpmath.pi / m)
-        M = mpmath.eye(4)
-        for s in word:
-            gen = mpmath.eye(4)
-            for j in range(4):
-                gen[s, j] -= 2 * B[s, j]
-            M = M * gen
+        M = _mp_element(_mp_form(labels, 4), word)
         P = mpmath.eye(4)
         for j in range(1, sc.order):
             P = P * M
             assert mpmath.mnorm(P - mpmath.eye(4), 1) > 0.1
         assert mpmath.mnorm(P * M - mpmath.eye(4), 1) < 1e-30
+
+
+def _mp_form(labels, n):
+    """The form of a graph whose infinite labels have c = 1, in mpmath at the
+    working precision."""
+    B = mpmath.eye(n)
+    for (i, j), m in labels.items():
+        B[i, j] = B[j, i] = -1 if m is INF else -mpmath.cos(mpmath.pi / m)
+    return B
+
+
+def _mp_element(B, word):
+    """The product of the generators of ``word`` for the mpmath form B, as
+    ``geometry.generator_matrix`` forms each generator."""
+    n = B.rows
+    M = mpmath.eye(n)
+    for s in word:
+        gen = mpmath.eye(n)
+        for j in range(n):
+            gen[s, j] -= 2 * B[s, j]
+        M = M * gen
+    return M
 
 
 @pytest.mark.parametrize("word", JORDAN_GUARD_WORDS)
@@ -129,6 +143,59 @@ def test_identity_is_elliptic(sys_u1):
     assert sc.kind is Kind.ELLIPTIC
     assert sc.order == 1
     assert light_like_directions(sc) == ()
+
+
+def test_parabolic_vectors_are_exact_on_universal3_1():
+    """universal3:1 at lengths 12 and 14: the matrices are integral, so
+    (M - eps I)^3 = 0 != (M - eps I)^2 in Python ints decides each element
+    exactly.  All 192 and 384 parabolic elements classify as parabolic (the
+    kernel thresholds of each eigenspace refused 12 and 252 of them), no
+    other element does, and each light-like vector is, bit for bit, a
+    Python-int column of (M - eps I)^2 divided by its height: the rank-one
+    product (M + eps I)(M + M^-1 - 2 eps I) is exact in floats here."""
+    sys = make_system("universal3:1")
+    store = enumerate_elements(sys, 14)
+    for length, count in ((12, 192), (14, 384)):
+        eps = (-1) ** length
+        parabolic = 0
+        for elem in store.of_length(length):
+            A = elem.matrix.astype(np.int64).astype(object) - eps * np.eye(3, dtype=np.int64)
+            assert np.array_equal(A + eps * np.eye(3), elem.matrix)
+            A2 = A @ A
+            sc = classify(sys, elem)
+            if A2.any() and not (A2 @ A).any():
+                parabolic += 1
+                assert sc.kind is Kind.PARABOLIC and sc.parabolic_eps == eps
+                col = A2[:, int(np.argmax([sum(a * a for a in c) for c in A2.T]))].tolist()
+                h = sum(col)
+                assert sc.parabolic_vec.tobytes() == np.array([a / h for a in col]).tobytes()
+            else:
+                assert sc.kind is not Kind.PARABOLIC
+        assert parabolic == count
+
+
+def test_parabolic_vectors_match_a_50_digit_oracle_on_fig1b():
+    """fig1b up to length 9: each of the 326 parabolic vectors is within
+    5e-14 of the light-like eigenvector at height 1 from a 50-digit product,
+    the largest column of (M + eps I)(M - eps I)^2, which has rank one."""
+    sys = make_system("fig1b")
+    parabolic, worst = 0, 0.0
+    with mpmath.workdps(50):
+        B = _mp_form(sys.graph.labels, 4)
+        for elem in enumerate_elements(sys, 9):
+            sc = classify(sys, elem)
+            if sc.kind is not Kind.PARABOLIC:
+                continue
+            parabolic += 1
+            M = _mp_element(B, elem.word)
+            eps = sc.parabolic_eps * mpmath.eye(4)
+            P = (M + eps) * (M - eps) * (M - eps)
+            j = max(range(4), key=lambda j: sum(P[i, j] ** 2 for i in range(4)))
+            h = sum(P[i, j] for i in range(4))
+            exact = np.array([float(P[i, j] / h) for i in range(4)])
+            worst = max(worst, np.abs(sc.parabolic_vec - exact).max())
+    assert parabolic == 326
+    assert worst < 5e-14
 
 
 def test_two_letter_product_is_parabolic(sys_u1):
@@ -543,7 +610,12 @@ def _unimodular_branch_rows(sys):
     # square misses I by far more than tol, and M^3 passes the norm cap.
     reflection = element_of(sys, half + (0,) + half[::-1]).matrix
     assert np.abs(reflection).max() < POWER_CAP < np.abs(np.linalg.matrix_power(reflection, 3)).max()
-    jordan = np.eye(4) + np.diag([1.0, 1.0, 0.0], 1)
+    # S = u (Bv)^T - v (Bu)^T is B-skew of rank 2 on the space-like plane of
+    # alpha_1 and alpha_2, so for M = I + S (no B-isometry) M - B^-1 M^T B =
+    # 2S passes the rank test and the traces put x at 2, but (M - I)^2 = S^2
+    # does not vanish on that plane.
+    u, v = np.eye(4)[1:3]
+    jordan = np.eye(4) + np.outer(u, sys.form @ v) - np.outer(v, sys.form @ u)
     # det -1 and trace 2 with one infinite entry: beta is infinite, so the
     # traces put its spectrum at +-1, but it is not Jordan-tested.
     infinite = np.diag([1.0, 1.0, 1.0, -1.0])
