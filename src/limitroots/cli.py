@@ -19,6 +19,7 @@ from .graphs import load_graph, str_to_word
 from .io import (
     RunManifest,
     format_floats,
+    format_words,
     graph_hash,
     read_pointset_csv,
     write_pointset_csv,
@@ -75,10 +76,10 @@ def cmd_limit_roots(args):
         tolerances={"dedup_eps": args.dedup_eps},
         command="limit-roots",
     )
-    floats = format_floats(ps)
-    manifest.add_output(args.out, write_pointset_csv(ps, args.out, floats))
+    floats, words = format_floats(ps), format_words(ps)
+    manifest.add_output(args.out, write_pointset_csv(ps, args.out, floats, words))
     if args.json:
-        manifest.add_output(args.json, write_pointset_json(ps, args.json, sys, budgets, floats))
+        manifest.add_output(args.json, write_pointset_json(ps, args.json, sys, budgets, floats, words))
     manifest.wall_time = time.perf_counter() - start
     manifest.write(args.out + ".manifest.json")
     counts = ps.counts_by_kind()

@@ -50,10 +50,37 @@ def _step(act, S, t):
     or a stack; t v is reduced iff alpha_t is not in S(v) (Bjorner & Brenti,
     Combinatorics of Coxeter Groups, 4.8).  ``act`` (``small_roots``) is an
     involution on E where defined, so entry j of S(t v) is entry act[t, j]
-    of S: entry t, False, where s_t beta_j is not in E."""
+    of S: entry t, False, where s_t beta_j is not in E.  ``_table_rows``
+    takes this step for every letter at once, from each state
+    ``enumerate_elements`` meets."""
     S = S.T[act[t]].T
     S[..., t] = True
     return S
+
+
+def _table_rows(act, states, ids):
+    """Transition table rows (k, n) of a stack of states (k, |E|): entry
+    [i, t] is the id of S(t v) for v in state ``states[i]``, or -1 where
+    t v is not reduced or S(t v) holds a simple root alpha_s with s < t
+    (t is not the smallest left descent of t v).  ``ids`` maps the row bytes
+    of every state met so far to its id; a state first met here gets the
+    next id.  Also returns the stack of those new states, in id order."""
+    t = np.arange(act.shape[0])
+    St = states.take(act, axis=1)
+    St[:, t, t] = True
+    # alpha_t is in S(t v), so t is its smallest left descent iff alpha_t is
+    # the first simple root there.
+    keep = ~states[:, t] & (St[..., t].argmax(axis=2) == t)
+    rows = np.full(keep.shape, -1, np.intp)
+    new, found = [], []
+    for S in St[keep]:
+        key = S.tobytes()
+        if key not in ids:
+            ids[key] = len(ids)
+            new.append(S)
+        found.append(ids[key])
+    rows[keep] = found
+    return rows, np.array(new, bool).reshape(-1, states.shape[1])
 
 
 def _read(act, letters, S=None):
@@ -182,7 +209,8 @@ class ElementStore:
     of lengths; ``elements`` and ``with_length`` are ``ElementSequence``s,
     which build ``GroupElement``s on access.  ``class_levels`` holds the
     spectral classes of the levels ``spectral.classify`` has read a row of,
-    by length, for the store's lifetime.
+    by length, for the store's lifetime.  ``automaton_size`` is the number
+    of distinct small-root states the build met.
     """
 
     def __init__(self, sys):
@@ -190,6 +218,7 @@ class ElementStore:
         self._words = []
         self._mats = []
         self._starts = [0]
+        self._automaton_size = 0
         self.class_levels = {}
 
     def __len__(self):
@@ -201,6 +230,10 @@ class ElementStore:
     @property
     def elements(self):
         return ElementSequence(self, range(len(self)))
+
+    @property
+    def automaton_size(self):
+        return self._automaton_size
 
     @property
     def max_length(self):
@@ -255,10 +288,15 @@ def enumerate_elements(sys, max_length):
     That word is t then the word of v = t u, t the smallest left descent of
     u.  So level L is built from level L - 1, t-major and v-minor, keeping
     t v exactly when t is its smallest left descent.  Each element carries
-    its small-root state S (``_step``), empty for the identity: t v is kept
-    when alpha_t is not in S_v (t v is reduced) and S_{tv} holds no simple
-    root alpha_s with s < t (no smaller left descent).  The only float
-    decisions are those of ``GeometricSystem.small_roots``.
+    the id of its small-root state S (``_step``), 0 for the identity's empty
+    state: t v is kept when alpha_t is not in S_v (t v is reduced) and
+    S_{tv} holds no simple root alpha_s with s < t (no smaller left
+    descent).  The automaton is finite, so these decisions are one
+    transition table ``table[s, t]`` (``_table_rows``), filled level by
+    level for the states first met one level down: a level's ids are n
+    integer gathers of the ids one level down, and its words and matrices
+    one ``take`` each of the level below.  The only float decisions are
+    those of ``GeometricSystem.small_roots``.
 
     Matrices.  M_{t v} = S_t M_v: a level's matrices are one read-only
     (N, n, n) array, gathered as the M_v one level down, in which
@@ -272,21 +310,34 @@ def enumerate_elements(sys, max_length):
     letter = np.min_scalar_type(n - 1)
     W, M = np.empty((1, 0), letter), np.eye(n)[None]
     act = sys.small_roots
-    S = np.zeros((1, act.shape[1]), bool)
+    new = np.zeros((1, act.shape[1]), bool)
+    ids = {new[0].tobytes(): 0}
+    table, I = np.empty((0, n), np.intp), np.zeros(1, np.intp)
     store._add_level(W, M)
     for length in range(1, max_length + 1):
-        kept = []
-        for t in range(n):
-            V = np.flatnonzero(~S[:, t])
-            St = _step(act, S[V], t)
-            keep = ~np.any(St[:, :t], axis=1)
-            kept.append((np.full(np.count_nonzero(keep), t, letter), V[keep], St[keep]))
-        T, V, S = map(np.concatenate, zip(*kept))
-        del kept, St, keep
-        W, M = np.concatenate((T[:, None], W[V]), axis=1), M[V]
-        for t, block in enumerate(np.split(M, np.searchsorted(T, range(1, n)))):
-            _reflect(sys.gens, t, block)
+        rows, new = _table_rows(act, new, ids)
+        table = np.concatenate((table, rows))
+        # Entry t N + v of the raveled (n, N) ids is the state of t v, for
+        # the element v of index v one level down (-1: not kept), so the
+        # kept entries come t-major, v-minor.
+        N = len(W)
+        nxt = table.T.take(I, axis=1)
+        V = np.flatnonzero(nxt >= 0)
+        I = nxt.ravel().take(V)
+        del nxt
+        ends = V.searchsorted(range(0, (n + 1) * N, N))
+        blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+        W, U = np.empty((len(V), length), letter), W
+        for t, block in enumerate(blocks):
+            V[block] -= t * N
+            W[block, 0] = t
+        W[:, 1:] = U.take(V, axis=0)
+        M = M.take(V, axis=0)
+        del U, V
+        for t, block in enumerate(blocks):
+            _reflect(sys.gens, t, M[block])
         store._add_level(W, M)
         if not len(W):
             break
+    store._automaton_size = len(ids)
     return store

@@ -24,7 +24,7 @@ def word_to_str(word):
         return "e"
     if max(word) >= len(LETTERS):
         return ".".join(map(str, word))
-    return "".join(LETTERS[i] for i in word)
+    return "".join(map(LETTERS.__getitem__, word))
 
 
 def str_to_word(text, rank):

@@ -68,11 +68,12 @@ class RunManifest:
             fh.write("\n")
 
 
-def _row_labels(ps, quote=str):
+def _row_labels(ps, quote=str, words=None):
     """Columns of the kind, source-word and conjugator-word strings of the
-    rows; each distinct word is formatted (and passed through ``quote``) once."""
+    rows; each distinct word is spelled (``words``, else ``format_words(ps)``)
+    and passed through ``quote`` once."""
     kinds = [quote(k) for k in ps.kinds]
-    words = [quote(word_to_str(w)) for w in ps.words]
+    words = list(map(quote, words or format_words(ps)))
     return (
         list(map(kinds.__getitem__, ps.kind.tolist())),
         list(map(words.__getitem__, ps.source.tolist())),
@@ -98,17 +99,25 @@ def format_floats(ps):
     return coords, list(map(float.__repr__, ps.bnorm.tolist()))
 
 
-def write_pointset_csv(ps, path, floats=None):
+def format_words(ps):
+    """The spelling (``word_to_str``) of each distinct word of ``ps``, in
+    ``ps.words`` order.  Both writers take it, so a run that writes CSV and
+    JSON spells each word once."""
+    return list(map(word_to_str, ps.words))
+
+
+def write_pointset_csv(ps, path, floats=None, words=None):
     """Header x1..xn,kind,source_word,conjugator_word,bnorm; floats use repr
     (``floats``, else ``format_floats(ps)``) so emission is deterministic and
-    lossless.  Returns the SHA-256 hex digest of the bytes written.
+    lossless, and words their letters (``words``, else ``format_words(ps)``).
+    Returns the SHA-256 hex digest of the bytes written.
 
     The bytes are those of ``csv.writer`` (excel dialect), written directly:
     each row is joined from the columns, with the labels quoted once."""
     header = [f"x{i + 1}" for i in range(ps.coords.shape[1])]
     header += ["kind", "source_word", "conjugator_word", "bnorm"]
     coords, bnorms = floats or format_floats(ps)
-    kinds, sources, conjugators = _row_labels(ps, _csv_field)
+    kinds, sources, conjugators = _row_labels(ps, _csv_field, words)
     ends = map(str.__add__, bnorms, repeat("\r\n"))
     rows = map(",".join, zip(map(",".join, coords), kinds, sources, conjugators, ends))
     return _write(path, chain([",".join(header) + "\r\n"], rows))
@@ -152,14 +161,15 @@ def read_pointset_csv(path, sys):
     )
 
 
-def write_pointset_json(ps, path, sys, budgets, floats=None):
+def write_pointset_json(ps, path, sys, budgets, floats=None, words=None):
     """The text of ``json.dumps(data, indent=1, sort_keys=True)`` plus a
     newline, for data = {"metadata": ..., "points": [...]}, written directly:
     the standard library formats indented output in pure Python, one token
     at a time.  The metadata goes through ``json.dumps``; each point is
     joined from the parts of a fixed template and the columns of float reprs
-    (``floats``, else ``format_floats(ps)``) and of labels through json's C
-    string encoder, and the text is written in blocks of points (``_write``).
+    (``floats``, else ``format_floats(ps)``) and of labels (the words
+    spelled as ``words``, else ``format_words(ps)``) through json's C string
+    encoder, and the text is written in blocks of points (``_write``).
     Returns the SHA-256 hex digest of the bytes written.  NaN and
     +-Infinity are not JSON: a set with a non-finite coordinate or B-norm is
     a ValueError, raised before the file is opened."""
@@ -184,7 +194,7 @@ def write_pointset_json(ps, path, sys, budgets, floats=None):
     # The first point opens the list, each other one follows a comma.
     a = chain(["[\n" + first], repeat(",\n" + first))
     coords, bnorms = floats or format_floats(ps)
-    kinds, sources, conjugators = _row_labels(ps, encode_basestring_ascii)
+    kinds, sources, conjugators = _row_labels(ps, encode_basestring_ascii, words)
     rows = zip(a, bnorms, b, conjugators, c, map(",\n    ".join, coords), d, kinds, e, sources, f)
     head = json.dumps(metadata, indent=1, sort_keys=True).replace("\n", "\n ")
     start = f'{{\n "metadata": {head},\n "points": '

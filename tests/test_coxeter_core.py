@@ -421,6 +421,11 @@ def _reference_enumeration(sys, max_length):
         ("universal3:1.1", 8),
         ("fig8", 6),
         ("universal4:10", 6),
+        # Finite groups, whose levels run out (a3 has m = 2 edges), and a
+        # long dihedral string past its longest element.
+        ("a3", 10),
+        ("dihedral:7", 10),
+        ("dihedral:50", 60),
     ],
 )
 def test_enumeration_matches_per_candidate_reference(name, length):
@@ -429,7 +434,9 @@ def test_enumeration_matches_per_candidate_reference(name, length):
     ref = _reference_enumeration(sys, length)
     assert [e.word for e in store] == [e.word for e in ref]
     assert all(e.matrix.tobytes() == r.matrix.tobytes() for e, r in zip(store, ref))
-    counts = [0] * (length + 1)
+    # A store stops at its first empty level.
+    assert store.max_length == length or store.counts()[-1] == 0
+    counts = [0] * (store.max_length + 1)
     for r in ref:
         counts[r.length] += 1
     assert store.counts() == counts
@@ -554,6 +561,23 @@ def test_element_of_a_non_reduced_word_is_its_store_row(sys_u1, name, length):
         element_of(sys_u1, (0, 3))
 
 
+@pytest.mark.parametrize(
+    "name, length, size",
+    [
+        ("fig1b", 11, 34),
+        ("fig1a", 12, 11),
+        ("universal3:1.1", 14, 4),
+        ("universal4:10", 8, 5),
+        ("universal5:1", 6, 6),
+    ],
+)
+def test_store_reports_the_states_its_build_met(name, length, size):
+    """The distinct small-root states among the store's elements, as
+    counted from their boolean rows: a keying fault that splits one state
+    into several keeps every word right and shows only here."""
+    assert enumerate_elements(make_system(name), length).automaton_size == size
+
+
 def test_store_retains_under_200_bytes_per_element():
     sys = make_system("fig1b")
     enumerate_elements(sys, 3)
@@ -571,8 +595,9 @@ def test_store_build_holds_under_50_transient_bytes_per_element():
     """Working memory of the build above the store it returns: the traced
     peak less the retained bytes, per element, on fig1b at length 10.  Each
     level is one gather of the level below, updated in place a row per
-    element, so this measured 26 B/element (37 with products through a
-    fixed buffer, 87 with whole-letter products)."""
+    element, with a state id per element, so this measured 17 B/element (26
+    with a boolean state row per element, 37 with products through a fixed
+    buffer, 87 with whole-letter products)."""
     sys = make_system("fig1b")
     enumerate_elements(sys, 3)
     tracemalloc.start()

@@ -19,6 +19,7 @@ from limitroots.graphs import word_to_str
 from limitroots.io import (
     RunManifest,
     format_floats,
+    format_words,
     graph_hash,
     read_pointset_csv,
     write_pointset_csv,
@@ -215,18 +216,19 @@ def test_csv_writer_matches_the_standard_library(tmp_path, case):
 
 @pytest.mark.parametrize("case", [_fig1a_sample, _quoted_non_ascii_labels])
 def test_writers_share_one_formatting_pass(tmp_path, case):
-    """``limit-roots --json`` formats the floats once for both files; the
-    bytes are those each writer makes on its own."""
+    """``limit-roots --json`` formats the floats and spells the words once
+    for both files; the bytes are those each writer makes on its own."""
     sys, ps, budgets = case()
-    floats = format_floats(ps)
+    floats, words = format_floats(ps), format_words(ps)
     assert len(floats[0]) == len(floats[1]) == len(ps)
+    assert len(words) == len(ps.words)
     for name, write in [
         ("csv", lambda path, *f: write_pointset_csv(ps, path, *f)),
         ("json", lambda path, *f: write_pointset_json(ps, path, sys, budgets, *f)),
     ]:
         alone, shared = tmp_path / f"alone.{name}", tmp_path / f"shared.{name}"
         write(str(alone))
-        write(str(shared), floats)
+        write(str(shared), floats, words)
         assert shared.read_bytes() == alone.read_bytes()
 
 
