@@ -16,6 +16,11 @@ A parabolic element has the same two closed forms (``_parabolic_classes``):
 its eigenvectors span the kernel of the B-skew-adjoint X = M - M^-1, read
 off one SVD of X, and its light-like eigenvector is the column of the
 rank-one product (M + eps I)(M + M^-1 - 2 eps I).
+
+An elliptic element has closed forms too (``_unimodular_classes``): with
+its spectrum at +-1 it is an involution exactly when X = 0, a norm test,
+and otherwise its order is read off the rotation values 2 cos(theta) of
+the trace rule (``_orders``).
 """
 
 import enum
@@ -43,8 +48,6 @@ RHO = 2.0**7 * _EPS / 2
 KERNEL_TOL = 1e-7
 # |M^T B M - B| above this, relative to |M|_F^2 + 1, is not a B-isometry.
 ISOMETRY_TOL = 1e-8
-# Powering stops at the first power with an entry above this.
-POWER_CAP = 1e9
 # ``_classify_rows`` works on chunks of at most this many rows.
 _CHUNK_ROWS = 1024
 
@@ -107,7 +110,7 @@ def _determinants(sys, M):
 
 @np.errstate(all="ignore")
 def _trace_rule(M, det):
-    """(x, beta, unit, eps, Q, |M|_F), one entry or matrix per row, of an
+    """(x, beta, unit, eps, Q, |M|_F, c), one entry or matrix per row, of an
     (N, n, n) stack of B-isometries with determinants ``det`` (N,).
 
     x = lambda + 1/lambda for the eigenvalue pair that may leave the unit
@@ -117,7 +120,9 @@ def _trace_rule(M, det):
     - rank 4, det +1: lambda, 1/lambda, mu, 1/mu, so x and y = mu + 1/mu
       are the roots of z^2 - T1 z + (T1^2 - T2 - 4) / 2, x the larger:
       x = (T1 + sqrt D) / 2 with D = 2 T2 + 8 - T1^2 = (x - y)^2;
-    - rank 4, det -1: lambda, 1/lambda, 1, -1, so x = T1; rank 2: x = T1;
+    - rank 4, det -1: lambda, 1/lambda, 1, -1, so x = T1;
+    - rank 2: x = T1 for det +1; a det -1 row is a reflection (eigenvalues
+      1, -1), given x = 2 so that its spectrum reads as at +-1;
     - rank >= 5: x and the unimodular eigenvalues come from ``eigvals``.
 
     T1 is within RHO (|M|_F + 1) and D within dD = 8 RHO (|M|_F^2 + 1) of
@@ -134,30 +139,33 @@ def _trace_rule(M, det):
     else sign T1.  Q is the product of M - mu I over the n - 2 unimodular
     eigenvalues mu: M - det I, M^2 - y M + I, M^2 - I, I in the four cases.
 
+    c (N, k) is 2 cos(theta) of each rotation, within beta: x, or y = T1 - 2
+    in rank 4 with det +1 (an elliptic element fixes a time-like vector, so
+    x = 2; NaN where x < 2 - beta), or (mu + 1/mu).real per eigenvalue mu.
+
     Every row keeps the bits it has alone: |M|_F is a (1, n^2) by (n^2, 1)
     matmul per row, the traces are added diagonal entry by diagonal entry
     from 0 (the order of Python's ``sum`` before 3.12), M^2 is a stacked
     matmul, and the two rank-4 cases are merged with ``np.where``.  In
     rank >= 5 a row with a non-finite |M|_F, which ``eigvals`` refuses,
-    gets x = NaN and is left to the powering.
+    gets x = beta = NaN; ``_unimodular_classes`` refuses it by name.
     """
     N, n, _ = M.shape
-    F = M.reshape(N, 1, n * n)
-    f = np.sqrt((F @ F.transpose(0, 2, 1))[:, 0, 0])
+    f = np.sqrt(_norm2(M))
     T1 = _row_sum(M.diagonal(0, 1, 2))
     eps = det if n == 3 else np.copysign(1.0, T1)
     if n > 4:
         rules = [
-            _eigvals_rule(m, g) if math.isfinite(g) else (math.nan, math.nan, False, m)
+            _eigvals_rule(m, g) if math.isfinite(g) else (math.nan,) * 2 + (False, m, m[0] * math.nan)
             for m, g in zip(M, f.tolist())
         ]
-        x, beta, unit, Q = map(np.array, zip(*rules))
-        return x, beta, unit, eps, Q, f
+        x, beta, unit, Q, c = map(np.array, zip(*rules))
+        return x, beta, unit, eps, Q, f, c
     beta, near = RHO * (f + 1), True
     if n == 3:
         x, Q, diagonal = T1 - det, M.copy(), -det
     elif n == 2:
-        x, Q, diagonal = T1, np.zeros((N, 2, 2)), np.ones(N)
+        x, Q, diagonal = np.where(det < 0, 2.0, T1), np.zeros((N, 2, 2)), np.ones(N)
     else:
         Q, diagonal, pos = M @ M, det, det > 0
         D = 2 * _row_sum(Q.diagonal(0, 1, 2)) + 8 - T1 * T1
@@ -168,15 +176,17 @@ def _trace_rule(M, det):
         beta = np.where(pos, (beta + split) / 2, beta)
         Q = np.where(pos[:, None, None], Q - (T1 - x)[:, None, None] * M, Q)
         near = ~pos | (D <= dD)
+        c = np.where(pos, np.where(x >= 2 - beta, T1 - 2, np.nan), x)
     # The diagonal: M - det I in rank 3, M^2 - y M + det I in rank 4 (y = 0
     # for det -1), I in rank 2.
     k = np.arange(n)
     Q[:, k, k] += diagonal[:, None]
-    return x, beta, near & (np.abs(np.abs(x) - 2) <= beta), eps, Q, f
+    c = x if n < 4 else c
+    return x, beta, near & (np.abs(np.abs(x) - 2) <= beta), eps, Q, f, c[:, None]
 
 
 def _eigvals_rule(M, f):
-    """(x, beta, unit, Q) of ``_trace_rule`` in rank >= 5, from one ``eigvals``."""
+    """(x, beta, unit, Q, c) of ``_trace_rule`` in rank >= 5, from one ``eigvals``."""
     n = len(M)
     ev = np.linalg.eigvals(M)
     ev = ev[np.argsort(np.abs(ev))]
@@ -186,7 +196,7 @@ def _eigvals_rule(M, f):
     Q = np.eye(n, dtype=complex)
     for mu in ev[1:-1]:
         Q = Q @ (M - mu * np.eye(n))
-    return x, beta, unit, Q.real
+    return x, beta, unit, Q.real, (ev + 1 / ev).real
 
 
 @np.errstate(all="ignore")
@@ -366,7 +376,7 @@ def _classify_rows(sys, M, det):
     out, rest = [None] * len(M), []
     for lo in range(0, len(M), _CHUNK_ROWS):
         C = slice(lo, lo + _CHUNK_ROWS)
-        x, beta, unit, eps, Q, f = _trace_rule(M[C], det[C])
+        x, beta, unit, eps, Q, f, c = _trace_rule(M[C], det[C])
         hyp = (det[C] != 0) & (x - 2 > beta)
         rows = np.flatnonzero(hyp)
         if len(rows):
@@ -374,11 +384,12 @@ def _classify_rows(sys, M, det):
             for i, sc in zip((rows + lo).tolist(), classes):
                 out[i] = sc
         rows = np.flatnonzero(~hyp)
-        rest.append((rows + lo, unit[rows], eps[rows]))
-    rows, unit, eps = map(np.concatenate, zip(*rest))
+        rest.append((rows + lo, unit[rows], eps[rows], beta[rows], f[rows], c[rows]))
+    rows, *columns = map(np.concatenate, zip(*rest))
     for lo in range(0, len(rows), _CHUNK_ROWS):
         C, r = slice(lo, lo + _CHUNK_ROWS), rows[lo : lo + _CHUNK_ROWS]
-        for i, sc in zip(r.tolist(), _unimodular_classes(sys, M[r], det[r], unit[C], eps[C])):
+        classes = _unimodular_classes(sys, M[r], det[r], *(a[C] for a in columns))
+        for i, sc in zip(r.tolist(), classes):
             out[i] = sc
     return out
 
@@ -392,84 +403,102 @@ def _checked(sc):
     return sc
 
 
-def _unimodular_classes(sys, M, det, unit, eps):
+def _unimodular_classes(sys, M, det, unit, eps, beta, f, c):
     """Class of each B-isometry of a stack M (K, n, n) with determinants
     ``det`` (0 where not +-1) that the traces do not call hyperbolic, or its
-    error: elliptic for an identity power up to ``sys.finite_order_bound``
-    (the largest order of a finite standard parabolic subgroup, so of a
-    finite-order element of W, ``_powering``), else parabolic for a verified
-    Jordan defect where the traces put the unimodular spectrum at +-1
-    (``unit``, with Jordan sign ``eps``, ``_parabolic_classes``).  Anything
-    else, a raw matrix of finite order above the bound too, is a
-    ClassificationError saying where powering stopped; a Jordan test's
-    ClassificationError is its cause.  A row with an infinite entry has an
-    infinite beta, so its ``unit`` says nothing: it is not Jordan-tested
-    (one such row would make a stacked SVD fail for the whole stack)."""
+    error, from ``_trace_rule``'s unit, eps, beta, |M|_F and c per row.  An
+    elliptic element of W is conjugate into a finite standard parabolic
+    subgroup, so its order is at most ``sys.finite_order_bound``.  A unit
+    row is an involution when |M - B^-1 M^T B|_F <= tau |M|_F, tau =
+    (n eps + RHO) kappa_F(B) (README: the two products round to within
+    2 gamma_n kappa_F(B) |M|_F, and RHO covers M's own rounding), of order 1
+    when |M - I|_F < 1; else the Jordan test decides (``_parabolic_classes``,
+    sign ``eps``).  Every other row takes the orders of its rotation values
+    (``_orders``).  Anything else is a ClassificationError, a row with no
+    finite beta first (it is never Jordan-tested: one such row would make a
+    stacked SVD fail for the whole stack)."""
+    K, n, _ = M.shape
     bound = sys.finite_order_bound
-    unit = unit & np.isfinite(M).all(axis=(1, 2))
-    order, stop = _powering(M, det != 0, bound)
-    out, suffix = list(_records(Kind.ELLIPTIC, order=order.tolist())), {}
-    rows = zip(det.tolist(), order.tolist(), stop.tolist(), unit.tolist())
-    for i, (d, k, s, u) in enumerate(rows):
-        if k:  # elliptic, its record in place
-            continue
-        if not d:
+    order = np.zeros(K, np.int64)
+    live = (det != 0) & np.isfinite(beta)
+    u = np.flatnonzero(live & unit)
+    inverse = sys.form_inverse @ np.swapaxes(M[u], 1, 2) @ sys.form
+    kappa = np.linalg.norm(sys.form) * np.linalg.norm(sys.form_inverse)
+    tau = (n * _EPS + RHO) * kappa
+    involution = _norm2(M[u] - inverse) <= (tau * f[u]) ** 2
+    order[u] = np.where(involution, np.where(_norm2(M[u] - np.eye(n)) < 1, 1, 2), 0)
+    r = np.flatnonzero(live & ~unit)
+    if len(r):
+        order[r] = _orders(c[r], beta[r], det[r], bound)
+    out = list(_records(Kind.ELLIPTIC, order=order.tolist()))
+    for i in np.flatnonzero(order == 0).tolist():
+        if not det[i]:
             out[i] = ClassificationError("not a B-isometry of determinant +-1")
-            continue
-        powering = f"no identity power up to the finite order bound {bound}"
-        if s < bound:
-            powering = f"powering stopped at M^{s}, which passes the norm cap {POWER_CAP:g}"
-        if u:
-            suffix[i] = powering
+        elif not math.isfinite(beta[i]):
+            out[i] = ClassificationError("trace bound is not finite: an entry is not finite or overflows")
         else:
             out[i] = ClassificationError(
-                f"unresolved elliptic/parabolic: {powering} and the spectrum is not at +-1"
+                f"unresolved elliptic/parabolic: no rotation of order up to the finite order bound"
+                f" {bound} is within the trace bound {beta[i]:g}, and the spectrum is not at +-1"
             )
-    rows = list(suffix)
-    if rows:
-        for i, sc in zip(rows, _parabolic_classes(sys, M[rows], eps[rows])):
-            if isinstance(sc, ClassificationError):
-                sc, cause = ClassificationError(f"{sc}; {suffix[i]}"), sc
-                sc.__cause__ = cause
+    j = ~involution
+    if j.any():
+        for i, sc in zip(u[j].tolist(), _parabolic_classes(sys, M[u[j]], inverse[j], f[u[j]], eps[u[j]])):
             out[i] = sc
     return out
 
 
-@np.errstate(over="ignore")
-def _powering(M, live, bound):
-    """(order, stop) of each matrix of a stack M (K, n, n) where ``live``:
-    ``order`` is the first k <= bound with max|M^k - I| < tol, else 0, and
-    ``stop`` the first k < bound with max|M^k| > POWER_CAP, else bound.  The
-    powers of the rows still going are formed together, one product per
-    matrix.  Roundoff in M^k grows with max|M|^2 (elliptic conjugates with
-    entries near 500 miss I by ~1e-8), while the powers of an
-    infinite-order element stay order one away from I, so
-    tol = min(1e-2, 1e-8 max(1, max|M|)^2).  fmin and fmax keep Python's
-    min and max on a NaN row (tol = 1e-8; its powers then reach the bound),
-    and a square that overflows gives tol = 1e-2."""
-    K, n, _ = M.shape
-    order, stop = np.zeros(K, np.intp), np.full(K, bound)
-    tol = np.fmin(1e-2, 1e-8 * np.fmax(1.0, np.abs(M).max(axis=(1, 2))) ** 2)
-    live = np.flatnonzero(live)
-    P, eye = M[live], np.eye(n)
-    for k in range(1, bound + 1):
-        done = np.abs(P - eye).max(axis=(1, 2)) < tol[live]
-        order[live[done]] = k
-        capped = ~done & (np.abs(P).max(axis=(1, 2)) > POWER_CAP)
-        stop[live[capped]] = k
-        going = ~(done | capped)
-        live = live[going]
-        if not len(live) or k == bound:
-            break
-        P = P[going] @ M[live]
-    return order, stop
+def _norm2(A):
+    """|A|_F^2 of each matrix of a stack, one (1, n^2) by (n^2, 1) matmul per row."""
+    F = A.reshape(len(A), 1, A.shape[1] * A.shape[2])
+    return (F @ np.swapaxes(F, 1, 2))[:, 0, 0]
 
 
-def _parabolic_classes(sys, M, eps):
-    """Parabolic class of each matrix of a stack M (K, n, n) with its Jordan
-    block at eps (K,), verified, or the row's error.
+@np.errstate(invalid="ignore")
+def _orders(c, beta, det, bound):
+    """Order of each row of rotation values c (K, k), each 2 cos(theta)
+    within beta (K,) of exact, or 0.  A value within beta of a candidate
+    v = 2 cos(2 pi p / q), q <= ``bound``, with beta below half the gap from
+    v to the nearest other candidate, has exact value v; it has order q, p / q
+    in lowest terms, and the row the lcm of its q's, made even where det = -1.
+    The nearest candidate is floor(t q) / q or the next fraction for some q,
+    t = arccos(c / 2) / 2 pi; its neighbours at each q are found in integers.
+    Values go in blocks of about 2^16 / bound."""
+    K, k = c.shape
+    v, b = c.ravel(), np.repeat(beta, k)
+    q = np.arange(1, bound + 1)
+    qs = np.zeros(len(v), np.int64)
+    step = max(1, 2**16 // bound)
+    for lo in range(0, len(v), step):
+        w, bw = v[lo : lo + step], b[lo : lo + step]
+        live = np.abs(w) <= 2 + bw  # False for NaN; past +-2 + beta nothing fits
+        w = np.where(live, w, 0.0)
+        t = np.arccos(np.clip(w / 2, -1, 1)) / (2 * np.pi)
+        p = np.floor(t[:, None] * q)[:, :, None] + (0, 1)
+        d = np.abs(2 * np.cos(2 * np.pi * p / q[:, None]) - w[:, None, None]).reshape(len(w), -1)
+        j = d.argmin(1)
+        num, den = p.reshape(len(w), -1)[np.arange(len(w)), j].astype(np.int64), q[j // 2]
+        g = np.gcd(num, den)
+        num, den = num // g, den // g
+        num = np.minimum(num, den - num)
+        v0 = 2 * np.cos(2 * np.pi * num / den)
+        a, m = (num[:, None] * q)[:, :, None], (den[:, None] * q)[:, :, None]
+        side = np.stack([(a[:, :, 0] - 1) // den[:, None], a[:, :, 0] // den[:, None] + 1], -1)
+        # A side fraction congruent to +-num / den mod 1 is v itself.
+        same = ((side * den[:, None, None] - a) % m == 0) | ((side * den[:, None, None] + a) % m == 0)
+        gap = np.abs(2 * np.cos(2 * np.pi * side / q[:, None]) - v0[:, None, None])
+        gap = np.where(same, np.inf, gap).min((1, 2))
+        qs[lo : lo + step] = np.where(live & (np.abs(w - v0) <= bw) & (2 * bw < gap), den, 0)
+    qs = np.lcm.reduce(qs.reshape(K, k), axis=1)
+    return np.where(qs > 0, np.lcm(qs, np.where(det < 0, 2, 1)), 0)
 
-    With M^-1 = B^-1 M^T B, X = M - M^-1 is B-skew-adjoint, so its kernel is
+
+def _parabolic_classes(sys, M, inverse, f, eps):
+    """Parabolic class of each matrix of a stack M (K, n, n), with M^-1 =
+    B^-1 M^T B and |M|_F per row, with its Jordan block at eps (K,),
+    verified, or the row's error.
+
+    X = M - M^-1 is B-skew-adjoint, so its kernel is
     the eigenvector span U = ker(M - eps I) + ker(M + eps I) (the traces put
     every unimodular eigenvalue at +-1) and its image is U^perp_B.  One
     stacked SVD of X gives the dimension of U, n minus the number of
@@ -486,9 +515,6 @@ def _parabolic_classes(sys, M, eps):
     """
     K, n, _ = M.shape
     add, shift = np.add.reduce, eps[:, None, None] * np.eye(n)
-    inverse = sys.form_inverse @ np.swapaxes(M, 1, 2) @ sys.form
-    F = M.reshape(K, 1, n * n)
-    f = np.sqrt((F @ np.swapaxes(F, 1, 2))[:, 0, 0])
     W, s, _ = np.linalg.svd(M - inverse)
     dim = n - np.count_nonzero(s > KERNEL_TOL * np.fmax(1.0, f)[:, None], axis=1)
     out = [None] * K
@@ -501,8 +527,7 @@ def _parabolic_classes(sys, M, eps):
     M, shift, inverse, perp = M[rows], shift[rows], inverse[rows], W[rows, :, :2]
     A = M - shift
     defect = np.abs(A @ A @ perp).max(axis=(1, 2))
-    F = A.reshape(len(rows), 1, n * n)
-    scale = np.fmax(1.0, (F @ np.swapaxes(F, 1, 2))[:, 0, 0])
+    scale = np.fmax(1.0, _norm2(A))
     U = _plane_complements(sys, np.swapaxes(perp, 1, 2))[0]
     U.setflags(write=False)
     P = (M + shift) @ (M + inverse - 2 * shift)

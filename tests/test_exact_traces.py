@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from limitroots import Kind, classify, enumerate_elements, make_system
-from limitroots.errors import NumericalError
 from limitroots.graphs import INF
 from limitroots.spectral import _trace_rule
 
@@ -179,29 +178,25 @@ def test_trace_rule_is_within_its_bound_of_the_exact_traces(graph, length):
 
 def test_classify_agrees_with_the_exact_traces_or_raises_on_universal3_50():
     """c = 50: entries reach 1e18 at length 9 (the float products round from
-    length 9 on).  Every element classify resolves gets the type the exact
-    traces allow, and all 384 of length 8 and all 720 non-reflections of
-    length 9 are resolved.  The reflections of length 5, 7 and 9 (x = 2, det
-    -1) raise: their entries exceed 1e9, so no power certifies order 2."""
+    length 9 on).  Every element classifies, with the type the exact traces
+    allow: all 384 of length 8 and all 720 non-reflections of length 9 are
+    hyperbolic, and the reflections of length 5, 7 and 9 (x = 2, det -1,
+    entries above 1e9) are elliptic of order 2."""
     sys = make_system("universal3:50")
     store = enumerate_elements(sys, 9)
-    raised = []
+    elliptic = []
     with localcontext() as ctx:
         ctx.prec = 50
         for (k, T1, T2), elem in zip(exact_traces(sys, store), store):
             x_exact, hyperbolic = exact_x(3, (-1) ** k, T1, T2)
-            try:
-                sc = classify(sys, elem)
-            except NumericalError:
-                assert k % 2 and x_exact == 2
-                raised.append(k)
-                continue
+            sc = classify(sys, elem)
             assert (sc.kind is Kind.HYPERBOLIC) == hyperbolic
             if sc.kind is Kind.PARABOLIC:
                 assert x_exact == 2 * sc.parabolic_eps
             if sc.kind is Kind.ELLIPTIC:
-                assert abs(x_exact) <= 2
-    assert raised == [5] * 12 + [7] * 24 + [9] * 48
+                assert x_exact == 2 and sc.order == 2 - (k == 0)
+                elliptic.append(k)
+    assert elliptic == [0] + [1] * 3 + [3] * 6 + [5] * 12 + [7] * 24 + [9] * 48
 
 
 def test_quadratic_signs_are_exact():

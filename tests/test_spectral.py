@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -26,7 +27,7 @@ from limitroots.errors import (
 )
 from limitroots.graphs import INF, CoxeterGraph
 from limitroots.elements import GroupElement, enumerate_elements
-from limitroots.spectral import POWER_CAP, Kind, classify_many
+from limitroots.spectral import Kind, classify_many
 
 # fig1b with its generators relabeled 0->1, 1->2, 2->3, 3->0.
 FIG1B_RELABELED = CoxeterGraph(
@@ -607,9 +608,9 @@ def _unimodular_branch_rows(sys):
     fig1b: the kind, or a fragment of the error message."""
     half = (0, 1, 2, 3) * 3 + (2,)
     # An odd palindrome, so a reflection, with entries of 4.6e8: its computed
-    # square misses I by far more than tol, and M^3 passes the norm cap.
+    # square misses I by far more than rounding, but M - M^-1 does not.
     reflection = element_of(sys, half + (0,) + half[::-1]).matrix
-    assert np.abs(reflection).max() < POWER_CAP < np.abs(np.linalg.matrix_power(reflection, 3)).max()
+    assert np.abs(reflection @ reflection - np.eye(4)).max() > 1e-3
     # S = u (Bv)^T - v (Bu)^T is B-skew of rank 2 on the space-like plane of
     # alpha_1 and alpha_2, so for M = I + S (no B-isometry) M - B^-1 M^T B =
     # 2S passes the rank test and the traces put x at 2, but (M - I)^2 = S^2
@@ -617,16 +618,16 @@ def _unimodular_branch_rows(sys):
     u, v = np.eye(4)[1:3]
     jordan = np.eye(4) + np.outer(u, sys.form @ v) - np.outer(v, sys.form @ u)
     # det -1 and trace 2 with one infinite entry: beta is infinite, so the
-    # traces put its spectrum at +-1, but it is not Jordan-tested.
+    # traces bound nothing, and it is refused before any test.
     infinite = np.diag([1.0, 1.0, 1.0, -1.0])
     infinite[0, 1] = math.inf
     return [
         (2 * element_of(sys, (0, 3)).matrix, 0, "not a B-isometry"),
-        (_rotation(sys, 2 * math.pi), 1, "order bound 10 and the spectrum is not at"),
-        (reflection, -1, "expected 2; powering stopped at M^3, which passes the norm cap"),
-        (_rotation(sys, 11), 1, "order bound 10 and the spectrum is not at"),
+        (_rotation(sys, 2 * math.pi), 1, "finite order bound 10 is within the trace bound"),
+        (reflection, -1, Kind.ELLIPTIC),
+        (_rotation(sys, 11), 1, "finite order bound 10 is within the trace bound"),
         (jordan, 1, "parabolic verification failed"),
-        (infinite, -1, "passes the norm cap 1e+09 and the spectrum is not at"),
+        (infinite, -1, "trace bound is not finite"),
         (element_of(sys, (0, 3)).matrix, 1, Kind.PARABOLIC),
         (element_of(sys, (0, 1)).matrix, 1, Kind.ELLIPTIC),
     ]
@@ -635,9 +636,9 @@ def _unimodular_branch_rows(sys):
 def test_unimodular_branches_keep_their_own_errors_in_one_stack():
     """One raw fig1b stack with a row for each branch of the unimodular pass:
     every row gives what it gives as a stack of one, type, message and
-    cause.  Only a Jordan test's ClassificationError takes the powering
-    suffix, with the Jordan error as its cause; a BorderlineSpectrumError
-    passes through as it is."""
+    cause.  No error has a cause: a Jordan test's BorderlineSpectrumError
+    passes through as it is, and the reflection with entries of 4.6e8 is
+    elliptic of order 2."""
     sys = make_system("fig1b")
     rows = _unimodular_branch_rows(sys)
     stack = np.stack([M for M, _, _ in rows])
@@ -650,9 +651,9 @@ def test_unimodular_branches_keep_their_own_errors_in_one_stack():
             alone = exc
         assert got[i] == _stored(sys, alone)
         assert got[i][0] is expected if isinstance(expected, Kind) else expected in got[i][1]
-    causes = [g[2] for g in got[:6]]
-    assert causes == [type(None), type(None), ClassificationError] + [type(None)] * 3
+    assert [g[2] for g in got if isinstance(g[0], type)] == [type(None)] * 5
     assert got[4][0] is BorderlineSpectrumError
+    assert classify_many(sys, rows[2][0][None], det=-1)[0].order == 2
 
 
 def test_store_blocks_match_a_stack_of_one_on_every_unimodular_row():
@@ -740,7 +741,7 @@ def test_hyperbolic_stack_keeps_each_rows_class_or_error():
     sys = make_system("fig1b")
     word = (0, 1, 2, 3)
     good = element_of(sys, word).matrix
-    x, _, _, _, Q, f = spectral._trace_rule(good[None], np.ones(1))
+    x, _, _, _, Q, f, _ = spectral._trace_rule(good[None], np.ones(1))
     flat, skew = np.array([1.0, -1.0, 0.0, 0.0]), np.array([1.0, 2.0, 3.0, 5.0])
     M = np.stack([good, 3.0 * np.eye(4), 3.0 * np.eye(4)])
     Q = np.stack([Q[0]] + [np.outer(v, sys.form @ v) for v in (flat, skew)])
@@ -780,12 +781,14 @@ def test_classified_store_retains_under_700_bytes_per_row():
 
 
 def test_stored_errors_are_raised_by_their_own_rows():
-    """universal3:50 up to length 7: the reflections of length 5 and 7 (odd
-    palindromes; entries above 1e9, so no power certifies order 2) each raise
-    what they raise alone, every other row of their levels classifies, and
-    raising a stored error again does not lengthen its traceback."""
+    """universal3:50 up to length 10: the 48 rows of length 10 whose traces
+    cannot split (entries near 1e20, so beta passes x - 2) each raise what
+    they raise alone, every other row of their levels classifies, the
+    reflections (odd palindromes, entries up to 1e18) among them as
+    elliptic of order 2, and raising a stored error again does not lengthen
+    its traceback."""
     sys = make_system("universal3:50")
-    store = enumerate_elements(sys, 7)
+    store = enumerate_elements(sys, 10)
     raised = []
     for elem in store:
         got = _outcome(sys, elem)
@@ -794,12 +797,13 @@ def test_stored_errors_are_raised_by_their_own_rows():
             raised.append(elem.word)
         else:
             assert isinstance(got[0], Kind)
-    reflections = [w for w in store.words(5, 7) if len(w) % 2 and w == w[::-1]]
-    assert raised == reflections and len(raised) == 12 + 24
+            if len(elem.word) % 2 and elem.word == elem.word[::-1]:
+                assert got[0] is Kind.ELLIPTIC and got[5] == 2
+    assert len(raised) == 48 and {len(w) for w in raised} == {10}
     depths = []
     for _ in range(2):
-        with pytest.raises(ClassificationError, match="powering stopped") as info:
-            classify(sys, store.of_length(7)[store.words(7, 7).index(raised[-1])])
+        with pytest.raises(ClassificationError, match="^eigenvector span has dimension 3, expected 1$") as info:
+            classify(sys, store.of_length(10)[store.words(10, 10).index(raised[-1])])
         depths.append(len(info.traceback))
     assert depths[0] == depths[1]
 
@@ -909,7 +913,7 @@ def test_classifying_a_level_takes_bounded_working_memory():
 
 def _per_row_trace_rule(M, det):
     """The rank 3 and 4 trace rule of one matrix in Python floats, the
-    reference for the stacked rule: (x, beta, unit, eps, Q, |M|_F)."""
+    reference for the stacked rule: (x, beta, unit, eps, Q, |M|_F, c)."""
     n, f, RHO = len(M), float(np.linalg.norm(M)), spectral.RHO
     T1 = 0.0
     for v in M.diagonal().tolist():
@@ -918,8 +922,10 @@ def _per_row_trace_rule(M, det):
     beta, near = RHO * (f + 1), True
     if n == 3:
         x, Q = T1 - det, M.copy()
+        c = x
     elif det < 0:
         x, Q = T1, M @ M
+        c = x
     else:
         Q = M @ M
         T2 = 0.0
@@ -932,8 +938,9 @@ def _per_row_trace_rule(M, det):
         beta = (beta + (min(math.sqrt(dD), dD / root) if root else math.sqrt(dD))) / 2
         Q -= (T1 - x) * M
         near = D <= dD
+        c = T1 - 2 if x >= 2 - beta else math.nan
     Q.ravel()[:: n + 1] += -det if n == 3 else det
-    return x, beta, near and abs(abs(x) - 2) <= beta, eps, Q, f
+    return x, beta, near and abs(abs(x) - 2) <= beta, eps, Q, f, np.array([c])
 
 
 @pytest.mark.parametrize("graph, length", [("fig1b", 7), ("universal3:1.1", 8), ("universal5:1", 3)])
@@ -952,3 +959,75 @@ def test_stacked_trace_rule_keeps_each_rows_bits(graph, length):
         assert row == [a[0].tobytes() for a in alone]
         if sys.rank <= 4:
             assert row == [np.asarray(a).tobytes() for a in _per_row_trace_rule(m, det[i])]
+
+
+RANK5_LABEL3 = str(Path(__file__).parent / "graphs" / "rank5_label3.json")
+
+
+def test_rank5_label3_census_and_a_non_finite_row():
+    """A Lorentzian rank-5 graph with label-3 edges on (0, 1) and (3, 4) and
+    c = 1 on every other edge: signature (4, 1, 0), finite order bound 6
+    (A2 x A2).  Up to length 5 its elliptic orders come from the eigenvalues'
+    rotation values, and a row with an infinite |M|_F in a stack is refused
+    by name while the rows beside it keep their classes."""
+    sys = make_system(RANK5_LABEL3)
+    assert sys.signature == (4, 1, 0) and sys.finite_order_bound == 6
+    store = enumerate_elements(sys, 5)
+    census = Counter()
+    for k in range(6):
+        for sc in classify_many(sys, store.level(k)[1], det=(-1.0) ** k):
+            census[sc.kind, sc.order] += 1
+    assert census == {
+        (Kind.ELLIPTIC, 1): 1,
+        (Kind.ELLIPTIC, 2): 93,
+        (Kind.ELLIPTIC, 3): 16,
+        (Kind.PARABOLIC, None): 80,
+        (Kind.HYPERBOLIC, None): 1404,
+    }
+    good = [element_of(sys, w).matrix for w in ((0, 1), (0, 2), (0,))]
+    bad = np.eye(5)
+    bad[0, 1] = math.inf
+    stack = np.stack(good[:2] + [bad] + good[2:])
+    got = [_stored(sys, sc) for sc in spectral._classify_rows(sys, stack, np.array([1.0, 1.0, 1.0, -1.0]))]
+    assert got[2][:2] == (ClassificationError, "trace bound is not finite: an entry is not finite or overflows")
+    alone = [classify_many(sys, M[None], det=d)[0] for M, d in zip(good, (1.0, 1.0, -1.0))]
+    assert [got[i] for i in (0, 1, 3)] == [_stored(sys, sc) for sc in alone]
+    assert [sc.kind for sc in alone] == [Kind.ELLIPTIC, Kind.PARABOLIC, Kind.ELLIPTIC]
+
+
+def _exact_element(sys, word):
+    """The matrix of ``word`` in Python ints, for a form whose 2B is integral."""
+    n = sys.rank
+    B2 = [[int(2 * b) for b in row] for row in sys.form.tolist()]
+    assert all(B2[i][j] == 2 * sys.form[i, j] for i in range(n) for j in range(n))
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for s in word:
+        S = [[int(i == j) - (B2[s][j] if i == s else 0) for j in range(n)] for i in range(n)]
+        M = [[sum(M[i][k] * S[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return M
+
+
+def test_large_entry_reflections_are_exact_involutions():
+    """The 564 reflections that an identity-power search with a norm cap of
+    1e9 refused: universal3:50 at lengths 5, 7 and 9, universal3:5 at
+    length 9 and universal4:10 at lengths 7 and 9.  Each word's matrix,
+    formed in Python ints, squares to I exactly, and classify calls each
+    elliptic of order 2."""
+    count = 0
+    for graph, lengths in (("universal3:50", (5, 7, 9)), ("universal3:5", (9,)), ("universal4:10", (7, 9))):
+        sys = make_system(graph)
+        store = enumerate_elements(sys, max(lengths))
+        n = sys.rank
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        for k in lengths:
+            for elem in store.of_length(k):
+                if elem.word != elem.word[::-1]:
+                    continue
+                M = _exact_element(sys, elem.word)
+                square = [[sum(M[i][m] * M[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
+                assert square == eye
+                assert max(abs(v) for row in M for v in row) > 1e9
+                sc = classify(sys, elem)
+                assert sc.kind is Kind.ELLIPTIC and sc.order == 2
+                count += 1
+    assert count == 564
