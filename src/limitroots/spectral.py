@@ -156,7 +156,9 @@ def _trace_rule(M, det):
     eps = det if n == 3 else np.copysign(1.0, T1)
     if n > 4:
         rules = [
-            _eigvals_rule(m, g) if math.isfinite(g) else (math.nan,) * 2 + (False, m, m[0] * math.nan)
+            _eigvals_rule(m, g)
+            if math.isfinite(g)
+            else (math.nan, math.nan, False, m, np.full(n, math.nan))
             for m, g in zip(M, f.tolist())
         ]
         x, beta, unit, Q, c = map(np.array, zip(*rules))
@@ -435,15 +437,17 @@ def _unimodular_classes(sys, M, det, unit, eps, beta, f, c):
         if not det[i]:
             out[i] = ClassificationError("not a B-isometry of determinant +-1")
         elif not math.isfinite(beta[i]):
-            out[i] = ClassificationError("trace bound is not finite: an entry is not finite or overflows")
+            out[i] = ClassificationError(
+                "trace bound is not finite: an entry is not finite or overflows"
+            )
         else:
             out[i] = ClassificationError(
                 f"unresolved elliptic/parabolic: no rotation of order up to the finite order bound"
                 f" {bound} is within the trace bound {beta[i]:g}, and the spectrum is not at +-1"
             )
-    j = ~involution
-    if j.any():
-        for i, sc in zip(u[j].tolist(), _parabolic_classes(sys, M[u[j]], inverse[j], f[u[j]], eps[u[j]])):
+    j, rows = ~involution, u[~involution]
+    if len(rows):
+        for i, sc in zip(rows.tolist(), _parabolic_classes(sys, M[rows], inverse[j], f[rows], eps[rows])):
             out[i] = sc
     return out
 
@@ -485,7 +489,8 @@ def _orders(c, beta, det, bound):
         a, m = (num[:, None] * q)[:, :, None], (den[:, None] * q)[:, :, None]
         side = np.stack([(a[:, :, 0] - 1) // den[:, None], a[:, :, 0] // den[:, None] + 1], -1)
         # A side fraction congruent to +-num / den mod 1 is v itself.
-        same = ((side * den[:, None, None] - a) % m == 0) | ((side * den[:, None, None] + a) % m == 0)
+        b3 = side * den[:, None, None]
+        same = ((b3 - a) % m == 0) | ((b3 + a) % m == 0)
         gap = np.abs(2 * np.cos(2 * np.pi * side / q[:, None]) - v0[:, None, None])
         gap = np.where(same, np.inf, gap).min((1, 2))
         qs[lo : lo + step] = np.where(live & (np.abs(w - v0) <= bw) & (2 * bw < gap), den, 0)

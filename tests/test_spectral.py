@@ -802,7 +802,8 @@ def test_stored_errors_are_raised_by_their_own_rows():
     assert len(raised) == 48 and {len(w) for w in raised} == {10}
     depths = []
     for _ in range(2):
-        with pytest.raises(ClassificationError, match="^eigenvector span has dimension 3, expected 1$") as info:
+        span = "^eigenvector span has dimension 3, expected 1$"
+        with pytest.raises(ClassificationError, match=span) as info:
             classify(sys, store.of_length(10)[store.words(10, 10).index(raised[-1])])
         depths.append(len(info.traceback))
     assert depths[0] == depths[1]
@@ -988,8 +989,10 @@ def test_rank5_label3_census_and_a_non_finite_row():
     bad = np.eye(5)
     bad[0, 1] = math.inf
     stack = np.stack(good[:2] + [bad] + good[2:])
-    got = [_stored(sys, sc) for sc in spectral._classify_rows(sys, stack, np.array([1.0, 1.0, 1.0, -1.0]))]
-    assert got[2][:2] == (ClassificationError, "trace bound is not finite: an entry is not finite or overflows")
+    det = np.array([1.0, 1.0, 1.0, -1.0])
+    got = [_stored(sys, sc) for sc in spectral._classify_rows(sys, stack, det)]
+    refused = "trace bound is not finite: an entry is not finite or overflows"
+    assert got[2][:2] == (ClassificationError, refused)
     alone = [classify_many(sys, M[None], det=d)[0] for M, d in zip(good, (1.0, 1.0, -1.0))]
     assert [got[i] for i in (0, 1, 3)] == [_stored(sys, sc) for sc in alone]
     assert [sc.kind for sc in alone] == [Kind.ELLIPTIC, Kind.PARABOLIC, Kind.ELLIPTIC]
@@ -1014,7 +1017,8 @@ def test_large_entry_reflections_are_exact_involutions():
     formed in Python ints, squares to I exactly, and classify calls each
     elliptic of order 2."""
     count = 0
-    for graph, lengths in (("universal3:50", (5, 7, 9)), ("universal3:5", (9,)), ("universal4:10", (7, 9))):
+    cases = (("universal3:50", (5, 7, 9)), ("universal3:5", (9,)), ("universal4:10", (7, 9)))
+    for graph, lengths in cases:
         sys = make_system(graph)
         store = enumerate_elements(sys, max(lengths))
         n = sys.rank
@@ -1024,8 +1028,8 @@ def test_large_entry_reflections_are_exact_involutions():
                 if elem.word != elem.word[::-1]:
                     continue
                 M = _exact_element(sys, elem.word)
-                square = [[sum(M[i][m] * M[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
-                assert square == eye
+                rows = range(n)
+                assert [[sum(M[i][m] * M[m][j] for m in rows) for j in rows] for i in rows] == eye
                 assert max(abs(v) for row in M for v in row) > 1e9
                 sc = classify(sys, elem)
                 assert sc.kind is Kind.ELLIPTIC and sc.order == 2
