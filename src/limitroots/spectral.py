@@ -24,6 +24,7 @@ the trace rule (``_orders``).
 """
 
 import enum
+import functools
 import math
 from itertools import repeat
 from typing import NamedTuple
@@ -155,12 +156,7 @@ def _trace_rule(M, det):
     T1 = _row_sum(M.diagonal(0, 1, 2))
     eps = det if n == 3 else np.copysign(1.0, T1)
     if n > 4:
-        rules = [
-            _eigvals_rule(m, g)
-            if math.isfinite(g)
-            else (math.nan, math.nan, False, m, np.full(n, math.nan))
-            for m, g in zip(M, f.tolist())
-        ]
+        rules = [_eigvals_rule(m, g) for m, g in zip(M, f.tolist())]
         x, beta, unit, Q, c = map(np.array, zip(*rules))
         return x, beta, unit, eps, Q, f, c
     beta, near = RHO * (f + 1), True
@@ -190,6 +186,8 @@ def _trace_rule(M, det):
 def _eigvals_rule(M, f):
     """(x, beta, unit, Q, c) of ``_trace_rule`` in rank >= 5, from one ``eigvals``."""
     n = len(M)
+    if not math.isfinite(f):  # eigvals refuses it
+        return math.nan, math.nan, False, M, np.full(n, math.nan)
     ev = np.linalg.eigvals(M)
     ev = ev[np.argsort(np.abs(ev))]
     x = float((ev[-1] + 1 / ev[-1]).real)
@@ -416,9 +414,11 @@ def _unimodular_classes(sys, M, det, unit, eps, beta, f, c):
     2 gamma_n kappa_F(B) |M|_F, and RHO covers M's own rounding), of order 1
     when |M - I|_F < 1; else the Jordan test decides (``_parabolic_classes``,
     sign ``eps``).  Every other row takes the orders of its rotation values
-    (``_orders``).  Anything else is a ClassificationError, a row with no
-    finite beta first (it is never Jordan-tested: one such row would make a
-    stacked SVD fail for the whole stack)."""
+    (``_orders``); in rank >= 5 only if one SVD of X shows as many
+    eigenvectors at +-1 as values at +-2 (no Jordan block beside a
+    rotation).  Anything else is a ClassificationError, a row with no finite
+    beta first (it is never Jordan-tested: one such row would make a stacked
+    SVD fail for the whole stack)."""
     K, n, _ = M.shape
     bound = sys.finite_order_bound
     order = np.zeros(K, np.int64)
@@ -430,24 +430,37 @@ def _unimodular_classes(sys, M, det, unit, eps, beta, f, c):
     involution = _norm2(M[u] - inverse) <= (tau * f[u]) ** 2
     order[u] = np.where(involution, np.where(_norm2(M[u] - np.eye(n)) < 1, 1, 2), 0)
     r = np.flatnonzero(live & ~unit)
-    if len(r):
-        order[r] = _orders(c[r], beta[r], det[r], bound)
+    order[r] = _orders(c[r], beta[r], det[r], bound)
+    screw = {}
+    if n > 4:
+        # From rank 5 a Jordan block at +-1 fits beside a rotation, and its
+        # values at +-2 fit order 1 or 2: ker X, the eigenvectors at +-1,
+        # must have as many dimensions as there are such values.
+        r = r[order[r] > 0]
+        at_one = np.count_nonzero(np.abs(np.abs(c[r]) - 2) <= beta[r, None], axis=1)
+        X = M[r] - sys.form_inverse @ np.swapaxes(M[r], 1, 2) @ sys.form
+        sv = np.linalg.svd(X, compute_uv=False)
+        dim = n - np.count_nonzero(sv > KERNEL_TOL * np.fmax(1.0, f[r])[:, None], axis=1)
+        screw = {i: (k, d) for i, k, d in zip(r.tolist(), at_one.tolist(), dim.tolist()) if k != d}
+        order[list(screw)] = 0
     out = list(_records(Kind.ELLIPTIC, order=order.tolist()))
     for i in np.flatnonzero(order == 0).tolist():
         if not det[i]:
-            out[i] = ClassificationError("not a B-isometry of determinant +-1")
+            why = "not a B-isometry of determinant +-1"
         elif not math.isfinite(beta[i]):
-            out[i] = ClassificationError(
-                "trace bound is not finite: an entry is not finite or overflows"
-            )
+            why = "trace bound is not finite: an entry is not finite or overflows"
+        elif i in screw:
+            k, d = screw[i]
+            why = f"unresolved elliptic/parabolic: {k} eigenvalues at +-1 but an eigenvector span"
+            why += f" of dimension {d} there, a Jordan block beside a rotation"
         else:
-            out[i] = ClassificationError(
-                f"unresolved elliptic/parabolic: no rotation of order up to the finite order bound"
-                f" {bound} is within the trace bound {beta[i]:g}, and the spectrum is not at +-1"
-            )
+            why = "unresolved elliptic/parabolic: no rotation of order up to the finite order bound"
+            why += f" {bound} is within the trace bound {beta[i]:g}, and the spectrum is not at +-1"
+        out[i] = ClassificationError(why)
     j, rows = ~involution, u[~involution]
     if len(rows):
-        for i, sc in zip(rows.tolist(), _parabolic_classes(sys, M[rows], inverse[j], f[rows], eps[rows])):
+        classes = _parabolic_classes(sys, M[rows], inverse[j], f[rows], eps[rows])
+        for i, sc in zip(rows.tolist(), classes):
             out[i] = sc
     return out
 
@@ -458,43 +471,33 @@ def _norm2(A):
     return (F @ np.swapaxes(F, 1, 2))[:, 0, 0]
 
 
-@np.errstate(invalid="ignore")
+@functools.lru_cache(maxsize=8)
+def _rotation_table(bound):
+    """(v, q, gap): the candidates v = 2 cos(2 pi p / q) over p / q in lowest
+    terms, 0 <= p <= q / 2, q <= ``bound``, ascending (cos is one to one on
+    [0, pi], so each value once), their orders q, and each one's distance to
+    its nearest neighbour (inf past either end)."""
+    q, p = np.mgrid[1 : bound + 1, 0 : bound // 2 + 1]
+    keep = (2 * p <= q) & (np.gcd(p, q) == 1)
+    q, p = q[keep], p[keep]
+    v = 2 * np.cos(2 * np.pi * p / q)
+    o = np.argsort(v)
+    v, q = v[o], q[o]
+    return v, q, np.fmin(np.diff(v, prepend=-np.inf), np.diff(v, append=np.inf))
+
+
 def _orders(c, beta, det, bound):
     """Order of each row of rotation values c (K, k), each 2 cos(theta)
     within beta (K,) of exact, or 0.  A value within beta of a candidate
     v = 2 cos(2 pi p / q), q <= ``bound``, with beta below half the gap from
-    v to the nearest other candidate, has exact value v; it has order q, p / q
-    in lowest terms, and the row the lcm of its q's, made even where det = -1.
-    The nearest candidate is floor(t q) / q or the next fraction for some q,
-    t = arccos(c / 2) / 2 pi; its neighbours at each q are found in integers.
-    Values go in blocks of about 2^16 / bound."""
-    K, k = c.shape
-    v, b = c.ravel(), np.repeat(beta, k)
-    q = np.arange(1, bound + 1)
-    qs = np.zeros(len(v), np.int64)
-    step = max(1, 2**16 // bound)
-    for lo in range(0, len(v), step):
-        w, bw = v[lo : lo + step], b[lo : lo + step]
-        live = np.abs(w) <= 2 + bw  # False for NaN; past +-2 + beta nothing fits
-        w = np.where(live, w, 0.0)
-        t = np.arccos(np.clip(w / 2, -1, 1)) / (2 * np.pi)
-        p = np.floor(t[:, None] * q)[:, :, None] + (0, 1)
-        d = np.abs(2 * np.cos(2 * np.pi * p / q[:, None]) - w[:, None, None]).reshape(len(w), -1)
-        j = d.argmin(1)
-        num, den = p.reshape(len(w), -1)[np.arange(len(w)), j].astype(np.int64), q[j // 2]
-        g = np.gcd(num, den)
-        num, den = num // g, den // g
-        num = np.minimum(num, den - num)
-        v0 = 2 * np.cos(2 * np.pi * num / den)
-        a, m = (num[:, None] * q)[:, :, None], (den[:, None] * q)[:, :, None]
-        side = np.stack([(a[:, :, 0] - 1) // den[:, None], a[:, :, 0] // den[:, None] + 1], -1)
-        # A side fraction congruent to +-num / den mod 1 is v itself.
-        b3 = side * den[:, None, None]
-        same = ((b3 - a) % m == 0) | ((b3 + a) % m == 0)
-        gap = np.abs(2 * np.cos(2 * np.pi * side / q[:, None]) - v0[:, None, None])
-        gap = np.where(same, np.inf, gap).min((1, 2))
-        qs[lo : lo + step] = np.where(live & (np.abs(w - v0) <= bw) & (2 * bw < gap), den, 0)
-    qs = np.lcm.reduce(qs.reshape(K, k), axis=1)
+    v to its nearest neighbour, has exact value v, so order q; the row has
+    the lcm of its q's, made even where det = -1.  The nearest candidate is
+    one of the two table entries around the value (NaN matches none)."""
+    v, q, gap = _rotation_table(bound)
+    j = np.clip(np.searchsorted(v, c), 1, len(v) - 1)
+    j = j - (c - v[j - 1] < v[j] - c)
+    b = beta[:, None]
+    qs = np.lcm.reduce(np.where((np.abs(c - v[j]) <= b) & (2 * b < gap[j]), q[j], 0), axis=1)
     return np.where(qs > 0, np.lcm(qs, np.where(det < 0, 2, 1)), 0)
 
 

@@ -621,6 +621,10 @@ def _unimodular_branch_rows(sys):
     # traces bound nothing, and it is refused before any test.
     infinite = np.diag([1.0, 1.0, 1.0, -1.0])
     infinite[0, 1] = math.inf
+    # I + N, N the superdiagonal, has trace 4 and trace of its square 4, so
+    # the traces put its spectrum at 1; M - B^-1 M^T B is far from 0 and of
+    # full rank, so it fails the involution test and then the rank test.
+    superdiagonal = np.eye(4) + np.eye(4, k=1)
     return [
         (2 * element_of(sys, (0, 3)).matrix, 0, "not a B-isometry"),
         (_rotation(sys, 2 * math.pi), 1, "finite order bound 10 is within the trace bound"),
@@ -630,15 +634,16 @@ def _unimodular_branch_rows(sys):
         (infinite, -1, "trace bound is not finite"),
         (element_of(sys, (0, 3)).matrix, 1, Kind.PARABOLIC),
         (element_of(sys, (0, 1)).matrix, 1, Kind.ELLIPTIC),
+        (superdiagonal, 1, "eigenvector span has dimension 0, expected 2"),
     ]
 
 
 def test_unimodular_branches_keep_their_own_errors_in_one_stack():
     """One raw fig1b stack with a row for each branch of the unimodular pass:
     every row gives what it gives as a stack of one, type, message and
-    cause.  No error has a cause: a Jordan test's BorderlineSpectrumError
-    passes through as it is, and the reflection with entries of 4.6e8 is
-    elliptic of order 2."""
+    cause.  No error has a cause: the Jordan test's BorderlineSpectrumError
+    and its rank test's ClassificationError pass through as they are, and
+    the reflection with entries of 4.6e8 is elliptic of order 2."""
     sys = make_system("fig1b")
     rows = _unimodular_branch_rows(sys)
     stack = np.stack([M for M, _, _ in rows])
@@ -651,7 +656,7 @@ def test_unimodular_branches_keep_their_own_errors_in_one_stack():
             alone = exc
         assert got[i] == _stored(sys, alone)
         assert got[i][0] is expected if isinstance(expected, Kind) else expected in got[i][1]
-    assert [g[2] for g in got if isinstance(g[0], type)] == [type(None)] * 5
+    assert [g[2] for g in got if isinstance(g[0], type)] == [type(None)] * 6
     assert got[4][0] is BorderlineSpectrumError
     assert classify_many(sys, rows[2][0][None], det=-1)[0].order == 2
 
@@ -886,7 +891,7 @@ def test_chunk_size_changes_no_class(monkeypatch):
     monkeypatch.setattr(spectral, "_CHUNK_ROWS", 7)
     assert outcomes() == default
     raw, first, graphs = default
-    assert len(stack) == 24 and [r[0] for r in raw[:2]] == [Kind.HYPERBOLIC] * 2
+    assert len(stack) == 27 and [r[0] for r in raw[:2]] == [Kind.HYPERBOLIC] * 2
     assert first == raw[2] and first[0] is ClassificationError
     assert [len(g) for g in graphs] == [2 * 7652, 2 * 426]
 
@@ -998,11 +1003,63 @@ def test_rank5_label3_census_and_a_non_finite_row():
     assert [sc.kind for sc in alone] == [Kind.ELLIPTIC, Kind.PARABOLIC, Kind.ELLIPTIC]
 
 
+RANK5_SCREW = str(Path(__file__).parent / "graphs" / "rank5_screw.json")
+
+
+def test_rank5_screw_parabolics_are_refused():
+    """A Lorentzian rank-5 graph where an m = inf, c = 1 edge (0, 1) commutes
+    with a label-3 edge (2, 3).  M = s0 s1 s2 s3 is a Jordan block at 1 beside
+    a rotation of order 3: every rotation value fits a finite order, but M^3
+    is unipotent and not I (in Python ints), so M has infinite order.  It is
+    refused by name, in a stack beside rows that keep their classes, and so
+    is every such row up to length 7 (24, which an identity-power search
+    refused as well)."""
+    sys = make_system(RANK5_SCREW)
+    assert sys.signature == (4, 1, 0) and sys.finite_order_bound == 24
+    M = _exact_element(sys, (0, 1, 2, 3) * 3)
+    A = [[M[i][j] - (i == j) for j in range(5)] for i in range(5)]
+    A2 = [[sum(A[i][k] * A[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
+    A3 = [[sum(A2[i][k] * A[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
+    assert any(map(any, A2)) and not any(map(any, A3))
+    screw = element_of(sys, (0, 1, 2, 3)).matrix
+    good = [element_of(sys, w).matrix for w in ((2, 3), (0, 1), (0,))]
+    stack = np.stack(good[:2] + [screw] + good[2:])
+    det = np.array([1.0, 1.0, 1.0, -1.0])
+    got = [_stored(sys, sc) for sc in spectral._classify_rows(sys, stack, det)]
+    assert got[2][:2] == (
+        ClassificationError,
+        "unresolved elliptic/parabolic: 3 eigenvalues at +-1 but an eigenvector span"
+        " of dimension 1 there, a Jordan block beside a rotation",
+    )
+    alone = [classify_many(sys, M[None], det=d)[0] for M, d in zip(good, (1.0, 1.0, -1.0))]
+    assert [got[i] for i in (0, 1, 3)] == [_stored(sys, sc) for sc in alone]
+    assert [(sc.kind, sc.order) for sc in alone] == [
+        (Kind.ELLIPTIC, 3),
+        (Kind.PARABOLIC, None),
+        (Kind.ELLIPTIC, 2),
+    ]
+    store = enumerate_elements(sys, 7)
+    census = Counter()
+    for k in range(8):
+        for sc in spectral._classify_rows(sys, store.level(k)[1], (-1.0) ** k):
+            census[type(sc) if isinstance(sc, Exception) else (sc.kind, sc.order)] += 1
+    assert census == {
+        (Kind.ELLIPTIC, 1): 1,
+        (Kind.ELLIPTIC, 2): 77,
+        (Kind.ELLIPTIC, 3): 2,
+        (Kind.ELLIPTIC, 6): 32,
+        (Kind.PARABOLIC, None): 84,
+        (Kind.HYPERBOLIC, None): 222,
+        ClassificationError: 24,
+    }
+
+
 def _exact_element(sys, word):
-    """The matrix of ``word`` in Python ints, for a form whose 2B is integral."""
+    """The matrix of ``word`` in Python ints, for a form whose exact 2B is
+    integral (the float form may round it: cos(pi / 3) is 0.5000000000000001)."""
     n = sys.rank
-    B2 = [[int(2 * b) for b in row] for row in sys.form.tolist()]
-    assert all(B2[i][j] == 2 * sys.form[i, j] for i in range(n) for j in range(n))
+    B2 = [[round(2 * b) for b in row] for row in sys.form.tolist()]
+    assert np.abs(np.array(B2) - 2 * sys.form).max() <= 4 * np.finfo(float).eps
     M = [[int(i == j) for j in range(n)] for i in range(n)]
     for s in word:
         S = [[int(i == j) - (B2[s][j] if i == s else 0) for j in range(n)] for i in range(n)]
