@@ -8,6 +8,7 @@ reflections).
 """
 
 import enum
+import itertools
 import math
 from collections import namedtuple
 from typing import NamedTuple
@@ -54,6 +55,36 @@ class Codim2Intersection(NamedTuple):
     basis: np.ndarray
     kind: IntersectionKind
     pairing: float
+
+
+class Codim2Set:
+    """Codimension-2 intersections as read-only columns, one row per pair of
+    rows of a ``RootSet``: ``pairs`` (P, 2), the orthonormal ``bases``
+    (P, n, n - 2) as columns, ``space_like`` (P,) and ``pairings`` (P,).
+    An integer index gives the row as a fresh ``Codim2Intersection``, and
+    iteration gives every row so; any other numpy index (a boolean mask, a
+    slice, an index array) gives the subset as a ``Codim2Set``."""
+
+    def __init__(self, pairs, bases, space_like, pairings):
+        cols = (np.asarray(pairs, np.intp), np.asarray(bases, float),
+                np.asarray(space_like, bool), np.asarray(pairings, float))
+        for col in cols:
+            col.setflags(write=False)
+        self.pairs, self.bases, self.space_like, self.pairings = cols
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return next(iter(self[[i]]))
+        return Codim2Set(self.pairs[i], self.bases[i], self.space_like[i], self.pairings[i])
+
+    def __iter__(self):
+        kinds = (IntersectionKind.SPACE_LIKE if s else IntersectionKind.LIGHT_LIKE
+                 for s in self.space_like.tolist())
+        return map(Codim2Intersection, map(tuple, self.pairs.tolist()), self.bases, kinds,
+                   self.pairings.tolist())
 
 
 def roots_by_depth(sys, max_depth):
@@ -111,7 +142,7 @@ def fundamental_weights(sys):
 
 def codim2_spacelike(sys, roots):
     """Codimension-2 intersections over the pairs of rows of ``roots``, in
-    ``itertools.combinations`` order.
+    ``itertools.combinations`` order, as a ``Codim2Set``.
 
     Pairs with pairing < -1 - PAIRING_TOL are space-like (products of the
     two reflections are hyperbolic); pairs with pairing = -1 within it are
@@ -119,27 +150,23 @@ def codim2_spacelike(sys, roots):
     R B R^T gives the pairings, one stack the bases and the check that B is
     positive-definite on the space-like ones; the first pair failing raises.
     """
-    R = roots.vectors
+    R, n = roots.vectors, sys.rank
     i, j = np.triu_indices(len(R), 1)
     pairing = (R @ sys.form @ R.T)[i, j]
     space = pairing < -1.0 - PAIRING_TOL
     keep = np.flatnonzero(space | (np.abs(pairing + 1.0) <= PAIRING_TOL))
+    pairs, pairing, space = np.stack([i[keep], j[keep]], axis=1), pairing[keep], space[keep]
     if not len(keep):
-        return []
-    i, j, pairing, space = i[keep], j[keep], pairing[keep], space[keep]
-    bases, dim = _plane_complements(sys, R[np.stack([i, j], axis=1)])
+        return Codim2Set(pairs, np.empty((0, n, n - 2)), space, pairing)
+    bases, dim = _plane_complements(sys, R[pairs])
     gram = np.swapaxes(bases, 1, 2) @ sys.form @ bases
-    bad = (dim != sys.rank - 2) | (space & (np.linalg.eigvalsh(gram)[:, 0] <= 0))
+    bad = (dim != n - 2) | (space & (np.linalg.eigvalsh(gram)[:, 0] <= 0))
     for k in np.flatnonzero(bad)[:1]:
-        if dim[k] != sys.rank - 2:
+        if dim[k] != n - 2:
             raise ExtractionError(f"codimension-2 intersection has dimension {dim[k]}")
-        a, b = word_to_str(roots.words[i[k]]), word_to_str(roots.words[j[k]])
+        a, b = (word_to_str(roots.words[r]) for r in pairs[k])
         raise ExtractionError(f"restricted form not positive-definite for pair ({a}, {b})")
-    kinds = [IntersectionKind.SPACE_LIKE if sp else IntersectionKind.LIGHT_LIKE for sp in space]
-    return [
-        Codim2Intersection(pair=(a, b), basis=q, kind=kind, pairing=p)
-        for a, b, q, kind, p in zip(i.tolist(), j.tolist(), bases, kinds, pairing.tolist())
-    ]
+    return Codim2Set(pairs, bases, space, pairing)
 
 
 def principal_sine(q1, q2):
@@ -152,25 +179,25 @@ def principal_sine(q1, q2):
 
 
 def intersection_equals_unimodular(sys, roots, cis):
-    """For each space-like intersection of rows of ``roots``, whether it
-    equals the unimodular subspace of the product of its two reflections
-    (principal angle below ``ANGLE_TOL``), and the sine of that angle (NaN
-    where the product is not hyperbolic).  Each root row gives one
-    reflection matrix; the products R_a R_b are one stacked matmul,
-    classified as one batch, and the unimodular subspaces of the hyperbolic
-    ones are formed as one stack."""
-    if any(ci.kind is not IntersectionKind.SPACE_LIKE for ci in cis):
+    """For each space-like intersection of the ``Codim2Set`` cis of rows of
+    ``roots``, whether it equals the unimodular subspace of the product of
+    its two reflections (principal angle below ``ANGLE_TOL``), and the sine
+    of that angle (NaN where the product is not hyperbolic), as two lists.
+    The reflections of the root rows are one stack (``reflections``); the
+    products R_a R_b are one stacked matmul, classified as one batch, and
+    the unimodular subspaces of the hyperbolic ones are formed as one stack."""
+    if not cis.space_like.all():
         raise ValueError("intersection_equals_unimodular requires space-like pairs")
-    n = sys.rank
-    R = np.array([sys.reflection_in(v) for v in roots.vectors]).reshape(-1, n, n)
-    first, second = np.array([ci.pair for ci in cis], int).reshape(-1, 2).T
+    R = sys.reflections(roots.vectors)
+    first, second = cis.pairs.T
     classes = classify_many(sys, R[first] @ R[second], det=1)
-    hyp = [i for i, sc in enumerate(classes) if sc.kind is Kind.HYPERBOLIC]
-    sines = [math.nan] * len(cis)
-    if hyp:
-        unimodular, _ = _plane_complements(sys, np.stack([classes[i].dominant[1:] for i in hyp]))
-        for i, sine in zip(hyp, principal_sine(np.stack([cis[i].basis for i in hyp]), unimodular)):
-            sines[i] = float(sine)
+    hyp = np.array([sc.kind is Kind.HYPERBOLIC for sc in classes], bool)
+    sines = np.full(len(cis), math.nan)
+    if hyp.any():
+        X = np.array([sc.dominant[1:] for sc in itertools.compress(classes, hyp)])
+        unimodular, _ = _plane_complements(sys, X)
+        sines[hyp] = principal_sine(cis.bases[hyp], unimodular)
+    sines = sines.tolist()
     return [s < math.sin(ANGLE_TOL) for s in sines], sines
 
 

@@ -243,9 +243,6 @@ class ElementStore:
         """Number of elements at each length 0..max_length."""
         return [hi - lo for lo, hi in zip(self._starts, self._starts[1:])]
 
-    def of_length(self, k):
-        return self.with_length(k, k)
-
     def with_length(self, lo, hi):
         ks = self._lengths(lo, hi)
         rows = range(self._starts[ks.start], self._starts[ks.stop]) if ks else range(0)

@@ -285,13 +285,22 @@ class GeometricSystem:
                 f"{what} requires a Lorentzian system; signature is {self.signature}"
             )
 
+    def reflections(self, V):
+        """(N, n, n) stack of the reflections I - (2 / B(v, v)) v (Bv)^T in
+        the rows v of an (N, n) stack V, as one stacked rank-one update: a
+        row's bits do not depend on the stack.  A row with |B(v, v)| < 1e-12
+        is isotropic: ValueError naming the first."""
+        V = np.asarray(V, dtype=float)
+        BV = (self.form @ V[:, :, None])[:, :, 0]
+        norm = ((V[:, None, :] @ self.form) @ V[:, :, None])[:, 0, 0]
+        for i in np.flatnonzero(np.abs(norm) < 1e-12)[:1]:
+            raise ValueError(f"cannot reflect in an isotropic vector (row {i})")
+        return np.eye(self.rank) - (2.0 / norm)[:, None, None] * (V[:, :, None] * BV[:, None, :])
+
     def reflection_in(self, root):
-        """Matrix of the reflection in an arbitrary non-isotropic vector."""
-        root = np.asarray(root, dtype=float)
-        norm = float(root @ self.form @ root)
-        if abs(norm) < 1e-12:
-            raise ValueError("cannot reflect in an isotropic vector")
-        return np.eye(self.rank) - (2.0 / norm) * np.outer(root, self.form @ root)
+        """Matrix of the reflection in an arbitrary non-isotropic vector: a
+        stack of one of ``reflections``."""
+        return self.reflections(np.asarray(root, dtype=float)[None])[0]
 
 
 def make_system(graph_or_name):

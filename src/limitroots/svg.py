@@ -99,9 +99,9 @@ def _arrangement_lines(sys, roots, canvas):
 
 def render_svg(sys, pointset=None, roots=None, intersections=None, show_weights=False):
     """Compose the chart picture: simplex outline, light conic, arrangement
-    overlays (an intersection at infinity has no chart point and is not
-    drawn), the weights (the columns of B^-1) and provenance-colored points.
-    Output is deterministic."""
+    overlays (the roots' lines and a ``Codim2Set`` of intersections; one at
+    infinity has no chart point and is not drawn), the weights (the columns
+    of B^-1) and provenance-colored points.  Output is deterministic."""
     canvas = _Canvas(sys.rank)
     n = sys.rank
     # Simplex outline: every edge of the chart simplex.
@@ -119,7 +119,7 @@ def render_svg(sys, pointset=None, roots=None, intersections=None, show_weights=
         pts = [canvas.map_point(v) for v in light_conic(sys, resolution=CONIC_RESOLUTION)]
         canvas.polyline(pts, stroke="#555555", width=1.0, closed=(n == 3))
     if intersections is not None and n == 3:
-        pts = to_chart(np.array([ci.basis[:, 0] for ci in intersections]).reshape(-1, n))
+        pts = to_chart(intersections.bases[:, :, 0])
         for pt in pts[~at_infinity(pts)]:  # a point at infinity has no chart point to draw
             canvas.circle(canvas.map_point(pt), 2.2, KIND_COLORS["intersection"])
     if show_weights:

@@ -16,7 +16,6 @@ from .arrangement import (
     pair_eigendata,
     pair_identity_residuals,
     roots_by_depth,
-    IntersectionKind,
 )
 from .elements import element_of, enumerate_elements
 from .geometry import make_system
@@ -120,14 +119,13 @@ def verify_sandwich(sys=None, depth=4):
         )
     roots = roots_by_depth(sys, depth)
     cis = codim2_spacelike(sys, roots)
-    intersections = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
+    intersections = cis[cis.space_like]
     verdicts, sines = intersection_equals_unimodular(sys, roots, intersections)
-    passed = [ci for ci, equal in zip(intersections, verdicts) if equal]
-    e = pair_eigendata(sys, roots, [ci.pair for ci in passed])
+    passed = intersections[np.array(verdicts, bool)]
+    e = pair_eigendata(sys, roots, passed.pairs)
     k = np.maximum(1, np.ceil(24.0 / np.log10(e.lam)))
     ends = e.lam[:, None] ** -k[:, None] * e.x_minus + e.u
-    bases = np.reshape([ci.basis[:, 0] for ci in passed], (-1, sys.rank))
-    d = chart_distances(to_chart(ends), to_chart(bases))
+    d = chart_distances(to_chart(ends), to_chart(passed.bases[:, :, 0]))
     identity = pair_identity_residuals(sys, e)
     n_fail_angle = len(intersections) - len(passed)
     n_fail_dyn = int(np.count_nonzero((d > SANDWICH_TOL) | ~(identity <= IDENTITY_TOL)))
@@ -162,7 +160,7 @@ def verify_weights():
     sys = make_system("universal3:1.1")
     weights = fundamental_weights(sys).T
     bnorms = [float(w @ sys.form @ w) for w in weights]
-    points = to_chart([ci.basis[:, 0] for ci in codim2_spacelike(sys, roots_by_depth(sys, 1))])
+    points = to_chart(codim2_spacelike(sys, roots_by_depth(sys, 1)).bases[:, :, 0])
     matches = chart_distances(to_chart(weights)[:, None], points).min(axis=1).tolist()
     ok = (
         worst_identity < 1e-10

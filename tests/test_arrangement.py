@@ -30,6 +30,7 @@ from limitroots import (
 )
 from limitroots.arrangement import (
     Codim2Intersection,
+    Codim2Set,
     IntersectionKind,
     IDENTITY_TOL,
     RootSet,
@@ -257,6 +258,61 @@ def test_marginal_pairs_are_light_like(sys_u1):
     assert all(ci.kind is IntersectionKind.LIGHT_LIKE for ci in cis)
 
 
+def test_codim2_set_columns_and_records(sys_u1):
+    """A ``Codim2Set`` has aligned read-only columns; a mask gives the rows
+    it selects, and an integer index or iteration (what a tracer counting
+    space-like records reads) gives records equal to the columns.  Without
+    a kept pair the columns keep their shapes."""
+    cis = codim2_spacelike(sys_u1, roots_by_depth(sys_u1, 3))
+    assert len(cis) == 180 and cis.pairs.shape == (180, 2) and cis.bases.shape == (180, 3, 1)
+    columns = ("pairs", "bases", "space_like", "pairings")
+    for mask in (cis.space_like, ~cis.space_like):
+        part = cis[mask]
+        assert 0 < len(part) < len(cis)
+        for name in columns:
+            assert np.array_equal(getattr(part, name), getattr(cis, name)[mask])
+            assert not getattr(part, name).flags.writeable
+    assert not any(getattr(cis, name).flags.writeable for name in columns)
+    records = list(cis)
+    assert sum(ci.kind.value == "space-like" for ci in records) == np.count_nonzero(cis.space_like)
+    for k, record in enumerate(records):
+        for ci in (record, cis[k], cis[k - len(cis)]):
+            assert type(ci) is Codim2Intersection
+            assert ci.pair == tuple(cis.pairs[k].tolist()) and type(ci.pair[0]) is int
+            assert np.array_equal(ci.basis, cis.bases[k])
+            space_like = ci.kind is IntersectionKind.SPACE_LIKE
+            assert space_like == cis.space_like[k] and ci.pairing == cis.pairings[k]
+    a4 = CoxeterGraph(rank=4, labels={(0, 1): 3, (1, 2): 3, (2, 3): 3})
+    for sys in (make_system("a3"), make_system(a4)):
+        empty = codim2_spacelike(sys, roots_by_depth(sys, 3))
+        assert len(empty) == 0 and list(empty) == []
+        assert empty.pairs.shape == (0, 2) and empty.bases.shape == (0, sys.rank, sys.rank - 2)
+        assert empty.space_like.shape == empty.pairings.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "graph, depth",
+    [("universal3:1.1", 5), ("universal3:1", 5), ("universal3:5", 5), ("universal3:50", 5),
+     ("fig1b", 4), ("universal4:10", 4)],
+)
+def test_stacked_reflections_match_the_per_vector_formula(graph, depth):
+    """``reflections`` of the stacked roots, and ``reflection_in`` of each
+    (a stack of one), equal I - (2 / B(v, v)) v (Bv)^T formed one root at
+    a time, bit for bit: the sandwich oracle's products, and so its
+    reports, are built from them."""
+    sys = make_system(graph)
+    R = roots_by_depth(sys, depth).vectors
+    B, eye = sys.form, np.eye(sys.rank)
+    expected = np.array([eye - (2.0 / float(v @ B @ v)) * np.outer(v, B @ v) for v in R])
+    assert np.array_equal(sys.reflections(R), expected)
+    assert np.array_equal([sys.reflection_in(v) for v in R], expected)
+
+
+def test_reflections_name_the_first_isotropic_row(sys_u1):
+    with pytest.raises(ValueError, match=r"isotropic vector \(row 2\)"):
+        sys_u1.reflections([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+
+
 def _codim2_per_pair(sys, roots, tol=1e-9):
     """The per-pair loop ``codim2_spacelike`` replaced: one pairing, one
     null space and one ``eigvalsh`` per pair."""
@@ -321,8 +377,8 @@ def test_codim2_names_the_first_pair_without_a_definite_form():
 def test_intersection_equals_unimodular_subspace(sys_u11):
     roots = roots_by_depth(sys_u11, 2)
     cis = codim2_spacelike(sys_u11, roots)
-    space_like = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
-    assert space_like
+    space_like = cis[cis.space_like]
+    assert len(space_like)
     verdicts, sines = intersection_equals_unimodular(sys_u11, roots, space_like)
     assert verdicts == [True] * len(space_like)
     assert max(sines) < math.sin(1e-7)
@@ -330,9 +386,10 @@ def test_intersection_equals_unimodular_subspace(sys_u11):
 
 def _space_like_eigendata(sys, depth):
     roots = roots_by_depth(sys, depth)
-    cis = [ci for ci in codim2_spacelike(sys, roots) if ci.kind is IntersectionKind.SPACE_LIKE]
-    assert cis
-    return roots, cis, pair_eigendata(sys, roots, [ci.pair for ci in cis])
+    cis = codim2_spacelike(sys, roots)
+    cis = cis[cis.space_like]
+    assert len(cis)
+    return roots, cis, pair_eigendata(sys, roots, cis.pairs)
 
 
 def test_reflection_pair_closed_form_matches_spectral(sys_u11):
@@ -492,7 +549,7 @@ def test_identity_check_fails_every_pair_under_a_perturbation(sys_u11, monkeypat
 
     roots, cis, e = _space_like_eigendata(sys_u11, 4)
     assert pair_identity_residuals(sys_u11, e).max() < IDENTITY_TOL
-    bad = perturbed(sys_u11, roots, [ci.pair for ci in cis])
+    bad = perturbed(sys_u11, roots, cis.pairs)
     assert pair_identity_residuals(sys_u11, bad).min() > IDENTITY_TOL
     monkeypatch.setattr(limitroots.verify, "pair_eigendata", perturbed)
     report = run_suite("sandwich", sys=sys_u11, depth=4)
@@ -513,10 +570,10 @@ def test_light_like_pairs_give_parabolic_products(graph, depth, count):
     sys = make_system(graph)
     roots = roots_by_depth(sys, depth)
     cis = codim2_spacelike(sys, roots)
-    cis = [ci for ci in cis if ci.kind is IntersectionKind.LIGHT_LIKE]
+    cis = cis[~cis.space_like]
     assert len(cis) == count
     R = [sys.reflection_in(v) for v in roots.vectors]
-    products = [R[a] @ R[b] for a, b in (ci.pair for ci in cis)]
+    products = [R[a] @ R[b] for a, b in cis.pairs]
     for ci, sc in zip(cis, classify_many(sys, products, det=1)):
         assert sc.kind is Kind.PARABOLIC
         v = sc.parabolic_vec / np.linalg.norm(sc.parabolic_vec)
@@ -534,7 +591,7 @@ def test_principal_sine_matches_subspace_angles(sys_u11):
     planes in R^5 (subspaces of dimension above one)."""
     roots = roots_by_depth(sys_u11, 3)
     cis = codim2_spacelike(sys_u11, roots)
-    cis = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
+    cis = cis[cis.space_like]
     pairs = []
     for ci in cis:
         r1, r2 = roots.vectors[list(ci.pair)]
@@ -551,19 +608,26 @@ def test_principal_sine_matches_subspace_angles(sys_u11):
         )
 
 
+def _tilted(sys, roots, cis, thetas):
+    """The set cis with each basis turned by its theta towards a direction
+    B-orthogonal to the first root of its pair."""
+    bases = []
+    for ci, theta in zip(cis, thetas):
+        plane = null_space((sys.form @ roots.vectors[ci.pair[0]])[None, :])
+        off = plane @ null_space(ci.basis.T @ plane)
+        bases.append(math.cos(theta) * ci.basis + math.sin(theta) * off)
+    return Codim2Set(cis.pairs, bases, cis.space_like, cis.pairings)
+
+
 def test_intersection_equals_unimodular_rejects_a_tilted_basis(sys_u11):
     """A direction B-orthogonal to the first root of the pair, at an angle
     theta from the intersection, passes only for theta below the 1e-7
     tolerance."""
     roots = roots_by_depth(sys_u11, 2)
     cis = codim2_spacelike(sys_u11, roots)
-    ci = next(ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE)
-    plane = null_space((sys_u11.form @ roots.vectors[ci.pair[0]])[None, :])
-    off = plane @ null_space(ci.basis.T @ plane)
     cases = ((1e-9, True), (1e-6, False), (math.pi / 2, False))
-    tilted = [
-        ci._replace(basis=math.cos(theta) * ci.basis + math.sin(theta) * off) for theta, _ in cases
-    ]
+    first = cis[np.repeat(np.flatnonzero(cis.space_like)[:1], len(cases))]
+    tilted = _tilted(sys_u11, roots, first, [theta for theta, _ in cases])
     assert intersection_equals_unimodular(sys_u11, roots, tilted)[0] == [e for _, e in cases]
 
 
@@ -572,13 +636,9 @@ def test_intersection_equals_unimodular_batch_matches_per_pair_reference(sys_u11
     and one ``principal_sine`` per pair."""
     roots = roots_by_depth(sys_u11, 3)
     cis = codim2_spacelike(sys_u11, roots)
-    cis = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
-    batch = []
-    for k, ci in enumerate(cis):
-        theta = (0.0, 1e-9, 1e-6, math.pi / 2)[k % 4]
-        plane = null_space((sys_u11.form @ roots.vectors[ci.pair[0]])[None, :])
-        off = plane @ null_space(ci.basis.T @ plane)
-        batch.append(ci._replace(basis=math.cos(theta) * ci.basis + math.sin(theta) * off))
+    cis = cis[cis.space_like]
+    thetas = [(0.0, 1e-9, 1e-6, math.pi / 2)[k % 4] for k in range(len(cis))]
+    batch = _tilted(sys_u11, roots, cis, thetas)
     expected = []
     for ci in batch:
         r1, r2 = roots.vectors[list(ci.pair)]
@@ -597,7 +657,7 @@ def test_intersection_equals_unimodular_reads_each_pair_by_its_rows(sys_u11):
     the sine it gets in the full batch."""
     roots = roots_by_depth(sys_u11, 4)
     cis = codim2_spacelike(sys_u11, roots)
-    cis = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
+    cis = cis[cis.space_like]
     verdicts, sines = intersection_equals_unimodular(sys_u11, roots, cis)
     subset = cis[::-3]
     assert len(subset) == 296 and subset[0].pair > subset[-1].pair
@@ -610,7 +670,7 @@ def test_stacked_reflection_products_match_the_per_pair_products(sys_u11, monkey
     one ``reflection_in`` product per pair bit for bit (depth 4)."""
     roots = roots_by_depth(sys_u11, 4)
     cis = codim2_spacelike(sys_u11, roots)
-    cis = [ci for ci in cis if ci.kind is IntersectionKind.SPACE_LIKE]
+    cis = cis[cis.space_like]
     seen = []
 
     def spy(sys, mats, det=None):
@@ -621,7 +681,7 @@ def test_stacked_reflection_products_match_the_per_pair_products(sys_u11, monkey
     intersection_equals_unimodular(sys_u11, roots, cis)
     expected = [
         sys_u11.reflection_in(roots.vectors[a]) @ sys_u11.reflection_in(roots.vectors[b])
-        for a, b in (ci.pair for ci in cis)
+        for a, b in cis.pairs
     ]
     assert len(seen) == 1 and seen[0].shape == (888, 3, 3)
     assert np.array_equal(seen[0], np.array(expected))
@@ -652,5 +712,5 @@ def test_sandwich_report_counters_at_depth_4(sys_u11):
 def test_weights_sit_on_simple_pair_intersections(sys_u11):
     cis = codim2_spacelike(sys_u11, roots_by_depth(sys_u11, 1))
     weights = to_chart(fundamental_weights(sys_u11).T)
-    best = chart_distances(weights[:, None], to_chart([ci.basis[:, 0] for ci in cis])).min(axis=1)
+    best = chart_distances(weights[:, None], to_chart(cis.bases[:, :, 0])).min(axis=1)
     assert best.shape == (3,) and best.max() < 1e-9

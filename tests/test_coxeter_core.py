@@ -491,7 +491,7 @@ def test_group_elements_compare_by_word_and_matrix_bytes():
 def test_iteration_follows_store_order(store_u1_6):
     whole = store_u1_6.with_length(0, store_u1_6.max_length)
     assert [e.word for e in store_u1_6] == [e.word for e in whole]
-    by_length = [e for k in range(store_u1_6.max_length + 1) for e in store_u1_6.of_length(k)]
+    by_length = [e for k in range(store_u1_6.max_length + 1) for e in store_u1_6.with_length(k, k)]
     assert all(a == b for a, b in zip(store_u1_6, by_length))
     assert len(by_length) == len(store_u1_6)
 
@@ -503,7 +503,7 @@ def test_element_matrices_are_views_of_their_level():
         assert W.dtype == np.uint8 and W.shape == (count, k)
         assert M.shape == (count, 4, 4)
         assert not W.flags.writeable and not M.flags.writeable
-        for e in store.of_length(k):
+        for e in store.with_length(k, k):
             assert np.shares_memory(e.matrix, M)
             assert not e.matrix.flags.writeable
 
@@ -552,7 +552,7 @@ def test_element_of_a_non_reduced_word_is_its_store_row(sys_u1, name, length):
     letter.  A letter outside the rank is refused."""
     sys = make_system(name)
     store = enumerate_elements(sys, length)
-    for e in store.of_length(length)[:: len(store.of_length(length)) // 5]:
+    for e in store.with_length(length, length)[:: len(store.with_length(length, length)) // 5]:
         for cut in range(length + 1):
             for s in range(sys.rank):
                 got = element_of(sys, e.word[:cut] + (s, s) + e.word[cut:])

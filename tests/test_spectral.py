@@ -159,7 +159,7 @@ def test_parabolic_vectors_are_exact_on_universal3_1():
     for length, count in ((12, 192), (14, 384)):
         eps = (-1) ** length
         parabolic = 0
-        for elem in store.of_length(length):
+        for elem in store.with_length(length, length):
             A = elem.matrix.astype(np.int64).astype(object) - eps * np.eye(3, dtype=np.int64)
             assert np.array_equal(A + eps * np.eye(3), elem.matrix)
             A2 = A @ A
@@ -411,7 +411,7 @@ def test_classify_many_takes_determinants_from_the_caller():
     assert np.count_nonzero(np.sign(np.linalg.det(mats)) != 1) == 50
     got = classify_many(sys, mats, det=1)
     assert [_fields(sys, sc) for sc in got] == [
-        _fields(sys, classify(sys, e)) for e in store.of_length(6)
+        _fields(sys, classify(sys, e)) for e in store.with_length(6, 6)
     ]
     assert all(sc.kind is Kind.HYPERBOLIC for sc in got)
     u1 = make_system("universal3:1")
@@ -427,7 +427,7 @@ def test_universal3_50_length_8_is_hyperbolic():
     of length 8 is hyperbolic, and both eigenvectors pass the residual test
     |M w - (w^T M w) w| < 1e-13 |M|_F for unit w."""
     sys = make_system("universal3:50")
-    elements = enumerate_elements(sys, 8).of_length(8)
+    elements = enumerate_elements(sys, 8).with_length(8, 8)
     assert len(elements) == 384
     for elem in elements:
         sc = classify(sys, elem)
@@ -445,7 +445,7 @@ def test_nearly_parallel_eigenvectors_stay_hyperbolic():
     n eps s_0."""
     sys = make_system("universal3:50")
     words = [(0, 1, 0, 2, 1, 0, 1, 0), (0, 2, 0, 1, 2, 0, 2, 0)]
-    elements = [e for e in enumerate_elements(sys, 8).of_length(8) if e.word in words]
+    elements = [e for e in enumerate_elements(sys, 8).with_length(8, 8) if e.word in words]
     assert len(elements) == 2
     for elem in elements:
         sc = classify(sys, elem)
@@ -684,7 +684,7 @@ def test_store_blocks_match_one_element_and_one_matrix():
     whole."""
     sys = make_system("fig1b")
     store = enumerate_elements(sys, 9)
-    level = store.of_length(9)
+    level = store.with_length(9, 9)
     assert len(level) == 13044
     for j in (0, 1023, 1024, len(level) - 1):
         elem = level[j]
@@ -729,7 +729,7 @@ def test_every_store_row_classifies_as_its_whole_level():
     kinds = Counter()
     for k in range(store.max_length + 1):
         level = classify_many(sys, store.level(k)[1], det=(-1.0) ** k)
-        for elem, sc in zip(store.of_length(k), level):
+        for elem, sc in zip(store.with_length(k, k), level):
             assert _record_bits(classify(sys, elem)) == _record_bits(sc)
             if sc.kind is Kind.HYPERBOLIC and kinds[sc.kind] % 97 == 0:
                 alone = classify_many(sys, elem.matrix[None], det=(-1.0) ** k)[0]
@@ -809,7 +809,7 @@ def test_stored_errors_are_raised_by_their_own_rows():
     for _ in range(2):
         span = "^eigenvector span has dimension 3, expected 1$"
         with pytest.raises(ClassificationError, match=span) as info:
-            classify(sys, store.of_length(10)[store.words(10, 10).index(raised[-1])])
+            classify(sys, store.with_length(10, 10)[store.words(10, 10).index(raised[-1])])
         depths.append(len(info.traceback))
     assert depths[0] == depths[1]
 
@@ -905,7 +905,7 @@ def test_classifying_a_level_takes_bounded_working_memory():
     for elem in enumerate_elements(sys, 3):
         classify(sys, elem)
     store = enumerate_elements(sys, 9)
-    level = store.of_length(9)
+    level = store.with_length(9, 9)
     tracemalloc.start()
     try:
         for elem in level:
@@ -1081,7 +1081,7 @@ def test_large_entry_reflections_are_exact_involutions():
         n = sys.rank
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
         for k in lengths:
-            for elem in store.of_length(k):
+            for elem in store.with_length(k, k):
                 if elem.word != elem.word[::-1]:
                     continue
                 M = _exact_element(sys, elem.word)
